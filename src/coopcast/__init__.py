@@ -6,6 +6,7 @@ from .bounds import (
     mimo_lower_radius,
     mimo_schedule_closed_form,
     mimo_upper_schedule,
+    miso_upper_schedule,
     propagation_time,
     reverse_snr_schedule,
     snr_lower_radius,

@@ -16,6 +16,7 @@ __all__ = [
     "snr_lower_radius",
     "mimo_lower_radius",
     "mimo_upper_schedule",
+    "miso_upper_schedule",
     "propagation_time",
     "reverse_snr_schedule",
 ]
@@ -90,6 +91,29 @@ def mimo_upper_schedule(
     radii = [r1]
     while radii[-1] < R and len(radii) < _MAX_ROUNDS:
         radii.append(c1 * rho * math.sqrt(lam) * radii[-1] ** 1.5)
+    return SchedulePrediction("MIMO", radii, len(radii), "upper")
+
+
+def miso_upper_schedule(
+    rho: float, lam: float, c1: float, c2: float, R: float
+) -> SchedulePrediction:
+    """Radii of the two-phase MISO broadcast: r_1 = 15 c2/lam (the UDG
+    bootstrap disk), r_{j+1} = (c1/15) rho lam^(1/2) r_j^(3/2).
+
+    The 1/15 shrink keeps receivers at 15x the sender-disk radius.  Unlike
+    :func:`mimo_upper_schedule` there is no growth precondition: the radii
+    stop at R, or as soon as a step would not grow.
+    """
+    if c1 <= 0 or c2 <= 0:
+        raise ValueError("c1 and c2 must be positive")
+    r1 = c2 / lam
+    radii = [15.0 * r1]
+    c_eff = c1 / 15.0
+    while radii[-1] < R:
+        nxt = c_eff * rho * math.sqrt(lam) * radii[-1] ** 1.5
+        if nxt <= radii[-1]:
+            break
+        radii.append(nxt)
     return SchedulePrediction("MIMO", radii, len(radii), "upper")
 
 

@@ -6,18 +6,20 @@ the schedule radius r_j transmit in round j), and the two-phase MISO
 broadcast (UDG bootstrap of a small disk, then phase-synchronized
 expanding-disk MIMO rounds).  Reception in a round is always evaluated
 against the complete transmitting set of that round; there is no intra-round
-chaining.
+chaining.  No round cap applies: a flood ends when a round informs nobody,
+an expanding disk when its schedule does.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .bounds import miso_upper_schedule
 from .signal_model import SenderSet, SignalParams, received_phasor, snr_received_energy
 
 __all__ = [
@@ -33,6 +35,10 @@ __all__ = [
 ]
 
 _RECEIVER_CHUNK = 4096
+
+# A node at distance exactly 1 hears a UDG sender, but a kd-tree query's
+# distance_upper_bound is exclusive: query just above 1 and keep d <= 1.
+_UDG_BOUND = np.nextafter(1.0, 2.0)
 
 
 class BootstrapFailure(RuntimeError):
@@ -55,7 +61,6 @@ class RoundLog:
     fully_informed: bool = False
     propagation_time: float = 0.0
     schedule_exhausted: bool = False
-    round_cap_hit: bool = False
     phase1_rounds: int | None = None
     phase2_rounds: int | None = None
 
@@ -81,7 +86,6 @@ class RoundLog:
             "fully_informed": self.fully_informed,
             "propagation_time": self.propagation_time,
             "schedule_exhausted": self.schedule_exhausted,
-            "round_cap_hit": self.round_cap_hit,
             "phase1_rounds": self.phase1_rounds,
             "phase2_rounds": self.phase2_rounds,
         }
@@ -94,14 +98,14 @@ class BroadcastConfig:
     schedule: str = "expanding_disk"  # "flood" | "expanding_disk"
     radius_schedule: tuple[float, ...] = ()
     params: SignalParams = field(default_factory=SignalParams)
-    phase_rule: str = "none"  # "none" | "random" | "center_sync"
+    phase_rule: str = "none"  # "none" | "center_sync"
 
     def __post_init__(self):
         if self.model not in ("UDG", "SNR", "MIMO"):
             raise ValueError(f"unknown model {self.model!r}")
         if self.schedule not in ("flood", "expanding_disk"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
-        if self.phase_rule not in ("none", "random", "center_sync"):
+        if self.phase_rule not in ("none", "center_sync"):
             raise ValueError(f"unknown phase rule {self.phase_rule!r}")
         if self.schedule == "expanding_disk":
             radii = self.radius_schedule
@@ -109,61 +113,111 @@ class BroadcastConfig:
                 raise ValueError("expanding_disk needs a nonempty increasing schedule")
 
 
-def _round_cap(n: int) -> int:
-    loglog = math.ceil(math.log2(max(math.log2(max(n, 2)), 1.0)))
-    return 10 * max(loglog, 1) + 100
-
-
-def _phases_for(field_, active: np.ndarray, rule: str, lam: float, round_index: int) -> np.ndarray:
-    pos = field_.positions[active]
+def _phases_for(field_, active: np.ndarray, rule: str, lam: float) -> np.ndarray:
     if rule == "center_sync":
+        pos = field_.positions[active]
         return -2.0 * np.pi * np.hypot(pos[:, 0], pos[:, 1]) / lam
-    if rule == "random":
-        rng = np.random.Generator(np.random.Philox(key=field_.seed, counter=round_index))
-        return rng.uniform(0.0, 2.0 * np.pi, size=active.size)
     return np.zeros(active.size)
 
 
-def _evaluate_reception(
-    field_,
-    active: np.ndarray,
-    uninformed: np.ndarray,
-    model: str,
-    params: SignalParams,
-    phase_rule: str,
-    round_index: int,
-) -> np.ndarray:
-    """Indices (into the field) of uninformed nodes triggered this round."""
-    if active.size == 0 or uninformed.size == 0:
-        return np.empty(0, dtype=int)
-    if model == "UDG":
-        tree = cKDTree(field_.positions[active])
-        hit = tree.query_ball_point(field_.positions[uninformed], r=1.0, return_length=True)
-        return uninformed[hit > 0]
-    senders = SenderSet.build(
-        field_.positions[active],
-        phases=_phases_for(field_, active, phase_rule, params.lam, round_index),
-    )
-    triggered = np.zeros(uninformed.size, dtype=bool)
-    for start in range(0, uninformed.size, _RECEIVER_CHUNK):
-        chunk = uninformed[start : start + _RECEIVER_CHUNK]
-        pts = field_.positions[chunk]
-        if model == "SNR":
-            level = snr_received_energy(senders, pts, params)
-        else:
-            level = np.abs(received_phasor(senders, pts, params)) ** 2
-        triggered[start : start + _RECEIVER_CHUNK] = level >= params.beta_N0
-    return uninformed[triggered]
-
-
-def _round_travel(field_, active: np.ndarray, newly: np.ndarray) -> float:
-    """Distance the signal travelled this round: the farthest newly informed
-    node's distance to its nearest active sender."""
-    if newly.size == 0 or active.size == 0:
-        return 0.0
+def _receive(
+    field_, active: np.ndarray, candidates: np.ndarray, config: BroadcastConfig
+) -> tuple[np.ndarray, float]:
+    """The candidates that this round's senders inform, and how far the
+    signal travelled: the largest distance from a newly informed node to its
+    nearest sender (0 when nobody is informed)."""
+    if active.size == 0:
+        return candidates[:0], 0.0
     tree = cKDTree(field_.positions[active])
-    dists, _ = tree.query(field_.positions[newly])
-    return float(np.max(dists))
+    if config.model == "UDG":
+        dist, _ = tree.query(field_.positions[candidates], distance_upper_bound=_UDG_BOUND)
+        hit = dist <= 1.0
+        newly, dist = candidates[hit], dist[hit]
+    else:
+        params = config.params
+        senders = SenderSet.build(
+            field_.positions[active],
+            phases=_phases_for(field_, active, config.phase_rule, params.lam),
+        )
+        triggered = np.zeros(candidates.size, dtype=bool)
+        for start in range(0, candidates.size, _RECEIVER_CHUNK):
+            pts = field_.positions[candidates[start : start + _RECEIVER_CHUNK]]
+            if config.model == "SNR":
+                level = snr_received_energy(senders, pts, params)
+            else:
+                level = np.abs(received_phasor(senders, pts, params)) ** 2
+            triggered[start : start + _RECEIVER_CHUNK] = level >= params.beta_N0
+        newly = candidates[triggered]
+        dist, _ = tree.query(field_.positions[newly])
+    return newly, float(dist.max()) if newly.size else 0.0
+
+
+def _origin_informed(field_) -> np.ndarray:
+    if field_.n < 1:
+        raise ValueError("empty field")
+    informed = np.zeros(field_.n, dtype=bool)
+    informed[0] = True
+    return informed
+
+
+def _run_rounds(
+    field_,
+    config: BroadcastConfig,
+    informed: np.ndarray,
+    eligible: np.ndarray | None = None,
+    log: RoundLog | None = None,
+) -> RoundLog:
+    """The round engine of every driver.
+
+    Each round's senders are picked by the config: the nodes informed in the
+    previous round under a UDG flood (an older informed node within distance
+    1 of a node would already have informed it), every informed node under an
+    SNR or MIMO flood, and the informed nodes within r_j of the origin in
+    round j of an expanding disk.  Only ``eligible`` nodes can be informed.
+    A flood stops once a round informs nobody; an expanding disk runs until
+    its schedule ends or r_j reaches the field radius.
+    """
+    radii = field_.radii
+    if eligible is None:
+        eligible = np.ones(field_.n, dtype=bool)
+    if log is None:
+        log = RoundLog()
+    if config.schedule == "expanding_disk":
+        schedule = config.radius_schedule
+    else:
+        schedule = itertools.repeat(None)
+    newly = np.flatnonzero(informed)
+    for r_j in schedule:
+        candidates = np.flatnonzero(eligible & ~informed)
+        if candidates.size == 0:
+            break
+        if r_j is not None:
+            active = np.flatnonzero(informed & (radii <= r_j))
+        elif config.model == "UDG":
+            active = newly
+        else:
+            active = np.flatnonzero(informed)
+        newly, travel = _receive(field_, active, candidates, config)
+        if r_j is None and newly.size == 0:
+            break
+        informed[newly] = True
+        log.rounds.append(
+            RoundRecord(
+                round_index=len(log.rounds) + 1,
+                newly_informed=newly.tolist(),
+                frontier_radius=float(radii[informed].max()),
+                senders_active=int(active.size),
+                disk_radius_r_j=r_j,
+            )
+        )
+        log.propagation_time += travel
+        if r_j is not None and r_j >= field_.R:
+            break
+    else:  # the schedule ran out
+        log.schedule_exhausted = bool(np.any(eligible & ~informed))
+    log.total_rounds = len(log.rounds)
+    log.fully_informed = bool(np.all(informed[eligible]))
+    return log
 
 
 def run_udg_flood(field_, restrict_radius: float | None = None) -> RoundLog:
@@ -172,46 +226,12 @@ def run_udg_flood(field_, restrict_radius: float | None = None) -> RoundLog:
     Round t informs exactly BFS layer t.  With ``restrict_radius`` the flood
     only runs among nodes within that distance of the origin.
     """
-    if field_.n < 1:
-        raise ValueError("empty field")
-    radii = field_.radii
-    eligible = np.ones(field_.n, dtype=bool)
+    informed = _origin_informed(field_)
+    eligible = None
     if restrict_radius is not None:
-        eligible = radii <= restrict_radius
+        eligible = field_.radii <= restrict_radius
         eligible[0] = True
-    idx = np.flatnonzero(eligible)
-    tree = cKDTree(field_.positions[idx])
-    informed = np.zeros(field_.n, dtype=bool)
-    informed[0] = True
-    frontier = np.array([0])
-    log = RoundLog()
-    cap = _round_cap(field_.n)
-    round_index = 0
-    while frontier.size and round_index < cap:
-        round_index += 1
-        local_hits = tree.query_ball_point(field_.positions[frontier], r=1.0)
-        hit = idx[np.unique(np.concatenate([np.asarray(h, dtype=int) for h in local_hits]))]
-        newly = hit[~informed[hit]]
-        if newly.size == 0:
-            round_index -= 1
-            break
-        travel = _round_travel(field_, frontier, newly)
-        informed[newly] = True
-        log.rounds.append(
-            RoundRecord(
-                round_index=round_index,
-                newly_informed=sorted(int(i) for i in newly),
-                frontier_radius=float(radii[informed].max()),
-                senders_active=int(frontier.size),
-            )
-        )
-        log.propagation_time += travel
-        frontier = newly
-    log.total_rounds = len(log.rounds)
-    log.round_cap_hit = round_index >= cap and frontier.size > 0
-    target = eligible if restrict_radius is not None else np.ones(field_.n, dtype=bool)
-    log.fully_informed = bool(np.all(informed[target]))
-    return log
+    return _run_rounds(field_, BroadcastConfig(model="UDG", schedule="flood"), informed, eligible)
 
 
 def sector_route(field_, src: int, dst: int) -> list[int]:
@@ -252,105 +272,34 @@ def sector_route(field_, src: int, dst: int) -> list[int]:
         current = int(best)
 
 
-def _run_rounds(
-    field_,
-    config: BroadcastConfig,
-    informed: np.ndarray,
-    schedule: list[float] | None,
-    log: RoundLog,
-    start_round: int = 0,
-) -> RoundLog:
-    radii = field_.radii
-    cap = _round_cap(field_.n)
-    round_index = start_round
-    j = 0
-    while round_index - start_round < cap:
-        r_j = schedule[j] if schedule is not None else None
-        round_index += 1
-        if schedule is None:
-            active = np.flatnonzero(informed)
-        else:
-            active = np.flatnonzero(informed & (radii <= r_j))
-        uninformed = np.flatnonzero(~informed)
-        newly = _evaluate_reception(
-            field_, active, uninformed, config.model, config.params,
-            config.phase_rule, round_index,
-        )
-        if schedule is None and newly.size == 0:
-            break
-        travel = _round_travel(field_, active, newly)
-        informed[newly] = True
-        log.rounds.append(
-            RoundRecord(
-                round_index=round_index,
-                newly_informed=sorted(int(i) for i in newly),
-                frontier_radius=float(radii[informed].max()),
-                senders_active=int(active.size),
-                disk_radius_r_j=r_j,
-            )
-        )
-        log.propagation_time += travel
-        if np.all(informed):
-            break
-        if schedule is not None:
-            if r_j >= field_.R:
-                break
-            j += 1
-            if j >= len(schedule):
-                log.schedule_exhausted = True
-                break
-        elif newly.size == 0:
-            break
-    else:
-        log.round_cap_hit = True
-    log.total_rounds = len(log.rounds)
-    log.fully_informed = bool(np.all(informed))
-    return log
-
-
 def run_expanding_disk(field_, config: BroadcastConfig) -> RoundLog:
     """Expanding-disk broadcast: round j activates informed nodes within
     the schedule radius r_j of the origin."""
     if config.schedule != "expanding_disk":
         raise ValueError("config.schedule must be expanding_disk")
-    informed = np.zeros(field_.n, dtype=bool)
-    informed[0] = True
-    log = RoundLog()
-    if field_.n == 1:
-        log.fully_informed = True
-        return log
-    return _run_rounds(field_, config, informed, list(config.radius_schedule), log)
+    return _run_rounds(field_, config, _origin_informed(field_))
 
 
-def run_flood(
-    field_, model: str, params: SignalParams, phase_rule: str = "none"
-) -> RoundLog:
-    """Unrestricted flooding: every informed node transmits every round."""
-    config = BroadcastConfig(model=model, schedule="flood", params=params, phase_rule=phase_rule)
-    informed = np.zeros(field_.n, dtype=bool)
-    informed[0] = True
-    log = RoundLog()
-    if field_.n == 1:
-        log.fully_informed = True
-        return log
-    return _run_rounds(field_, config, informed, None, log)
+def run_flood(field_, model: str, params: SignalParams) -> RoundLog:
+    """Unrestricted flooding: every informed node transmits every round
+    (under UDG only the previous round's newly informed nodes can reach
+    anyone new, so only they are counted as senders)."""
+    config = BroadcastConfig(model=model, schedule="flood", params=params)
+    return _run_rounds(field_, config, _origin_informed(field_))
 
 
 def run_miso_broadcast(
     field_, params: SignalParams, c1: float, c2: float
 ) -> RoundLog:
-    """Two-phase MISO broadcast.
+    """Two-phase MISO broadcast over the radii of
+    :func:`coopcast.bounds.miso_upper_schedule`.
 
-    Phase 1 informs the disk of radius 15 r_1 (r_1 = c2/lam) by UDG flooding
+    Phase 1 informs the first disk, of radius 15 c2/lam, by UDG flooding
     restricted to that disk.  Phase 2 runs expanding-disk MIMO rounds with
-    center-synchronized phases and the schedule
-    r_{j+1} = (c1/15) rho lam^(1/2) r_j^(3/2) (the 1/15 safety shrink keeps
-    receivers at 15x the sender-disk radius).
+    center-synchronized phases over the whole schedule.
     """
-    if c1 <= 0 or c2 <= 0:
-        raise ValueError("c1 and c2 must be positive")
-    r1 = c2 / params.lam
-    bootstrap_radius = 15.0 * r1
+    schedule = miso_upper_schedule(field_.density(), params.lam, c1, c2, field_.R).radii
+    bootstrap_radius = schedule[0]
     phase1 = run_udg_flood(field_, restrict_radius=bootstrap_radius)
     if not phase1.fully_informed:
         raise BootstrapFailure(
@@ -364,17 +313,7 @@ def run_miso_broadcast(
         log.fully_informed = True
         return log
 
-    rho = field_.density()
-    c_eff = c1 / 15.0
-    schedule = [bootstrap_radius]
-    while schedule[-1] < field_.R and len(schedule) < _round_cap(field_.n):
-        nxt = c_eff * rho * math.sqrt(params.lam) * schedule[-1] ** 1.5
-        if nxt <= schedule[-1]:
-            break
-        schedule.append(nxt)
-
     informed = np.zeros(field_.n, dtype=bool)
-    informed[0] = True
     informed[np.asarray(phase1.informed_indices(), dtype=int)] = True
     config = BroadcastConfig(
         model="MIMO",
@@ -383,7 +322,6 @@ def run_miso_broadcast(
         params=params,
         phase_rule="center_sync",
     )
-    log = _run_rounds(field_, config, informed, schedule, log, start_round=phase1.total_rounds)
-    log.phase1_rounds = phase1.total_rounds
+    log = _run_rounds(field_, config, informed, log=log)
     log.phase2_rounds = log.total_rounds - phase1.total_rounds
     return log

@@ -35,6 +35,12 @@ from .signal_model import GridSpec, SignalParams
 
 OUTPUT_DIR_ENV = "COOPCAST_OUTPUT_DIR"
 
+# Flags that override the JSON config; each is stored under its own name.
+_OPTION_NAMES = (
+    "models", "node_counts", "density", "density_rule", "seeds", "lam",
+    "beta_N0", "c_f", "c1", "c2", "output_dir", "workers",
+)
+
 
 def _default_output_dir() -> str:
     return os.environ.get(OUTPUT_DIR_ENV, "runs")
@@ -54,22 +60,8 @@ def _merged_options(args: argparse.Namespace) -> dict:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             opts.update(json.load(fh))
-    flag_map = {
-        "models": "models",
-        "node_counts": "node_counts",
-        "density": "density",
-        "density_rule": "density_rule",
-        "seeds": "seeds",
-        "lam": "lam",
-        "beta_N0": "beta_N0",
-        "c_f": "c_f",
-        "c1": "c1",
-        "c2": "c2",
-        "output_dir": "output_dir",
-        "workers": "workers",
-    }
-    for attr, key in flag_map.items():
-        value = getattr(args, attr, None)
+    for key in _OPTION_NAMES:
+        value = getattr(args, key, None)
         if value is not None:
             opts[key] = value
     opts.setdefault("output_dir", _default_output_dir())

@@ -9,6 +9,7 @@ from coopcast.bounds import (
     mimo_lower_radius,
     mimo_schedule_closed_form,
     mimo_upper_schedule,
+    miso_upper_schedule,
     propagation_time,
     reverse_snr_schedule,
     snr_lower_radius,
@@ -70,6 +71,21 @@ def test_mimo_schedule_precondition():
         mimo_upper_schedule(10.0, 0.25, 1e-4, 1.0, R=100.0)
     with pytest.raises(ValueError):
         mimo_upper_schedule(10.0, 0.25, -1.0, 1.0, R=100.0)
+
+
+def test_miso_schedule_grows_until_it_stalls():
+    # Criterion 08's constants fail mimo_upper_schedule's growth precondition
+    # but still grow superlinearly from the bootstrap radius 15 c2/lam.
+    rho = 10_000 / (900.0 * math.pi)
+    pred = miso_upper_schedule(rho, 0.1, 12.0, 0.02, R=30.0)
+    assert pred.radii[0] == pytest.approx(3.0)
+    assert pred.radii[-1] >= 30.0 > pred.radii[-2]
+    ratios = [b / a for a, b in zip(pred.radii, pred.radii[1:])]
+    assert ratios == sorted(ratios) and ratios[0] > 1.0
+    # A constant too small to grow stops after the bootstrap radius.
+    assert miso_upper_schedule(rho, 0.1, 1e-4, 0.02, R=30.0).radii == pred.radii[:1]
+    with pytest.raises(ValueError):
+        miso_upper_schedule(rho, 0.1, 12.0, 0.0, R=30.0)
 
 
 def test_propagation_time():

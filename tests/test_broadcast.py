@@ -91,7 +91,23 @@ def test_flood_snr_informs_dense_field():
 
 def test_flood_udg_equals_bfs_path():
     fld = sample_field(300, 2.0, seed=4)
-    assert run_flood(fld, model="UDG", params=PARAMS).total_rounds == run_udg_flood(fld).total_rounds
+    assert run_flood(fld, model="UDG", params=PARAMS).to_json() == run_udg_flood(fld).to_json()
+
+
+def test_udg_flood_long_chain_has_no_round_cap():
+    positions = np.column_stack([0.9 * np.arange(300), np.zeros(300)])
+    log = run_udg_flood(NodeField(positions=positions, R=270.0, seed=0))
+    assert log.total_rounds == 299
+    assert log.fully_informed
+    assert log.propagation_time == pytest.approx(299 * 0.9)
+
+
+def test_udg_reception_includes_distance_one():
+    positions = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    log = run_udg_flood(NodeField(positions=positions, R=2.0, seed=0))
+    assert [rec.newly_informed for rec in log.rounds] == [[1], [2]]
+    assert log.fully_informed
+    assert log.propagation_time == 2.0
 
 
 def test_expanding_disk_requires_schedule():
