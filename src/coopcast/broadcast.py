@@ -20,7 +20,13 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .bounds import miso_upper_schedule
-from .signal_model import SenderSet, SignalParams, received_phasor, snr_received_energy
+from .signal_model import (
+    _UDG_BOUND,
+    SenderSet,
+    SignalParams,
+    received_phasor,
+    snr_received_energy,
+)
 
 __all__ = [
     "RoundRecord",
@@ -34,11 +40,9 @@ __all__ = [
     "run_miso_broadcast",
 ]
 
-_RECEIVER_CHUNK = 4096
-
-# A node at distance exactly 1 hears a UDG sender, but a kd-tree query's
-# distance_upper_bound is exclusive: query just above 1 and keep d <= 1.
-_UDG_BOUND = np.nextafter(1.0, 2.0)
+# Receiver x sender pairs per reception kernel call: each call's temporaries
+# are a few arrays of this many elements, whatever the number of senders.
+_PAIR_BUDGET = 2**22
 
 
 class BootstrapFailure(RuntimeError):
@@ -140,13 +144,14 @@ def _receive(
             phases=_phases_for(field_, active, config.phase_rule, params.lam),
         )
         triggered = np.zeros(candidates.size, dtype=bool)
-        for start in range(0, candidates.size, _RECEIVER_CHUNK):
-            pts = field_.positions[candidates[start : start + _RECEIVER_CHUNK]]
+        chunk = max(1, _PAIR_BUDGET // active.size)
+        for start in range(0, candidates.size, chunk):
+            pts = field_.positions[candidates[start : start + chunk]]
             if config.model == "SNR":
                 level = snr_received_energy(senders, pts, params)
             else:
                 level = np.abs(received_phasor(senders, pts, params)) ** 2
-            triggered[start : start + _RECEIVER_CHUNK] = level >= params.beta_N0
+            triggered[start : start + chunk] = level >= params.beta_N0
         newly = candidates[triggered]
         dist, _ = tree.query(field_.positions[newly])
     return newly, float(dist.max()) if newly.size else 0.0

@@ -1,8 +1,9 @@
 """Command line entry point.
 
 Subcommands: ``simulate`` (experiment sweeps), ``fieldmap`` (per-round PGM
-energy maps), ``prove`` (certified inequality suite), ``calibrate-c1``
-(schedule-constant search), and ``fit`` (scaling-law fits on CSV points).
+coverage or energy maps), ``prove`` (certified inequality suite),
+``calibrate-c1`` (schedule-constant search), and ``fit`` (scaling-law fits
+on CSV points).
 
 Configuration precedence for ``simulate``: command-line flags beat the JSON
 config file, which beats built-in defaults.  The output directory can also
@@ -112,8 +113,7 @@ def _cmd_fieldmap(args: argparse.Namespace) -> int:
         return 1
     half = radius * 1.05
     grid = GridSpec(-half, half, -half, half, args.grid, args.grid)
-    map_model = "SNR" if args.model == "snr" else "MIMO"
-    paths = emit_fieldmaps(fld, log, params, grid, map_model, opts["output_dir"])
+    paths = emit_fieldmaps(fld, log, params, grid, args.model.upper(), opts["output_dir"])
     print(f"wrote {len(paths)} field maps to {opts['output_dir']}")
     return 0
 
@@ -193,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--output-dir", dest="output_dir")
     sim.set_defaults(func=_cmd_simulate)
 
-    fmap = sub.add_parser("fieldmap", help="write per-round PGM energy maps")
+    fmap = sub.add_parser("fieldmap", help="write per-round PGM coverage or energy maps")
     fmap.add_argument("--config", help="JSON config file; flags override it")
     fmap.add_argument("--model", required=True, choices=["udg", "snr", "mimo"])
     fmap.add_argument("--n", type=int, required=True)

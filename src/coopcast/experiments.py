@@ -225,8 +225,10 @@ def emit_fieldmaps(
     model: str,
     output_dir: str,
 ) -> list[str]:
-    """Write one PGM energy map per round, with that round's informed set
-    transmitting at zero phase."""
+    """Write one PGM map per round of the nodes informed by that round:
+    their unit-disk coverage (``model="UDG"``), or their energy transmitting
+    at zero phase (``"SNR"``, ``"MIMO"``)."""
+    threshold = 1.0 if model == "UDG" else params.beta_N0
     os.makedirs(output_dir, exist_ok=True)
     paths = []
     informed: list[int] = [0]
@@ -235,7 +237,7 @@ def emit_fieldmaps(
         senders = SenderSet.build(field_.positions[np.unique(informed)])
         fmap = field_map(senders, grid, params, model=model)
         path = os.path.join(output_dir, f"round_{rec.round_index}_{model.lower()}.pgm")
-        _atomic_write(path, fmap.to_pgm(threshold=params.beta_N0))
+        _atomic_write(path, fmap.to_pgm(threshold=threshold))
         paths.append(path)
     return paths
 

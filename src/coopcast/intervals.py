@@ -1,13 +1,22 @@
-"""Outward-rounded interval arithmetic.
+"""Outward-rounded interval arithmetic over floats or float64 arrays.
 
 Every operation returns an interval that provably contains the true real
 result for all inputs in the operand intervals.  Endpoints are computed in
-double precision and widened with ``math.nextafter``: one ulp for the
+double precision and widened with ``numpy.nextafter``: one ulp for the
 correctly rounded IEEE operations (+, -, *, /, sqrt), two ulps for libm
-transcendentals whose rounding is not guaranteed.  Products and quotients
-with an exactly-zero endpoint are kept at zero (multiplication by real zero
-is exact, and the zero endpoint of an operand interval represents real
-zero).
+transcendentals whose rounding is not guaranteed.  arccos is ``math.acos``,
+called once per element, so the libm guard covers the routine that runs.
+Products and quotients with an exactly-zero endpoint are kept at zero
+(multiplication by real zero is exact, and the zero endpoint of an operand
+interval represents real zero).
+
+The endpoints ``lo`` and ``hi`` are either floats or arrays of one shape;
+an array interval is a batch of independent intervals, one per lane, and
+every operation acts lane by lane with the same rounding as on floats.  An
+operation that leaves its domain on some lanes marks them in the boolean
+``invalid`` mask, which propagates to every result computed from them; on
+floats it raises :class:`DomainError` (or ``ValueError`` for a malformed
+interval) instead.
 
 The rounding realization is recorded in proof certificates as
 ``ROUNDING_MODE``.
@@ -17,13 +26,15 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["Interval", "DomainError", "ROUNDING_MODE", "acos_clip_events"]
+import numpy as np
+
+__all__ = ["Interval", "DomainError", "ROUNDING_MODE", "acos_clip_events", "on_lanes"]
 
 ROUNDING_MODE = "nextafter-outward (1 ulp arithmetic, 2 ulp libm)"
 
 _INF = math.inf
 
-#: Number of times an arccos argument had to be clipped into [-1, 1].
+#: Number of lanes whose arccos argument had to be clipped into [-1, 1].
 acos_clip_events = 0
 
 
@@ -31,32 +42,69 @@ class DomainError(ValueError):
     """Operand interval leaves the mathematical domain of an operation."""
 
 
-def _down(x: float) -> float:
-    return math.nextafter(x, -_INF)
+def _down(x):
+    return np.nextafter(x, -_INF)
 
 
-def _up(x: float) -> float:
-    return math.nextafter(x, _INF)
+def _up(x):
+    return np.nextafter(x, _INF)
 
 
-def _down2(x: float) -> float:
-    return math.nextafter(math.nextafter(x, -_INF), -_INF)
+def _down2(x):
+    return np.nextafter(np.nextafter(x, -_INF), -_INF)
 
 
-def _up2(x: float) -> float:
-    return math.nextafter(math.nextafter(x, _INF), _INF)
+def _up2(x):
+    return np.nextafter(np.nextafter(x, _INF), _INF)
+
+
+# Python's min and max keep the first argument on ties (which decides the
+# sign of a zero endpoint); np.minimum and np.maximum do not promise that.
+def _min(a, b):
+    return np.where(b < a, b, a)
+
+
+def _max(a, b):
+    return np.where(b > a, b, a)
+
+
+# Lanes already invalid, or dividing by an interval that contains zero, may
+# hold inf or nan; they are marked invalid, so numpy's warnings say nothing.
+_quiet = np.errstate(all="ignore")
+
+
+def _raises(bad) -> bool:
+    """True when a float operation failed: it raises instead of marking."""
+    return np.ndim(bad) == 0 and bool(bad)
 
 
 class Interval:
-    __slots__ = ("lo", "hi")
+    """``[lo, hi]``, or a batch of such intervals when ``lo`` and ``hi`` are
+    arrays.  ``invalid`` marks the lanes of a batch that left the domain of
+    an operation (it may be passed in to carry a mask over to endpoints
+    taken from another interval); a float interval is never invalid."""
 
-    def __init__(self, lo: float, hi: float | None = None):
+    __slots__ = ("lo", "hi", "invalid")
+    # numpy operands defer to the reflected Interval operations.
+    __array_ufunc__ = None
+
+    def __init__(self, lo, hi=None, invalid=False):
         if hi is None:
             hi = lo
-        if math.isnan(lo) or math.isnan(hi) or lo > hi:
-            raise ValueError(f"invalid interval [{lo}, {hi}]")
-        self.lo = float(lo)
-        self.hi = float(hi)
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
+        bad = np.isnan(lo) | np.isnan(hi) | (lo > hi)
+        if bad.ndim == 0:
+            if bad or invalid:
+                raise ValueError(f"invalid interval [{lo}, {hi}]")
+            self.lo = float(lo)
+            self.hi = float(hi)
+            self.invalid = np.False_
+        else:
+            if lo.shape != hi.shape:
+                lo, hi = np.broadcast_arrays(lo, hi)
+            self.lo, self.hi = lo, hi
+            self.invalid = bad | invalid
 
     # -- structure ---------------------------------------------------------
 
@@ -70,11 +118,11 @@ class Interval:
         return hash((self.lo, self.hi))
 
     @property
-    def width(self) -> float:
+    def width(self):
         return self.hi - self.lo
 
     @property
-    def mid(self) -> float:
+    def mid(self):
         return 0.5 * (self.lo + self.hi)
 
     def contains(self, x: float) -> bool:
@@ -87,11 +135,13 @@ class Interval:
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
     def intersect(self, other: "Interval") -> "Interval":
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
+        lo = _max(self.lo, other.lo)
+        hi = _min(self.hi, other.hi)
+        bad = lo > hi
+        if _raises(bad):
             raise DomainError(f"empty intersection of {self} and {other}")
-        return Interval(lo, hi)
+        # An empty lane gets a placeholder so the result stays well formed.
+        return Interval(np.where(bad, hi, lo), hi, self.invalid | other.invalid | bad)
 
     def split(self) -> tuple["Interval", "Interval"]:
         m = self.mid
@@ -99,78 +149,77 @@ class Interval:
             raise DomainError(f"interval {self} too thin to split")
         return Interval(self.lo, m), Interval(m, self.hi)
 
+    def take(self, lanes) -> "Interval":
+        """The lanes selected by an index or index array; a float interval
+        is the same on every lane."""
+        if np.ndim(self.lo) == 0:
+            return self
+        return Interval(self.lo[lanes], self.hi[lanes], self.invalid[lanes])
+
     # -- arithmetic --------------------------------------------------------
 
     @staticmethod
     def _coerce(x) -> "Interval":
-        return x if isinstance(x, Interval) else Interval(float(x))
+        return x if isinstance(x, Interval) else Interval(x)
 
     def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
+        return Interval(-self.hi, -self.lo, self.invalid)
 
+    @_quiet
     def __add__(self, other) -> "Interval":
         o = self._coerce(other)
-        return Interval(_down(self.lo + o.lo), _up(self.hi + o.hi))
+        return Interval(_down(self.lo + o.lo), _up(self.hi + o.hi), self.invalid | o.invalid)
 
     __radd__ = __add__
 
+    @_quiet
     def __sub__(self, other) -> "Interval":
         o = self._coerce(other)
-        return Interval(_down(self.lo - o.hi), _up(self.hi - o.lo))
+        return Interval(_down(self.lo - o.hi), _up(self.hi - o.lo), self.invalid | o.invalid)
 
     def __rsub__(self, other) -> "Interval":
         return self._coerce(other) - self
 
     @staticmethod
-    def _prod(a: float, b: float, direction: int) -> float:
-        # Multiplication by an exactly-zero endpoint is exact.
-        if a == 0.0 or b == 0.0:
-            return 0.0
-        p = a * b
-        return _down(p) if direction < 0 else _up(p)
+    def _bounds(candidates, exact_zero):
+        """Outward bounds of the four endpoint products or quotients; the
+        ones flagged in ``exact_zero`` are exactly 0."""
+        lo = hi = None
+        for c, zero in zip(candidates, exact_zero):
+            down = np.where(zero, 0.0, _down(c))
+            up = np.where(zero, 0.0, _up(c))
+            lo = down if lo is None else _min(lo, down)
+            hi = up if hi is None else _max(hi, up)
+        return lo, hi
 
+    @_quiet
     def __mul__(self, other) -> "Interval":
         o = self._coerce(other)
-        c = (
-            self._prod(self.lo, o.lo, -1),
-            self._prod(self.lo, o.hi, -1),
-            self._prod(self.hi, o.lo, -1),
-            self._prod(self.hi, o.hi, -1),
+        # Multiplication by an exactly-zero endpoint is exact.
+        a_lo, a_hi = self.lo == 0.0, self.hi == 0.0
+        b_lo, b_hi = o.lo == 0.0, o.hi == 0.0
+        lo, hi = self._bounds(
+            (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi),
+            (a_lo | b_lo, a_lo | b_hi, a_hi | b_lo, a_hi | b_hi),
         )
-        d = (
-            self._prod(self.lo, o.lo, +1),
-            self._prod(self.lo, o.hi, +1),
-            self._prod(self.hi, o.lo, +1),
-            self._prod(self.hi, o.hi, +1),
-        )
-        return Interval(min(c), max(d))
+        return Interval(lo, hi, self.invalid | o.invalid)
 
     __rmul__ = __mul__
 
-    @staticmethod
-    def _quot(a: float, b: float, direction: int) -> float:
-        if a == 0.0:
-            return 0.0
-        q = a / b
-        return _down(q) if direction < 0 else _up(q)
-
+    @_quiet
     def __truediv__(self, other) -> "Interval":
         o = self._coerce(other)
-        if o.lo <= 0.0 <= o.hi:
+        bad = (o.lo <= 0.0) & (0.0 <= o.hi)
+        if np.ndim(self.lo) == 0 and _raises(bad):
             raise DomainError(f"division by interval containing zero: {o}")
-        c = (
-            self._quot(self.lo, o.lo, -1),
-            self._quot(self.lo, o.hi, -1),
-            self._quot(self.hi, o.lo, -1),
-            self._quot(self.hi, o.hi, -1),
+        a_lo, a_hi = self.lo == 0.0, self.hi == 0.0
+        lo, hi = self._bounds(
+            (self.lo / o.lo, self.lo / o.hi, self.hi / o.lo, self.hi / o.hi),
+            (a_lo, a_lo, a_hi, a_hi),
         )
-        d = (
-            self._quot(self.lo, o.lo, +1),
-            self._quot(self.lo, o.hi, +1),
-            self._quot(self.hi, o.lo, +1),
-            self._quot(self.hi, o.hi, +1),
+        return Interval(
+            np.where(bad, 0.0, lo), np.where(bad, 0.0, hi), self.invalid | o.invalid | bad
         )
-        return Interval(min(c), max(d))
 
     def __rtruediv__(self, other) -> "Interval":
         return self._coerce(other) / self
@@ -178,41 +227,76 @@ class Interval:
     # -- elementary functions ---------------------------------------------
 
     def sqrt(self) -> "Interval":
-        if self.hi < 0.0:
+        bad = self.hi < 0.0
+        if _raises(bad):
             raise DomainError(f"sqrt of negative interval {self}")
-        lo = max(self.lo, 0.0)
-        slo = 0.0 if lo == 0.0 else max(_down(math.sqrt(lo)), 0.0)
-        shi = 0.0 if self.hi == 0.0 else _up(math.sqrt(self.hi))
-        return Interval(slo, shi)
+        # Clamping hi as well keeps np.sqrt off the negative, invalid lanes.
+        lo = _max(self.lo, 0.0)
+        hi = _max(self.hi, 0.0)
+        slo = np.where(lo == 0.0, 0.0, _max(_down(np.sqrt(lo)), 0.0))
+        shi = np.where(hi == 0.0, 0.0, _up(np.sqrt(hi)))
+        return Interval(slo, shi, self.invalid | bad)
 
     def pow32(self) -> "Interval":
         """x ** (3/2) for nonnegative x, via the monotone form x * sqrt(x)."""
-        if self.hi < 0.0:
+        bad = self.hi < 0.0
+        if _raises(bad):
             raise DomainError(f"pow32 of negative interval {self}")
-        lo = max(self.lo, 0.0)
-        plo = 0.0 if lo == 0.0 else _down2(lo * math.sqrt(lo))
-        phi = 0.0 if self.hi == 0.0 else _up2(self.hi * math.sqrt(self.hi))
-        return Interval(max(plo, 0.0), phi)
+        lo = _max(self.lo, 0.0)
+        hi = _max(self.hi, 0.0)
+        plo = np.where(lo == 0.0, 0.0, _down2(lo * np.sqrt(lo)))
+        phi = np.where(hi == 0.0, 0.0, _up2(hi * np.sqrt(hi)))
+        return Interval(_max(plo, 0.0), phi, self.invalid | bad)
 
     def sq(self) -> "Interval":
         """x ** 2 as a single monotone-on-|x| operation (tighter than x*x)."""
-        a, b = abs(self.lo), abs(self.hi)
-        lo_abs, hi_abs = min(a, b), max(a, b)
-        if self.lo <= 0.0 <= self.hi:
-            lo_abs = 0.0
-        lo = 0.0 if lo_abs == 0.0 else _down(lo_abs * lo_abs)
-        return Interval(lo, _up(hi_abs * hi_abs))
+        a, b = np.abs(self.lo), np.abs(self.hi)
+        lo_abs = np.where((self.lo <= 0.0) & (0.0 <= self.hi), 0.0, _min(a, b))
+        hi_abs = _max(a, b)
+        lo = np.where(lo_abs == 0.0, 0.0, _down(lo_abs * lo_abs))
+        return Interval(lo, _up(hi_abs * hi_abs), self.invalid)
 
     def acos(self) -> "Interval":
-        """arccos, decreasing; arguments clipped into [-1, 1] (events counted)."""
+        """arccos, decreasing; arguments clipped into [-1, 1] (each clipped
+        lane counted in ``acos_clip_events``)."""
         global acos_clip_events
-        lo, hi = self.lo, self.hi
-        if lo < -1.0 or hi > 1.0:
-            acos_clip_events += 1
-            lo = max(lo, -1.0)
-            hi = min(hi, 1.0)
-        if lo > 1.0 or hi < -1.0:
+        clipped = (self.lo < -1.0) | (self.hi > 1.0)
+        acos_clip_events += int(np.count_nonzero(clipped & ~self.invalid))
+        lo = _max(self.lo, -1.0)
+        hi = _min(self.hi, 1.0)
+        bad = (lo > 1.0) | (hi < -1.0)
+        if _raises(bad):
             raise DomainError(f"acos argument interval {self} outside [-1, 1]")
+        # libm arccos lane by lane; invalid lanes get a placeholder argument.
+        skip = bad | self.invalid
+        acos = np.frompyfunc(math.acos, 1, 1)
+        acos_lo = np.asarray(acos(np.where(skip, 0.0, hi)), dtype=float)
+        acos_hi = np.asarray(acos(np.where(skip, 0.0, lo)), dtype=float)
         return Interval(
-            max(_down2(math.acos(hi)), 0.0), min(_up2(math.acos(lo)), _up2(math.pi))
+            _max(_down2(acos_lo), 0.0),
+            _min(_up2(acos_hi), _up2(math.pi)),
+            self.invalid | bad,
         )
+
+
+def on_lanes(take, fn, base: Interval, *args: Interval) -> Interval:
+    """``fn(base, *args)`` on the lanes where ``take`` holds, ``base`` on the
+    others.
+
+    The branch is evaluated only on the lanes that take it and on which
+    ``base`` and every argument are valid, so a lane that float evaluation
+    would never bring to the branch counts no arccos clip and flags no error
+    there.  On floats this is a plain ``if``.
+    """
+    if np.ndim(take) == 0:
+        return fn(base, *args) if take else base
+    ok = take & ~base.invalid
+    for a in args:
+        ok &= ~a.invalid
+    lanes = np.flatnonzero(ok)
+    if lanes.size == 0:
+        return base
+    part = fn(base.take(lanes), *(a.take(lanes) for a in args))
+    lo, hi, invalid = base.lo.copy(), base.hi.copy(), base.invalid.copy()
+    lo[lanes], hi[lanes], invalid[lanes] = part.lo, part.hi, part.invalid
+    return Interval(lo, hi, invalid)

@@ -20,16 +20,22 @@ Key rewrites (all verified against direct evaluation):
 A task is *proved* when every leaf box certifies the bound, *refuted* when
 some midpoint, evaluated as a degenerate interval, violates the bound with
 its entire enclosure, and *exhausted* when the box budget or depth limit
-runs out; the hardest undecided box is reported in that case.
+runs out; the hardest undecided box is reported in that case.  The box tree
+is walked in level order: all boxes of one depth are evaluated in one call,
+as the lanes of array intervals, and a refutation or exhaustion reports the
+first such box of its level.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-import math
 from dataclasses import dataclass, field
 
-from .intervals import DomainError, Interval, ROUNDING_MODE
+import numpy as np
+
+from . import intervals
+from .intervals import DomainError, Interval, ROUNDING_MODE, on_lanes
 
 __all__ = [
     "Box",
@@ -90,21 +96,18 @@ def _g32_series_iv(t: Interval) -> Interval:
         acc = acc * t + c
     half_t = t * 0.5
     tail_hi = _G32_TAIL * half_t.sq().sq().sq() * half_t.sq() * half_t
-    return acc + Interval(-tail_hi.hi, 0.0)
+    return acc + Interval(-tail_hi.hi, 0.0, tail_hi.invalid)
 
 
 def _g32_iv(t: Interval) -> Interval:
     """Enclosure of g(t) / t**1.5, finite down to t = 0 (limit 4 sqrt(2) / 3)."""
     t = t.intersect(_CHORD_DOMAIN)
     third = Interval(4.0) / 3.0
-    lo = (third * (2.0 - t).sqrt()).lo
+    low = third * (2.0 - t).sqrt()
     hi = (third * Interval(2.0).sqrt()).hi
-    enc = Interval(max(lo, 0.0), hi)
-    if t.hi <= 1.0:
-        enc = enc.intersect(_g32_series_iv(t))
-    if t.lo > 0.0:
-        enc = enc.intersect(_g_iv(t) / t.pow32())
-    return enc
+    enc = Interval(np.maximum(low.lo, 0.0), hi, low.invalid)
+    enc = on_lanes(t.hi <= 1.0, lambda enc, t: enc.intersect(_g32_series_iv(t)), enc, t)
+    return on_lanes(t.lo > 0.0, lambda enc, t: enc.intersect(_g_iv(t) / t.pow32()), enc, t)
 
 
 def _scaled_area_iv(x: Interval, z: Interval) -> Interval:
@@ -121,6 +124,7 @@ def _area_iv(x: Interval, z: Interval) -> Interval:
 
 
 def _ratio_iv(x: Interval, z: Interval) -> Interval:
+    """f(x, 1/z) / f(x/2, 1/z), as sqrt(2) times the ratio of scaled areas."""
     return Interval(2.0).sqrt() * _scaled_area_iv(x, z) / _scaled_area_iv(x * 0.5, z)
 
 
@@ -152,16 +156,21 @@ def _t1_weighted_iv(x: Interval, z: Interval) -> Interval:
         -4.0 * zsq + 14.0 * z - 2.0
     )) * x - 4.0 * z
     main = quot * s.sqrt() / (2.0 * q2.sqrt())
-    rest = Interval(0.0, ((2.0 * (1.0 - z)) / q2).sqrt().hi)
-    if s.lo > 0.0:
-        rest = rest.intersect((4.0 - 4.0 * z) / (2.0 * (s * q2).sqrt()))
-        a3 = x * (x * (x * (-3.0 * x + 14.0) - 20.0) + 8.0)
-        a2 = x * (x * (-12.0 * x + 42.0) - 40.0) + 8.0
-        a1 = x * (-14.0 * x + 32.0) - 12.0
-        a0 = 4.0 - 4.0 * x
-        numer = ((a3 * z + a2) * z + a1) * z + a0
-        return (main + rest).intersect(numer / (2.0 * (s * q2).sqrt()))
-    return main + rest
+    bound = ((2.0 * (1.0 - z)) / q2).sqrt()
+    rest = Interval(0.0, bound.hi, bound.invalid)
+    return on_lanes(s.lo > 0.0, _t1_away_from_corner, main + rest, x, z, s, q2, main, rest)
+
+
+def _t1_away_from_corner(_, x, z, s, q2, main, rest):
+    """The first curvature term where s > 0: the remainder part is also
+    enclosed directly, and the whole term as one quotient."""
+    rest = rest.intersect((4.0 - 4.0 * z) / (2.0 * (s * q2).sqrt()))
+    a3 = x * (x * (x * (-3.0 * x + 14.0) - 20.0) + 8.0)
+    a2 = x * (x * (-12.0 * x + 42.0) - 40.0) + 8.0
+    a1 = x * (-14.0 * x + 32.0) - 12.0
+    a0 = 4.0 - 4.0 * x
+    numer = ((a3 * z + a2) * z + a1) * z + a0
+    return (main + rest).intersect(numer / (2.0 * (s * q2).sqrt()))
 
 
 def _t2_weighted_iv(x: Interval, z: Interval) -> Interval:
@@ -276,6 +285,10 @@ class ProofResult:
     witness_point: tuple[float, ...] | None = None
     witness_enclosure: Interval | None = None
     budget: int = 0
+    #: arccos arguments clipped into [-1, 1] while deciding the task
+    acos_clips: int = 0
+    #: boxes evaluated at each depth, indexed by depth
+    boxes_per_depth: list[int] = field(default_factory=list)
 
     def certificate(self) -> dict:
         cert = {
@@ -289,6 +302,8 @@ class ProofResult:
             "max_depth_reached": self.max_depth_reached,
             "box_budget": self.budget,
             "rounding": ROUNDING_MODE,
+            "acos_clips": self.acos_clips,
+            "boxes_per_depth": self.boxes_per_depth,
         }
         if self.witness_box is not None:
             cert["witness_box"] = self.witness_box.as_lists()
@@ -334,75 +349,90 @@ def _point_refutes(enc: Interval, relation: str, bound: float) -> bool:
     return enc.hi <= bound
 
 
+def _columns(lo: np.ndarray, hi: np.ndarray) -> list[Interval]:
+    """One array interval per dimension of a level's boxes (one row per box)."""
+    return [Interval(lo[:, i], hi[:, i]) for i in range(lo.shape[1])]
+
+
+def _split(lo: np.ndarray, hi: np.ndarray, mid: np.ndarray, spans: np.ndarray):
+    """The children of every box, its lo half then its hi half, cut at the
+    midpoint of the dimension widest relative to the domain ``spans``
+    (``np.argmax`` takes the first dimension on ties)."""
+    rel = np.divide(hi - lo, spans, out=np.zeros_like(lo), where=spans > 0)
+    dim = np.argmax(rel, axis=1)
+    rows = np.arange(len(lo))
+    cut = mid[rows, dim]
+    if not np.all((lo[rows, dim] < cut) & (cut < hi[rows, dim])):
+        raise DomainError("box too thin to split")
+    lo, hi = np.repeat(lo, 2, axis=0), np.repeat(hi, 2, axis=0)
+    hi[2 * rows, dim] = cut
+    lo[2 * rows + 1, dim] = cut
+    return lo, hi
+
+
+def _box(lo: np.ndarray, hi: np.ndarray, depth: int) -> Box:
+    return Box(tuple(Interval(a, b) for a, b in zip(lo.tolist(), hi.tolist())), depth)
+
+
 def prove(task: ProofTask, max_boxes: int = 2**24, max_depth: int = 60) -> ProofResult:
     """Decide a :class:`ProofTask` by deterministic adaptive bisection.
 
-    Boxes are processed depth first; undecided boxes are split along the
-    dimension that is widest relative to the task domain (ties go to the
-    first dimension), so results are reproducible.
+    The box tree is walked in level order, one depth at a time.  All boxes
+    of a depth are evaluated in one call and certified; the midpoints of the
+    undecided ones are evaluated in a second call and checked for
+    refutation; then each undecided box is split along the dimension that is
+    widest relative to the task domain (ties go to the first dimension), lo
+    half before hi half, to form the next level.  A proved task visits the
+    same boxes in any order.  A refuted task reports the first refuting box
+    of its level.  A task is exhausted, and reports the first undecided box
+    of its last level, when that level is at ``max_depth`` or its children
+    would take the boxes processed past ``max_boxes``.  Results are
+    reproducible.
     """
     _, fn = EXPRESSIONS[task.expression]
-    domain_widths = [hi - lo for lo, hi in task.domain]
-    root = Box(tuple(Interval(lo, hi) for lo, hi in task.domain))
-    stack = [root]
-    processed = 0
-    deepest = 0
-    hardest: Box | None = None
-
-    while stack:
-        box = stack.pop()
-        processed += 1
-        deepest = max(deepest, box.depth)
-
-        try:
-            enc = fn(*box.intervals)
-            decided = _certifies(enc, task.relation, task.bound)
-        except DomainError:
-            decided = False
-        if decided:
-            continue
-
-        mid = box.midpoint()
-        try:
-            point_enc = fn(*(Interval(m) for m in mid))
-        except DomainError:
-            point_enc = None
-        if point_enc is not None and _point_refutes(point_enc, task.relation, task.bound):
-            return ProofResult(
-                task,
-                "refuted",
-                processed,
-                deepest,
-                witness_box=box,
-                witness_point=mid,
-                witness_enclosure=point_enc,
-                budget=max_boxes,
-            )
-
-        if box.depth >= max_depth or processed + len(stack) >= max_boxes:
-            hardest = box
+    domain = np.array(task.domain, dtype=float)
+    spans = domain[:, 1] - domain[:, 0]
+    lo, hi = domain[None, :, 0], domain[None, :, 1]
+    clips = intervals.acos_clip_events
+    per_depth: list[int] = []
+    verdict, witness = "proved", {}
+    for depth in itertools.count():
+        per_depth.append(len(lo))
+        enc = fn(*_columns(lo, hi))
+        undecided = np.flatnonzero(enc.invalid | ~_certifies(enc, task.relation, task.bound))
+        if undecided.size == 0:
             break
-
-        rel = [
-            (box.intervals[i].width / domain_widths[i]) if domain_widths[i] > 0 else 0.0
-            for i in range(len(domain_widths))
-        ]
-        dim = max(range(len(rel)), key=lambda i: (rel[i], -i))
-        lo_box, hi_box = box.split(dim)
-        stack.append(hi_box)
-        stack.append(lo_box)
-
-    if hardest is not None:
-        return ProofResult(
-            task,
-            "exhausted",
-            processed,
-            deepest,
-            witness_box=hardest,
-            witness_point=hardest.midpoint(),
-            budget=max_boxes,
+        lo, hi = lo[undecided], hi[undecided]
+        mid = 0.5 * (lo + hi)
+        point_enc = fn(*_columns(mid, mid))
+        refuting = np.flatnonzero(
+            ~point_enc.invalid & _point_refutes(point_enc, task.relation, task.bound)
         )
-    return ProofResult(task, "proved", processed, deepest, budget=max_boxes)
+        if refuting.size:
+            k = refuting[0]
+            verdict, witness = "refuted", {
+                "witness_box": _box(lo[k], hi[k], depth),
+                "witness_point": tuple(mid[k].tolist()),
+                "witness_enclosure": point_enc.take(k),
+            }
+            break
+        if depth >= max_depth or sum(per_depth) + 2 * len(lo) > max_boxes:
+            verdict, witness = "exhausted", {
+                "witness_box": _box(lo[0], hi[0], depth),
+                "witness_point": tuple(mid[0].tolist()),
+            }
+            break
+        lo, hi = _split(lo, hi, mid, spans)
+    return ProofResult(
+        task,
+        verdict,
+        sum(per_depth),
+        len(per_depth) - 1,
+        budget=max_boxes,
+        acos_clips=intervals.acos_clip_events - clips,
+        boxes_per_depth=per_depth,
+        **witness,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +498,8 @@ def inequality_suite() -> list[ProofTask]:
             _FULL,
             ">",
             1.4,
-            "sqrt(2) f(x, d) / f(x/2, d) exceeds 7/5: halving the width "
-            "costs less than a sqrt(2)/(7/5) factor of area",
+            "f(x, d) / f(x/2, d) exceeds 7/5: halving the width divides "
+            "the area by more than 7/5",
         ),
         ProofTask(
             "area_slope_positive",

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 __all__ = [
     "SignalParams",
@@ -27,6 +28,10 @@ __all__ = [
     "GridSpec",
     "field_map",
 ]
+
+# A node at distance exactly 1 hears a UDG sender, but a kd-tree query's
+# distance_upper_bound is exclusive: query just above 1 and keep d <= 1.
+_UDG_BOUND = np.nextafter(1.0, 2.0)
 
 
 @dataclass(frozen=True)
@@ -261,7 +266,8 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class FieldMap:
-    """Row-major matrix of |z|^2 or RS values at grid cell centers."""
+    """Row-major matrix of |z|^2, RS or unit-disk coverage (1 or 0) values at
+    grid cell centers."""
 
     grid: GridSpec
     values: np.ndarray  # (ny, nx)
@@ -285,14 +291,18 @@ class FieldMap:
 def field_map(
     senders: SenderSet, grid: GridSpec, params: SignalParams, model: str = "MIMO"
 ) -> FieldMap:
-    """Sample |z|^2 (MIMO) or RS (SNR) at every grid cell center."""
-    if model not in ("MIMO", "SNR"):
-        raise ValueError(f"model must be MIMO or SNR, got {model!r}")
+    """Sample |z|^2 (MIMO), RS (SNR) or unit-disk coverage (UDG: 1 within
+    distance 1 of a sender, else 0) at every grid cell center."""
+    if model not in ("MIMO", "SNR", "UDG"):
+        raise ValueError(f"model must be MIMO, SNR or UDG, got {model!r}")
     xs, ys = grid.centers()
     X, Y = np.meshgrid(xs, ys)
     pts = np.column_stack([X.ravel(), Y.ravel()])
     if senders.m == 0:
         vals = np.zeros(len(pts))
+    elif model == "UDG":
+        dist, _ = cKDTree(senders.positions).query(pts, distance_upper_bound=_UDG_BOUND)
+        vals = (dist <= 1.0).astype(float)
     elif model == "MIMO":
         vals = np.abs(received_phasor(senders, pts, params)) ** 2
     else:

@@ -1,10 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from coopcast import broadcast
 from coopcast.broadcast import (
     BootstrapFailure,
     BroadcastConfig,
@@ -208,3 +210,26 @@ def test_miso_covered_by_bootstrap():
     log = run_miso_broadcast(fld, SignalParams(lam=0.1), c1=1.0, c2=1.0)
     assert log.fully_informed
     assert log.phase2_rounds == 0
+
+
+def test_reception_memory_bounded_by_pair_budget(monkeypatch):
+    # 600 center-synchronized MIMO senders, 3000 receivers: one unchunked
+    # kernel call would hold 1.8M pairs (about 96 MB).  Chunked by the pair
+    # budget, the peak stays near 53 bytes per budgeted pair, and the
+    # informed set and travel distance do not change.
+    fld = sample_field(3600, 6.0, seed=3)
+    config = BroadcastConfig(
+        model="MIMO", schedule="flood", params=PARAMS, phase_rule="center_sync"
+    )
+    active, candidates = np.arange(600), np.arange(600, 3600)
+    whole = broadcast._receive(fld, active, candidates, config)
+    budget = 2**16
+    monkeypatch.setattr(broadcast, "_PAIR_BUDGET", budget, raising=False)
+    tracemalloc.start()
+    try:
+        newly, travel = broadcast._receive(fld, active, candidates, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * budget + 2**20
+    assert newly.tolist() == whole[0].tolist() and travel == whole[1]

@@ -98,8 +98,9 @@ def test_fieldmap(tmp_path):
         ]
     )
     assert code == 0
-    names = sorted(os.listdir(out))
-    assert names and all(name.endswith(".pgm") for name in names)
+    names = os.listdir(out)
+    assert names
+    assert sorted(names) == sorted(f"round_{k}_udg.pgm" for k in range(1, len(names) + 1))
 
 
 def test_fit(tmp_path, capsys):

@@ -1,14 +1,19 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from coopcast import intervals
 from coopcast.geometry import f_double_prime, f_limit_inf, intersection_area_f, segment_g
-from coopcast.intervals import Interval
+from coopcast.intervals import DomainError, Interval
 from coopcast.prover import (
+    EXPRESSIONS,
     Box,
     ProofTask,
+    _certifies,
+    _point_refutes,
     inequality_suite,
     interval_eval,
     prove,
@@ -92,6 +97,14 @@ def test_exhaustion_reports_hardest_box():
     assert res.verdict == "exhausted"
     assert res.witness_box is not None
     assert res.boxes_processed <= 64
+    # Level order: the budget stops the walk after whole levels, and the
+    # witness is the first undecided box of the last one.
+    assert res.boxes_per_depth == [1, 2, 4, 8, 16, 32]
+    assert res.witness_box.depth == res.max_depth_reached == 5
+    again = prove(task, max_boxes=64)
+    assert again.certificate_json() == res.certificate_json()
+    per_depth, *_ = _level_order_reference(task, stop_depth=5)
+    assert per_depth == res.boxes_per_depth
 
 
 def test_certificate_contents():
@@ -140,3 +153,204 @@ def test_suite_names_cover_all_claims():
         "shape_scaled_lower",
         "shape_scaled_upper",
     } <= names
+
+
+# ---------------------------------------------------------------------------
+# level order, telemetry and the batched enclosures
+# ---------------------------------------------------------------------------
+
+
+def _level_order_reference(task, stop_depth=None):
+    """The box tree walked in level order one box at a time, with float
+    intervals: boxes per depth, and the first refuting box with its point
+    and point enclosure (``None`` when no box refutes)."""
+    _, fn = EXPRESSIONS[task.expression]
+    spans = [hi - lo for lo, hi in task.domain]
+    level = [Box(tuple(Interval(lo, hi) for lo, hi in task.domain))]
+    per_depth = []
+    while level:
+        per_depth.append(len(level))
+        undecided = []
+        for box in level:
+            try:
+                if _certifies(fn(*box.intervals), task.relation, task.bound):
+                    continue
+            except DomainError:
+                pass
+            undecided.append(box)
+        for box in undecided:
+            mid = box.midpoint()
+            try:
+                point_enc = fn(*(Interval(m) for m in mid))
+            except DomainError:
+                continue
+            if _point_refutes(point_enc, task.relation, task.bound):
+                return per_depth, box, mid, point_enc
+        if len(per_depth) - 1 == stop_depth:
+            break
+        level = []
+        for box in undecided:
+            rel = [iv.width / s if s > 0 else 0.0 for iv, s in zip(box.intervals, spans)]
+            level.extend(box.split(rel.index(max(rel))))
+    return per_depth, None, None, None
+
+
+@pytest.mark.parametrize(
+    "task",
+    [
+        ProofTask("absurd", "lens_area_curvature", MID, "<=", -1e6),
+        ProofTask("too_tight", "segment_shape_scaled", ((0.0, 2.0),), "<=", 1.885),
+        ProofTask("scaled_low", "lens_area_scaled", ((0.0, 2.0), (0.0, 0.5)), ">", 1.5),
+    ],
+    ids=lambda t: t.name,
+)
+def test_level_order_matches_box_by_box_walk(task):
+    res = prove(task)
+    per_depth, box, point, point_enc = _level_order_reference(task)
+    assert res.boxes_per_depth == per_depth
+    assert res.boxes_processed == sum(per_depth)
+    assert res.max_depth_reached == len(per_depth) - 1
+    if box is None:
+        assert res.verdict == "proved" and res.witness_box is None
+    else:
+        assert res.verdict == "refuted"
+        assert res.witness_box == box and res.witness_box.depth == box.depth
+        assert res.witness_point == point
+        assert res.witness_enclosure == point_enc
+
+
+def test_certificates_repeat_exactly():
+    task = ProofTask("starved", "lens_area_half_ratio", FULL, ">", 1.4)
+    assert prove(task, max_boxes=5000).certificate_json() == prove(
+        task, max_boxes=5000
+    ).certificate_json()
+
+
+def test_proof_telemetry():
+    by_name = {t.name: t for t in inequality_suite()}
+    for name in ("area_scaled_far_lower", "term3_left_upper", "shape_scaled_upper"):
+        before = intervals.acos_clip_events
+        res = prove(by_name[name])
+        assert res.acos_clips == intervals.acos_clip_events - before
+        assert sum(res.boxes_per_depth) == res.boxes_processed
+        assert len(res.boxes_per_depth) == res.max_depth_reached + 1
+        cert = res.certificate()
+        assert cert["acos_clips"] == res.acos_clips
+        assert cert["boxes_per_depth"] == res.boxes_per_depth
+    assert res.boxes_per_depth == [1] and res.acos_clips == 0
+    far = prove(by_name["area_scaled_far_lower"])
+    assert far.acos_clips > 0
+
+
+def _g(t):
+    t = min(max(t, 0), 2)  # 50-digit rounding may step just outside [0, 2]
+    u = 1 - t
+    return mpmath.acos(u) - u * mpmath.sqrt(t * (2 - t))
+
+
+def _f(x, d):
+    return _g(x * (2 * d + x - 2) / (2 * d)) + (d + x) / 4 * mpmath.sqrt(
+        x * (2 * d + x)
+    ) * _g((2 - x) / d)
+
+
+def _f_prime(x, y):
+    return _g((2 - x) / y) * (2 * x * x + 4 * x * y + y * y) / (
+        4 * mpmath.sqrt(x * (x + 2 * y))
+    ) + (x + y - 2) * mpmath.sqrt(x * (2 - x) * (x + 2 * y - 2) * (x + 2 * y)) / (2 * y * y)
+
+
+def _t_terms(x, y):
+    num = x * (
+        x * (x * (-3 * x + (14 - 12 * y)) + (-14 * y * y + 42 * y - 20))
+        + (-4 * y**3 + 32 * y * y - 40 * y + 8)
+    ) + 4 * y * (y * y - 3 * y + 2)
+    t1 = num / (2 * y * y * mpmath.sqrt((2 - x) * x * (x + 2 * y - 2) * (x + 2 * y)))
+    t2 = -mpmath.sqrt((2 - x) * (x + 2 * y - 2)) * (2 * x * x + 4 * x * y + y * y) / (
+        2 * y * y * mpmath.sqrt(x * (x + 2 * y))
+    )
+    t3 = (x + y) * (2 * x * x + 4 * x * y - y * y) / (
+        4 * (x * (x + 2 * y)) ** 1.5
+    ) * _g((2 - x) / y)
+    return t1, t2, t3
+
+
+def _oracle(name, point):
+    """The exact value of a cataloged expression at a point, from the closed
+    forms of :mod:`coopcast.geometry` in 50-digit arithmetic; ``None`` where
+    those forms are singular (z = 0, and x or t = 0, or x = 2 for the
+    curvature terms)."""
+    point = [mpmath.mpf(v) for v in point]
+    if len(point) == 1:
+        (t,) = point
+        if name == "segment_shape":
+            return _g(t)
+        return _g(t) / t**1.5 if t > 0 else None
+    x, z = point
+    if z == 0 or x == 0:
+        return None
+    d = 1 / z
+    if name == "lens_area":
+        return _f(x, d)
+    if name == "lens_area_scaled":
+        return _f(x, d) / mpmath.sqrt(x)
+    if name == "lens_area_half_ratio":
+        return _f(x, d) / _f(x / 2, d)
+    if name == "lens_area_slope":
+        return _f_prime(x, d)
+    if x == 2:
+        return None
+    t1, t2, t3 = _t_terms(x, d)
+    return {
+        "lens_area_curvature": t1 + t2 + t3,
+        "lens_area_curvature_excess": x**1.5 * (t1 + t2 + t3 + 199),
+        "curvature_term1_weighted": t1 * mpmath.sqrt(x * (2 - x)),
+        "curvature_term2_weighted": t2 * mpmath.sqrt(x),
+        "curvature_term3_weighted": t3 * x**1.5,
+    }[name]
+
+
+def _random_boxes(rng, arity, count):
+    """Seeded boxes in [0, 2] (x or t) x [0, 1] (z): random ones, and ones
+    that are degenerate, touch a domain edge, sit on one, or fill it."""
+    lo = np.empty((count, arity))
+    hi = np.empty((count, arity))
+    for i, (a, b) in enumerate([(0.0, 2.0), (0.0, 1.0)][:arity]):
+        lo[:, i], hi[:, i] = np.sort(rng.uniform(a, b, (count, 2)), axis=1).T
+        kind = rng.integers(0, 8, count)
+        hi[kind == 1, i] = lo[kind == 1, i]
+        lo[kind == 2, i] = a
+        hi[kind == 3, i] = b
+        lo[kind == 4, i] = hi[kind == 4, i] = a
+        lo[kind == 5, i] = hi[kind == 5, i] = b
+        lo[kind == 6, i], hi[kind == 6, i] = a, b
+    return lo, hi
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(EXPRESSIONS))
+def test_batched_enclosures_match_per_box_and_mpmath(name):
+    arity, fn = EXPRESSIONS[name]
+    rng = np.random.Generator(np.random.Philox(sorted(EXPRESSIONS).index(name)))
+    lo, hi = _random_boxes(rng, arity, 200)
+    batch = fn(*(Interval(lo[:, i], hi[:, i]) for i in range(arity)))
+    checked = 0
+    with mpmath.workdps(50):
+        for k in range(len(lo)):
+            try:
+                one = fn(*(Interval(lo[k, i], hi[k, i]) for i in range(arity)))
+            except DomainError:
+                assert batch.invalid[k], (k, lo[k], hi[k])
+                continue
+            assert not batch.invalid[k], (k, lo[k], hi[k])
+            assert _bits(batch.lo[k]) == _bits(one.lo) and _bits(batch.hi[k]) == _bits(one.hi)
+            for u in rng.uniform(0.0, 1.0, (3, arity)):
+                point = [float(v) for v in np.clip(lo[k] + u * (hi[k] - lo[k]), lo[k], hi[k])]
+                exact = _oracle(name, point)
+                if exact is not None:
+                    assert mpmath.mpf(one.lo) <= exact <= mpmath.mpf(one.hi), (point, one)
+                    checked += 1
+    assert checked > 100

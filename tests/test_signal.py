@@ -191,6 +191,16 @@ def test_field_map_angular_contrast():
     assert np.std(mimo_vals) / np.mean(mimo_vals) > 5 * np.std(snr_vals) / np.mean(snr_vals)
 
 
+def test_field_map_udg_coverage():
+    # Cell centers at x = 0, 1, 2 on the axis: distance exactly 1 is covered.
+    grid = GridSpec(-0.5, 2.5, -0.5, 0.5, 3, 1)
+    fmap = field_map(SenderSet.build([[0.0, 0.0]]), grid, PARAMS, model="UDG")
+    assert fmap.values.tolist() == [[1.0, 1.0, 0.0]]
+    assert fmap.to_pgm(threshold=1.0).splitlines()[-1] == "255 255 0"
+    with pytest.raises(ValueError):
+        field_map(SenderSet.build([[0.0, 0.0]]), grid, PARAMS, model="udg")
+
+
 def test_pgm_output_format():
     grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 4, 3)
     fmap = field_map(SenderSet.build([[0.0, 0.0]]), grid, PARAMS, model="MIMO")
