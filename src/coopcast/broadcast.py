@@ -42,7 +42,11 @@ __all__ = [
 
 # Receiver x sender pairs per reception kernel call: each call's temporaries
 # are a few arrays of this many elements, whatever the number of senders.
-_PAIR_BUDGET = 2**22
+# At 2^15 pairs a float64 temporary takes 256 KB and a complex one 512 KB,
+# so a block's live temporaries stay within a 2 MiB per-core L2 cache.  Of
+# the budgets 2^14 to 2^18 this one ran the MIMO broadcast fastest, on
+# criterion 08's fields with two threads.
+_PAIR_BUDGET = 2**15
 
 
 class BootstrapFailure(RuntimeError):
@@ -55,6 +59,8 @@ class RoundRecord:
     newly_informed: list[int]
     frontier_radius: float
     senders_active: int
+    receivers: int  # uninformed eligible nodes the round considered
+    pairs_evaluated: int  # receiver x sender pairs passed to a reception kernel
     disk_radius_r_j: float | None = None
 
 
@@ -82,6 +88,8 @@ class RoundLog:
                     "newly_informed": sorted(r.newly_informed),
                     "frontier_radius": r.frontier_radius,
                     "senders_active": r.senders_active,
+                    "receivers": r.receivers,
+                    "pairs_evaluated": r.pairs_evaluated,
                     "disk_radius_r_j": r.disk_radius_r_j,
                 }
                 for r in self.rounds
@@ -124,37 +132,77 @@ def _phases_for(field_, active: np.ndarray, rule: str, lam: float) -> np.ndarray
     return np.zeros(active.size)
 
 
+def _snr_bounds(
+    field_, active: np.ndarray, candidates: np.ndarray, d_min: np.ndarray,
+    params: SignalParams,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The SNR candidates that distance bounds alone inform (a mask), and
+    the indices of those that the bounds leave to the kernel.
+
+    Senders transmit at unit amplitude, so each of the m terms of a level is
+    1 / max(d_j, c)^2 with c = c_f lam.  Every d_j lies between d_min, the
+    distance to the nearest sender, and |q| + r_s, where r_s is the largest
+    sender radius, so the level lies between L = m / max(|q| + r_s, c)^2 and
+    U = m / max(d_min, c)^2.  A bound decides a candidate only when it clears
+    beta N0 by the relative margin ``tol``, so the decision is the one the
+    kernel would make; a level on the threshold goes to the kernel.
+    """
+    # Relative rounding, in units of u = 2^-53.  Kernel, per term: the
+    # subtraction (u), hypot (1 ulp, at most 2u), the square and the division
+    # (u each), about 8u; the sum of m positive terms, at most (m - 1)u.
+    # Either bound: the kd-tree distance (squared differences summed, then
+    # sqrt) or |q| + r_s (two hypot and an addition), about 4u, doubled by the
+    # square, then the division, 1 -/+ tol and the product, about 12u.  In
+    # all below (m + 24)u; tol = 16 (m + 16)u leaves a margin of ten and more.
+    m = active.size
+    tol = (m + 16) * 2.0**-49
+    c = params.c_f * params.lam
+    radii = field_.radii
+    lower = m / np.maximum(radii[candidates] + radii[active].max(), c) ** 2
+    upper = m / np.maximum(d_min, c) ** 2
+    hit = lower * (1.0 - tol) >= params.beta_N0
+    miss = upper * (1.0 + tol) < params.beta_N0
+    return hit, np.flatnonzero(~(hit | miss))
+
+
 def _receive(
     field_, active: np.ndarray, candidates: np.ndarray, config: BroadcastConfig
-) -> tuple[np.ndarray, float]:
-    """The candidates that this round's senders inform, and how far the
-    signal travelled: the largest distance from a newly informed node to its
-    nearest sender (0 when nobody is informed)."""
+) -> tuple[np.ndarray, float, int]:
+    """The candidates that this round's senders inform, how far the signal
+    travelled (the largest distance from a newly informed node to its
+    nearest sender, 0 when nobody is informed), and how many receiver x
+    sender pairs went through a reception kernel."""
     if active.size == 0:
-        return candidates[:0], 0.0
+        return candidates[:0], 0.0, 0
     tree = cKDTree(field_.positions[active])
+    pts = field_.positions[candidates]
     if config.model == "UDG":
-        dist, _ = tree.query(field_.positions[candidates], distance_upper_bound=_UDG_BOUND)
-        hit = dist <= 1.0
-        newly, dist = candidates[hit], dist[hit]
+        d_min, _ = tree.query(pts, distance_upper_bound=_UDG_BOUND)
+        triggered = d_min <= 1.0
+        pairs = 0
     else:
+        d_min, _ = tree.query(pts)
         params = config.params
         senders = SenderSet.build(
             field_.positions[active],
             phases=_phases_for(field_, active, config.phase_rule, params.lam),
         )
-        triggered = np.zeros(candidates.size, dtype=bool)
+        if config.model == "SNR":
+            triggered, rows = _snr_bounds(field_, active, candidates, d_min, params)
+        else:  # a coherent sum can cancel: no bound decides a MIMO receiver
+            triggered = np.zeros(candidates.size, dtype=bool)
+            rows = np.arange(candidates.size)
         chunk = max(1, _PAIR_BUDGET // active.size)
-        for start in range(0, candidates.size, chunk):
-            pts = field_.positions[candidates[start : start + chunk]]
+        for start in range(0, rows.size, chunk):
+            block = rows[start : start + chunk]
             if config.model == "SNR":
-                level = snr_received_energy(senders, pts, params)
+                level = snr_received_energy(senders, pts[block], params)
             else:
-                level = np.abs(received_phasor(senders, pts, params)) ** 2
-            triggered[start : start + chunk] = level >= params.beta_N0
-        newly = candidates[triggered]
-        dist, _ = tree.query(field_.positions[newly])
-    return newly, float(dist.max()) if newly.size else 0.0
+                level = np.abs(received_phasor(senders, pts[block], params)) ** 2
+            triggered[block] = level >= params.beta_N0
+        pairs = active.size * rows.size
+    travel = d_min[triggered]
+    return candidates[triggered], float(travel.max()) if travel.size else 0.0, pairs
 
 
 def _origin_informed(field_) -> np.ndarray:
@@ -202,7 +250,7 @@ def _run_rounds(
             active = newly
         else:
             active = np.flatnonzero(informed)
-        newly, travel = _receive(field_, active, candidates, config)
+        newly, travel, pairs = _receive(field_, active, candidates, config)
         if r_j is None and newly.size == 0:
             break
         informed[newly] = True
@@ -212,6 +260,8 @@ def _run_rounds(
                 newly_informed=newly.tolist(),
                 frontier_radius=float(radii[informed].max()),
                 senders_active=int(active.size),
+                receivers=int(candidates.size),
+                pairs_evaluated=pairs,
                 disk_radius_r_j=r_j,
             )
         )

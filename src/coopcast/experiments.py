@@ -40,7 +40,10 @@ __all__ = [
     "calibrate_c1",
 ]
 
-CSV_HEADER = "model,n,rho,lambda,seed,rounds,fully_informed,propagation_time"
+CSV_HEADER = (
+    "model,n,rho,lambda,seed,rounds,fully_informed,propagation_time,"
+    "phase1_rounds,phase2_rounds,schedule_exhausted"
+)
 
 #: Analysis constant of the doubly-exponential schedule (far more
 #: conservative than what simulations support, see :func:`calibrate_c1`).
@@ -112,6 +115,10 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _blank_none(value) -> str:
+    return "" if value is None else str(value)
+
+
 def _run_single(cfg: ExperimentConfig, model: str, n: int, seed: int) -> RoundLog:
     rho = cfg.rho(n)
     radius = cfg.radius_for(n)
@@ -164,11 +171,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             "rounds": log.total_rounds,
             "fully_informed": log.fully_informed,
             "propagation_time": log.propagation_time,
+            "phase1_rounds": log.phase1_rounds,
+            "phase2_rounds": log.phase2_rounds,
+            "schedule_exhausted": log.schedule_exhausted,
         }
         result.rows.append(row)
         lines.append(
             f"{model},{n},{row['rho']!r},{cfg.params.lam!r},{seed},"
-            f"{log.total_rounds},{int(log.fully_informed)},{log.propagation_time!r}"
+            f"{log.total_rounds},{int(log.fully_informed)},{log.propagation_time!r},"
+            f"{_blank_none(log.phase1_rounds)},{_blank_none(log.phase2_rounds)},"
+            f"{int(log.schedule_exhausted)}"
         )
         path = os.path.join(cfg.output_dir, f"{model}_n{n}_seed{seed}.json")
         try:

@@ -17,7 +17,7 @@ from coopcast.broadcast import (
     sector_route,
 )
 from coopcast.nodefield import NodeField, sample_field
-from coopcast.signal_model import SignalParams
+from coopcast.signal_model import SenderSet, SignalParams, snr_received_energy
 
 PARAMS = SignalParams()
 
@@ -222,14 +222,134 @@ def test_reception_memory_bounded_by_pair_budget(monkeypatch):
         model="MIMO", schedule="flood", params=PARAMS, phase_rule="center_sync"
     )
     active, candidates = np.arange(600), np.arange(600, 3600)
+    monkeypatch.setattr(broadcast, "_PAIR_BUDGET", active.size * candidates.size)
     whole = broadcast._receive(fld, active, candidates, config)
     budget = 2**16
-    monkeypatch.setattr(broadcast, "_PAIR_BUDGET", budget, raising=False)
+    monkeypatch.setattr(broadcast, "_PAIR_BUDGET", budget)
     tracemalloc.start()
     try:
-        newly, travel = broadcast._receive(fld, active, candidates, config)
+        newly, travel, pairs = broadcast._receive(fld, active, candidates, config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 64 * budget + 2**20
     assert newly.tolist() == whole[0].tolist() and travel == whole[1]
+    assert pairs == whole[2] == active.size * candidates.size
+
+
+def _count_snr_pairs(monkeypatch) -> list[int]:
+    """Wrap the SNR kernel where ``broadcast`` looks it up; the returned list
+    collects the receiver x sender pairs of every call."""
+    seen = []
+
+    def counted(senders, q, params):
+        seen.append(senders.m * len(q))
+        return snr_received_energy(senders, q, params)
+
+    monkeypatch.setattr(broadcast, "snr_received_energy", counted)
+    return seen
+
+
+def _reference_snr_receive(fld, active, candidates, params):
+    """Every candidate through the SNR kernel in one call, and the travel to
+    the newly informed nodes' nearest senders."""
+    senders = SenderSet.build(fld.positions[active])
+    level = snr_received_energy(senders, fld.positions[candidates], params)
+    newly = candidates[level >= params.beta_N0]
+    if newly.size == 0:
+        return newly, 0.0, level
+    dist, _ = cKDTree(fld.positions[active]).query(fld.positions[newly])
+    return newly, float(dist.max()), level
+
+
+def _assert_snr_receive_matches(monkeypatch, fld, active, candidates, params):
+    config = BroadcastConfig(model="SNR", schedule="flood", params=params)
+    seen = _count_snr_pairs(monkeypatch)
+    newly, travel, pairs = broadcast._receive(fld, active, candidates, config)
+    monkeypatch.undo()
+    ref_newly, ref_travel, _ = _reference_snr_receive(fld, active, candidates, params)
+    assert newly.tolist() == ref_newly.tolist()
+    assert travel == ref_travel
+    assert pairs == sum(seen) <= active.size * candidates.size
+    return pairs
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("lam", [0.02, 0.1, 0.5])
+@pytest.mark.parametrize("sender_set", ["disk", "flood"])
+def test_snr_bounds_decide_as_every_pair_kernel(monkeypatch, seed, lam, sender_set):
+    # Informed: the nodes within radius 2 and a random tenth of the rest.
+    # The disk sends from the informed nodes within radius 1, the flood from
+    # every informed node.  Thresholds are the default 1 and three of the
+    # candidates' own levels, so some levels sit exactly on the threshold.
+    fld = sample_field(1500, 5.0, seed=seed)
+    radii = fld.radii
+    rng = np.random.Generator(np.random.Philox(seed))
+    informed = (radii <= 2.0) | (rng.random(fld.n) < 0.1)
+    informed[0] = True
+    active = np.flatnonzero(informed & (radii <= (1.0 if sender_set == "disk" else np.inf)))
+    candidates = np.flatnonzero(~informed)
+    level = _reference_snr_receive(fld, active, candidates, SignalParams(lam=lam))[2]
+    ordered = np.sort(level)
+    thresholds = [1.0] + [float(ordered[int(q * (ordered.size - 1))]) for q in (0.1, 0.5, 0.9)]
+    for beta in thresholds:
+        params = SignalParams(lam=lam, beta_N0=beta)
+        pairs = _assert_snr_receive_matches(monkeypatch, fld, active, candidates, params)
+        if beta == 1.0:
+            # The bounds decide most candidates: the filter is on.
+            assert pairs < active.size * candidates.size
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_snr_bounds_inside_the_near_field_clamp(monkeypatch, seed):
+    # Every node lies within 0.3 of the origin and c_f lam = 1, so every
+    # distance is clamped and each level is exactly m, the number of senders.
+    fld = sample_field(60, 0.3, seed=seed)
+    active, candidates = np.arange(20), np.arange(20, 60)
+    for beta in (19.5, 20.0, 20.5, 60.0):
+        params = SignalParams(lam=0.5, beta_N0=beta)
+        _assert_snr_receive_matches(monkeypatch, fld, active, candidates, params)
+    newly, _, _ = broadcast._receive(
+        fld, active, candidates, BroadcastConfig(model="SNR", schedule="flood",
+                                                 params=SignalParams(lam=0.5, beta_N0=20.0))
+    )
+    assert newly.tolist() == candidates.tolist()
+
+
+def test_snr_level_exactly_on_threshold_informs(monkeypatch):
+    # One sender at distance exactly 1 with beta N0 = 1: the level is 1.0,
+    # no bound can decide it, and the kernel's inclusive test informs.
+    fld = NodeField(positions=np.array([[0.0, 0.0], [1.0, 0.0]]), R=1.0, seed=0)
+    seen = _count_snr_pairs(monkeypatch)
+    log = run_flood(fld, model="SNR", params=SignalParams(beta_N0=1.0))
+    assert [rec.newly_informed for rec in log.rounds] == [[1]]
+    assert log.fully_informed and log.propagation_time == 1.0
+    assert seen == [1] and log.rounds[0].pairs_evaluated == 1
+
+
+def test_round_telemetry_counts_receivers_and_kernel_pairs(monkeypatch):
+    fld = sample_field(2000, 5.0, seed=7)
+    seen = _count_snr_pairs(monkeypatch)
+    cfg = BroadcastConfig(
+        model="SNR", schedule="expanding_disk", radius_schedule=(1.0, 2.0, 4.0, 8.0),
+        params=PARAMS,
+    )
+    snr = run_expanding_disk(fld, cfg)
+    assert sum(rec.pairs_evaluated for rec in snr.rounds) == sum(seen)
+    mimo = run_flood(fld, model="MIMO", params=PARAMS)
+    udg = run_udg_flood(fld)
+    for log in (snr, mimo, udg):
+        uninformed = fld.n - 1
+        for rec, doc in zip(log.rounds, json.loads(log.to_json())["rounds"]):
+            assert rec.receivers == doc["receivers"] == uninformed
+            assert rec.pairs_evaluated == doc["pairs_evaluated"]
+            if log is udg:
+                assert rec.pairs_evaluated == 0
+            elif log is mimo:
+                assert rec.pairs_evaluated == rec.senders_active * rec.receivers
+            else:
+                assert rec.pairs_evaluated <= rec.senders_active * rec.receivers
+            uninformed -= len(rec.newly_informed)
+    assert sum(rec.pairs_evaluated for rec in snr.rounds) < sum(
+        rec.senders_active * rec.receivers for rec in snr.rounds
+    )

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -9,6 +10,7 @@ from coopcast.experiments import (
     CSV_HEADER,
     ExperimentConfig,
     ScalingFit,
+    calibrate_c1,
     emit_fieldmaps,
     fit_scaling,
     run_experiment,
@@ -45,6 +47,27 @@ def test_run_experiment_rows_and_files(tmp_path):
         with open(path) as fh:
             log = json.load(fh)
         assert log["total_rounds"] >= 1
+    with open(result.csv_path) as fh:
+        table = list(csv.DictReader(fh))
+    for line, row in zip(table, result.rows):
+        # Only the MISO broadcast has phases: their columns stay empty here.
+        assert line["phase1_rounds"] == line["phase2_rounds"] == ""
+        assert line["schedule_exhausted"] == str(int(row["schedule_exhausted"]))
+
+
+def test_summary_csv_phase_columns(tmp_path):
+    # With c2 = 1 the bootstrap disk (radius 150) covers the field: phase 1
+    # informs everyone and phase 2 runs no round.
+    cfg = _small_config(tmp_path, models=("mimo",), node_counts=(400,), seeds=(0,))
+    result = run_experiment(cfg)
+    assert not result.failures
+    with open(result.csv_path) as fh:
+        (line,) = list(csv.DictReader(fh))
+    assert line["phase1_rounds"] == line["rounds"] != ""
+    assert line["phase2_rounds"] == "0"
+    assert line["schedule_exhausted"] == "0"
+    row = result.rows[0]
+    assert (row["phase1_rounds"], row["phase2_rounds"]) == (row["rounds"], 0)
 
 
 def test_run_experiment_deterministic(tmp_path):
@@ -143,3 +166,17 @@ def test_emit_fieldmaps(tmp_path):
         assert os.path.basename(path) == f"round_{idx}_snr.pgm"
         with open(path) as fh:
             assert fh.read().startswith("P2\n16 16\n255\n")
+
+
+def test_calibrate_c1_power_of_two_and_repeatable():
+    params = SignalParams(lam=0.5)
+    kwargs = dict(c2=0.044, seeds=(0, 1, 2), n=512)
+    c1 = calibrate_c1(300.0, params, **kwargs)
+    assert c1 > 0 and math.frexp(c1)[0] == 0.5
+    assert calibrate_c1(300.0, params, **kwargs) == c1
+    # Every candidate meets a zero success rate: the largest one, 2^5, wins.
+    assert calibrate_c1(300.0, params, success_rate=0.0, **kwargs) == 32.0
+    with pytest.raises(RuntimeError):
+        calibrate_c1(300.0, params, success_rate=1.01, **kwargs)
+    with pytest.raises(ValueError):
+        calibrate_c1(300.0, params, c2=1.0, seeds=(0,), n=512)
