@@ -59,6 +59,7 @@ from .signal_model import (
     GridSpec,
     SenderSet,
     SignalParams,
+    center_sync_phases,
     demodulate_numeric,
     expected_phasor_integral,
     field_map,

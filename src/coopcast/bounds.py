@@ -21,8 +21,6 @@ __all__ = [
     "reverse_snr_schedule",
 ]
 
-_MAX_ROUNDS = 10_000
-
 
 @dataclass(frozen=True)
 class SchedulePrediction:
@@ -36,20 +34,22 @@ class SchedulePrediction:
             raise ValueError("schedule radii must be strictly increasing")
 
 
-def snr_upper_schedule(rho: float, R: float, r1: float | None = None) -> SchedulePrediction:
-    """Radii r_j = r1 * (rho/16)^((j-1)/2) until the disk radius R is covered.
-
-    r1 defaults to 1 (single-sender reach); the low-density regime can seed
-    the recursion with r1 = sqrt((k/(pi rho)) ln n) instead.
-    """
+def _snr_step(rho: float) -> float:
+    """The SNR schedule's growth factor sqrt(rho/16), which must exceed 1."""
     if rho <= 16.0:
         raise ValueError(f"schedule expands only for rho > 16, got rho={rho}")
     step = math.sqrt(rho / 16.0)
-    r = 1.0 if r1 is None else float(r1)
-    if r <= 0:
-        raise ValueError(f"seed radius must be positive, got {r1}")
-    radii = [r]
-    while radii[-1] < R and len(radii) < _MAX_ROUNDS:
+    if step == 1.0:
+        raise ValueError(f"sqrt(rho/16) rounds to 1 for rho={rho}: the schedule never grows")
+    return step
+
+
+def snr_upper_schedule(rho: float, R: float) -> SchedulePrediction:
+    """Radii r_j = (rho/16)^((j-1)/2), from single-sender reach r_1 = 1,
+    until the disk radius R is covered."""
+    step = _snr_step(rho)
+    radii = [1.0]
+    while radii[-1] < R:
         radii.append(radii[-1] * step)
     return SchedulePrediction("SNR", radii, len(radii), "upper")
 
@@ -89,7 +89,7 @@ def mimo_upper_schedule(
             f"growth precondition violated: r_1={r1} < 225/(c1^2 rho^2 lam)={growth_floor}"
         )
     radii = [r1]
-    while radii[-1] < R and len(radii) < _MAX_ROUNDS:
+    while radii[-1] < R:
         radii.append(c1 * rho * math.sqrt(lam) * radii[-1] ** 1.5)
     return SchedulePrediction("MIMO", radii, len(radii), "upper")
 
@@ -134,10 +134,10 @@ def propagation_time(radii: list[float]) -> float:
 def reverse_snr_schedule(rho: float, R: float) -> list[float]:
     """Backward-built SNR schedule: r'_p = R, r'_{j-1} = r'_j / sqrt(rho/16),
     truncated once the radius drops to 1 or below."""
-    if rho <= 16.0:
-        raise ValueError(f"schedule expands only for rho > 16, got rho={rho}")
-    step = math.sqrt(rho / 16.0)
+    step = _snr_step(rho)
+    if not math.isfinite(R):
+        raise ValueError(f"R must be finite, got {R}")
     radii = [float(R)]
-    while radii[-1] > 1.0 and len(radii) < _MAX_ROUNDS:
+    while radii[-1] > 1.0:
         radii.append(radii[-1] / step)
     return list(reversed(radii))

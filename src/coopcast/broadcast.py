@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -24,6 +24,7 @@ from .signal_model import (
     _UDG_BOUND,
     SenderSet,
     SignalParams,
+    center_sync_phases,
     received_phasor,
     snr_received_energy,
 )
@@ -81,33 +82,25 @@ class RoundLog:
         return out
 
     def to_json(self) -> str:
-        doc = {
-            "rounds": [
-                {
-                    "round_index": r.round_index,
-                    "newly_informed": sorted(r.newly_informed),
-                    "frontier_radius": r.frontier_radius,
-                    "senders_active": r.senders_active,
-                    "receivers": r.receivers,
-                    "pairs_evaluated": r.pairs_evaluated,
-                    "disk_radius_r_j": r.disk_radius_r_j,
-                }
-                for r in self.rounds
-            ],
-            "total_rounds": self.total_rounds,
-            "fully_informed": self.fully_informed,
-            "propagation_time": self.propagation_time,
-            "schedule_exhausted": self.schedule_exhausted,
-            "phase1_rounds": self.phase1_rounds,
-            "phase2_rounds": self.phase2_rounds,
-        }
+        doc = _fields_of(self)
+        doc["rounds"] = [
+            {**_fields_of(r), "newly_informed": sorted(r.newly_informed)}
+            for r in self.rounds
+        ]
         return json.dumps(doc, indent=2)
+
+
+def _fields_of(record) -> dict:
+    # A shallow dataclasses.asdict: asdict would deep-copy every node index.
+    return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
 @dataclass(frozen=True)
 class BroadcastConfig:
+    """How a broadcast runs: an expanding disk over ``radius_schedule``, or a
+    flood when the schedule is empty."""
+
     model: str = "SNR"  # "UDG" | "SNR" | "MIMO"
-    schedule: str = "expanding_disk"  # "flood" | "expanding_disk"
     radius_schedule: tuple[float, ...] = ()
     params: SignalParams = field(default_factory=SignalParams)
     phase_rule: str = "none"  # "none" | "center_sync"
@@ -115,21 +108,11 @@ class BroadcastConfig:
     def __post_init__(self):
         if self.model not in ("UDG", "SNR", "MIMO"):
             raise ValueError(f"unknown model {self.model!r}")
-        if self.schedule not in ("flood", "expanding_disk"):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.phase_rule not in ("none", "center_sync"):
             raise ValueError(f"unknown phase rule {self.phase_rule!r}")
-        if self.schedule == "expanding_disk":
-            radii = self.radius_schedule
-            if not radii or any(b <= a for a, b in zip(radii, radii[1:])):
-                raise ValueError("expanding_disk needs a nonempty increasing schedule")
-
-
-def _phases_for(field_, active: np.ndarray, rule: str, lam: float) -> np.ndarray:
-    if rule == "center_sync":
-        pos = field_.positions[active]
-        return -2.0 * np.pi * np.hypot(pos[:, 0], pos[:, 1]) / lam
-    return np.zeros(active.size)
+        radii = self.radius_schedule
+        if any(b <= a for a, b in zip(radii, radii[1:])):
+            raise ValueError("the radius schedule must be increasing")
 
 
 def _snr_bounds(
@@ -183,10 +166,11 @@ def _receive(
     else:
         d_min, _ = tree.query(pts)
         params = config.params
-        senders = SenderSet.build(
-            field_.positions[active],
-            phases=_phases_for(field_, active, config.phase_rule, params.lam),
-        )
+        pos = field_.positions[active]
+        phases = None
+        if config.phase_rule == "center_sync":
+            phases = center_sync_phases(pos, params.lam)
+        senders = SenderSet.build(pos, phases=phases)
         if config.model == "SNR":
             triggered, rows = _snr_bounds(field_, active, candidates, d_min, params)
         else:  # a coherent sum can cancel: no bound decides a MIMO receiver
@@ -235,10 +219,7 @@ def _run_rounds(
         eligible = np.ones(field_.n, dtype=bool)
     if log is None:
         log = RoundLog()
-    if config.schedule == "expanding_disk":
-        schedule = config.radius_schedule
-    else:
-        schedule = itertools.repeat(None)
+    schedule = config.radius_schedule or itertools.repeat(None)
     newly = np.flatnonzero(informed)
     for r_j in schedule:
         candidates = np.flatnonzero(eligible & ~informed)
@@ -286,7 +267,7 @@ def run_udg_flood(field_, restrict_radius: float | None = None) -> RoundLog:
     if restrict_radius is not None:
         eligible = field_.radii <= restrict_radius
         eligible[0] = True
-    return _run_rounds(field_, BroadcastConfig(model="UDG", schedule="flood"), informed, eligible)
+    return _run_rounds(field_, BroadcastConfig(model="UDG"), informed, eligible)
 
 
 def sector_route(field_, src: int, dst: int) -> list[int]:
@@ -330,8 +311,8 @@ def sector_route(field_, src: int, dst: int) -> list[int]:
 def run_expanding_disk(field_, config: BroadcastConfig) -> RoundLog:
     """Expanding-disk broadcast: round j activates informed nodes within
     the schedule radius r_j of the origin."""
-    if config.schedule != "expanding_disk":
-        raise ValueError("config.schedule must be expanding_disk")
+    if not config.radius_schedule:
+        raise ValueError("an expanding disk needs a radius schedule")
     return _run_rounds(field_, config, _origin_informed(field_))
 
 
@@ -339,7 +320,7 @@ def run_flood(field_, model: str, params: SignalParams) -> RoundLog:
     """Unrestricted flooding: every informed node transmits every round
     (under UDG only the previous round's newly informed nodes can reach
     anyone new, so only they are counted as senders)."""
-    config = BroadcastConfig(model=model, schedule="flood", params=params)
+    config = BroadcastConfig(model=model, params=params)
     return _run_rounds(field_, config, _origin_informed(field_))
 
 
@@ -372,7 +353,6 @@ def run_miso_broadcast(
     informed[np.asarray(phase1.informed_indices(), dtype=int)] = True
     config = BroadcastConfig(
         model="MIMO",
-        schedule="expanding_disk",
         radius_schedule=tuple(schedule),
         params=params,
         phase_rule="center_sync",

@@ -27,7 +27,14 @@ from .broadcast import (
     run_udg_flood,
 )
 from .nodefield import NodeField, sample_field
-from .signal_model import GridSpec, SenderSet, SignalParams, field_map, mimo_triggered
+from .signal_model import (
+    GridSpec,
+    SenderSet,
+    SignalParams,
+    center_sync_phases,
+    field_map,
+    mimo_triggered,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -119,20 +126,12 @@ def _blank_none(value) -> str:
     return "" if value is None else str(value)
 
 
-def _run_single(cfg: ExperimentConfig, model: str, n: int, seed: int) -> RoundLog:
-    rho = cfg.rho(n)
-    radius = cfg.radius_for(n)
-    fld = sample_field(n, radius, seed)
+def _run_single(cfg: ExperimentConfig, model: str, fld: NodeField) -> RoundLog:
     if model == "udg":
         return run_udg_flood(fld)
     if model == "snr":
-        schedule = snr_upper_schedule(rho, radius).radii
-        config = BroadcastConfig(
-            model="SNR",
-            schedule="expanding_disk",
-            radius_schedule=tuple(schedule),
-            params=cfg.params,
-        )
+        schedule = snr_upper_schedule(cfg.rho(fld.n), fld.R).radii
+        config = BroadcastConfig(model="SNR", radius_schedule=tuple(schedule), params=cfg.params)
         return run_expanding_disk(fld, config)
     return run_miso_broadcast(fld, cfg.params, c1=cfg.c1, c2=cfg.c2)
 
@@ -149,7 +148,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     def work(job):
         model, n, seed = job
         try:
-            return job, _run_single(cfg, model, n, seed), None
+            fld = sample_field(n, cfg.radius_for(n), seed)
+            return job, _run_single(cfg, model, fld), None
         except Exception as exc:  # noqa: BLE001 - recorded, run continues
             return job, None, f"{type(exc).__name__}: {exc}"
 
@@ -272,7 +272,7 @@ def calibrate_c1(
     are all triggered.  Returns the largest candidate whose success
     fraction over the seeds reaches ``success_rate``.
     """
-    radius = math.sqrt(n / (math.pi * density))
+    radius = ExperimentConfig(models=("mimo",), node_counts=(n,), density=density).radius_for(n)
     r1 = c2 / params.lam
     if r1 > radius:
         raise ValueError(f"sender radius r1={r1} exceeds field radius {radius}")
@@ -285,12 +285,11 @@ def calibrate_c1(
         successes = 0
         for seed in seeds:
             fld = sample_field(n, radius, seed)
-            radii = fld.radii
-            sender_idx = np.flatnonzero(radii <= r1)
+            sender_idx = np.flatnonzero(fld.radii <= r1)
             if sender_idx.size == 0:
                 continue
-            phases = -2.0 * np.pi * radii[sender_idx] / params.lam
-            senders = SenderSet.build(fld.positions[sender_idx], phases=phases)
+            pos = fld.positions[sender_idx]
+            senders = SenderSet.build(pos, phases=center_sync_phases(pos, params.lam))
             rng = np.random.Generator(np.random.Philox(key=seed, counter=1))
             ang = rng.uniform(0.0, 2.0 * np.pi, 100)
             receivers = d * np.column_stack([np.cos(ang), np.sin(ang)])

@@ -370,11 +370,15 @@ def _split(lo: np.ndarray, hi: np.ndarray, mid: np.ndarray, spans: np.ndarray):
     return lo, hi
 
 
+#: Deepest bisection level; the suite's proofs need at most 31.
+_MAX_DEPTH = 60
+
+
 def _box(lo: np.ndarray, hi: np.ndarray, depth: int) -> Box:
     return Box(tuple(Interval(a, b) for a, b in zip(lo.tolist(), hi.tolist())), depth)
 
 
-def prove(task: ProofTask, max_boxes: int = 2**24, max_depth: int = 60) -> ProofResult:
+def prove(task: ProofTask, max_boxes: int = 2**24) -> ProofResult:
     """Decide a :class:`ProofTask` by deterministic adaptive bisection.
 
     The box tree is walked in level order, one depth at a time.  All boxes
@@ -385,7 +389,7 @@ def prove(task: ProofTask, max_boxes: int = 2**24, max_depth: int = 60) -> Proof
     half before hi half, to form the next level.  A proved task visits the
     same boxes in any order.  A refuted task reports the first refuting box
     of its level.  A task is exhausted, and reports the first undecided box
-    of its last level, when that level is at ``max_depth`` or its children
+    of its last level, when that level is at ``_MAX_DEPTH`` or its children
     would take the boxes processed past ``max_boxes``.  Results are
     reproducible.
     """
@@ -416,7 +420,7 @@ def prove(task: ProofTask, max_boxes: int = 2**24, max_depth: int = 60) -> Proof
                 "witness_enclosure": point_enc.take(k),
             }
             break
-        if depth >= max_depth or sum(per_depth) + 2 * len(lo) > max_boxes:
+        if depth >= _MAX_DEPTH or sum(per_depth) + 2 * len(lo) > max_boxes:
             verdict, witness = "exhausted", {
                 "witness_box": _box(lo[0], hi[0], depth),
                 "witness_point": tuple(mid[0].tolist()),
@@ -577,7 +581,5 @@ def inequality_suite() -> list[ProofTask]:
     ]
 
 
-def run_suite(
-    max_boxes: int = 2**24, max_depth: int = 60
-) -> list[ProofResult]:
-    return [prove(task, max_boxes=max_boxes, max_depth=max_depth) for task in inequality_suite()]
+def run_suite() -> list[ProofResult]:
+    return [prove(task) for task in inequality_suite()]

@@ -17,6 +17,7 @@ from scipy.spatial import cKDTree
 __all__ = [
     "SignalParams",
     "SenderSet",
+    "center_sync_phases",
     "received_phasor",
     "mimo_triggered",
     "snr_received_energy",
@@ -46,7 +47,6 @@ class SignalParams:
     lam: float = 0.1
     beta_N0: float = 1.0
     c_f: float = 2.0
-    amplitude_default: float = 1.0
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -93,6 +93,12 @@ class SenderSet:
     @property
     def m(self) -> int:
         return self.positions.shape[0]
+
+
+def center_sync_phases(positions: np.ndarray, lam: float) -> np.ndarray:
+    """Center-synchronized phases -2 pi |p| / lam: each sender at p transmits
+    in the phase that a wave leaving the origin has when it reaches p."""
+    return -2.0 * np.pi * np.hypot(positions[:, 0], positions[:, 1]) / lam
 
 
 def _clamped_distances(senders: SenderSet, q: np.ndarray, params: SignalParams):

@@ -200,7 +200,7 @@ def test_criterion_06_snr_expanding_disk_guarantee():
         j += 1
     params = SignalParams(lam=0.1, beta_N0=1.0)
     config = BroadcastConfig(
-        model="SNR", schedule="expanding_disk",
+        model="SNR",
         radius_schedule=tuple(schedule), params=params,
     )
     predicted = len(snr_upper_schedule(rho, radius).radii)

@@ -32,16 +32,27 @@ def test_snr_schedule_moderate_density():
     assert all(r == pytest.approx(1.25) for r in ratios)
 
 
-def test_snr_schedule_seed_override():
-    pred = snr_upper_schedule(64.0, 8.0, r1=2.0)
-    assert pred.radii == [2.0, 4.0, 8.0]
-
-
 def test_snr_schedule_density_domain():
     with pytest.raises(ValueError):
         snr_upper_schedule(16.0, 8.0)
+    # Above 16, but sqrt(rho/16) rounds to 1: neither schedule would end.
+    rho = math.nextafter(16.0, 17.0)
     with pytest.raises(ValueError):
-        snr_upper_schedule(64.0, 8.0, r1=0.0)
+        snr_upper_schedule(rho, 8.0)
+    with pytest.raises(ValueError):
+        reverse_snr_schedule(rho, 8.0)
+    with pytest.raises(ValueError):
+        reverse_snr_schedule(64.0, math.inf)
+
+
+def test_snr_schedules_have_no_round_cap():
+    # sqrt(16.01/16) ~ 1.0003: both schedules need about 14,750 radii.
+    radii = snr_upper_schedule(16.01, 100.0).radii
+    assert len(radii) > 10_000
+    assert radii[-1] >= 100.0 > radii[-2]
+    reverse = reverse_snr_schedule(16.01, 100.0)
+    assert len(reverse) > 10_000
+    assert reverse[0] <= 1.0 < reverse[1]
 
 
 def test_one_round_reach_bounds():

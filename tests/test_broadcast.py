@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -10,6 +11,8 @@ from coopcast import broadcast
 from coopcast.broadcast import (
     BootstrapFailure,
     BroadcastConfig,
+    RoundLog,
+    RoundRecord,
     run_expanding_disk,
     run_flood,
     run_miso_broadcast,
@@ -113,17 +116,27 @@ def test_udg_reception_includes_distance_one():
 
 
 def test_expanding_disk_requires_schedule():
+    fld = sample_field(50, 2.0, seed=7)
     with pytest.raises(ValueError):
-        BroadcastConfig(model="SNR", schedule="expanding_disk", radius_schedule=())
+        run_expanding_disk(fld, BroadcastConfig(model="SNR", params=PARAMS))
     with pytest.raises(ValueError):
-        BroadcastConfig(model="SNR", schedule="expanding_disk", radius_schedule=(2.0, 1.0))
+        BroadcastConfig(model="SNR", radius_schedule=(2.0, 1.0))
+
+
+def test_default_config_is_a_flood():
+    fld = sample_field(300, 2.0, seed=7)
+    log = broadcast._run_rounds(fld, BroadcastConfig(), broadcast._origin_informed(fld))
+    assert log.fully_informed and not log.schedule_exhausted
+    informed = 1
+    for rec in log.rounds:  # every informed node sends, with no disk radius
+        assert rec.senders_active == informed and rec.disk_radius_r_j is None
+        informed += len(rec.newly_informed)
 
 
 def test_expanding_disk_senders_restricted():
     fld = sample_field(2000, 5.0, seed=7)
     cfg = BroadcastConfig(
         model="SNR",
-        schedule="expanding_disk",
         radius_schedule=(1.0, 2.0, 4.0, 8.0),
         params=PARAMS,
     )
@@ -156,6 +169,10 @@ def test_round_log_json_round_trip():
     fld = sample_field(200, 2.0, seed=8)
     log = run_udg_flood(fld)
     doc = json.loads(log.to_json())
+    assert list(doc) == [f.name for f in dataclasses.fields(RoundLog)]
+    for rec, out in zip(log.rounds, doc["rounds"]):
+        assert list(out) == [f.name for f in dataclasses.fields(RoundRecord)]
+        assert out["newly_informed"] == sorted(rec.newly_informed)
     assert doc["total_rounds"] == log.total_rounds
     assert doc["fully_informed"] == log.fully_informed
     assert len(doc["rounds"]) == log.total_rounds
@@ -219,7 +236,7 @@ def test_reception_memory_bounded_by_pair_budget(monkeypatch):
     # informed set and travel distance do not change.
     fld = sample_field(3600, 6.0, seed=3)
     config = BroadcastConfig(
-        model="MIMO", schedule="flood", params=PARAMS, phase_rule="center_sync"
+        model="MIMO", params=PARAMS, phase_rule="center_sync"
     )
     active, candidates = np.arange(600), np.arange(600, 3600)
     monkeypatch.setattr(broadcast, "_PAIR_BUDGET", active.size * candidates.size)
@@ -263,7 +280,7 @@ def _reference_snr_receive(fld, active, candidates, params):
 
 
 def _assert_snr_receive_matches(monkeypatch, fld, active, candidates, params):
-    config = BroadcastConfig(model="SNR", schedule="flood", params=params)
+    config = BroadcastConfig(model="SNR", params=params)
     seen = _count_snr_pairs(monkeypatch)
     newly, travel, pairs = broadcast._receive(fld, active, candidates, config)
     monkeypatch.undo()
@@ -310,8 +327,8 @@ def test_snr_bounds_inside_the_near_field_clamp(monkeypatch, seed):
         params = SignalParams(lam=0.5, beta_N0=beta)
         _assert_snr_receive_matches(monkeypatch, fld, active, candidates, params)
     newly, _, _ = broadcast._receive(
-        fld, active, candidates, BroadcastConfig(model="SNR", schedule="flood",
-                                                 params=SignalParams(lam=0.5, beta_N0=20.0))
+        fld, active, candidates,
+        BroadcastConfig(model="SNR", params=SignalParams(lam=0.5, beta_N0=20.0))
     )
     assert newly.tolist() == candidates.tolist()
 
@@ -331,7 +348,7 @@ def test_round_telemetry_counts_receivers_and_kernel_pairs(monkeypatch):
     fld = sample_field(2000, 5.0, seed=7)
     seen = _count_snr_pairs(monkeypatch)
     cfg = BroadcastConfig(
-        model="SNR", schedule="expanding_disk", radius_schedule=(1.0, 2.0, 4.0, 8.0),
+        model="SNR", radius_schedule=(1.0, 2.0, 4.0, 8.0),
         params=PARAMS,
     )
     snr = run_expanding_disk(fld, cfg)

@@ -3,7 +3,66 @@ import os
 
 import pytest
 
+from coopcast import cli
+from coopcast.broadcast import BootstrapFailure
 from coopcast.cli import OUTPUT_DIR_ENV, build_parser, main
+from coopcast.experiments import ExperimentConfig, ExperimentResult
+from coopcast.signal_model import SignalParams
+
+FIELDMAP = ["fieldmap", "--model", "udg", "--n", "50"]
+
+
+@pytest.fixture
+def built_config(monkeypatch):
+    """Runs a simulate or fieldmap command with the broadcast stubbed out
+    and returns the ExperimentConfig that the command built."""
+    configs = []
+
+    def fake_run_experiment(cfg):
+        configs.append(cfg)
+        return ExperimentResult(cfg, [], [], "summary.csv")
+
+    def fake_run_single(cfg, model, fld):
+        configs.append(cfg)
+        raise BootstrapFailure("stubbed")
+
+    monkeypatch.setattr(cli, "run_experiment", fake_run_experiment)
+    monkeypatch.setattr(cli, "_run_single", fake_run_single)
+    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+
+    def run(argv):
+        main(argv)
+        (cfg,) = configs
+        configs.clear()
+        return cfg
+
+    return run
+
+
+def test_unset_settings_take_library_defaults(built_config):
+    assert built_config(["simulate"]) == ExperimentConfig(models=("udg",), node_counts=(1024,))
+    assert built_config(FIELDMAP) == ExperimentConfig(
+        models=("udg",), node_counts=(50,), seeds=(0,)
+    )
+
+
+@pytest.mark.parametrize("command", [["simulate"], FIELDMAP])
+def test_commands_share_every_config_flag(built_config, tmp_path, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"density": 3, "c1": 5, "lam": 0.4}))
+    flags = [
+        "--config", str(cfg), "--density", "20", "--density-rule", "log",
+        "--lam", "0.2", "--beta-n0", "2", "--c-f", "1.5", "--c1", "3",
+        "--c2", "0.5", "--output-dir", str(tmp_path / "out"),
+    ]
+    got = built_config([*command, *flags])
+    assert (got.density, got.density_rule, got.c1, got.c2) == (20.0, "log", 3.0, 0.5)
+    assert got.params == SignalParams(lam=0.2, beta_N0=2.0, c_f=1.5)
+    assert got.output_dir == str(tmp_path / "out")
+    # A JSON value no flag overrides is used, coerced as the flag's would be.
+    got = built_config([*command, "--config", str(cfg)])
+    assert (got.density, got.c1, got.params.lam) == (3.0, 5.0, 0.4)
+    assert isinstance(got.density, float) and isinstance(got.c1, float)
 
 
 def test_simulate_success(tmp_path, capsys):
@@ -57,6 +116,8 @@ def test_config_file_with_flag_override(tmp_path):
     assert code == 0
     assert (out / "udg_n200_seed7.json").exists()
     assert not (tmp_path / "from_config").exists()
+    # The JSON int density is coerced to a float, as the --density flag is.
+    assert (out / "summary.csv").read_text().splitlines()[1].startswith("udg,200,32.0,")
 
 
 def test_output_dir_env_default(tmp_path, monkeypatch):
