@@ -1,10 +1,10 @@
 """Round-synchronous broadcast algorithms over a node field.
 
-Four drivers share one round loop: UDG flooding (BFS), plain flooding under
-SNR/MIMO reception, the expanding-disk algorithm (only informed nodes within
-the schedule radius r_j transmit in round j), and the two-phase MISO
-broadcast (UDG bootstrap of a small disk, then phase-synchronized
-expanding-disk MIMO rounds).  Reception in a round is always evaluated
+Three drivers share one round loop: UDG flooding (BFS), the expanding-disk
+algorithm (only informed nodes within the schedule radius r_j transmit in
+round j), and the two-phase MISO broadcast (UDG bootstrap of a small disk,
+then expanding-disk MIMO rounds).  MIMO senders always transmit with
+center-synchronized phases.  Reception in a round is always evaluated
 against the complete transmitting set of that round; there is no intra-round
 chaining.  No round cap applies: a flood ends when a round informs nobody,
 an expanding disk when its schedule does.
@@ -35,9 +35,7 @@ __all__ = [
     "BroadcastConfig",
     "BootstrapFailure",
     "run_udg_flood",
-    "sector_route",
     "run_expanding_disk",
-    "run_flood",
     "run_miso_broadcast",
 ]
 
@@ -103,13 +101,10 @@ class BroadcastConfig:
     model: str = "SNR"  # "UDG" | "SNR" | "MIMO"
     radius_schedule: tuple[float, ...] = ()
     params: SignalParams = field(default_factory=SignalParams)
-    phase_rule: str = "none"  # "none" | "center_sync"
 
     def __post_init__(self):
         if self.model not in ("UDG", "SNR", "MIMO"):
             raise ValueError(f"unknown model {self.model!r}")
-        if self.phase_rule not in ("none", "center_sync"):
-            raise ValueError(f"unknown phase rule {self.phase_rule!r}")
         radii = self.radius_schedule
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ValueError("the radius schedule must be increasing")
@@ -167,13 +162,11 @@ def _receive(
         d_min, _ = tree.query(pts)
         params = config.params
         pos = field_.positions[active]
-        phases = None
-        if config.phase_rule == "center_sync":
-            phases = center_sync_phases(pos, params.lam)
-        senders = SenderSet.build(pos, phases=phases)
-        if config.model == "SNR":
+        if config.model == "SNR":  # energies add: phases do not matter
+            senders = SenderSet.build(pos)
             triggered, rows = _snr_bounds(field_, active, candidates, d_min, params)
         else:  # a coherent sum can cancel: no bound decides a MIMO receiver
+            senders = SenderSet.build(pos, phases=center_sync_phases(pos, params.lam))
             triggered = np.zeros(candidates.size, dtype=bool)
             rows = np.arange(candidates.size)
         chunk = max(1, _PAIR_BUDGET // active.size)
@@ -270,57 +263,11 @@ def run_udg_flood(field_, restrict_radius: float | None = None) -> RoundLog:
     return _run_rounds(field_, BroadcastConfig(model="UDG"), informed, eligible)
 
 
-def sector_route(field_, src: int, dst: int) -> list[int]:
-    """Greedy corridor routing from node ``src`` to ``dst`` along their
-    connecting line.
-
-    Each hop picks the unit-disk neighbor inside the width-2 corridor with
-    the largest forward progress, requiring an advance of at least 1/4.
-    Returns the hop sequence including both endpoints, or [] when stuck.
-    """
-    if not (0 <= src < field_.n and 0 <= dst < field_.n):
-        raise ValueError("route endpoints outside field")
-    if src == dst:
-        return [src]
-    pos = field_.positions
-    line = pos[dst] - pos[src]
-    length = float(np.hypot(*line))
-    u = line / length
-    proj = (pos - pos[src]) @ u
-    perp = np.abs((pos - pos[src]) @ np.array([-u[1], u[0]]))
-    tree = cKDTree(pos)
-    path = [src]
-    current = src
-    while True:
-        if np.hypot(*(pos[dst] - pos[current])) <= 1.0:
-            path.append(dst)
-            return path
-        neigh = np.asarray(tree.query_ball_point(pos[current], r=1.0), dtype=int)
-        ok = neigh[
-            (proj[neigh] >= proj[current] + 0.25)
-            & (proj[neigh] <= length)
-            & (perp[neigh] <= 1.0)
-        ]
-        if ok.size == 0:
-            return []
-        best = ok[np.lexsort((ok, -proj[ok]))][0]
-        path.append(int(best))
-        current = int(best)
-
-
 def run_expanding_disk(field_, config: BroadcastConfig) -> RoundLog:
     """Expanding-disk broadcast: round j activates informed nodes within
     the schedule radius r_j of the origin."""
     if not config.radius_schedule:
         raise ValueError("an expanding disk needs a radius schedule")
-    return _run_rounds(field_, config, _origin_informed(field_))
-
-
-def run_flood(field_, model: str, params: SignalParams) -> RoundLog:
-    """Unrestricted flooding: every informed node transmits every round
-    (under UDG only the previous round's newly informed nodes can reach
-    anyone new, so only they are counted as senders)."""
-    config = BroadcastConfig(model=model, params=params)
     return _run_rounds(field_, config, _origin_informed(field_))
 
 
@@ -351,12 +298,7 @@ def run_miso_broadcast(
 
     informed = np.zeros(field_.n, dtype=bool)
     informed[np.asarray(phase1.informed_indices(), dtype=int)] = True
-    config = BroadcastConfig(
-        model="MIMO",
-        radius_schedule=tuple(schedule),
-        params=params,
-        phase_rule="center_sync",
-    )
+    config = BroadcastConfig(model="MIMO", radius_schedule=tuple(schedule), params=params)
     log = _run_rounds(field_, config, informed, log=log)
     log.phase2_rounds = log.total_rounds - phase1.total_rounds
     return log

@@ -140,7 +140,11 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     if "seeds" in opts:
         opts["seeds"] = tuple(range(opts["seeds"]))
     params = SignalParams(**_given(args, ("lam",)))
-    value = calibrate_c1(density=args.density, params=params, **opts)
+    try:
+        value = calibrate_c1(density=args.density, params=params, **opts)
+    except RuntimeError as exc:  # no candidate met the success rate
+        print(f"FAILED: {exc}", file=sys.stderr)
+        return 1
     print(f"c1 = {value}")
     return 0
 

@@ -7,8 +7,7 @@ fields on every platform.  Index 0 is always the initiator at the origin.
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,20 +47,6 @@ class NodeField:
             raise ValueError(f"r must lie in [0, R], got {r}")
         return int(np.count_nonzero(self.radii <= r))
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("index,x,y\n")
-        for i, (x, y) in enumerate(self.positions):
-            buf.write(f"{i},{float(x)!r},{float(y)!r}\n")
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str, R: float, seed: int = 0) -> "NodeField":
-        rows = [line.split(",") for line in text.strip().splitlines()[1:]]
-        rows.sort(key=lambda row: int(row[0]))
-        pos = np.array([[float(r[1]), float(r[2])] for r in rows])
-        return cls(positions=pos, R=R, seed=seed)
-
 
 def sample_field(n: int, R: float, seed: int) -> NodeField:
     """Sample ``n - 1`` i.i.d. uniform points in the disk of radius R plus v0.
@@ -82,30 +67,3 @@ def sample_field(n: int, R: float, seed: int) -> NodeField:
     pos[1:, 0] = r * np.cos(theta)
     pos[1:, 1] = r * np.sin(theta)
     return NodeField(positions=pos, R=R, seed=seed)
-
-
-# Sector construction around a node: the six 60-degree wedges of its unit
-# disk, each with the inner disk of radius 1/2 removed, so every sector has
-# area (pi - pi/4) / 6 = pi / 8.
-_SECTOR_COUNT = 6
-_INNER_RADIUS = 0.5
-
-
-def sector_occupancy(fld: NodeField, center) -> np.ndarray:
-    """For each of the six unit-disk sectors around ``center``, whether it
-    holds at least one node other than the center itself.
-
-    Returns a boolean array of length 6 (sector k spans angles
-    [k*60, (k+1)*60) degrees, radii (1/2, 1]).
-    """
-    c = np.asarray(center, dtype=float)
-    if np.hypot(c[0], c[1]) > fld.R + 1e-12:
-        raise ValueError("center lies outside the field disk")
-    rel = fld.positions - c
-    dist = np.hypot(rel[:, 0], rel[:, 1])
-    mask = (dist > _INNER_RADIUS) & (dist <= 1.0)
-    ang = np.arctan2(rel[mask, 1], rel[mask, 0]) % (2.0 * np.pi)
-    idx = np.minimum((ang / (np.pi / 3.0)).astype(int), _SECTOR_COUNT - 1)
-    occupied = np.zeros(_SECTOR_COUNT, dtype=bool)
-    occupied[np.unique(idx)] = True
-    return occupied

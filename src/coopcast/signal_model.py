@@ -2,9 +2,8 @@
 
 The MIMO model superposes complex phasors of all senders, the SNR model adds
 per-sender received energies, and the UDG model is plain distance <= 1.
-Demodulation is evaluated in closed form (the time-domain Fourier integral
-collapses to the phasor sum for a steady-state window); the explicit numeric
-integral is retained as a test oracle in :func:`demodulate_numeric`.
+Demodulation is evaluated in closed form: the time-domain Fourier integral
+collapses to the phasor sum for a steady-state window.
 """
 
 from __future__ import annotations
@@ -23,8 +22,6 @@ __all__ = [
     "snr_received_energy",
     "snr_triggered",
     "udg_triggered",
-    "demodulate_numeric",
-    "expected_phasor_integral",
     "FieldMap",
     "GridSpec",
     "field_map",
@@ -167,88 +164,6 @@ def udg_triggered(sender, q) -> bool:
     return bool(np.hypot(*(r - s)) <= 1.0)
 
 
-def demodulate_numeric(
-    senders: SenderSet,
-    q,
-    params: SignalParams,
-    delta: float,
-    steps: int = 20_000,
-) -> complex:
-    """Trapezoidal evaluation of z = (1/delta) int rx(t) e^{-2 pi i t / lam} dt.
-
-    Steady-state oracle for :func:`received_phasor`; requires delta >= 50 lam
-    so the window covers many carrier periods, and steps >= 10^4.
-    """
-    if delta < 50.0 * params.lam:
-        raise ValueError(f"integration window delta={delta} must be >= 50*lam")
-    if steps < 10_000:
-        raise ValueError(f"need at least 10^4 integration steps, got {steps}")
-    qa, _ = _receivers(q)
-    if senders.m == 0:
-        return 0j
-    dclamp, dist = _clamped_distances(senders, qa, params)
-    # Window chosen in steady state: all senders transmit throughout.
-    t = np.linspace(0.0, delta, steps + 1)
-    rx = (
-        (senders.amplitudes / dclamp[0])[:, None]
-        * np.exp(
-            1j
-            * (
-                2.0 * np.pi * (t[None, :] - dist[0][:, None]) / params.lam
-                + senders.phases[:, None]
-            )
-        )
-    ).sum(axis=0)
-    integrand = rx * np.exp(-1j * 2.0 * np.pi * t / params.lam)
-    return complex(np.trapezoid(integrand, t) / delta)
-
-
-def expected_phasor_integral(
-    d_over_r: float,
-    lambda_over_r: float,
-    initial_cells: int = 256,
-    max_refinements: int = 6,
-    rel_tol: float = 1e-4,
-) -> complex:
-    """2-D quadrature of exp(i 2 pi Delta_d / lam) / dist over the unit disk.
-
-    Evaluates s(d/r, lam/r, 1), the expected single-sender phasor integral,
-    in polar coordinates with successive grid doubling.  Raises RuntimeError
-    if refinements do not converge to ``rel_tol`` relative.
-    """
-    d = float(d_over_r)
-    lam = float(lambda_over_r)
-    if d < 15.0:
-        raise ValueError(f"d/r must be >= 15, got {d}")
-    if lam > 2.0 or lam <= 0.0:
-        raise ValueError(f"lambda/r must lie in (0, 2], got {lam}")
-
-    def quad(cells: int) -> complex:
-        s = np.linspace(0.0, 1.0, cells + 1)
-        theta = np.linspace(0.0, 2.0 * np.pi, 2 * cells, endpoint=False)
-        S, T = np.meshgrid(s, theta, indexing="ij")
-        x = S * np.cos(T)
-        y = S * np.sin(T)
-        delta = np.sqrt(x * x + y * y) + np.sqrt((d - x) ** 2 + y * y) - d
-        dist = np.sqrt((x - d) ** 2 + y * y)
-        integrand = np.exp(1j * 2.0 * np.pi * delta / lam) / dist * S
-        # trapezoid in s, midpoint (periodic) in theta
-        return complex(np.trapezoid(integrand, s, axis=0).sum() * (2.0 * np.pi / len(theta)))
-
-    prev = quad(initial_cells)
-    cells = initial_cells
-    for _ in range(max_refinements):
-        cells *= 2
-        cur = quad(cells)
-        if abs(cur - prev) <= rel_tol * abs(cur):
-            return cur
-        prev = cur
-    raise RuntimeError(
-        f"phasor-integral quadrature did not converge to {rel_tol} relative "
-        f"within {max_refinements} refinements (last cells={cells})"
-    )
-
-
 @dataclass(frozen=True)
 class GridSpec:
     xmin: float
@@ -278,14 +193,6 @@ class FieldMap:
     grid: GridSpec
     values: np.ndarray  # (ny, nx)
     model: str
-
-    def to_csv(self) -> str:
-        xs, ys = self.grid.centers()
-        lines = ["x,y,value"]
-        for iy, yv in enumerate(ys):
-            for ix, xv in enumerate(xs):
-                lines.append(f"{xv!r},{yv!r},{self.values[iy, ix]!r}")
-        return "\n".join(lines) + "\n"
 
     def to_pgm(self, threshold: float) -> str:
         """Plain (P2) 8-bit PGM, value = round(255 * min(1, v / threshold))."""

@@ -14,15 +14,25 @@ from coopcast.broadcast import (
     RoundLog,
     RoundRecord,
     run_expanding_disk,
-    run_flood,
     run_miso_broadcast,
     run_udg_flood,
-    sector_route,
 )
 from coopcast.nodefield import NodeField, sample_field
-from coopcast.signal_model import SenderSet, SignalParams, snr_received_energy
+from coopcast.signal_model import (
+    SenderSet,
+    SignalParams,
+    center_sync_phases,
+    received_phasor,
+    snr_received_energy,
+)
 
 PARAMS = SignalParams()
+
+
+def _flood(fld, model, params=PARAMS):
+    """A flood under ``model``: every informed node sends every round."""
+    config = BroadcastConfig(model=model, params=params)
+    return broadcast._run_rounds(fld, config, broadcast._origin_informed(fld))
 
 
 def _bfs_layers(positions):
@@ -88,15 +98,10 @@ def test_informed_set_monotone_and_rounds_connected():
 
 def test_flood_snr_informs_dense_field():
     fld = sample_field(300, 2.0, seed=2)
-    log = run_flood(fld, model="SNR", params=PARAMS)
+    log = _flood(fld, "SNR")
     assert log.fully_informed
     # with everyone transmitting, coverage cannot take longer than BFS
     assert log.total_rounds <= run_udg_flood(fld).total_rounds + 1
-
-
-def test_flood_udg_equals_bfs_path():
-    fld = sample_field(300, 2.0, seed=4)
-    assert run_flood(fld, model="UDG", params=PARAMS).to_json() == run_udg_flood(fld).to_json()
 
 
 def test_udg_flood_long_chain_has_no_round_cap():
@@ -150,18 +155,17 @@ def test_expanding_disk_senders_restricted():
 
 def test_destructive_interference_beats_pair():
     # Regression: under coherent reception, adding a sender can lose a
-    # receiver that the smaller set reaches.  With lam = 0.1 and zero
-    # transmit phases, the receiver at x = 1.05 sees the relay at x = 0.55
-    # (distance 0.50, an even multiple of lam/2, phasor +2.0) beat the
-    # center (distance 1.05, odd multiple, phasor -0.95).  A fourth node at
-    # x = 0.5 (distance 0.55, odd multiple, phasor -1.82) cancels the relay.
-    base = np.array([[0.0, 0.0], [0.55, 0.0], [1.05, 0.0]])
-    lone = run_flood(NodeField(positions=base, R=2.0, seed=0),
-                     model="MIMO", params=PARAMS)
-    assert lone.fully_informed
-    spoiled = np.array([[0.0, 0.0], [0.55, 0.0], [1.05, 0.0], [0.5, 0.0]])
-    both = run_flood(NodeField(positions=spoiled, R=2.0, seed=0),
-                     model="MIMO", params=PARAMS)
+    # receiver that the smaller set reaches, even with center-synchronized
+    # phases.  With lam = 0.1, round 1 informs the relay at (0.3, -0.6) but
+    # not the receiver at (1.05, 0) (|z|^2 = 1/1.05^2 < 1).  In round 2 the
+    # center and the relay give the receiver |z|^2 = 2.75; a spoiler at
+    # (0.3, -0.5), also informed in round 1, pulls it down to 0.54.
+    base = np.array([[0.0, 0.0], [0.3, -0.6], [1.05, 0.0]])
+    lone = _flood(NodeField(positions=base, R=2.0, seed=0), "MIMO")
+    assert [rec.newly_informed for rec in lone.rounds] == [[1], [2]]
+    spoiled = np.vstack([base, [0.3, -0.5]])
+    both = _flood(NodeField(positions=spoiled, R=2.0, seed=0), "MIMO")
+    assert [rec.newly_informed for rec in both.rounds] == [[1, 3]]
     assert not both.fully_informed
 
 
@@ -176,27 +180,6 @@ def test_round_log_json_round_trip():
     assert doc["total_rounds"] == log.total_rounds
     assert doc["fully_informed"] == log.fully_informed
     assert len(doc["rounds"]) == log.total_rounds
-
-
-def test_sector_route_progress():
-    fld = sample_field(4000, 6.0, seed=9)
-    radii = fld.radii
-    dst = int(np.argmax(radii))
-    path = sector_route(fld, 0, dst)
-    assert path, "dense field should admit a corridor route"
-    assert path[0] == 0 and path[-1] == dst
-    # every hop advances by at least 1/4, so hop count <= 4 * distance + 2
-    assert len(path) - 1 <= 4.0 * radii[dst] + 2
-    pos = fld.positions
-    hops = np.hypot(*(pos[path[1:]] - pos[path[:-1]]).T)
-    assert np.all(hops <= 1.0 + 1e-12)
-
-
-def test_sector_route_identity_and_errors():
-    fld = sample_field(10, 2.0, seed=0)
-    assert sector_route(fld, 3, 3) == [3]
-    with pytest.raises(ValueError):
-        sector_route(fld, 0, 99)
 
 
 def test_miso_bootstrap_failure():
@@ -235,9 +218,7 @@ def test_reception_memory_bounded_by_pair_budget(monkeypatch):
     # budget, the peak stays near 53 bytes per budgeted pair, and the
     # informed set and travel distance do not change.
     fld = sample_field(3600, 6.0, seed=3)
-    config = BroadcastConfig(
-        model="MIMO", params=PARAMS, phase_rule="center_sync"
-    )
+    config = BroadcastConfig(model="MIMO", params=PARAMS)
     active, candidates = np.arange(600), np.arange(600, 3600)
     monkeypatch.setattr(broadcast, "_PAIR_BUDGET", active.size * candidates.size)
     whole = broadcast._receive(fld, active, candidates, config)
@@ -252,6 +233,27 @@ def test_reception_memory_bounded_by_pair_budget(monkeypatch):
     assert peak <= 64 * budget + 2**20
     assert newly.tolist() == whole[0].tolist() and travel == whole[1]
     assert pairs == whole[2] == active.size * candidates.size
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_mimo_receive_informs_center_synced_reference(seed):
+    # MIMO senders transmit with center-synchronized phases: a round informs
+    # exactly the candidates where those phases put |z|^2 at or above
+    # beta N0.  Thresholds are the default 1 and three of the candidates'
+    # own levels, so some levels sit exactly on the threshold.
+    fld = sample_field(1500, 5.0, seed=seed)
+    active = np.flatnonzero(fld.radii <= 1.0)
+    candidates = np.flatnonzero(fld.radii > 1.0)
+    pos = fld.positions[active]
+    senders = SenderSet.build(pos, phases=center_sync_phases(pos, PARAMS.lam))
+    level = np.abs(received_phasor(senders, fld.positions[candidates], PARAMS)) ** 2
+    ordered = np.sort(level)
+    thresholds = [1.0] + [float(ordered[int(q * (ordered.size - 1))]) for q in (0.1, 0.5, 0.9)]
+    for beta in thresholds:
+        config = BroadcastConfig(model="MIMO", params=SignalParams(beta_N0=beta))
+        newly, _, pairs = broadcast._receive(fld, active, candidates, config)
+        assert newly.tolist() == candidates[level >= beta].tolist()
+        assert pairs == active.size * candidates.size
 
 
 def _count_snr_pairs(monkeypatch) -> list[int]:
@@ -338,7 +340,7 @@ def test_snr_level_exactly_on_threshold_informs(monkeypatch):
     # no bound can decide it, and the kernel's inclusive test informs.
     fld = NodeField(positions=np.array([[0.0, 0.0], [1.0, 0.0]]), R=1.0, seed=0)
     seen = _count_snr_pairs(monkeypatch)
-    log = run_flood(fld, model="SNR", params=SignalParams(beta_N0=1.0))
+    log = _flood(fld, "SNR", SignalParams(beta_N0=1.0))
     assert [rec.newly_informed for rec in log.rounds] == [[1]]
     assert log.fully_informed and log.propagation_time == 1.0
     assert seen == [1] and log.rounds[0].pairs_evaluated == 1
@@ -353,7 +355,7 @@ def test_round_telemetry_counts_receivers_and_kernel_pairs(monkeypatch):
     )
     snr = run_expanding_disk(fld, cfg)
     assert sum(rec.pairs_evaluated for rec in snr.rounds) == sum(seen)
-    mimo = run_flood(fld, model="MIMO", params=PARAMS)
+    mimo = _flood(fld, "MIMO")
     udg = run_udg_flood(fld)
     for log in (snr, mimo, udg):
         uninformed = fld.n - 1

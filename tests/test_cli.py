@@ -164,6 +164,14 @@ def test_fieldmap(tmp_path):
     assert sorted(names) == sorted(f"round_{k}_udg.pgm" for k in range(1, len(names) + 1))
 
 
+def test_calibrate_without_a_constant_fails_cleanly(capsys):
+    code = main(["calibrate-c1", "--density", "64", "--lam", "0.5", "--c2", "0.05", "--seeds", "3"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "FAILED: no candidate constant met the target success rate\n"
+
+
 def test_fit(tmp_path, capsys):
     csv = tmp_path / "points.csv"
     csv.write_text("x,y\n2,4\n4,16\n8,64\n16,256\n")

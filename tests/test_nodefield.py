@@ -2,10 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from coopcast.nodefield import NodeField, sample_field, sector_occupancy
+from coopcast.nodefield import sample_field
 
 
 def test_determinism_and_seed_sensitivity():
@@ -53,12 +51,6 @@ def test_density():
     assert fld.density() == pytest.approx(1000 / (math.pi * 9.0))
 
 
-def test_csv_round_trip():
-    fld = sample_field(50, 2.0, seed=9)
-    back = NodeField.from_csv(fld.to_csv(), R=2.0, seed=9)
-    assert np.array_equal(fld.positions, back.positions)
-
-
 def test_positions_read_only():
     fld = sample_field(10, 2.0, seed=0)
     with pytest.raises(ValueError):
@@ -70,32 +62,3 @@ def test_invalid_arguments():
         sample_field(0, 1.0, seed=0)
     with pytest.raises(ValueError):
         sample_field(10, -1.0, seed=0)
-
-
-def test_sector_occupancy_known_placement():
-    # One node per chosen sector at radius 0.75; inner nodes are ignored.
-    angles = {0: 0.5, 2: 2.5, 5: 5.8}  # radians, sectors are 60-degree wedges
-    pts = [[0.0, 0.0]]
-    for ang in angles.values():
-        pts.append([0.75 * math.cos(ang), 0.75 * math.sin(ang)])
-    pts.append([0.1, 0.1])  # inside the removed inner disk
-    fld = NodeField(positions=np.array(pts), R=2.0, seed=0)
-    occ = sector_occupancy(fld, (0.0, 0.0))
-    assert occ.tolist() == [k in angles for k in range(6)]
-
-
-@given(st.integers(min_value=2, max_value=200), st.integers(min_value=0, max_value=5))
-@settings(max_examples=30)
-def test_sector_occupancy_ignores_far_nodes(n, seed):
-    fld = sample_field(n, 10.0, seed=seed)
-    occ = sector_occupancy(fld, (0.0, 0.0))
-    rel = fld.positions
-    dist = np.hypot(rel[:, 0], rel[:, 1])
-    near = (dist > 0.5) & (dist <= 1.0)
-    assert occ.any() == bool(near.any())
-
-
-def test_sector_center_outside_field():
-    fld = sample_field(10, 2.0, seed=0)
-    with pytest.raises(ValueError):
-        sector_occupancy(fld, (5.0, 0.0))

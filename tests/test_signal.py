@@ -6,12 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopcast.signal_model import (
-    FieldMap,
     GridSpec,
     SenderSet,
     SignalParams,
-    demodulate_numeric,
-    expected_phasor_integral,
     field_map,
     mimo_triggered,
     received_phasor,
@@ -21,6 +18,89 @@ from coopcast.signal_model import (
 )
 
 PARAMS = SignalParams()  # lam=0.1, beta_N0=1, c_f=2
+
+
+def demodulate_numeric(
+    senders: SenderSet,
+    q,
+    params: SignalParams,
+    delta: float,
+    steps: int = 20_000,
+) -> complex:
+    """Trapezoidal evaluation of z = (1/delta) int rx(t) e^{-2 pi i t / lam} dt.
+
+    Steady-state oracle for :func:`received_phasor`; requires delta >= 50 lam
+    so the window covers many carrier periods, and steps >= 10^4.
+    """
+    if delta < 50.0 * params.lam:
+        raise ValueError(f"integration window delta={delta} must be >= 50*lam")
+    if steps < 10_000:
+        raise ValueError(f"need at least 10^4 integration steps, got {steps}")
+    if senders.m == 0:
+        return 0j
+    diff = np.asarray(q, dtype=float) - senders.positions
+    dist = np.hypot(diff[:, 0], diff[:, 1])
+    dclamp = np.maximum(dist, params.c_f * params.lam)
+    # Window chosen in steady state: all senders transmit throughout.
+    t = np.linspace(0.0, delta, steps + 1)
+    rx = (
+        (senders.amplitudes / dclamp)[:, None]
+        * np.exp(
+            1j
+            * (
+                2.0 * np.pi * (t[None, :] - dist[:, None]) / params.lam
+                + senders.phases[:, None]
+            )
+        )
+    ).sum(axis=0)
+    integrand = rx * np.exp(-1j * 2.0 * np.pi * t / params.lam)
+    return complex(np.trapezoid(integrand, t) / delta)
+
+
+def expected_phasor_integral(
+    d_over_r: float,
+    lambda_over_r: float,
+    initial_cells: int = 256,
+    max_refinements: int = 6,
+    rel_tol: float = 1e-4,
+) -> complex:
+    """2-D quadrature of exp(i 2 pi Delta_d / lam) / dist over the unit disk.
+
+    Evaluates s(d/r, lam/r, 1), the expected single-sender phasor integral,
+    in polar coordinates with successive grid doubling.  Raises RuntimeError
+    if refinements do not converge to ``rel_tol`` relative.
+    """
+    d = float(d_over_r)
+    lam = float(lambda_over_r)
+    if d < 15.0:
+        raise ValueError(f"d/r must be >= 15, got {d}")
+    if lam > 2.0 or lam <= 0.0:
+        raise ValueError(f"lambda/r must lie in (0, 2], got {lam}")
+
+    def quad(cells: int) -> complex:
+        s = np.linspace(0.0, 1.0, cells + 1)
+        theta = np.linspace(0.0, 2.0 * np.pi, 2 * cells, endpoint=False)
+        S, T = np.meshgrid(s, theta, indexing="ij")
+        x = S * np.cos(T)
+        y = S * np.sin(T)
+        delta = np.sqrt(x * x + y * y) + np.sqrt((d - x) ** 2 + y * y) - d
+        dist = np.sqrt((x - d) ** 2 + y * y)
+        integrand = np.exp(1j * 2.0 * np.pi * delta / lam) / dist * S
+        # trapezoid in s, midpoint (periodic) in theta
+        return complex(np.trapezoid(integrand, s, axis=0).sum() * (2.0 * np.pi / len(theta)))
+
+    prev = quad(initial_cells)
+    cells = initial_cells
+    for _ in range(max_refinements):
+        cells *= 2
+        cur = quad(cells)
+        if abs(cur - prev) <= rel_tol * abs(cur):
+            return cur
+        prev = cur
+    raise RuntimeError(
+        f"phasor-integral quadrature did not converge to {rel_tol} relative "
+        f"within {max_refinements} refinements (last cells={cells})"
+    )
 
 
 def test_params_validation():
@@ -212,14 +292,6 @@ def test_pgm_output_format():
     values = [int(v) for row in lines[3:] for v in row.split()]
     assert len(values) == 12
     assert all(0 <= v <= 255 for v in values)
-
-
-def test_field_map_csv():
-    grid = GridSpec(0.0, 1.0, 0.0, 1.0, 2, 2)
-    fmap = field_map(SenderSet.build([[0.0, 0.0]]), grid, PARAMS, model="SNR")
-    lines = fmap.to_csv().strip().splitlines()
-    assert lines[0] == "x,y,value"
-    assert len(lines) == 5
 
 
 def test_empty_sender_set():
