@@ -21,6 +21,7 @@ from scipy.spatial import cKDTree
 
 from .bounds import miso_upper_schedule
 from .signal_model import (
+    _PAIR_BUDGET,
     _UDG_BOUND,
     SenderSet,
     SignalParams,
@@ -38,14 +39,6 @@ __all__ = [
     "run_expanding_disk",
     "run_miso_broadcast",
 ]
-
-# Receiver x sender pairs per reception kernel call: each call's temporaries
-# are a few arrays of this many elements, whatever the number of senders.
-# At 2^15 pairs a float64 temporary takes 256 KB and a complex one 512 KB,
-# so a block's live temporaries stay within a 2 MiB per-core L2 cache.  Of
-# the budgets 2^14 to 2^18 this one ran the MIMO broadcast fastest, on
-# criterion 08's fields with two threads.
-_PAIR_BUDGET = 2**15
 
 
 class BootstrapFailure(RuntimeError):

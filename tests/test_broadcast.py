@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import math
 import tracemalloc
 
 import numpy as np
@@ -214,8 +213,8 @@ def test_miso_covered_by_bootstrap():
 
 def test_reception_memory_bounded_by_pair_budget(monkeypatch):
     # 600 center-synchronized MIMO senders, 3000 receivers: one unchunked
-    # kernel call would hold 1.8M pairs (about 96 MB).  Chunked by the pair
-    # budget, the peak stays near 53 bytes per budgeted pair, and the
+    # kernel call would hold 1.8M pairs (about 60 MB).  Chunked by the pair
+    # budget, the peak stays near 35 bytes per budgeted pair, and the
     # informed set and travel distance do not change.
     fld = sample_field(3600, 6.0, seed=3)
     config = BroadcastConfig(model="MIMO", params=PARAMS)
