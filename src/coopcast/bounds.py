@@ -20,7 +20,6 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SchedulePrediction:
-    model: str  # "UDG" | "SNR" | "MIMO"
     radii: list[float]
 
     def __post_init__(self):
@@ -45,7 +44,7 @@ def snr_upper_schedule(rho: float, R: float) -> SchedulePrediction:
     radii = [1.0]
     while radii[-1] < R:
         radii.append(radii[-1] * step)
-    return SchedulePrediction("SNR", radii)
+    return SchedulePrediction(radii)
 
 
 def miso_upper_schedule(
@@ -68,7 +67,7 @@ def miso_upper_schedule(
         if nxt <= radii[-1]:
             break
         radii.append(nxt)
-    return SchedulePrediction("MIMO", radii)
+    return SchedulePrediction(radii)
 
 
 def propagation_time(radii: list[float]) -> float:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -86,6 +87,10 @@ def _fields_of(record) -> dict:
     return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
+#: The per-round hook of the drivers: ``on_round(record, model, senders)``.
+OnRound = Callable[[RoundRecord, str, SenderSet], None]
+
+
 @dataclass(frozen=True)
 class BroadcastConfig:
     """How a broadcast runs: an expanding disk over ``radius_schedule``, or a
@@ -104,7 +109,7 @@ class BroadcastConfig:
 
 
 def _snr_bounds(
-    field_, active: np.ndarray, candidates: np.ndarray, d_min: np.ndarray,
+    field_, senders: SenderSet, candidates: np.ndarray, d_min: np.ndarray,
     params: SignalParams,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The SNR candidates that distance bounds alone inform (a mask), and
@@ -125,27 +130,34 @@ def _snr_bounds(
     # sqrt) or |q| + r_s (two hypot and an addition), about 4u, doubled by the
     # square, then the division, 1 -/+ tol and the product, about 12u.  In
     # all below (m + 24)u; tol = 16 (m + 16)u leaves a margin of ten and more.
-    m = active.size
+    m = senders.m
     tol = (m + 16) * 2.0**-49
     c = params.c_f * params.lam
-    radii = field_.radii
-    lower = m / np.maximum(radii[candidates] + radii[active].max(), c) ** 2
+    r_s = np.hypot(*senders.positions.T).max()
+    lower = m / np.maximum(field_.radii[candidates] + r_s, c) ** 2
     upper = m / np.maximum(d_min, c) ** 2
     hit = lower * (1.0 - tol) >= params.beta_N0
     miss = upper * (1.0 + tol) < params.beta_N0
     return hit, np.flatnonzero(~(hit | miss))
 
 
+def _senders(field_, active: np.ndarray, config: BroadcastConfig) -> SenderSet:
+    """The nodes ``active`` as transmitters; MIMO senders center-synchronize."""
+    pos = field_.positions[active]
+    phases = center_sync_phases(pos, config.params.lam) if config.model == "MIMO" else None
+    return SenderSet.build(pos, phases=phases)
+
+
 def _receive(
-    field_, active: np.ndarray, candidates: np.ndarray, config: BroadcastConfig
+    field_, senders: SenderSet, candidates: np.ndarray, config: BroadcastConfig
 ) -> tuple[np.ndarray, float, int]:
     """The candidates that this round's senders inform, how far the signal
     travelled (the largest distance from a newly informed node to its
     nearest sender, 0 when nobody is informed), and how many receiver x
     sender pairs went through a reception kernel."""
-    if active.size == 0:
+    if senders.m == 0:
         return candidates[:0], 0.0, 0
-    tree = cKDTree(field_.positions[active])
+    tree = cKDTree(senders.positions)
     pts = field_.positions[candidates]
     if config.model == "UDG":
         d_min, _ = tree.query(pts, distance_upper_bound=_UDG_BOUND)
@@ -154,15 +166,12 @@ def _receive(
     else:
         d_min, _ = tree.query(pts)
         params = config.params
-        pos = field_.positions[active]
-        if config.model == "SNR":  # energies add: phases do not matter
-            senders = SenderSet.build(pos)
-            triggered, rows = _snr_bounds(field_, active, candidates, d_min, params)
+        if config.model == "SNR":
+            triggered, rows = _snr_bounds(field_, senders, candidates, d_min, params)
         else:  # a coherent sum can cancel: no bound decides a MIMO receiver
-            senders = SenderSet.build(pos, phases=center_sync_phases(pos, params.lam))
             triggered = np.zeros(candidates.size, dtype=bool)
             rows = np.arange(candidates.size)
-        chunk = max(1, _PAIR_BUDGET // active.size)
+        chunk = max(1, _PAIR_BUDGET // senders.m)
         for start in range(0, rows.size, chunk):
             block = rows[start : start + chunk]
             if config.model == "SNR":
@@ -170,7 +179,7 @@ def _receive(
             else:
                 level = np.abs(received_phasor(senders, pts[block], params)) ** 2
             triggered[block] = level >= params.beta_N0
-        pairs = active.size * rows.size
+        pairs = senders.m * rows.size
     travel = d_min[triggered]
     return candidates[triggered], float(travel.max()) if travel.size else 0.0, pairs
 
@@ -188,6 +197,7 @@ def _run_rounds(
     config: BroadcastConfig,
     informed: np.ndarray,
     eligible: np.ndarray | None = None,
+    on_round: OnRound | None = None,
     log: RoundLog | None = None,
 ) -> RoundLog:
     """The round engine of every driver.
@@ -199,6 +209,9 @@ def _run_rounds(
     round j of an expanding disk.  Only ``eligible`` nodes can be informed.
     A flood stops once a round informs nobody; an expanding disk runs until
     its schedule ends or r_j reaches the field radius.
+
+    After each logged round, ``on_round(record, model, senders)`` gets its
+    record, its model and the :class:`SenderSet` it transmitted with.
     """
     radii = field_.radii
     if eligible is None:
@@ -217,22 +230,24 @@ def _run_rounds(
             active = newly
         else:
             active = np.flatnonzero(informed)
-        newly, travel, pairs = _receive(field_, active, candidates, config)
+        senders = _senders(field_, active, config)
+        newly, travel, pairs = _receive(field_, senders, candidates, config)
         if r_j is None and newly.size == 0:
             break
         informed[newly] = True
-        log.rounds.append(
-            RoundRecord(
-                round_index=len(log.rounds) + 1,
-                newly_informed=newly.tolist(),
-                frontier_radius=float(radii[informed].max()),
-                senders_active=int(active.size),
-                receivers=int(candidates.size),
-                pairs_evaluated=pairs,
-                disk_radius_r_j=r_j,
-            )
+        record = RoundRecord(
+            round_index=len(log.rounds) + 1,
+            newly_informed=newly.tolist(),
+            frontier_radius=float(radii[informed].max()),
+            senders_active=int(active.size),
+            receivers=int(candidates.size),
+            pairs_evaluated=pairs,
+            disk_radius_r_j=r_j,
         )
+        log.rounds.append(record)
         log.propagation_time += travel
+        if on_round is not None:
+            on_round(record, config.model, senders)
         if r_j is not None and r_j >= field_.R:
             break
     else:  # the schedule ran out
@@ -242,7 +257,9 @@ def _run_rounds(
     return log
 
 
-def run_udg_flood(field_, restrict_radius: float | None = None) -> RoundLog:
+def run_udg_flood(
+    field_, restrict_radius: float | None = None, on_round: OnRound | None = None
+) -> RoundLog:
     """Synchronous BFS from the center node on the unit-disk graph.
 
     Round t informs exactly BFS layer t.  With ``restrict_radius`` the flood
@@ -253,19 +270,21 @@ def run_udg_flood(field_, restrict_radius: float | None = None) -> RoundLog:
     if restrict_radius is not None:
         eligible = field_.radii <= restrict_radius
         eligible[0] = True
-    return _run_rounds(field_, BroadcastConfig(model="UDG"), informed, eligible)
+    return _run_rounds(field_, BroadcastConfig(model="UDG"), informed, eligible, on_round)
 
 
-def run_expanding_disk(field_, config: BroadcastConfig) -> RoundLog:
+def run_expanding_disk(
+    field_, config: BroadcastConfig, on_round: OnRound | None = None
+) -> RoundLog:
     """Expanding-disk broadcast: round j activates informed nodes within
     the schedule radius r_j of the origin."""
     if not config.radius_schedule:
         raise ValueError("an expanding disk needs a radius schedule")
-    return _run_rounds(field_, config, _origin_informed(field_))
+    return _run_rounds(field_, config, _origin_informed(field_), on_round=on_round)
 
 
 def run_miso_broadcast(
-    field_, params: SignalParams, c1: float, c2: float
+    field_, params: SignalParams, c1: float, c2: float, on_round: OnRound | None = None
 ) -> RoundLog:
     """Two-phase MISO broadcast over the radii of
     :func:`coopcast.bounds.miso_upper_schedule`.
@@ -276,22 +295,15 @@ def run_miso_broadcast(
     """
     schedule = miso_upper_schedule(field_.density(), params.lam, c1, c2, field_.R).radii
     bootstrap_radius = schedule[0]
-    phase1 = run_udg_flood(field_, restrict_radius=bootstrap_radius)
-    if not phase1.fully_informed:
+    log = run_udg_flood(field_, restrict_radius=bootstrap_radius, on_round=on_round)
+    if not log.fully_informed:
         raise BootstrapFailure(
             f"UDG bootstrap left nodes uninformed inside radius {bootstrap_radius}"
         )
-    log = RoundLog(rounds=list(phase1.rounds), propagation_time=phase1.propagation_time)
-    log.phase1_rounds = phase1.total_rounds
-    if bootstrap_radius >= field_.R:
-        log.total_rounds = phase1.total_rounds
-        log.phase2_rounds = 0
-        log.fully_informed = True
-        return log
-
+    log.phase1_rounds = log.total_rounds
     informed = np.zeros(field_.n, dtype=bool)
-    informed[np.asarray(phase1.informed_indices(), dtype=int)] = True
+    informed[np.asarray(log.informed_indices(), dtype=int)] = True
     config = BroadcastConfig(model="MIMO", radius_schedule=tuple(schedule), params=params)
-    log = _run_rounds(field_, config, informed, log=log)
-    log.phase2_rounds = log.total_rounds - phase1.total_rounds
+    log = _run_rounds(field_, config, informed, on_round=on_round, log=log)
+    log.phase2_rounds = log.total_rounds - log.phase1_rounds
     return log

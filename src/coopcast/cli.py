@@ -28,7 +28,6 @@ from .experiments import (
     fit_scaling,
     run_experiment,
     _atomic_write,
-    _run_single,
 )
 from .nodefield import sample_field
 from .prover import inequality_suite, prove
@@ -99,14 +98,13 @@ def _cmd_fieldmap(args: argparse.Namespace) -> int:
     )
     radius = cfg.radius_for(args.n)
     fld = sample_field(args.n, radius, args.seed)
+    half = radius * 1.05
+    grid = GridSpec(-half, half, -half, half, args.grid, args.grid)
     try:
-        log = _run_single(cfg, args.model, fld)
+        paths = emit_fieldmaps(cfg, args.model, fld, grid)
     except BootstrapFailure as exc:
         print(f"FAILED: {exc}", file=sys.stderr)
         return 1
-    half = radius * 1.05
-    grid = GridSpec(-half, half, -half, half, args.grid, args.grid)
-    paths = emit_fieldmaps(fld, log, cfg.params, grid, args.model.upper(), cfg.output_dir)
     print(f"wrote {len(paths)} field maps to {cfg.output_dir}")
     return 0
 

@@ -21,6 +21,7 @@ import numpy as np
 from .bounds import snr_upper_schedule
 from .broadcast import (
     BroadcastConfig,
+    OnRound,
     RoundLog,
     run_expanding_disk,
     run_miso_broadcast,
@@ -46,11 +47,6 @@ __all__ = [
     "emit_fieldmaps",
     "calibrate_c1",
 ]
-
-CSV_HEADER = (
-    "model,n,rho,lambda,seed,rounds,fully_informed,propagation_time,"
-    "phase1_rounds,phase2_rounds,schedule_exhausted"
-)
 
 #: Analysis constant of the doubly-exponential schedule (far more
 #: conservative than what simulations support, see :func:`calibrate_c1`).
@@ -122,18 +118,41 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _blank_none(value) -> str:
-    return "" if value is None else str(value)
-
-
-def _run_single(cfg: ExperimentConfig, model: str, fld: NodeField) -> RoundLog:
+def _run_single(
+    cfg: ExperimentConfig, model: str, fld: NodeField, on_round: OnRound | None = None
+) -> RoundLog:
     if model == "udg":
-        return run_udg_flood(fld)
+        return run_udg_flood(fld, on_round=on_round)
     if model == "snr":
         schedule = snr_upper_schedule(cfg.rho(fld.n), fld.R).radii
         config = BroadcastConfig(model="SNR", radius_schedule=tuple(schedule), params=cfg.params)
-        return run_expanding_disk(fld, config)
-    return run_miso_broadcast(fld, cfg.params, c1=cfg.c1, c2=cfg.c2)
+        return run_expanding_disk(fld, config, on_round=on_round)
+    return run_miso_broadcast(fld, cfg.params, c1=cfg.c1, c2=cfg.c2, on_round=on_round)
+
+
+def _summary_row(cfg: ExperimentConfig, model: str, n: int, seed: int, log: RoundLog) -> dict:
+    """One ``summary.csv`` row; its keys, in order, are the columns."""
+    return {
+        "model": model,
+        "n": n,
+        "rho": cfg.rho(n),
+        "lambda": cfg.params.lam,
+        "seed": seed,
+        "rounds": log.total_rounds,
+        "fully_informed": log.fully_informed,
+        "propagation_time": log.propagation_time,
+        "phase1_rounds": log.phase1_rounds,
+        "phase2_rounds": log.phase2_rounds,
+        "schedule_exhausted": log.schedule_exhausted,
+    }
+
+
+def _csv_cell(value) -> str:
+    return "" if value is None else str(int(value) if isinstance(value, bool) else value)
+
+
+#: The ``summary.csv`` header: the keys of :func:`_summary_row`.
+CSV_HEADER = ",".join(_summary_row(ExperimentConfig(("udg",), (1,)), "udg", 1, 0, RoundLog()))
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -162,26 +181,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         if error is not None:
             result.failures.append((model, n, seed, error))
             continue
-        row = {
-            "model": model,
-            "n": n,
-            "rho": cfg.rho(n),
-            "lambda": cfg.params.lam,
-            "seed": seed,
-            "rounds": log.total_rounds,
-            "fully_informed": log.fully_informed,
-            "propagation_time": log.propagation_time,
-            "phase1_rounds": log.phase1_rounds,
-            "phase2_rounds": log.phase2_rounds,
-            "schedule_exhausted": log.schedule_exhausted,
-        }
+        row = _summary_row(cfg, model, n, seed, log)
         result.rows.append(row)
-        lines.append(
-            f"{model},{n},{row['rho']!r},{cfg.params.lam!r},{seed},"
-            f"{log.total_rounds},{int(log.fully_informed)},{log.propagation_time!r},"
-            f"{_blank_none(log.phase1_rounds)},{_blank_none(log.phase2_rounds)},"
-            f"{int(log.schedule_exhausted)}"
-        )
+        lines.append(",".join(_csv_cell(v) for v in row.values()))
         path = os.path.join(cfg.output_dir, f"{model}_n{n}_seed{seed}.json")
         try:
             _atomic_write(path, log.to_json())
@@ -230,28 +232,26 @@ def fit_scaling(points, transform: str = "loglog") -> ScalingFit:
 
 
 def emit_fieldmaps(
-    field_: NodeField,
-    log: RoundLog,
-    params: SignalParams,
-    grid: GridSpec,
-    model: str,
-    output_dir: str,
+    cfg: ExperimentConfig, model: str, field_: NodeField, grid: GridSpec
 ) -> list[str]:
-    """Write one PGM map per round of the nodes informed by that round:
-    their unit-disk coverage (``model="UDG"``), or their energy transmitting
-    at zero phase (``"SNR"``, ``"MIMO"``)."""
-    threshold = 1.0 if model == "UDG" else params.beta_N0
-    os.makedirs(output_dir, exist_ok=True)
-    paths = []
-    informed: list[int] = [0]
-    for rec in log.rounds:
-        informed.extend(rec.newly_informed)
-        senders = SenderSet.build(field_.positions[np.unique(informed)])
-        fmap = field_map(senders, grid, params, model=model)
-        path = os.path.join(output_dir, f"round_{rec.round_index}_{model.lower()}.pgm")
-        _atomic_write(path, fmap.to_pgm(threshold=threshold))
-        paths.append(path)
-    return paths
+    """Run ``model`` on ``field_`` and write one PGM map per round to
+    ``cfg.output_dir``: the field of that round's senders, with their phases.
+    UDG rounds, a MISO run's bootstrap too, map unit-disk coverage
+    (``round_<k>_udg.pgm``); SNR and MIMO rounds map received energy
+    against beta N0.  A run that raises writes no map."""
+    maps = {}  # path -> PGM text, written once the run returns
+
+    def draw(record, round_model, senders):
+        fmap = field_map(senders, grid, cfg.params, model=round_model)
+        threshold = 1.0 if round_model == "UDG" else cfg.params.beta_N0
+        name = f"round_{record.round_index}_{round_model.lower()}.pgm"
+        maps[os.path.join(cfg.output_dir, name)] = fmap.to_pgm(threshold=threshold)
+
+    _run_single(cfg, model, field_, on_round=draw)
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    for path, text in maps.items():
+        _atomic_write(path, text)
+    return list(maps)
 
 
 def calibrate_c1(

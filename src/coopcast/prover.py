@@ -236,9 +236,6 @@ class Box:
     intervals: tuple[Interval, ...]
     depth: int = 0
 
-    def widths(self) -> tuple[float, ...]:
-        return tuple(iv.width for iv in self.intervals)
-
     def midpoint(self) -> tuple[float, ...]:
         return tuple(iv.mid for iv in self.intervals)
 
@@ -338,15 +335,8 @@ def _certifies(enc: Interval, relation: str, bound: float) -> bool:
     return enc.lo > bound
 
 
-def _point_refutes(enc: Interval, relation: str, bound: float) -> bool:
-    # The entire point enclosure must violate the claimed bound.
-    if relation == "<=":
-        return enc.lo > bound
-    if relation == "<":
-        return enc.lo >= bound
-    if relation == ">=":
-        return enc.hi < bound
-    return enc.hi <= bound
+#: The relation a point enclosure must certify to refute a claimed relation.
+_NEGATION = {"<=": ">", "<": ">=", ">=": "<", ">": "<="}
 
 
 def _columns(lo: np.ndarray, hi: np.ndarray) -> list[Interval]:
@@ -410,7 +400,7 @@ def prove(task: ProofTask, max_boxes: int = 2**24) -> ProofResult:
         mid = 0.5 * (lo + hi)
         point_enc = fn(*_columns(mid, mid))
         refuting = np.flatnonzero(
-            ~point_enc.invalid & _point_refutes(point_enc, task.relation, task.bound)
+            ~point_enc.invalid & _certifies(point_enc, _NEGATION[task.relation], task.bound)
         )
         if refuting.size:
             k = refuting[0]

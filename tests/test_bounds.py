@@ -16,7 +16,6 @@ from coopcast.bounds import (
 def test_snr_schedule_powers_of_two():
     pred = snr_upper_schedule(64.0, 8.0)
     assert pred.radii == [1.0, 2.0, 4.0, 8.0]
-    assert pred.model == "SNR"
 
 
 def test_snr_schedule_moderate_density():
@@ -95,4 +94,4 @@ def test_reverse_schedule_time_approaches_radius():
 
 def test_schedule_prediction_validation():
     with pytest.raises(ValueError):
-        SchedulePrediction("SNR", [2.0, 1.0])
+        SchedulePrediction([2.0, 1.0])

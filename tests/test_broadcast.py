@@ -34,6 +34,12 @@ def _flood(fld, model, params=PARAMS):
     return broadcast._run_rounds(fld, config, broadcast._origin_informed(fld))
 
 
+def _receive(fld, active, candidates, config):
+    """One round's reception from the nodes ``active``, with the senders the
+    round engine builds."""
+    return broadcast._receive(fld, broadcast._senders(fld, active, config), candidates, config)
+
+
 def _bfs_layers(positions):
     """Reference BFS on the unit-disk graph, via adjacency from a kd-tree."""
     tree = cKDTree(positions)
@@ -207,8 +213,8 @@ def test_miso_covered_by_bootstrap():
     # When the bootstrap disk already covers the field there is no MIMO phase.
     fld = sample_field(500, 2.0, seed=2)
     log = run_miso_broadcast(fld, SignalParams(lam=0.1), c1=1.0, c2=1.0)
-    assert log.fully_informed
-    assert log.phase2_rounds == 0
+    assert log.fully_informed and not log.schedule_exhausted
+    assert log.phase2_rounds == 0 and log.total_rounds == log.phase1_rounds > 0
 
 
 def test_reception_memory_bounded_by_pair_budget(monkeypatch):
@@ -220,12 +226,12 @@ def test_reception_memory_bounded_by_pair_budget(monkeypatch):
     config = BroadcastConfig(model="MIMO", params=PARAMS)
     active, candidates = np.arange(600), np.arange(600, 3600)
     monkeypatch.setattr(broadcast, "_PAIR_BUDGET", active.size * candidates.size)
-    whole = broadcast._receive(fld, active, candidates, config)
+    whole = _receive(fld, active, candidates, config)
     budget = 2**16
     monkeypatch.setattr(broadcast, "_PAIR_BUDGET", budget)
     tracemalloc.start()
     try:
-        newly, travel, pairs = broadcast._receive(fld, active, candidates, config)
+        newly, travel, pairs = _receive(fld, active, candidates, config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -250,7 +256,7 @@ def test_mimo_receive_informs_center_synced_reference(seed):
     thresholds = [1.0] + [float(ordered[int(q * (ordered.size - 1))]) for q in (0.1, 0.5, 0.9)]
     for beta in thresholds:
         config = BroadcastConfig(model="MIMO", params=SignalParams(beta_N0=beta))
-        newly, _, pairs = broadcast._receive(fld, active, candidates, config)
+        newly, _, pairs = _receive(fld, active, candidates, config)
         assert newly.tolist() == candidates[level >= beta].tolist()
         assert pairs == active.size * candidates.size
 
@@ -283,7 +289,7 @@ def _reference_snr_receive(fld, active, candidates, params):
 def _assert_snr_receive_matches(monkeypatch, fld, active, candidates, params):
     config = BroadcastConfig(model="SNR", params=params)
     seen = _count_snr_pairs(monkeypatch)
-    newly, travel, pairs = broadcast._receive(fld, active, candidates, config)
+    newly, travel, pairs = _receive(fld, active, candidates, config)
     monkeypatch.undo()
     ref_newly, ref_travel, _ = _reference_snr_receive(fld, active, candidates, params)
     assert newly.tolist() == ref_newly.tolist()
@@ -327,7 +333,7 @@ def test_snr_bounds_inside_the_near_field_clamp(monkeypatch, seed):
     for beta in (19.5, 20.0, 20.5, 60.0):
         params = SignalParams(lam=0.5, beta_N0=beta)
         _assert_snr_receive_matches(monkeypatch, fld, active, candidates, params)
-    newly, _, _ = broadcast._receive(
+    newly, _, _ = _receive(
         fld, active, candidates,
         BroadcastConfig(model="SNR", params=SignalParams(lam=0.5, beta_N0=20.0))
     )

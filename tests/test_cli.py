@@ -1,9 +1,10 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
-from coopcast import cli
+from coopcast import broadcast, cli, experiments
 from coopcast.broadcast import BootstrapFailure
 from coopcast.cli import OUTPUT_DIR_ENV, build_parser, main
 from coopcast.experiments import ExperimentConfig, ExperimentResult
@@ -22,12 +23,12 @@ def built_config(monkeypatch):
         configs.append(cfg)
         return ExperimentResult(cfg, [], [], "summary.csv")
 
-    def fake_run_single(cfg, model, fld):
+    def fake_run_single(cfg, model, fld, on_round=None):
         configs.append(cfg)
         raise BootstrapFailure("stubbed")
 
     monkeypatch.setattr(cli, "run_experiment", fake_run_experiment)
-    monkeypatch.setattr(cli, "_run_single", fake_run_single)
+    monkeypatch.setattr(experiments, "_run_single", fake_run_single)
     monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
 
     def run(argv):
@@ -162,6 +163,57 @@ def test_fieldmap(tmp_path):
     names = os.listdir(out)
     assert names
     assert sorted(names) == sorted(f"round_{k}_udg.pgm" for k in range(1, len(names) + 1))
+
+
+# Criterion 08's density and beamforming constants on a smaller field.
+MISO_FIELDMAP = ["fieldmap", "--model", "mimo", "--density", "3.5368", "--lam", "0.1",
+                 "--c1", "12", "--c2", "0.02", "--grid", "8"]
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """The (model, senders) of every field_map call that draws a round."""
+    calls = []
+    field_map = experiments.field_map
+
+    def spy(senders, grid, params, model):
+        calls.append((model, senders))
+        return field_map(senders, grid, params, model)
+
+    monkeypatch.setattr(experiments, "field_map", spy)
+    return calls
+
+
+def test_miso_fieldmap_draws_the_senders_the_kernel_received(tmp_path, monkeypatch, drawn):
+    received = []  # the SenderSet of each round, once per round
+    phasor = broadcast.received_phasor
+
+    def spy(senders, q, params):
+        if not received or received[-1] is not senders:
+            received.append(senders)
+        return phasor(senders, q, params)
+
+    monkeypatch.setattr(broadcast, "received_phasor", spy)
+    out = tmp_path / "maps"
+    assert main([*MISO_FIELDMAP, "--n", "1000", "--seed", "0", "--output-dir", str(out)]) == 0
+    models = [model for model, _ in drawn]
+    bootstrap = models.count("UDG")
+    assert bootstrap > 0 and models == ["UDG"] * bootstrap + ["MIMO"] * len(received)
+    for (_, senders), sent in zip(drawn[bootstrap:], received):
+        np.testing.assert_array_equal(senders.positions, sent.positions)
+        np.testing.assert_array_equal(senders.phases, sent.phases)
+        assert np.any(sent.phases != 0.0)  # center-synchronized, not zero phase
+    assert sorted(os.listdir(out)) == sorted(
+        f"round_{k}_{model.lower()}.pgm" for k, model in enumerate(models, start=1)
+    )
+
+
+def test_fieldmap_of_a_failed_bootstrap_writes_no_maps(tmp_path, drawn, capsys):
+    out = tmp_path / "maps"
+    assert main([*MISO_FIELDMAP, "--n", "2000", "--seed", "3", "--output-dir", str(out)]) == 1
+    assert "FAILED" in capsys.readouterr().err
+    assert drawn and {model for model, _ in drawn} == {"UDG"}  # bootstrap rounds ran
+    assert not out.exists()
 
 
 def test_calibrate_without_a_constant_fails_cleanly(capsys):

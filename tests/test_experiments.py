@@ -10,14 +10,14 @@ from coopcast.experiments import (
     CSV_HEADER,
     ExperimentConfig,
     ScalingFit,
+    _run_single,
     calibrate_c1,
     emit_fieldmaps,
     fit_scaling,
     run_experiment,
 )
 from coopcast.nodefield import sample_field
-from coopcast.broadcast import run_udg_flood
-from coopcast.signal_model import GridSpec, SignalParams
+from coopcast.signal_model import GridSpec, SenderSet, SignalParams, field_map
 
 
 def _small_config(tmp_path, **overrides):
@@ -155,17 +155,27 @@ def test_scaling_fit_is_frozen():
 
 
 def test_emit_fieldmaps(tmp_path):
-    fld = sample_field(300, 3.0, seed=5)
-    log = run_udg_flood(fld)
-    grid = GridSpec(-3.0, 3.0, -3.0, 3.0, 16, 16)
-    paths = emit_fieldmaps(
-        fld, log, SignalParams(), grid, model="SNR", output_dir=str(tmp_path)
+    # An SNR expanding disk: round j's map is the energy of its senders,
+    # the nodes informed before round j that lie within r_j.
+    cfg = ExperimentConfig(
+        models=("snr",), node_counts=(300,), density=32.0, output_dir=str(tmp_path)
     )
-    assert len(paths) == log.total_rounds
-    for idx, path in enumerate(paths, start=1):
-        assert os.path.basename(path) == f"round_{idx}_snr.pgm"
+    fld = sample_field(300, cfg.radius_for(300), seed=5)
+    grid = GridSpec(-2.0, 2.0, -2.0, 2.0, 16, 16)
+    paths = emit_fieldmaps(cfg, "snr", fld, grid)
+    log = _run_single(cfg, "snr", fld)
+    assert log.total_rounds > 1
+    assert [os.path.basename(p) for p in paths] == [
+        f"round_{k}_snr.pgm" for k in range(1, log.total_rounds + 1)
+    ]
+    informed = np.zeros(fld.n, dtype=bool)
+    informed[0] = True
+    for rec, path in zip(log.rounds, paths):
+        senders = SenderSet.build(fld.positions[informed & (fld.radii <= rec.disk_radius_r_j)])
+        fmap = field_map(senders, grid, cfg.params, model="SNR")
         with open(path) as fh:
-            assert fh.read().startswith("P2\n16 16\n255\n")
+            assert fh.read() == fmap.to_pgm(threshold=cfg.params.beta_N0)
+        informed[rec.newly_informed] = True
 
 
 def test_calibrate_c1_power_of_two_and_repeatable():

@@ -1,4 +1,6 @@
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -6,6 +8,8 @@ import pytest
 import coopcast
 
 SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(coopcast.__path__))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SOURCES = sorted([*ROOT.glob("src/coopcast/*.py"), *ROOT.glob("scripts/*.py")])
 
 
 @pytest.mark.parametrize("name", SUBMODULES)
@@ -13,3 +17,30 @@ def test_all_lists_only_defined_names(name):
     # A function deleted from a module must not stay in its __all__.
     module = importlib.import_module(f"coopcast.{name}")
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads (nor lists in ``__all__``)."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):  # string annotations and __all__ entries
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value.strip('"'))
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_unused_imports_are_found():
+    assert _unused_imports("import os\nimport math as m\nprint(m.pi)\n") == ["os (line 1)"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert _unused_imports(path.read_text()) == []

@@ -12,8 +12,8 @@ from coopcast.prover import (
     EXPRESSIONS,
     Box,
     ProofTask,
+    _NEGATION,
     _certifies,
-    _point_refutes,
     inequality_suite,
     interval_eval,
     prove,
@@ -184,7 +184,7 @@ def _level_order_reference(task, stop_depth=None):
                 point_enc = fn(*(Interval(m) for m in mid))
             except DomainError:
                 continue
-            if _point_refutes(point_enc, task.relation, task.bound):
+            if _certifies(point_enc, _NEGATION[task.relation], task.bound):
                 return per_depth, box, mid, point_enc
         if len(per_depth) - 1 == stop_depth:
             break
