@@ -18,6 +18,18 @@ operation that leaves its domain on some lanes marks them in the boolean
 floats it raises :class:`DomainError` (or ``ValueError`` for a malformed
 interval) instead.
 
+A product or quotient is one stack: the endpoints of the left operand,
+shaped (2, 1, ...), and of the right, shaped (1, 2, ...), give the four
+candidates lo.lo, lo.hi, hi.lo, hi.hi as one (2, 2, ...) array.  One
+``nextafter`` call each way steps the whole stack outward, and the candidates
+are folded in that order with first-on-ties minimum and maximum, as Python's
+``min`` and ``max`` would pick them.
+
+Invalid lanes, and lanes that divide by an interval containing zero, may
+hold inf or nan.  The operations leave numpy's floating-point warnings alone;
+:func:`coopcast.prover.prove` and :func:`coopcast.prover.interval_eval`
+silence them with ``numpy.errstate(all="ignore")``, entered once per call.
+
 The rounding realization is recorded in proof certificates as
 ``ROUNDING_MODE``.
 """
@@ -42,20 +54,15 @@ class DomainError(ValueError):
     """Operand interval leaves the mathematical domain of an operation."""
 
 
-def _down(x):
-    return np.nextafter(x, -_INF)
-
-
-def _up(x):
-    return np.nextafter(x, _INF)
-
-
 def _down2(x):
     return np.nextafter(np.nextafter(x, -_INF), -_INF)
 
 
 def _up2(x):
     return np.nextafter(np.nextafter(x, _INF), _INF)
+
+
+_PI_UP = _up2(math.pi)
 
 
 # Python's min and max keep the first argument on ties (which decides the
@@ -68,9 +75,18 @@ def _max(a, b):
     return np.where(b > a, b, a)
 
 
-# Lanes already invalid, or dividing by an interval that contains zero, may
-# hold inf or nan; they are marked invalid, so numpy's warnings say nothing.
-_quiet = np.errstate(all="ignore")
+def _pairs(x: Interval, y: Interval):
+    """``(lo, hi)`` of ``x`` as a (2, 1, ...) array and of ``y`` as a
+    (1, 2, ...) one, padded to the same number of lane axes, so that an
+    operation between them gives the four endpoint combinations as a
+    (2, 2, ...) stack in the order lo.lo, lo.hi, hi.lo, hi.hi."""
+    a = np.array((x.lo, x.hi))
+    b = np.array((y.lo, y.hi))
+    pad = max(a.ndim, b.ndim)
+    return (
+        a.reshape((2, 1) + (1,) * (pad - a.ndim) + a.shape[1:]),
+        b.reshape((1, 2) + (1,) * (pad - b.ndim) + b.shape[1:]),
+    )
 
 
 def _raises(bad) -> bool:
@@ -93,7 +109,7 @@ class Interval:
             hi = lo
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
-        bad = np.isnan(lo) | np.isnan(hi) | (lo > hi)
+        bad = ~(lo <= hi)  # nan on either side, or lo > hi
         if bad.ndim == 0:
             if bad or invalid:
                 raise ValueError(f"invalid interval [{lo}, {hi}]")
@@ -143,12 +159,6 @@ class Interval:
         # An empty lane gets a placeholder so the result stays well formed.
         return Interval(np.where(bad, hi, lo), hi, self.invalid | other.invalid | bad)
 
-    def split(self) -> tuple["Interval", "Interval"]:
-        m = self.mid
-        if not (self.lo < m < self.hi):
-            raise DomainError(f"interval {self} too thin to split")
-        return Interval(self.lo, m), Interval(m, self.hi)
-
     def take(self, lanes) -> "Interval":
         """The lanes selected by an index or index array; a float interval
         is the same on every lane."""
@@ -165,61 +175,69 @@ class Interval:
     def __neg__(self) -> "Interval":
         return Interval(-self.hi, -self.lo, self.invalid)
 
-    @_quiet
     def __add__(self, other) -> "Interval":
         o = self._coerce(other)
-        return Interval(_down(self.lo + o.lo), _up(self.hi + o.hi), self.invalid | o.invalid)
+        return Interval(
+            np.nextafter(self.lo + o.lo, -_INF),
+            np.nextafter(self.hi + o.hi, _INF),
+            self.invalid | o.invalid,
+        )
 
     __radd__ = __add__
 
-    @_quiet
     def __sub__(self, other) -> "Interval":
         o = self._coerce(other)
-        return Interval(_down(self.lo - o.hi), _up(self.hi - o.lo), self.invalid | o.invalid)
+        return Interval(
+            np.nextafter(self.lo - o.hi, -_INF),
+            np.nextafter(self.hi - o.lo, _INF),
+            self.invalid | o.invalid,
+        )
 
     def __rsub__(self, other) -> "Interval":
         return self._coerce(other) - self
 
     @staticmethod
     def _bounds(candidates, exact_zero):
-        """Outward bounds of the four endpoint products or quotients; the
-        ones flagged in ``exact_zero`` are exactly 0."""
-        lo = hi = None
-        for c, zero in zip(candidates, exact_zero):
-            down = np.where(zero, 0.0, _down(c))
-            up = np.where(zero, 0.0, _up(c))
-            lo = down if lo is None else _min(lo, down)
-            hi = up if hi is None else _max(hi, up)
-        return lo, hi
+        """Outward bounds of a (2, 2, ...) stack of endpoint products or
+        quotients, overwritten; the ones flagged in ``exact_zero`` are
+        exactly 0.  The four candidates are folded in stack order as
+        ``_min`` and ``_max`` fold them, keeping the first of equal
+        candidates (which decides the sign of a zero bound), so a NaN
+        decides only in first place."""
+        down = np.nextafter(candidates, -_INF)
+        up = np.nextafter(candidates, _INF, out=candidates)
+        np.copyto(down, 0.0, where=exact_zero)
+        np.copyto(up, 0.0, where=exact_zero)
+        # One row per candidate; the first row collects the bounds in place,
+        # and the last step returns new arrays, so the stacks are freed.
+        down = down.reshape(4, -1)
+        up = up.reshape(4, -1)
+        lo, hi = down[0], up[0]
+        for d, u in zip(down[1:3], up[1:3]):
+            np.copyto(lo, d, where=d < lo)
+            np.copyto(hi, u, where=u > hi)
+        lanes = candidates.shape[2:]
+        return _min(lo, down[3]).reshape(lanes), _max(hi, up[3]).reshape(lanes)
 
-    @_quiet
     def __mul__(self, other) -> "Interval":
         o = self._coerce(other)
+        a, b = _pairs(self, o)
         # Multiplication by an exactly-zero endpoint is exact.
-        a_lo, a_hi = self.lo == 0.0, self.hi == 0.0
-        b_lo, b_hi = o.lo == 0.0, o.hi == 0.0
-        lo, hi = self._bounds(
-            (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi),
-            (a_lo | b_lo, a_lo | b_hi, a_hi | b_lo, a_hi | b_hi),
-        )
+        lo, hi = self._bounds(a * b, (a == 0.0) | (b == 0.0))
         return Interval(lo, hi, self.invalid | o.invalid)
 
     __rmul__ = __mul__
 
-    @_quiet
     def __truediv__(self, other) -> "Interval":
         o = self._coerce(other)
         bad = (o.lo <= 0.0) & (0.0 <= o.hi)
         if np.ndim(self.lo) == 0 and _raises(bad):
             raise DomainError(f"division by interval containing zero: {o}")
-        a_lo, a_hi = self.lo == 0.0, self.hi == 0.0
-        lo, hi = self._bounds(
-            (self.lo / o.lo, self.lo / o.hi, self.hi / o.lo, self.hi / o.hi),
-            (a_lo, a_lo, a_hi, a_hi),
-        )
-        return Interval(
-            np.where(bad, 0.0, lo), np.where(bad, 0.0, hi), self.invalid | o.invalid | bad
-        )
+        a, b = _pairs(self, o)
+        # An exactly-zero numerator is exact; a divisor that contains zero
+        # gives the placeholder [0, 0] on its invalid lanes.
+        lo, hi = self._bounds(a / b, (a == 0.0) | bad)
+        return Interval(lo, hi, self.invalid | o.invalid | bad)
 
     def __rtruediv__(self, other) -> "Interval":
         return self._coerce(other) / self
@@ -231,10 +249,11 @@ class Interval:
         if _raises(bad):
             raise DomainError(f"sqrt of negative interval {self}")
         # Clamping hi as well keeps np.sqrt off the negative, invalid lanes.
-        lo = _max(self.lo, 0.0)
-        hi = _max(self.hi, 0.0)
-        slo = np.where(lo == 0.0, 0.0, _max(_down(np.sqrt(lo)), 0.0))
-        shi = np.where(hi == 0.0, 0.0, _up(np.sqrt(hi)))
+        # Which zero np.maximum keeps does not matter: zero lanes become 0.0.
+        lo = np.maximum(self.lo, 0.0)
+        hi = np.maximum(self.hi, 0.0)
+        slo = np.where(lo == 0.0, 0.0, np.nextafter(np.sqrt(lo), -_INF))
+        shi = np.where(hi == 0.0, 0.0, np.nextafter(np.sqrt(hi), _INF))
         return Interval(slo, shi, self.invalid | bad)
 
     def pow32(self) -> "Interval":
@@ -242,19 +261,19 @@ class Interval:
         bad = self.hi < 0.0
         if _raises(bad):
             raise DomainError(f"pow32 of negative interval {self}")
-        lo = _max(self.lo, 0.0)
-        hi = _max(self.hi, 0.0)
+        lo = np.maximum(self.lo, 0.0)
+        hi = np.maximum(self.hi, 0.0)
         plo = np.where(lo == 0.0, 0.0, _down2(lo * np.sqrt(lo)))
         phi = np.where(hi == 0.0, 0.0, _up2(hi * np.sqrt(hi)))
-        return Interval(_max(plo, 0.0), phi, self.invalid | bad)
+        return Interval(np.maximum(plo, 0.0), phi, self.invalid | bad)
 
     def sq(self) -> "Interval":
         """x ** 2 as a single monotone-on-|x| operation (tighter than x*x)."""
         a, b = np.abs(self.lo), np.abs(self.hi)
         lo_abs = np.where((self.lo <= 0.0) & (0.0 <= self.hi), 0.0, _min(a, b))
         hi_abs = _max(a, b)
-        lo = np.where(lo_abs == 0.0, 0.0, _down(lo_abs * lo_abs))
-        return Interval(lo, _up(hi_abs * hi_abs), self.invalid)
+        lo = np.where(lo_abs == 0.0, 0.0, np.nextafter(lo_abs * lo_abs, -_INF))
+        return Interval(lo, np.nextafter(hi_abs * hi_abs, _INF), self.invalid)
 
     def acos(self) -> "Interval":
         """arccos, decreasing; arguments clipped into [-1, 1] (each clipped
@@ -274,7 +293,7 @@ class Interval:
         acos_hi = np.asarray(acos(np.where(skip, 0.0, lo)), dtype=float)
         return Interval(
             _max(_down2(acos_lo), 0.0),
-            _min(_up2(acos_hi), _up2(math.pi)),
+            _min(_up2(acos_hi), _PI_UP),
             self.invalid | bad,
         )
 

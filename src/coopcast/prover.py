@@ -233,19 +233,11 @@ EXPRESSIONS = {
 
 @dataclass(frozen=True)
 class Box:
+    """A box of the proof tree, reported as a refutation or exhaustion
+    witness."""
+
     intervals: tuple[Interval, ...]
     depth: int = 0
-
-    def midpoint(self) -> tuple[float, ...]:
-        return tuple(iv.mid for iv in self.intervals)
-
-    def split(self, dim: int) -> tuple["Box", "Box"]:
-        lo_iv, hi_iv = self.intervals[dim].split()
-        parts = list(self.intervals)
-        parts[dim] = lo_iv
-        left = Box(tuple(parts), self.depth + 1)
-        parts[dim] = hi_iv
-        return left, Box(tuple(parts), self.depth + 1)
 
     def as_lists(self) -> list[list[float]]:
         return [[iv.lo, iv.hi] for iv in self.intervals]
@@ -317,6 +309,10 @@ class ProofResult:
         return json.dumps(self.certificate(), indent=2, sort_keys=True)
 
 
+# Lanes already invalid, or dividing by an interval that contains zero, may
+# hold inf or nan; they are marked invalid, so numpy's warnings are silenced
+# once per evaluation or proof instead of in every interval operation.
+@np.errstate(all="ignore")
 def interval_eval(expression: str, *intervals: Interval) -> Interval:
     """Evaluate one of the cataloged expressions over an interval box."""
     arity, fn = EXPRESSIONS[expression]
@@ -368,6 +364,7 @@ def _box(lo: np.ndarray, hi: np.ndarray, depth: int) -> Box:
     return Box(tuple(Interval(a, b) for a, b in zip(lo.tolist(), hi.tolist())), depth)
 
 
+@np.errstate(all="ignore")
 def prove(task: ProofTask, max_boxes: int = 2**24) -> ProofResult:
     """Decide a :class:`ProofTask` by deterministic adaptive bisection.
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,8 +84,6 @@ def test_structure_helpers():
     assert a.width == 2.0
     assert a.mid == 2.0
     assert a.subset_of(Interval(0.0, 4.0))
-    lo, hi = a.split()
-    assert lo.hi == hi.lo == 2.0
     with pytest.raises(DomainError):
         Interval(0.0, 1.0).intersect(Interval(2.0, 3.0))
 
@@ -106,6 +105,139 @@ def test_refinement_shrinks_enclosure(ap):
         return
     expr = lambda t: t * t - t  # noqa: E731
     whole = expr(a)
-    lo, hi = a.split()
-    halves = expr(lo).hull(expr(hi))
+    halves = expr(Interval(a.lo, a.mid)).hull(expr(Interval(a.mid, a.hi)))
     assert halves.subset_of(whole) or halves.width <= whole.width + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# products and quotients, bit for bit against a per-lane reference
+# ---------------------------------------------------------------------------
+
+_SPECIAL = (
+    0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 0.75, -1.5, 3.0,
+    1e300, -1e300, 1.7e308, -1.7e308, math.inf, -math.inf,
+)
+
+#: (numerator or first factor, divisor or second factor) lanes for the
+#: cases a fold of the four candidates can get wrong.
+_CRAFTED = (
+    ((1.0, math.inf), (1.0, math.inf)),  # inf / inf, last
+    ((1.0, math.inf), (-math.inf, -1.0)),  # inf / -inf third, -inf fourth
+    ((-math.inf, 5.0), (-math.inf, -1.0)),  # inf / inf first: invalid
+    ((math.inf, math.inf), (math.inf, math.inf)),
+    ((-5e-324, 0.0), (1.0, 1.0)),  # hi is -0.0, ahead of an exact 0.0
+    ((-5e-324, -5e-324), (0.5, 1.0)),  # products that round to -0.0
+    ((0.0, 0.0), (-math.inf, math.inf)),  # 0 * inf is exactly 0
+    ((-0.0, 0.0), (-0.0, 0.0)),
+    ((1e300, 1.7e308), (1e-10, 1e300)),  # overflow to inf
+    ((5e-324, 5e-324), (0.25, 0.5)),  # underflow to 0
+)
+
+
+def _reference(op, a, b):
+    """``a op b`` on one lane in Python floats: ``(lo, hi, invalid)``.
+
+    The four endpoint products or quotients, in the order lo.lo, lo.hi,
+    hi.lo, hi.hi, are stepped outward with ``math.nextafter`` and bounded
+    with builtin ``min`` and ``max`` (the first of equal candidates wins).
+    A product with an exactly-zero factor, or a quotient with an exactly-zero
+    numerator, is exactly 0; a divisor that contains zero gives [0, 0]."""
+    (alo, ahi), (blo, bhi) = map(float, a), map(float, b)
+    if op == "/" and blo <= 0.0 <= bhi:
+        return 0.0, 0.0, True
+    down, up = [], []
+    for x, y in ((alo, blo), (alo, bhi), (ahi, blo), (ahi, bhi)):
+        if x == 0.0 or (op == "*" and y == 0.0):
+            down.append(0.0)
+            up.append(0.0)
+        else:
+            c = x * y if op == "*" else x / y
+            down.append(math.nextafter(c, -math.inf))
+            up.append(math.nextafter(c, math.inf))
+    lo, hi = min(down), max(up)
+    return lo, hi, not lo <= hi
+
+
+def _endpoints(rng, op, count):
+    """(lo, hi) rows, lo <= hi, of both operands: the crafted lanes, then
+    random ones whose endpoints are a special value (signed zeros, the least
+    subnormal, values whose products overflow, infinities) one time in four
+    and otherwise of random magnitude from 2**-1074 to 2**1020.  A random
+    divisor has one sign, except every fourth, which contains zero."""
+    a, b = np.array(_CRAFTED).transpose(1, 0, 2)
+    ends = []
+    for crafted in (a, b):
+        shape = (count - len(crafted), 2)
+        special = rng.choice(np.array(_SPECIAL), shape)
+        scaled = np.ldexp(rng.uniform(-2.0, 2.0, shape), rng.integers(-1074, 1020, shape))
+        values = np.where(rng.random(shape) < 0.25, special, scaled)
+        if op == "/" and crafted is b:
+            values = np.abs(values) * rng.choice([-1.0, 1.0], (len(values), 1))
+        ends.append(np.concatenate((crafted, np.sort(values, axis=1))))
+    if op == "/":
+        straddle = [(-1.0, 2.0), (0.0, 3.0), (-0.0, 0.0), (-5e-324, 5e-324)]
+        ends[1][len(_CRAFTED) :: 4] = (straddle * count)[: len(ends[1][len(_CRAFTED) :: 4])]
+    return ends
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def _lane_mismatches(op, shape, seed, count=400):
+    """The lanes of ``a op b``, ``a`` and ``b`` floats or arrays as
+    ``shape`` says, whose bits or invalid flag differ from ``_reference``.
+    A float operand takes the endpoints of one lane at a time: every lane
+    when both are floats, else the first 40."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    a_ends, b_ends = _endpoints(rng, op, count)
+    a_float, b_float = (side == "float" for side in shape.split("*"))
+    steps = range(count) if a_float and b_float else range(40) if a_float or b_float else [0]
+    mismatches = []
+    with np.errstate(all="ignore"):
+        for k in steps:
+            lanes = [k] if a_float and b_float else range(count)
+            refs = [
+                _reference(op, a_ends[k if a_float else j], b_ends[k if b_float else j])
+                for j in lanes
+            ]
+            a = Interval(*a_ends[k]) if a_float else Interval(a_ends[:, 0], a_ends[:, 1])
+            b = Interval(*b_ends[k]) if b_float else Interval(b_ends[:, 0], b_ends[:, 1])
+            try:
+                got = a * b if op == "*" else a / b
+            except ValueError:
+                # A float operation raises where its lane would be invalid.
+                if not (a_float and b_float and refs[0][2]):
+                    mismatches.append(k)
+                continue
+            los, his, invalids = np.ravel(got.lo), np.ravel(got.hi), np.ravel(got.invalid)
+            for j, (lo, hi, invalid) in enumerate(refs):
+                if (_bits(los[j]), _bits(his[j]), bool(invalids[j])) != (
+                    _bits(lo),
+                    _bits(hi),
+                    invalid,
+                ):
+                    mismatches.append((k, lanes[j]))
+    return mismatches
+
+
+_SHAPES = ("float*float", "float*array", "array*float", "array*array")
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
+@pytest.mark.parametrize("op", ["*", "/"])
+def test_products_and_quotients_match_lane_reference_bit_for_bit(op, shape):
+    assert _lane_mismatches(op, shape, seed=_SHAPES.index(shape)) == []
+
+
+def test_lane_reference_catches_inward_rounding(monkeypatch):
+    # Bounds taken without the outward step round every endpoint inward.
+    def inward(candidates, exact_zero):
+        c = np.where(exact_zero, 0.0, candidates).reshape(4, -1)
+        lanes = candidates.shape[2:]
+        return c.min(axis=0).reshape(lanes), c.max(axis=0).reshape(lanes)
+
+    monkeypatch.setattr(Interval, "_bounds", staticmethod(inward))
+    for op in ("*", "/"):
+        for shape in _SHAPES:
+            assert _lane_mismatches(op, shape, seed=_SHAPES.index(shape)), (op, shape)

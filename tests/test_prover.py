@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -126,14 +127,6 @@ def test_task_validation():
         ProofTask("bad", "segment_shape", FULL, "<=", 0.0)  # wrong arity
 
 
-def test_box_split_deterministic():
-    box = Box((Interval(0.0, 2.0), Interval(0.0, 1.0)))
-    lo, hi = box.split(0)
-    assert lo.intervals[0] == Interval(0.0, 1.0)
-    assert hi.intervals[0] == Interval(1.0, 2.0)
-    assert lo.depth == 1
-
-
 def test_suite_names_cover_all_claims():
     names = {t.name for t in inequality_suite()}
     assert {
@@ -160,11 +153,45 @@ def test_suite_names_cover_all_claims():
 # ---------------------------------------------------------------------------
 
 
+def _halves(iv):
+    """The two halves of an interval, cut at its midpoint."""
+    m = iv.mid
+    if not (iv.lo < m < iv.hi):
+        raise DomainError(f"interval {iv} too thin to split")
+    return Interval(iv.lo, m), Interval(m, iv.hi)
+
+
+def _split_box(box, dim):
+    """The lo and hi halves of a box along dimension ``dim``, one level
+    deeper."""
+    lo_iv, hi_iv = _halves(box.intervals[dim])
+    parts = list(box.intervals)
+    parts[dim] = lo_iv
+    left = Box(tuple(parts), box.depth + 1)
+    parts[dim] = hi_iv
+    return left, Box(tuple(parts), box.depth + 1)
+
+
+def _midpoint(box):
+    return tuple(iv.mid for iv in box.intervals)
+
+
+def test_box_split_deterministic():
+    box = Box((Interval(0.0, 2.0), Interval(0.0, 1.0)))
+    lo, hi = _split_box(box, 0)
+    assert lo.intervals[0] == Interval(0.0, 1.0)
+    assert hi.intervals[0] == Interval(1.0, 2.0)
+    assert lo.intervals[0].hi == hi.intervals[0].lo == 1.0
+    assert lo.intervals[1] == hi.intervals[1] == Interval(0.0, 1.0)
+    assert lo.depth == hi.depth == 1
+    with pytest.raises(DomainError):
+        _halves(Interval(1.0))
+
+
 def _level_order_reference(task, stop_depth=None):
     """The box tree walked in level order one box at a time, with float
     intervals: boxes per depth, and the first refuting box with its point
     and point enclosure (``None`` when no box refutes)."""
-    _, fn = EXPRESSIONS[task.expression]
     spans = [hi - lo for lo, hi in task.domain]
     level = [Box(tuple(Interval(lo, hi) for lo, hi in task.domain))]
     per_depth = []
@@ -173,15 +200,16 @@ def _level_order_reference(task, stop_depth=None):
         undecided = []
         for box in level:
             try:
-                if _certifies(fn(*box.intervals), task.relation, task.bound):
+                enc = interval_eval(task.expression, *box.intervals)
+                if _certifies(enc, task.relation, task.bound):
                     continue
             except DomainError:
                 pass
             undecided.append(box)
         for box in undecided:
-            mid = box.midpoint()
+            mid = _midpoint(box)
             try:
-                point_enc = fn(*(Interval(m) for m in mid))
+                point_enc = interval_eval(task.expression, *(Interval(m) for m in mid))
             except DomainError:
                 continue
             if _certifies(point_enc, _NEGATION[task.relation], task.bound):
@@ -191,7 +219,7 @@ def _level_order_reference(task, stop_depth=None):
         level = []
         for box in undecided:
             rel = [iv.width / s if s > 0 else 0.0 for iv, s in zip(box.intervals, spans)]
-            level.extend(box.split(rel.index(max(rel))))
+            level.extend(_split_box(box, rel.index(max(rel))))
     return per_depth, None, None, None
 
 
@@ -240,6 +268,41 @@ def test_proof_telemetry():
     assert res.boxes_per_depth == [1] and res.acos_clips == 0
     far = prove(by_name["area_scaled_far_lower"])
     assert far.acos_clips > 0
+
+
+def test_prover_goes_through_the_interval_methods(monkeypatch):
+    # The benchmark counts interval operations by wrapping these methods
+    # (perfbench/tracer.py, IntervalCounter); a prover that bypassed them
+    # would count nothing.
+    counts = dict.fromkeys(("__mul__", "__add__"), 0)
+
+    def counted(name, orig):
+        def op(self, other):
+            counts[name] += 1
+            return orig(self, other)
+
+        return op
+
+    for name in counts:
+        monkeypatch.setattr(Interval, name, counted(name, getattr(Interval, name)))
+    by_name = {t.name: t for t in inequality_suite()}
+    res = prove(by_name["area_scaled_lower"])
+    assert res.verdict == "proved" and res.boxes_processed == 127
+    assert counts["__mul__"] > 0 and counts["__add__"] > 0
+
+
+def test_prove_and_interval_eval_raise_no_numpy_warning():
+    # Boxes at x = 0 divide by intervals that contain zero: the lanes are
+    # marked invalid and numpy stays silent.
+    x = Interval(np.array([0.0, 0.5]), np.array([2.0, 1.5]))
+    z = Interval(np.array([0.0, 0.25]), np.array([1.0, 1.0]))
+    task = ProofTask("singular", "lens_area_curvature", FULL, "<=", -0.125)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        enc = interval_eval("lens_area_curvature", x, z)
+        res = prove(task, max_boxes=256)
+    assert enc.invalid.tolist() == [True, False]
+    assert res.verdict != "proved"
 
 
 def _g(t):
@@ -333,15 +396,15 @@ def _bits(value) -> bytes:
 
 @pytest.mark.parametrize("name", sorted(EXPRESSIONS))
 def test_batched_enclosures_match_per_box_and_mpmath(name):
-    arity, fn = EXPRESSIONS[name]
+    arity, _ = EXPRESSIONS[name]
     rng = np.random.Generator(np.random.Philox(sorted(EXPRESSIONS).index(name)))
     lo, hi = _random_boxes(rng, arity, 200)
-    batch = fn(*(Interval(lo[:, i], hi[:, i]) for i in range(arity)))
+    batch = interval_eval(name, *(Interval(lo[:, i], hi[:, i]) for i in range(arity)))
     checked = 0
     with mpmath.workdps(50):
         for k in range(len(lo)):
             try:
-                one = fn(*(Interval(lo[k, i], hi[k, i]) for i in range(arity)))
+                one = interval_eval(name, *(Interval(lo[k, i], hi[k, i]) for i in range(arity)))
             except DomainError:
                 assert batch.invalid[k], (k, lo[k], hi[k])
                 continue
