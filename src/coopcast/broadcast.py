@@ -27,6 +27,7 @@ from .signal_model import (
     SenderSet,
     SignalParams,
     center_sync_phases,
+    mimo_amplitude_bounds,
     received_phasor,
     snr_received_energy,
 )
@@ -53,7 +54,11 @@ class RoundRecord:
     frontier_radius: float
     senders_active: int
     receivers: int  # uninformed eligible nodes the round considered
-    pairs_evaluated: int  # receiver x sender pairs passed to a reception kernel
+    # Receiver x sender pairs evaluated: every candidate's pairs under MIMO,
+    # where the screen evaluates them all and the exact kernel re-evaluates
+    # the rows the screen leaves open; under SNR the pairs of the candidates
+    # the distance bounds leave to the kernel; 0 under UDG.
+    pairs_evaluated: int
     disk_radius_r_j: float | None = None
 
 
@@ -154,7 +159,7 @@ def _receive(
     """The candidates that this round's senders inform, how far the signal
     travelled (the largest distance from a newly informed node to its
     nearest sender, 0 when nobody is informed), and how many receiver x
-    sender pairs went through a reception kernel."""
+    sender pairs were evaluated (see :class:`RoundRecord`)."""
     if senders.m == 0:
         return candidates[:0], 0.0, 0
     tree = cKDTree(senders.positions)
@@ -168,7 +173,7 @@ def _receive(
         params = config.params
         if config.model == "SNR":
             triggered, rows = _snr_bounds(field_, senders, candidates, d_min, params)
-        else:  # a coherent sum can cancel: no bound decides a MIMO receiver
+        else:  # a coherent sum can cancel: the screen, not a bound, decides
             triggered = np.zeros(candidates.size, dtype=bool)
             rows = np.arange(candidates.size)
         chunk = max(1, _PAIR_BUDGET // senders.m)
@@ -176,7 +181,12 @@ def _receive(
             block = rows[start : start + chunk]
             if config.model == "SNR":
                 level = snr_received_energy(senders, pts[block], params)
-            else:
+            else:  # rows the screen leaves open, or on beta N0, go to the kernel
+                lower, upper = mimo_amplitude_bounds(senders, pts[block], params)
+                triggered[block] = lower**2 >= params.beta_N0
+                block = block[~triggered[block] & (upper**2 >= params.beta_N0)]
+                if block.size == 0:
+                    continue
                 level = np.abs(received_phasor(senders, pts[block], params)) ** 2
             triggered[block] = level >= params.beta_N0
         pairs = senders.m * rows.size

@@ -4,6 +4,11 @@ The MIMO model superposes complex phasors of all senders, the SNR model adds
 per-sender received energies, and the UDG model is plain distance <= 1.
 Demodulation is evaluated in closed form: the time-domain Fourier integral
 collapses to the phasor sum for a steady-state window.
+
+:func:`received_phasor` is the exact MIMO kernel.  :func:`mimo_amplitude_bounds`
+is its screen: a float32-trig phasor sum with a rigorous error bound, which
+encloses the |z| the kernel would return, so a receiver whose enclosure
+lies clear of the threshold is decided without the kernel.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ __all__ = [
     "SenderSet",
     "center_sync_phases",
     "received_phasor",
+    "mimo_amplitude_bounds",
     "mimo_triggered",
     "snr_received_energy",
     "snr_triggered",
@@ -27,14 +33,14 @@ __all__ = [
     "field_map",
 ]
 
-# Receiver x sender pairs per reception kernel call: each call's temporaries
-# are a few arrays of this many elements, whatever the number of senders.
-# A MIMO block holds two float64 arrays and one complex128 array, 32 bytes a
-# pair: 1 MiB at 2^15 pairs, within a 2 MiB per-core L2 cache.  Of the
-# budgets 2^14 to 2^17 this one ran the MIMO broadcast fastest, on
-# criterion 08's five fields with two threads on a 2-vCPU x86-64 host:
-# median 4.93 s, against 5.03, 5.13 and 5.15 s for 2^14, 2^16 and 2^17
-# (six interleaved runs each).
+# Receiver x sender pairs per reception kernel or screen call: each call's
+# temporaries are a few arrays of this many elements, whatever the number of
+# senders.  A MIMO kernel block holds two float64 arrays and one complex128
+# array, a screen block three float64 and two float32 arrays: 32 bytes a
+# pair either way, 1 MiB at 2^15 pairs, within a 2 MiB per-core L2 cache.
+# Of the budgets 2^14 to 2^17 this one ran the MIMO broadcast fastest on
+# criterion 08's five fields, one thread on a 2-vCPU x86-64 host: median
+# 1.91 s against 2.05, 2.91 and 3.07 s (three interleaved runs each).
 _PAIR_BUDGET = 2**15
 
 # A node at distance exactly 1 hears a UDG sender, but a kd-tree query's
@@ -155,6 +161,84 @@ def received_phasor(senders: SenderSet, q, params: SignalParams):
     np.multiply(terms.imag, weight, out=terms.imag)
     z = terms.sum(axis=1)
     return complex(z[0]) if single else z
+
+
+# The screen's error bound, as a multiple of a row's weight sum
+# W = sum_j a_j / max(d_j, c_f lam): |screen |z| - kernel |z|| <= eps W for
+# every receiver whose phases stay within _PHASE_LIMIT radians, with at
+# most _SCREEN_SENDERS senders.  Terms per unit of weight, with u = 2^-53
+# and M <= 2^20 the largest phase magnitude of the row:
+# - the phase, against the kernel's: sqrt(dx^2 + dy^2) and hypot differ by
+#   at most 4u relative, and the multiply, divide and add round in each
+#   computation, at most 11u M = 2^-29.5;
+# - the reduction theta - rint(theta / 2pi) 2pi: the float 2pi's error
+#   times |rint(...)| <= M / 2pi + 1, the product and the subtraction,
+#   at most 2u M = 2^-32;
+# - the float32 cast of the reduced phase, below 4 in magnitude: 2^-23;
+# - float32 cos/sin, as the modulus |(cos, sin) - e^{it}|: _TRIG_ERROR =
+#   12 * 2^-24 (measured worst 1.41 * 2^-24, over every float32 in
+#   [-pi, pi]; tests/test_signal.py checks a dense sample against 1/8 of it);
+# - the weights against the kernel's: the distances (4u) and a division in
+#   each (2u), 6u;
+# - the screen's products (2u) and float64 row sums, (m - 1)u each for the
+#   real and imaginary parts with m <= 2^20, at most 2^-32;
+# - the kernel's own rounding: complex exp and the weight product (2u
+#   each) and its pairwise sum ((m - 1)u), at most 2^-32;
+# - abs of both sums (hypot, 2u each) and subtracting the slack (u), 5u.
+# The sum is below 14.1 * 2^-24; eps = 2^-18 = 64 * 2^-24 is more than
+# four times it.  The decision squares a bound: squaring rounds
+# monotonically, so lower^2 >= beta N0 implies |z|^2 >= beta N0 and
+# upper^2 < beta N0 implies |z|^2 < beta N0 as the kernel computes them.
+_TRIG_ERROR = 12 * 2.0**-24
+_MIMO_EPS = 2.0**-18
+_PHASE_LIMIT = 2.0**20
+_SCREEN_SENDERS = 2**20
+
+
+def mimo_amplitude_bounds(senders: SenderSet, q, params: SignalParams):
+    """Lower and upper bounds, per receiver, on ``np.abs(received_phasor(
+    senders, q, params))``.
+
+    The screen sums the phasors with float32 cos and sin of the phase
+    reduced to [-pi, pi] in float64, and widens |z| by eps W on each side
+    (see ``_MIMO_EPS``).  Receivers outside the bound's preconditions get
+    the bounds (0, inf), which decide nothing.
+    """
+    qa, single = _receivers(q)
+    if senders.m == 0:
+        zero = np.zeros(qa.shape[0])
+        return (0.0, 0.0) if single else (zero, zero.copy())
+    pos = senders.positions
+    dist = qa[:, 0, None] - pos[:, 0]
+    theta = qa[:, 1, None] - pos[:, 1]
+    np.multiply(dist, dist, out=dist)
+    np.multiply(theta, theta, out=theta)
+    np.add(dist, theta, out=dist)
+    np.sqrt(dist, out=dist)
+    # The kernel's phase, then its nearest multiple of 2 pi subtracted.
+    np.multiply(dist, -2.0 * np.pi, out=theta)
+    np.divide(theta, params.lam, out=theta)
+    np.add(theta, senders.phases, out=theta)
+    turns = np.multiply(theta, 1.0 / (2.0 * np.pi))
+    np.rint(turns, out=turns)
+    np.multiply(turns, 2.0 * np.pi, out=turns)
+    np.subtract(theta, turns, out=theta)
+    cos = theta.astype(np.float32)
+    sin = np.sin(cos)
+    np.cos(cos, out=cos)
+    # |phase| <= 2 pi (d / lam + 1) bounds every phase of a row.
+    outside = 2.0 * np.pi * (dist.max(axis=1) / params.lam + 1.0) > _PHASE_LIMIT
+    outside |= senders.m > _SCREEN_SENDERS
+    weight = np.maximum(dist, params.c_f * params.lam, out=dist)
+    np.divide(senders.amplitudes, weight, out=weight)
+    amplitude = np.hypot(np.einsum("km,km->k", weight, cos),
+                         np.einsum("km,km->k", weight, sin))
+    slack = _MIMO_EPS * weight.sum(axis=1)
+    lower = np.maximum(amplitude - slack, 0.0)
+    upper = amplitude + slack
+    lower[outside] = 0.0
+    upper[outside] = np.inf
+    return (float(lower[0]), float(upper[0])) if single else (lower, upper)
 
 
 def mimo_triggered(senders: SenderSet, q, params: SignalParams):

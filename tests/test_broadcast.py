@@ -219,7 +219,7 @@ def test_miso_covered_by_bootstrap():
 
 def test_reception_memory_bounded_by_pair_budget(monkeypatch):
     # 600 center-synchronized MIMO senders, 3000 receivers: one unchunked
-    # kernel call would hold 1.8M pairs (about 60 MB).  Chunked by the pair
+    # screen call would hold 1.8M pairs (about 60 MB).  Chunked by the pair
     # budget, the peak stays near 35 bytes per budgeted pair, and the
     # informed set and travel distance do not change.
     fld = sample_field(3600, 6.0, seed=3)
@@ -240,8 +240,21 @@ def test_reception_memory_bounded_by_pair_budget(monkeypatch):
     assert pairs == whole[2] == active.size * candidates.size
 
 
+def _kernel_receivers(monkeypatch) -> set[tuple[float, float]]:
+    """Wrap the exact MIMO kernel where ``broadcast`` looks it up; the
+    returned set collects the receiver positions of every call."""
+    seen = set()
+
+    def spied(senders, q, params):
+        seen.update(map(tuple, np.asarray(q)))
+        return received_phasor(senders, q, params)
+
+    monkeypatch.setattr(broadcast, "received_phasor", spied)
+    return seen
+
+
 @pytest.mark.parametrize("seed", [0, 1])
-def test_mimo_receive_informs_center_synced_reference(seed):
+def test_mimo_receive_informs_center_synced_reference(monkeypatch, seed):
     # MIMO senders transmit with center-synchronized phases: a round informs
     # exactly the candidates where those phases put |z|^2 at or above
     # beta N0.  Thresholds are the default 1 and three of the candidates'
@@ -256,9 +269,14 @@ def test_mimo_receive_informs_center_synced_reference(seed):
     thresholds = [1.0] + [float(ordered[int(q * (ordered.size - 1))]) for q in (0.1, 0.5, 0.9)]
     for beta in thresholds:
         config = BroadcastConfig(model="MIMO", params=SignalParams(beta_N0=beta))
+        kernel_rows = _kernel_receivers(monkeypatch)
         newly, _, pairs = _receive(fld, active, candidates, config)
+        monkeypatch.undo()
         assert newly.tolist() == candidates[level >= beta].tolist()
         assert pairs == active.size * candidates.size
+        # A level on the threshold is left to the exact kernel.
+        on_threshold = {tuple(p) for p in fld.positions[candidates[level == beta]]}
+        assert on_threshold <= kernel_rows
 
 
 def _count_snr_pairs(monkeypatch) -> list[int]:

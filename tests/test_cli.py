@@ -185,15 +185,17 @@ def drawn(monkeypatch):
 
 
 def test_miso_fieldmap_draws_the_senders_the_kernel_received(tmp_path, monkeypatch, drawn):
+    # Every MIMO candidate goes through the reception screen, which decides
+    # most of them without the exact kernel: spy on the screen.
     received = []  # the SenderSet of each round, once per round
-    phasor = broadcast.received_phasor
+    screen = broadcast.mimo_amplitude_bounds
 
     def spy(senders, q, params):
         if not received or received[-1] is not senders:
             received.append(senders)
-        return phasor(senders, q, params)
+        return screen(senders, q, params)
 
-    monkeypatch.setattr(broadcast, "received_phasor", spy)
+    monkeypatch.setattr(broadcast, "mimo_amplitude_bounds", spy)
     out = tmp_path / "maps"
     assert main([*MISO_FIELDMAP, "--n", "1000", "--seed", "0", "--output-dir", str(out)]) == 0
     models = [model for model, _ in drawn]

@@ -10,7 +10,9 @@ from coopcast.signal_model import (
     GridSpec,
     SenderSet,
     SignalParams,
+    center_sync_phases,
     field_map,
+    mimo_amplitude_bounds,
     mimo_triggered,
     received_phasor,
     snr_received_energy,
@@ -370,3 +372,90 @@ def test_field_map_memory_bounded_by_pair_budget(model):
     z, rs = reference_kernels(senders, sample, PARAMS)
     whole = np.abs(z) ** 2 if model == "MIMO" else rs
     assert np.array_equal(fmap.values.ravel()[::16], whole)
+
+
+def _screen_cases():
+    """Sender sets and receivers for the MIMO screen: center-synchronized and
+    random phases, amplitudes 0.25-4, receivers on a sender, inside the
+    near-field clamp and across the field.  At R = 30 and lam = 0.1 the
+    phases reach thousands of radians."""
+    rng = np.random.Generator(np.random.Philox(2024))
+    cases = []
+    for m in (1, 2, 7, 85, 600):
+        for lam, R in ((0.1, 30.0), (0.02, 3.0), (0.5, 2.0)):
+            for synced in (True, False):
+                pos = rng.uniform(-R, R, size=(m, 2))
+                phases = center_sync_phases(pos, lam) if synced else rng.uniform(0, 7, size=m)
+                senders = SenderSet.build(pos, rng.uniform(0.25, 4.0, size=m), phases)
+                clamp = 2.0 * lam
+                q = np.vstack([
+                    pos[:3],
+                    pos[:3] + [0.3 * clamp, -0.4 * clamp],
+                    rng.uniform(-R, R, size=(60, 2)),
+                ])
+                cases.append((senders, q, SignalParams(lam=lam)))
+    return cases
+
+
+def _screen_misses(cases) -> int:
+    """Receivers whose kernel |z| falls outside the screen's bounds."""
+    misses = 0
+    for senders, q, params in cases:
+        lower, upper = mimo_amplitude_bounds(senders, q, params)
+        amplitude = np.abs(received_phasor(senders, q, params))
+        misses += int(np.sum(~((lower <= amplitude) & (amplitude <= upper))))
+    return misses
+
+
+def test_screen_encloses_the_kernel_amplitude():
+    cases = _screen_cases()
+    largest_phase = max(
+        2.0 * np.pi * np.linalg.norm(q[:, None] - s.positions, axis=2).max() / p.lam
+        for s, q, p in cases
+    )
+    assert largest_phase > 2000.0
+    assert _screen_misses(cases) == 0
+
+
+def test_screen_containment_fails_with_a_narrower_bound(monkeypatch):
+    # The check has teeth: 2^12 times less slack misses some receiver.
+    monkeypatch.setattr(signal_model, "_MIMO_EPS", signal_model._MIMO_EPS / 2**12)
+    assert _screen_misses(_screen_cases()) > 0
+
+
+def test_screen_edge_receivers():
+    one = SenderSet.build([[0.0, 0.0]])
+    # A single receiver gets floats; |z| = 1 at distance 1.
+    lower, upper = mimo_amplitude_bounds(one, (1.0, 0.0), PARAMS)
+    assert type(lower) is float and lower < 1.0 < upper
+    # No senders: z = 0 exactly.
+    lower, upper = mimo_amplitude_bounds(SenderSet.build(np.empty((0, 2))), np.ones((2, 2)), PARAMS)
+    assert lower.tolist() == upper.tolist() == [0.0, 0.0]
+    # Phases beyond the bound's range decide nothing.
+    params = SignalParams(lam=1e-4)
+    lower, upper = mimo_amplitude_bounds(one, np.array([[100.0, 0.0], [1.0, 0.0]]), params)
+    assert (lower[0], upper[0]) == (0.0, np.inf)
+    assert lower[1] < 1.0 < upper[1]
+
+
+def test_float32_trig_within_the_screen_guard_band():
+    # numpy's float32 sin and cos against float64 on a fixed dense sample of
+    # [-pi, pi]: every 512th float32, a uniform grid, and every float32
+    # within 2^12 ulps of 0, +-pi/2 and +-pi.  The worst error of the pair,
+    # |(cos, sin) - e^{it}|, must stay below 1/8 of the term the screen's
+    # bound assumes for it.
+    top = int(np.float32(np.pi).view(np.int32))
+    strided = np.arange(0, top, 512, dtype=np.int32).view(np.float32)
+    grid = np.linspace(-np.pi, np.pi, 2**21).astype(np.float32)
+    near = [
+        (np.float32(c).view(np.int32) + np.arange(-2**12, 2**12 + 1, dtype=np.int32)).view(np.float32)
+        for c in (np.pi / 2, np.pi)
+    ]
+    tiny = np.arange(0, 2**12 + 1, dtype=np.int32).view(np.float32)
+    t = np.concatenate([strided, grid, *near, tiny])
+    t = np.concatenate([t, -t])
+    t64 = t.astype(np.float64)
+    cos_error = np.abs(np.cos(t).astype(np.float64) - np.cos(t64))
+    sin_error = np.abs(np.sin(t).astype(np.float64) - np.sin(t64))
+    worst = np.hypot(cos_error, sin_error).max()
+    assert 0.0 < worst <= signal_model._TRIG_ERROR / 8
