@@ -53,7 +53,9 @@ class RoundRecord:
     newly_informed: list[int]
     frontier_radius: float
     senders_active: int
-    receivers: int  # uninformed eligible nodes the round considered
+    # Candidates the round evaluated: the uninformed eligible nodes, less,
+    # under UDG, those beyond the reach of the farthest sender.
+    receivers: int
     # Receiver x sender pairs evaluated: every candidate's pairs under MIMO,
     # where the screen evaluates them all and the exact kernel re-evaluates
     # the rows the screen leaves open; under SNR the pairs of the candidates
@@ -79,12 +81,27 @@ class RoundLog:
         return out
 
     def to_json(self) -> str:
+        """``json.dumps`` of the log with ``indent=2``, each round's
+        ``newly_informed`` sorted, in time linear in its size.
+
+        The index lists are nearly all of a log's bytes, and ``json`` encodes
+        in pure Python when it indents.  So ``json`` encodes the skeleton,
+        where a nonempty list is the placeholder string ``"@"`` (the skeleton
+        holds no other string value), and each list is joined in here with
+        the separator and indentation ``json`` would give it.
+        """
         doc = _fields_of(self)
         doc["rounds"] = [
-            {**_fields_of(r), "newly_informed": sorted(r.newly_informed)}
+            {**_fields_of(r), "newly_informed": "@" if r.newly_informed else []}
             for r in self.rounds
         ]
-        return json.dumps(doc, indent=2)
+        lists = (
+            "[\n        " + ",\n        ".join(map(str, sorted(r.newly_informed))) + "\n      ]"
+            for r in self.rounds
+            if r.newly_informed
+        )
+        parts = json.dumps(doc, indent=2).split('"@"')
+        return "".join(itertools.chain.from_iterable(zip(parts, lists))) + parts[-1]
 
 
 def _fields_of(record) -> dict:
@@ -114,7 +131,7 @@ class BroadcastConfig:
 
 
 def _snr_bounds(
-    field_, senders: SenderSet, candidates: np.ndarray, d_min: np.ndarray,
+    radii: np.ndarray, senders: SenderSet, candidates: np.ndarray, d_min: np.ndarray,
     params: SignalParams,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The SNR candidates that distance bounds alone inform (a mask), and
@@ -124,9 +141,10 @@ def _snr_bounds(
     1 / max(d_j, c)^2 with c = c_f lam.  Every d_j lies between d_min, the
     distance to the nearest sender, and |q| + r_s, where r_s is the largest
     sender radius, so the level lies between L = m / max(|q| + r_s, c)^2 and
-    U = m / max(d_min, c)^2.  A bound decides a candidate only when it clears
-    beta N0 by the relative margin ``tol``, so the decision is the one the
-    kernel would make; a level on the threshold goes to the kernel.
+    U = m / max(d_min, c)^2, with |q| read from ``radii``, the engine's node
+    radii.  A bound decides a candidate only when it clears beta N0 by the
+    relative margin ``tol``, so the decision is the one the kernel would
+    make; a level on the threshold goes to the kernel.
     """
     # Relative rounding, in units of u = 2^-53.  Kernel, per term: the
     # subtraction (u), hypot (1 ulp, at most 2u), the square and the division
@@ -139,7 +157,7 @@ def _snr_bounds(
     tol = (m + 16) * 2.0**-49
     c = params.c_f * params.lam
     r_s = np.hypot(*senders.positions.T).max()
-    lower = m / np.maximum(field_.radii[candidates] + r_s, c) ** 2
+    lower = m / np.maximum(radii[candidates] + r_s, c) ** 2
     upper = m / np.maximum(d_min, c) ** 2
     hit = lower * (1.0 - tol) >= params.beta_N0
     miss = upper * (1.0 + tol) < params.beta_N0
@@ -154,12 +172,14 @@ def _senders(field_, active: np.ndarray, config: BroadcastConfig) -> SenderSet:
 
 
 def _receive(
-    field_, senders: SenderSet, candidates: np.ndarray, config: BroadcastConfig
+    field_, radii: np.ndarray, senders: SenderSet, candidates: np.ndarray,
+    config: BroadcastConfig,
 ) -> tuple[np.ndarray, float, int]:
     """The candidates that this round's senders inform, how far the signal
     travelled (the largest distance from a newly informed node to its
     nearest sender, 0 when nobody is informed), and how many receiver x
-    sender pairs were evaluated (see :class:`RoundRecord`)."""
+    sender pairs were evaluated (see :class:`RoundRecord`).  ``radii`` are
+    the field's node radii."""
     if senders.m == 0:
         return candidates[:0], 0.0, 0
     tree = cKDTree(senders.positions)
@@ -172,7 +192,7 @@ def _receive(
         d_min, _ = tree.query(pts)
         params = config.params
         if config.model == "SNR":
-            triggered, rows = _snr_bounds(field_, senders, candidates, d_min, params)
+            triggered, rows = _snr_bounds(radii, senders, candidates, d_min, params)
         else:  # a coherent sum can cancel: the screen, not a bound, decides
             triggered = np.zeros(candidates.size, dtype=bool)
             rows = np.arange(candidates.size)
@@ -192,6 +212,20 @@ def _receive(
         pairs = senders.m * rows.size
     travel = d_min[triggered]
     return candidates[triggered], float(travel.max()) if travel.size else 0.0, pairs
+
+
+# A UDG receiver q hears a sender s only if |q - s| <= 1, so |q| <= |s| + 1:
+# a UDG round drops every candidate with radius above
+# (max sender radius + 1)(1 + _UDG_REACH_TOL) before it queries the kd-tree.
+# The margin covers the rounding between the computed values and that bound,
+# in units of u = 2^-53: hypot for the candidate's radius and for the
+# sender's (1 ulp each, at most 2u each); the kd-tree distance (differences,
+# squares, their sum, then sqrt, about 4u), counted as if accepted up to
+# _UDG_BOUND = 1 + 2u, though _receive keeps d <= 1; the addition of 1 (u)
+# and the product by 1 + tol (u).  They sum to 12u;
+# tol = 2^-44 = 512u is more than forty times that, and a node it keeps in
+# vain costs one kd-tree query.
+_UDG_REACH_TOL = 2.0**-44
 
 
 def _origin_informed(field_) -> np.ndarray:
@@ -218,7 +252,9 @@ def _run_rounds(
     SNR or MIMO flood, and the informed nodes within r_j of the origin in
     round j of an expanding disk.  Only ``eligible`` nodes can be informed.
     A flood stops once a round informs nobody; an expanding disk runs until
-    its schedule ends or r_j reaches the field radius.
+    its schedule ends or r_j reaches the field radius.  A UDG round evaluates
+    only the candidates within reach of its farthest sender (see
+    ``_UDG_REACH_TOL``).
 
     After each logged round, ``on_round(record, model, senders)`` gets its
     record, its model and the :class:`SenderSet` it transmitted with.
@@ -240,8 +276,11 @@ def _run_rounds(
             active = newly
         else:
             active = np.flatnonzero(informed)
+        if config.model == "UDG":
+            reach = (radii[active].max(initial=-np.inf) + 1.0) * (1.0 + _UDG_REACH_TOL)
+            candidates = candidates[radii[candidates] <= reach]
         senders = _senders(field_, active, config)
-        newly, travel, pairs = _receive(field_, senders, candidates, config)
+        newly, travel, pairs = _receive(field_, radii, senders, candidates, config)
         if r_j is None and newly.size == 0:
             break
         informed[newly] = True

@@ -1,8 +1,8 @@
 """Closed-form geometry of the equal-phase ellipse zones.
 
 A transmitter at the origin and a receiver at ``(d, 0)`` see every relay
-point ``p`` with an excess path length ``delta_d(p, d)``.  The locus of
-constant excess path is an ellipse with foci at sender and receiver; the
+point ``p`` with an excess path length ||p|| + ||p - (d, 0)|| - d.  The locus
+of constant excess path is an ellipse with foci at sender and receiver; the
 area of its intersection with the unit sender disk, ``intersection_area_f``,
 and the first two derivatives of that area with respect to the excess path
 drive the coherent-gain analysis.  All functions here are pure and operate
@@ -11,65 +11,16 @@ on floats (numpy scalars and arrays broadcast through unchanged).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "EllipseParams",
-    "delta_d",
     "segment_g",
-    "segment_area",
     "intersection_area_f",
     "f_prime",
     "f_double_prime",
     "t_terms",
     "f_limit_inf",
 ]
-
-
-def delta_d(p, d: float):
-    """Excess path length ||p|| + ||p - (d,0)|| - d of a relay at ``p``.
-
-    ``p`` is a pair ``(px, py)``; arrays broadcast.  Always >= 0 by the
-    triangle inequality and bounded by 2*||p||.
-    """
-    px, py = p[0], p[1]
-    return np.sqrt(px * px + py * py) + np.sqrt((d - px) ** 2 + py * py) - d
-
-
-@dataclass(frozen=True)
-class EllipseParams:
-    """Derived parameters of the phase ellipse E_w for receiver distance d.
-
-    r1, r2 are the semi axes, z0 the cutting depth of the unit circle,
-    z1 the cutting depth of the ellipse, and (x0, y0) the upper
-    intersection point of ellipse and unit circle.
-    """
-
-    d: float
-    w: float
-    r1: float
-    r2: float
-    z0: float
-    z1: float
-    x0: float
-    y0: float
-
-    @classmethod
-    def from_wd(cls, w: float, d: float) -> "EllipseParams":
-        if d <= 0:
-            raise ValueError(f"focal distance must be positive, got {d}")
-        if not 0.0 <= w <= 2.0:
-            raise ValueError(f"phase-shift parameter must lie in [0, 2], got {w}")
-        r1 = (d + w) / 2.0
-        r2 = 0.5 * math.sqrt((2.0 * d + w) * w)
-        z0 = w * (2.0 * d - 2.0 + w) / (2.0 * d)
-        z1 = (2.0 - w) * (d + w) / (2.0 * d)
-        x0 = 1.0 - z0
-        y0 = math.sqrt(max(1.0 - x0 * x0, 0.0))
-        return cls(d=d, w=w, r1=r1, r2=r2, z0=z0, z1=z1, x0=x0, y0=y0)
 
 
 def segment_g(x):
@@ -84,15 +35,6 @@ def segment_g(x):
     u = 1.0 - xa
     out = np.arccos(u) - u * np.sqrt(np.maximum(xa * (2.0 - xa), 0.0))
     return out if out.ndim else float(out)
-
-
-def segment_area(r1: float, r2: float, z: float) -> float:
-    """Area of a segment of depth ``z`` of an ellipse with radii r1, r2."""
-    if r1 <= 0 or r2 <= 0:
-        raise ValueError(f"ellipse radii must be positive, got r1={r1}, r2={r2}")
-    if not 0.0 <= z <= 2.0 * r1:
-        raise ValueError(f"segment depth must lie in [0, 2*r1], got {z}")
-    return r1 * r2 * segment_g(z / r1)
 
 
 def _clamped_g(x):

@@ -64,6 +64,9 @@ def _up2(x):
 
 _PI_UP = _up2(math.pi)
 
+# libm arccos applied element by element.
+_ACOS = np.frompyfunc(math.acos, 1, 1)
+
 
 # Python's min and max keep the first argument on ties (which decides the
 # sign of a zero endpoint); np.minimum and np.maximum do not promise that.
@@ -143,12 +146,6 @@ class Interval:
 
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
-
-    def subset_of(self, other: "Interval") -> bool:
-        return other.lo <= self.lo and self.hi <= other.hi
-
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
     def intersect(self, other: "Interval") -> "Interval":
         lo = _max(self.lo, other.lo)
@@ -288,9 +285,8 @@ class Interval:
             raise DomainError(f"acos argument interval {self} outside [-1, 1]")
         # libm arccos lane by lane; invalid lanes get a placeholder argument.
         skip = bad | self.invalid
-        acos = np.frompyfunc(math.acos, 1, 1)
-        acos_lo = np.asarray(acos(np.where(skip, 0.0, hi)), dtype=float)
-        acos_hi = np.asarray(acos(np.where(skip, 0.0, lo)), dtype=float)
+        acos_lo = np.asarray(_ACOS(np.where(skip, 0.0, hi)), dtype=float)
+        acos_hi = np.asarray(_ACOS(np.where(skip, 0.0, lo)), dtype=float)
         return Interval(
             _max(_down2(acos_lo), 0.0),
             _min(_up2(acos_hi), _PI_UP),

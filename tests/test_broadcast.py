@@ -37,7 +37,8 @@ def _flood(fld, model, params=PARAMS):
 def _receive(fld, active, candidates, config):
     """One round's reception from the nodes ``active``, with the senders the
     round engine builds."""
-    return broadcast._receive(fld, broadcast._senders(fld, active, config), candidates, config)
+    senders = broadcast._senders(fld, active, config)
+    return broadcast._receive(fld, fld.radii, senders, candidates, config)
 
 
 def _bfs_layers(positions):
@@ -125,6 +126,64 @@ def test_udg_reception_includes_distance_one():
     assert log.propagation_time == 2.0
 
 
+def test_udg_reach_filter_keeps_a_node_at_distance_one_past_the_farthest_sender():
+    # Round 2 sends from radii 0.5 and 1; node 3 lies on the farthest
+    # sender's ray at distance exactly 1 from it, on the reach bound itself,
+    # and node 4 at distance exactly 1 from the nearer sender.
+    positions = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, -1.0], [0.0, -2.0], [1.5, 0.0]])
+    log = run_udg_flood(NodeField(positions=positions, R=2.0, seed=0))
+    assert [rec.newly_informed for rec in log.rounds] == [[1, 2], [3, 4]]
+    assert [rec.receivers for rec in log.rounds] == [2, 2]
+    assert log.fully_informed and log.propagation_time == 2.0
+
+
+def _unfiltered_udg_flood(fld, eligible):
+    """A UDG flood whose every round queries every uninformed eligible node:
+    the rounds' ``newly_informed`` lists and frontier radii, and the
+    propagation time summed in round order."""
+    radii = fld.radii
+    informed = np.zeros(fld.n, dtype=bool)
+    informed[0] = True
+    newly, rounds, time = np.array([0]), [], 0.0
+    while True:
+        candidates = np.flatnonzero(eligible & ~informed)
+        if candidates.size == 0:
+            break
+        tree = cKDTree(fld.positions[newly])
+        bound = np.nextafter(1.0, 2.0)
+        d_min, _ = tree.query(fld.positions[candidates], distance_upper_bound=bound)
+        heard = d_min <= 1.0
+        newly = candidates[heard]
+        if newly.size == 0:
+            break
+        informed[newly] = True
+        rounds.append((newly.tolist(), float(radii[informed].max())))
+        time += float(d_min[heard].max())
+    return rounds, time
+
+
+@pytest.mark.parametrize(
+    "n, seed, restrict",
+    [(1024, 0, None), (1024, 1, None), (4096, 2, None), (16384, 3, None), (4096, 4, 5.0)],
+)
+def test_udg_reach_filter_matches_unfiltered_flood(n, seed, restrict):
+    # Criterion 05's density, rho = (32/pi) ln n; the last case is a flood
+    # restricted to a disk, as the MISO bootstrap runs it.
+    fld = sample_field(n, np.sqrt(n / (32.0 * np.log(n))), seed=seed)
+    eligible = np.ones(fld.n, dtype=bool) if restrict is None else fld.radii <= restrict
+    eligible[0] = True
+    log = run_udg_flood(fld, restrict_radius=restrict)
+    rounds, time = _unfiltered_udg_flood(fld, eligible)
+    assert [(rec.newly_informed, rec.frontier_radius) for rec in log.rounds] == rounds
+    assert log.propagation_time == time
+    uninformed, dropped = int(np.count_nonzero(eligible)) - 1, 0
+    for rec in log.rounds:
+        assert rec.receivers <= uninformed
+        dropped += uninformed - rec.receivers
+        uninformed -= len(rec.newly_informed)
+    assert dropped > 0  # the filter is on
+
+
 def test_expanding_disk_requires_schedule():
     fld = sample_field(50, 2.0, seed=7)
     with pytest.raises(ValueError):
@@ -185,6 +244,29 @@ def test_round_log_json_round_trip():
     assert doc["total_rounds"] == log.total_rounds
     assert doc["fully_informed"] == log.fully_informed
     assert len(doc["rounds"]) == log.total_rounds
+
+
+def _json_oracle(log: RoundLog) -> str:
+    """The round log as ``json.dumps`` encodes it whole with ``indent=2``."""
+    doc = dataclasses.asdict(log)
+    for rec in doc["rounds"]:
+        rec["newly_informed"] = sorted(rec["newly_informed"])
+    return json.dumps(doc, indent=2)
+
+
+def test_round_log_json_matches_json_dumps():
+    fld = sample_field(2000, 10.0, seed=1)
+    udg = run_udg_flood(sample_field(1000, 3.0, seed=4))
+    # Round 1 sends from the origin alone and informs the nodes within 1;
+    # round 2 sends from the same origin and informs nobody.
+    snr = run_expanding_disk(fld, BroadcastConfig(radius_schedule=(1e-9, 2e-9, 1.0, 16.0)))
+    miso = run_miso_broadcast(fld, SignalParams(lam=0.1), c1=12.0, c2=0.02)
+    assert [] in [rec.newly_informed for rec in snr.rounds]
+    assert miso.phase1_rounds > 0 and miso.phase2_rounds > 0
+    # newly_informed is sorted on output, whatever order a record holds.
+    shuffled = RoundLog(rounds=[dataclasses.replace(udg.rounds[0], newly_informed=[5, -1, 3])])
+    for log in (udg, snr, miso, shuffled, RoundLog()):
+        assert log.to_json() == _json_oracle(log)
 
 
 def test_miso_bootstrap_failure():
@@ -380,18 +462,30 @@ def test_round_telemetry_counts_receivers_and_kernel_pairs(monkeypatch):
     assert sum(rec.pairs_evaluated for rec in snr.rounds) == sum(seen)
     mimo = _flood(fld, "MIMO")
     udg = run_udg_flood(fld)
+    radii = fld.radii
     for log in (snr, mimo, udg):
         uninformed = fld.n - 1
+        informed, newly = np.zeros(fld.n, dtype=bool), [0]
+        informed[0] = True
         for rec, doc in zip(log.rounds, json.loads(log.to_json())["rounds"]):
-            assert rec.receivers == doc["receivers"] == uninformed
+            assert rec.receivers == doc["receivers"]
             assert rec.pairs_evaluated == doc["pairs_evaluated"]
             if log is udg:
+                # The uninformed nodes within reach of the farthest sender,
+                # which the previous round informed.
+                reach = (radii[newly].max() + 1.0) * (1.0 + broadcast._UDG_REACH_TOL)
+                assert rec.receivers == np.count_nonzero(~informed & (radii <= reach))
+                assert rec.receivers <= uninformed
                 assert rec.pairs_evaluated == 0
             elif log is mimo:
+                assert rec.receivers == uninformed
                 assert rec.pairs_evaluated == rec.senders_active * rec.receivers
             else:
+                assert rec.receivers == uninformed
                 assert rec.pairs_evaluated <= rec.senders_active * rec.receivers
-            uninformed -= len(rec.newly_informed)
+            newly = rec.newly_informed
+            informed[newly] = True
+            uninformed -= len(newly)
     assert sum(rec.pairs_evaluated for rec in snr.rounds) < sum(
         rec.senders_active * rec.receivers for rec in snr.rounds
     )
