@@ -20,11 +20,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SchedulePrediction:
-    radii: list[float]
+    """A schedule's radii, strictly increasing: both schedules only grow."""
 
-    def __post_init__(self):
-        if any(b <= a for a, b in zip(self.radii, self.radii[1:])):
-            raise ValueError("schedule radii must be strictly increasing")
+    radii: list[float]
 
 
 def _snr_step(rho: float) -> float:

@@ -1,10 +1,10 @@
 """Round-synchronous broadcast algorithms over a node field.
 
-Three drivers share one round loop: UDG flooding (BFS), the expanding-disk
-algorithm (only informed nodes within the schedule radius r_j transmit in
-round j), and the two-phase MISO broadcast (UDG bootstrap of a small disk,
-then expanding-disk MIMO rounds).  MIMO senders always transmit with
-center-synchronized phases.  Reception in a round is always evaluated
+The paper's three broadcasts share one round loop: UDG flooding (BFS), the
+SNR expanding disk (only informed nodes within the schedule radius r_j
+transmit in round j), and the two-phase MISO broadcast (UDG bootstrap of a
+small disk, then expanding-disk MIMO rounds).  MIMO senders always transmit
+with center-synchronized phases.  Reception in a round is always evaluated
 against the complete transmitting set of that round; there is no intra-round
 chaining.  No round cap applies: a flood ends when a round informs nobody,
 an expanding disk when its schedule does.
@@ -74,12 +74,6 @@ class RoundLog:
     phase1_rounds: int | None = None
     phase2_rounds: int | None = None
 
-    def informed_indices(self) -> list[int]:
-        out = [0]
-        for rec in self.rounds:
-            out.extend(rec.newly_informed)
-        return out
-
     def to_json(self) -> str:
         """``json.dumps`` of the log with ``indent=2``, each round's
         ``newly_informed`` sorted, in time linear in its size.
@@ -115,10 +109,11 @@ OnRound = Callable[[RoundRecord, str, SenderSet], None]
 
 @dataclass(frozen=True)
 class BroadcastConfig:
-    """How a broadcast runs: an expanding disk over ``radius_schedule``, or a
-    flood when the schedule is empty."""
+    """How a broadcast runs: a UDG flood, which takes no schedule, or an SNR
+    or MIMO expanding disk over ``radius_schedule``, which runs one round per
+    radius and none when the schedule is empty."""
 
-    model: str = "SNR"  # "UDG" | "SNR" | "MIMO"
+    model: str  # "UDG" | "SNR" | "MIMO"
     radius_schedule: tuple[float, ...] = ()
     params: SignalParams = field(default_factory=SignalParams)
 
@@ -126,25 +121,26 @@ class BroadcastConfig:
         if self.model not in ("UDG", "SNR", "MIMO"):
             raise ValueError(f"unknown model {self.model!r}")
         radii = self.radius_schedule
+        if self.model == "UDG" and radii:
+            raise ValueError("a UDG broadcast floods and takes no radius schedule")
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ValueError("the radius schedule must be increasing")
 
 
 def _snr_bounds(
-    radii: np.ndarray, senders: SenderSet, candidates: np.ndarray, d_min: np.ndarray,
-    params: SignalParams,
+    q_norm: np.ndarray, senders: SenderSet, d_min: np.ndarray, params: SignalParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The SNR candidates that distance bounds alone inform (a mask), and
-    the indices of those that the bounds leave to the kernel.
+    """The SNR candidates, with radii ``q_norm`` and nearest-sender
+    distances ``d_min``, that distance bounds alone inform (a mask), and the
+    indices of those that the bounds leave to the kernel.
 
     Senders transmit at unit amplitude, so each of the m terms of a level is
-    1 / max(d_j, c)^2 with c = c_f lam.  Every d_j lies between d_min, the
-    distance to the nearest sender, and |q| + r_s, where r_s is the largest
-    sender radius, so the level lies between L = m / max(|q| + r_s, c)^2 and
-    U = m / max(d_min, c)^2, with |q| read from ``radii``, the engine's node
-    radii.  A bound decides a candidate only when it clears beta N0 by the
-    relative margin ``tol``, so the decision is the one the kernel would
-    make; a level on the threshold goes to the kernel.
+    1 / max(d_j, c)^2 with c = c_f lam.  Every d_j lies between d_min and
+    |q| + r_s, where r_s is the largest sender radius, so the level lies
+    between L = m / max(|q| + r_s, c)^2 and U = m / max(d_min, c)^2.  A bound
+    decides a candidate only when it clears beta N0 by the relative margin
+    ``tol``, so the decision is the one the kernel would make; a level on the
+    threshold goes to the kernel.
     """
     # Relative rounding, in units of u = 2^-53.  Kernel, per term: the
     # subtraction (u), hypot (1 ulp, at most 2u), the square and the division
@@ -157,7 +153,7 @@ def _snr_bounds(
     tol = (m + 16) * 2.0**-49
     c = params.c_f * params.lam
     r_s = np.hypot(*senders.positions.T).max()
-    lower = m / np.maximum(radii[candidates] + r_s, c) ** 2
+    lower = m / np.maximum(q_norm + r_s, c) ** 2
     upper = m / np.maximum(d_min, c) ** 2
     hit = lower * (1.0 - tol) >= params.beta_N0
     miss = upper * (1.0 + tol) < params.beta_N0
@@ -172,14 +168,12 @@ def _senders(field_, active: np.ndarray, config: BroadcastConfig) -> SenderSet:
 
 
 def _receive(
-    field_, radii: np.ndarray, senders: SenderSet, candidates: np.ndarray,
-    config: BroadcastConfig,
+    field_, senders: SenderSet, candidates: np.ndarray, config: BroadcastConfig
 ) -> tuple[np.ndarray, float, int]:
     """The candidates that this round's senders inform, how far the signal
     travelled (the largest distance from a newly informed node to its
     nearest sender, 0 when nobody is informed), and how many receiver x
-    sender pairs were evaluated (see :class:`RoundRecord`).  ``radii`` are
-    the field's node radii."""
+    sender pairs were evaluated (see :class:`RoundRecord`)."""
     if senders.m == 0:
         return candidates[:0], 0.0, 0
     tree = cKDTree(senders.positions)
@@ -192,7 +186,7 @@ def _receive(
         d_min, _ = tree.query(pts)
         params = config.params
         if config.model == "SNR":
-            triggered, rows = _snr_bounds(radii, senders, candidates, d_min, params)
+            triggered, rows = _snr_bounds(field_.radii[candidates], senders, d_min, params)
         else:  # a coherent sum can cancel: the screen, not a bound, decides
             triggered = np.zeros(candidates.size, dtype=bool)
             rows = np.arange(candidates.size)
@@ -246,15 +240,14 @@ def _run_rounds(
 ) -> RoundLog:
     """The round engine of every driver.
 
-    Each round's senders are picked by the config: the nodes informed in the
-    previous round under a UDG flood (an older informed node within distance
-    1 of a node would already have informed it), every informed node under an
-    SNR or MIMO flood, and the informed nodes within r_j of the origin in
-    round j of an expanding disk.  Only ``eligible`` nodes can be informed.
-    A flood stops once a round informs nobody; an expanding disk runs until
-    its schedule ends or r_j reaches the field radius.  A UDG round evaluates
-    only the candidates within reach of its farthest sender (see
-    ``_UDG_REACH_TOL``).
+    Each round's senders follow the model: a UDG flood sends from the nodes
+    informed in the previous round (an older informed node within distance 1
+    of a node would already have informed it), and evaluates only the
+    candidates within reach of its farthest sender (see ``_UDG_REACH_TOL``);
+    round j of an SNR or MIMO expanding disk sends from the informed nodes
+    within r_j of the origin.  Only ``eligible`` nodes can be informed.  A
+    flood stops once a round informs nobody; an expanding disk runs until its
+    schedule ends or r_j reaches the field radius.
 
     After each logged round, ``on_round(record, model, senders)`` gets its
     record, its model and the :class:`SenderSet` it transmitted with.
@@ -264,24 +257,22 @@ def _run_rounds(
         eligible = np.ones(field_.n, dtype=bool)
     if log is None:
         log = RoundLog()
-    schedule = config.radius_schedule or itertools.repeat(None)
+    flood = config.model == "UDG"
+    schedule = itertools.repeat(None) if flood else config.radius_schedule
     newly = np.flatnonzero(informed)
     for r_j in schedule:
         candidates = np.flatnonzero(eligible & ~informed)
         if candidates.size == 0:
             break
-        if r_j is not None:
-            active = np.flatnonzero(informed & (radii <= r_j))
-        elif config.model == "UDG":
+        if flood:
             active = newly
-        else:
-            active = np.flatnonzero(informed)
-        if config.model == "UDG":
             reach = (radii[active].max(initial=-np.inf) + 1.0) * (1.0 + _UDG_REACH_TOL)
             candidates = candidates[radii[candidates] <= reach]
+        else:
+            active = np.flatnonzero(informed & (radii <= r_j))
         senders = _senders(field_, active, config)
-        newly, travel, pairs = _receive(field_, radii, senders, candidates, config)
-        if r_j is None and newly.size == 0:
+        newly, travel, pairs = _receive(field_, senders, candidates, config)
+        if flood and newly.size == 0:
             break
         informed[newly] = True
         record = RoundRecord(
@@ -297,7 +288,7 @@ def _run_rounds(
         log.propagation_time += travel
         if on_round is not None:
             on_round(record, config.model, senders)
-        if r_j is not None and r_j >= field_.R:
+        if not flood and r_j >= field_.R:
             break
     else:  # the schedule ran out
         log.schedule_exhausted = bool(np.any(eligible & ~informed))
@@ -350,8 +341,9 @@ def run_miso_broadcast(
             f"UDG bootstrap left nodes uninformed inside radius {bootstrap_radius}"
         )
     log.phase1_rounds = log.total_rounds
-    informed = np.zeros(field_.n, dtype=bool)
-    informed[np.asarray(log.informed_indices(), dtype=int)] = True
+    # The bootstrap informed its whole eligible disk.
+    informed = field_.radii <= bootstrap_radius
+    informed[0] = True
     config = BroadcastConfig(model="MIMO", radius_schedule=tuple(schedule), params=params)
     log = _run_rounds(field_, config, informed, on_round=on_round, log=log)
     log.phase2_rounds = log.total_rounds - log.phase1_rounds

@@ -102,7 +102,6 @@ class ScalingFit:
     slope: float
     intercept: float
     r_squared: float
-    points: tuple[tuple[float, float], ...]  # transformed coordinates
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -223,12 +222,7 @@ def fit_scaling(points, transform: str = "loglog") -> ScalingFit:
     total = ys - np.mean(ys)
     ss_tot = float(total @ total)
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - float(resid @ resid) / ss_tot
-    return ScalingFit(
-        slope=float(slope),
-        intercept=float(intercept),
-        r_squared=r_squared,
-        points=tuple(zip(xs.tolist(), ys.tolist())),
-    )
+    return ScalingFit(slope=float(slope), intercept=float(intercept), r_squared=r_squared)
 
 
 def emit_fieldmaps(

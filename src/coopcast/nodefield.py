@@ -7,7 +7,7 @@ fields on every platform.  Index 0 is always the initiator at the origin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,31 +21,25 @@ class NodeField:
     positions: np.ndarray  # (n, 2) float64
     R: float
     seed: int
+    radii: np.ndarray = field(init=False, repr=False, compare=False)  # (n,) |positions|
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 2:
             raise ValueError(f"positions must have shape (n, 2), got {pos.shape}")
+        radii = np.hypot(pos[:, 0], pos[:, 1])
         pos.setflags(write=False)
+        radii.setflags(write=False)
         object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "radii", radii)
 
     @property
     def n(self) -> int:
         return self.positions.shape[0]
 
-    @property
-    def radii(self) -> np.ndarray:
-        return np.hypot(self.positions[:, 0], self.positions[:, 1])
-
     def density(self) -> float:
         """Node density rho = n / (pi R^2)."""
         return self.n / (np.pi * self.R**2)
-
-    def count_within(self, r: float) -> int:
-        """Number of nodes at distance <= r from the origin."""
-        if not 0.0 <= r <= self.R:
-            raise ValueError(f"r must lie in [0, R], got {r}")
-        return int(np.count_nonzero(self.radii <= r))
 
 
 def sample_field(n: int, R: float, seed: int) -> NodeField:

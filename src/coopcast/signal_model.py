@@ -303,7 +303,6 @@ class FieldMap:
 
     grid: GridSpec
     values: np.ndarray  # (ny, nx)
-    model: str
 
     def to_pgm(self, threshold: float) -> str:
         """Plain (P2) 8-bit PGM, value = round(255 * min(1, v / threshold))."""
@@ -337,4 +336,4 @@ def field_map(
             else:
                 level = np.abs(received_phasor(senders, block, params)) ** 2
             vals[start : start + chunk] = level
-    return FieldMap(grid=grid, values=vals.reshape(grid.ny, grid.nx), model=model)
+    return FieldMap(grid=grid, values=vals.reshape(grid.ny, grid.nx))

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopcast.bounds import (
-    SchedulePrediction,
     miso_upper_schedule,
     propagation_time,
     reverse_snr_schedule,
@@ -90,8 +89,3 @@ def test_reverse_schedule_time_approaches_radius():
     for rho, bound in [(2**10, 1.15), (2**14, 1.07), (2**20, 1.01)]:
         radii = reverse_snr_schedule(rho, 1000.0)
         assert propagation_time(radii) / 1000.0 <= bound
-
-
-def test_schedule_prediction_validation():
-    with pytest.raises(ValueError):
-        SchedulePrediction([2.0, 1.0])

@@ -28,17 +28,11 @@ from coopcast.signal_model import (
 PARAMS = SignalParams()
 
 
-def _flood(fld, model, params=PARAMS):
-    """A flood under ``model``: every informed node sends every round."""
-    config = BroadcastConfig(model=model, params=params)
-    return broadcast._run_rounds(fld, config, broadcast._origin_informed(fld))
-
-
 def _receive(fld, active, candidates, config):
     """One round's reception from the nodes ``active``, with the senders the
     round engine builds."""
     senders = broadcast._senders(fld, active, config)
-    return broadcast._receive(fld, fld.radii, senders, candidates, config)
+    return broadcast._receive(fld, senders, candidates, config)
 
 
 def _bfs_layers(positions):
@@ -87,8 +81,8 @@ def test_udg_flood_determinism():
 def test_udg_flood_restricted():
     fld = sample_field(800, 5.0, seed=1)
     log = run_udg_flood(fld, restrict_radius=2.0)
-    informed = log.informed_indices()
-    assert np.all(fld.radii[informed] <= 2.0)
+    informed = [i for rec in log.rounds for i in rec.newly_informed]
+    assert informed and np.all(fld.radii[informed] <= 2.0)
 
 
 def test_informed_set_monotone_and_rounds_connected():
@@ -100,14 +94,6 @@ def test_informed_set_monotone_and_rounds_connected():
         assert not (newly & seen)
         seen |= newly
         assert rec.senders_active >= 1
-
-
-def test_flood_snr_informs_dense_field():
-    fld = sample_field(300, 2.0, seed=2)
-    log = _flood(fld, "SNR")
-    assert log.fully_informed
-    # with everyone transmitting, coverage cannot take longer than BFS
-    assert log.total_rounds <= run_udg_flood(fld).total_rounds + 1
 
 
 def test_udg_flood_long_chain_has_no_round_cap():
@@ -192,14 +178,20 @@ def test_expanding_disk_requires_schedule():
         BroadcastConfig(model="SNR", radius_schedule=(2.0, 1.0))
 
 
-def test_default_config_is_a_flood():
+def test_only_udg_floods():
+    # A UDG config takes no schedule; an SNR or MIMO config without one runs
+    # no round, where a flood would inform this dense field.
+    with pytest.raises(ValueError):
+        BroadcastConfig(model="UDG", radius_schedule=(1.0, 2.0))
+    with pytest.raises(TypeError):
+        BroadcastConfig()
     fld = sample_field(300, 2.0, seed=7)
-    log = broadcast._run_rounds(fld, BroadcastConfig(), broadcast._origin_informed(fld))
-    assert log.fully_informed and not log.schedule_exhausted
-    informed = 1
-    for rec in log.rounds:  # every informed node sends, with no disk radius
-        assert rec.senders_active == informed and rec.disk_radius_r_j is None
-        informed += len(rec.newly_informed)
+    assert run_udg_flood(fld).fully_informed
+    for model in ("SNR", "MIMO"):
+        config = BroadcastConfig(model=model, params=PARAMS)
+        log = broadcast._run_rounds(fld, config, broadcast._origin_informed(fld))
+        assert log.rounds == [] and log.total_rounds == 0
+        assert log.schedule_exhausted and not log.fully_informed
 
 
 def test_expanding_disk_senders_restricted():
@@ -213,23 +205,25 @@ def test_expanding_disk_senders_restricted():
     assert log.fully_informed
     counts = [r.senders_active for r in log.rounds]
     for rec in log.rounds:
-        assert rec.senders_active <= fld.count_within(min(rec.disk_radius_r_j, fld.R))
+        assert rec.senders_active <= np.count_nonzero(fld.radii <= rec.disk_radius_r_j)
     assert counts == sorted(counts)
 
 
 def test_destructive_interference_beats_pair():
     # Regression: under coherent reception, adding a sender can lose a
     # receiver that the smaller set reaches, even with center-synchronized
-    # phases.  With lam = 0.1, round 1 informs the relay at (0.3, -0.6) but
-    # not the receiver at (1.05, 0) (|z|^2 = 1/1.05^2 < 1).  In round 2 the
-    # center and the relay give the receiver |z|^2 = 2.75; a spoiler at
-    # (0.3, -0.5), also informed in round 1, pulls it down to 0.54.
+    # phases.  With lam = 0.1, round 1 (r_1 = 1) informs the relay at
+    # (0.3, -0.6) but not the receiver at (1.05, 0) (|z|^2 = 1/1.05^2 < 1).
+    # In round 2 (r_2 = 1.5) the center and the relay give the receiver
+    # |z|^2 = 2.75; a spoiler at (0.3, -0.5), also informed in round 1, pulls
+    # it down to 0.54.
+    config = BroadcastConfig(model="MIMO", radius_schedule=(1.0, 1.5), params=PARAMS)
     base = np.array([[0.0, 0.0], [0.3, -0.6], [1.05, 0.0]])
-    lone = _flood(NodeField(positions=base, R=2.0, seed=0), "MIMO")
+    lone = run_expanding_disk(NodeField(positions=base, R=2.0, seed=0), config)
     assert [rec.newly_informed for rec in lone.rounds] == [[1], [2]]
     spoiled = np.vstack([base, [0.3, -0.5]])
-    both = _flood(NodeField(positions=spoiled, R=2.0, seed=0), "MIMO")
-    assert [rec.newly_informed for rec in both.rounds] == [[1, 3]]
+    both = run_expanding_disk(NodeField(positions=spoiled, R=2.0, seed=0), config)
+    assert [rec.newly_informed for rec in both.rounds] == [[1, 3], []]
     assert not both.fully_informed
 
 
@@ -259,7 +253,8 @@ def test_round_log_json_matches_json_dumps():
     udg = run_udg_flood(sample_field(1000, 3.0, seed=4))
     # Round 1 sends from the origin alone and informs the nodes within 1;
     # round 2 sends from the same origin and informs nobody.
-    snr = run_expanding_disk(fld, BroadcastConfig(radius_schedule=(1e-9, 2e-9, 1.0, 16.0)))
+    config = BroadcastConfig(model="SNR", radius_schedule=(1e-9, 2e-9, 1.0, 16.0))
+    snr = run_expanding_disk(fld, config)
     miso = run_miso_broadcast(fld, SignalParams(lam=0.1), c1=12.0, c2=0.02)
     assert [] in [rec.newly_informed for rec in snr.rounds]
     assert miso.phase1_rounds > 0 and miso.phase2_rounds > 0
@@ -445,7 +440,8 @@ def test_snr_level_exactly_on_threshold_informs(monkeypatch):
     # no bound can decide it, and the kernel's inclusive test informs.
     fld = NodeField(positions=np.array([[0.0, 0.0], [1.0, 0.0]]), R=1.0, seed=0)
     seen = _count_snr_pairs(monkeypatch)
-    log = _flood(fld, "SNR", SignalParams(beta_N0=1.0))
+    config = BroadcastConfig(model="SNR", radius_schedule=(1.0,), params=SignalParams(beta_N0=1.0))
+    log = run_expanding_disk(fld, config)
     assert [rec.newly_informed for rec in log.rounds] == [[1]]
     assert log.fully_informed and log.propagation_time == 1.0
     assert seen == [1] and log.rounds[0].pairs_evaluated == 1
@@ -460,7 +456,9 @@ def test_round_telemetry_counts_receivers_and_kernel_pairs(monkeypatch):
     )
     snr = run_expanding_disk(fld, cfg)
     assert sum(rec.pairs_evaluated for rec in snr.rounds) == sum(seen)
-    mimo = _flood(fld, "MIMO")
+    mimo = run_expanding_disk(
+        fld, BroadcastConfig(model="MIMO", radius_schedule=(1, 2, 4, 8), params=PARAMS)
+    )
     udg = run_udg_flood(fld)
     radii = fld.radii
     for log in (snr, mimo, udg):

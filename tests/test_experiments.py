@@ -149,7 +149,7 @@ def test_fit_scaling_errors():
 
 
 def test_scaling_fit_is_frozen():
-    fit = ScalingFit(1.0, 0.0, 1.0, ((0.0, 0.0),))
+    fit = ScalingFit(1.0, 0.0, 1.0)
     with pytest.raises(AttributeError):
         fit.slope = 2.0
 

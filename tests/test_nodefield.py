@@ -37,13 +37,7 @@ def test_count_within_binomial():
         r = frac * R
         p = frac * frac
         sigma = math.sqrt(n * p * (1 - p))
-        assert abs(fld.count_within(r) - 1 - n * p) <= 4.0 * sigma
-
-
-def test_count_within_domain():
-    fld = sample_field(10, 2.0, seed=0)
-    with pytest.raises(ValueError):
-        fld.count_within(2.5)
+        assert abs(np.count_nonzero(fld.radii <= r) - 1 - n * p) <= 4.0 * sigma
 
 
 def test_density():
@@ -55,6 +49,16 @@ def test_positions_read_only():
     fld = sample_field(10, 2.0, seed=0)
     with pytest.raises(ValueError):
         fld.positions[0, 0] = 1.0
+
+
+def test_radii_computed_once_read_only():
+    # One array per field, bit for bit the hypot of the positions.
+    fld = sample_field(1000, 3.0, seed=1)
+    assert fld.radii is fld.radii
+    with pytest.raises(ValueError):
+        fld.radii[1] = 0.0
+    expected = np.hypot(fld.positions[:, 0], fld.positions[:, 1])
+    assert fld.radii.tobytes() == expected.tobytes()
 
 
 def test_invalid_arguments():

@@ -9,7 +9,9 @@ import coopcast
 
 SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(coopcast.__path__))
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-SOURCES = sorted([*ROOT.glob("src/coopcast/*.py"), *ROOT.glob("scripts/*.py")])
+SOURCES = sorted(
+    [*ROOT.glob("src/coopcast/*.py"), *ROOT.glob("scripts/*.py"), *ROOT.glob("tests/*.py")]
+)
 
 
 @pytest.mark.parametrize("name", SUBMODULES)
