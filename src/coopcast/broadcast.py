@@ -187,23 +187,21 @@ def _receive(
         params = config.params
         if config.model == "SNR":
             triggered, rows = _snr_bounds(field_.radii[candidates], senders, d_min, params)
+            pairs = senders.m * rows.size
         else:  # a coherent sum can cancel: the screen, not a bound, decides
-            triggered = np.zeros(candidates.size, dtype=bool)
-            rows = np.arange(candidates.size)
+            lower, upper = mimo_amplitude_bounds(senders, pts, params)
+            triggered = lower**2 >= params.beta_N0
+            # Rows the screen leaves open, or on beta N0, go to the kernel.
+            rows = np.flatnonzero(~triggered & (upper**2 >= params.beta_N0))
+            pairs = senders.m * candidates.size
         chunk = max(1, _PAIR_BUDGET // senders.m)
         for start in range(0, rows.size, chunk):
             block = rows[start : start + chunk]
             if config.model == "SNR":
                 level = snr_received_energy(senders, pts[block], params)
-            else:  # rows the screen leaves open, or on beta N0, go to the kernel
-                lower, upper = mimo_amplitude_bounds(senders, pts[block], params)
-                triggered[block] = lower**2 >= params.beta_N0
-                block = block[~triggered[block] & (upper**2 >= params.beta_N0)]
-                if block.size == 0:
-                    continue
+            else:
                 level = np.abs(received_phasor(senders, pts[block], params)) ** 2
             triggered[block] = level >= params.beta_N0
-        pairs = senders.m * rows.size
     travel = d_min[triggered]
     return candidates[triggered], float(travel.max()) if travel.size else 0.0, pairs
 
@@ -260,6 +258,7 @@ def _run_rounds(
     flood = config.model == "UDG"
     schedule = itertools.repeat(None) if flood else config.radius_schedule
     newly = np.flatnonzero(informed)
+    frontier = radii[newly].max()  # the largest informed radius, kept as a running maximum
     for r_j in schedule:
         candidates = np.flatnonzero(eligible & ~informed)
         if candidates.size == 0:
@@ -275,10 +274,11 @@ def _run_rounds(
         if flood and newly.size == 0:
             break
         informed[newly] = True
+        frontier = radii[newly].max(initial=frontier)
         record = RoundRecord(
             round_index=len(log.rounds) + 1,
             newly_informed=newly.tolist(),
-            frontier_radius=float(radii[informed].max()),
+            frontier_radius=float(frontier),
             senders_active=int(active.size),
             receivers=int(candidates.size),
             pairs_evaluated=pairs,

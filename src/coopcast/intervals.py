@@ -20,10 +20,11 @@ interval) instead.
 
 A product or quotient is one stack: the endpoints of the left operand,
 shaped (2, 1, ...), and of the right, shaped (1, 2, ...), give the four
-candidates lo.lo, lo.hi, hi.lo, hi.hi as one (2, 2, ...) array.  One
-``nextafter`` call each way steps the whole stack outward, and the candidates
-are folded in that order with first-on-ties minimum and maximum, as Python's
-``min`` and ``max`` would pick them.
+candidates lo.lo, lo.hi, hi.lo, hi.hi as one (2, 2, ...) array.  The
+candidates are folded to one lo and one hi per lane, then each is stepped
+outward once: fold, then step, so ``nextafter`` runs on one value a lane
+each way, not four.  The bits are those of stepping all four candidates
+and taking Python's ``min`` and ``max`` of the steps.
 
 Invalid lanes, and lanes that divide by an interval containing zero, may
 hold inf or nan.  The operations leave numpy's floating-point warnings alone;
@@ -45,6 +46,7 @@ __all__ = ["Interval", "DomainError", "ROUNDING_MODE", "acos_clip_events", "on_l
 ROUNDING_MODE = "nextafter-outward (1 ulp arithmetic, 2 ulp libm)"
 
 _INF = math.inf
+_TINY = 2.0**-1074
 
 #: Number of lanes whose arccos argument had to be clipped into [-1, 1].
 acos_clip_events = 0
@@ -196,25 +198,34 @@ class Interval:
     @staticmethod
     def _bounds(candidates, exact_zero):
         """Outward bounds of a (2, 2, ...) stack of endpoint products or
-        quotients, overwritten; the ones flagged in ``exact_zero`` are
-        exactly 0.  The four candidates are folded in stack order as
-        ``_min`` and ``_max`` fold them, keeping the first of equal
-        candidates (which decides the sign of a zero bound), so a NaN
-        decides only in first place."""
-        down = np.nextafter(candidates, -_INF)
-        up = np.nextafter(candidates, _INF, out=candidates)
-        np.copyto(down, 0.0, where=exact_zero)
-        np.copyto(up, 0.0, where=exact_zero)
-        # One row per candidate; the first row collects the bounds in place,
-        # and the last step returns new arrays, so the stacks are freed.
-        down = down.reshape(4, -1)
-        up = up.reshape(4, -1)
-        lo, hi = down[0], up[0]
-        for d, u in zip(down[1:3], up[1:3]):
-            np.copyto(lo, d, where=d < lo)
-            np.copyto(hi, u, where=u > hi)
+        quotients, which it overwrites; the ones flagged in ``exact_zero``
+        are exactly 0.
+
+        The raw candidates are folded first and each bound is then stepped
+        outward once.  The step is monotone and maps equal candidates,
+        zeros of either sign too, to the same bits, so the bounds are those
+        of stepping every candidate and folding the steps, as Python's
+        ``min`` and ``max`` fold them in stack order: a NaN decides only in
+        first place.  A flagged candidate enters the lo fold as 2**-1074,
+        whose downward step is +0.0, and the hi fold as -2**-1074, whose
+        upward step is -0.0; a hi won by a flagged candidate, the first of
+        equal ones, is +0.0."""
+        rows = candidates.reshape(4, -1)
+        np.copyto(candidates, _TINY, where=exact_zero)
+        lo = _min(rows[0], np.fmin.reduce(rows[1:]))
+        tiny = (rows == -_TINY).any()  # an unflagged -2**-1074 can tie a flagged one
+        np.copyto(candidates, -_TINY, where=exact_zero)
+        hi = _max(rows[0], np.fmax.reduce(rows[1:]))
+        zero = hi == -_TINY
+        np.nextafter(lo, -_INF, out=lo)
+        np.nextafter(hi, _INF, out=hi)
+        if tiny:
+            first = np.argmax(rows == -_TINY, axis=0)
+            flags = np.broadcast_to(exact_zero, candidates.shape).reshape(4, -1)
+            zero &= flags[first, np.arange(first.size)]
+        np.copyto(hi, 0.0, where=zero)
         lanes = candidates.shape[2:]
-        return _min(lo, down[3]).reshape(lanes), _max(hi, up[3]).reshape(lanes)
+        return lo.reshape(lanes), hi.reshape(lanes)
 
     def __mul__(self, other) -> "Interval":
         o = self._coerce(other)

@@ -21,9 +21,12 @@ A task is *proved* when every leaf box certifies the bound, *refuted* when
 some midpoint, evaluated as a degenerate interval, violates the bound with
 its entire enclosure, and *exhausted* when the box budget or depth limit
 runs out; the hardest undecided box is reported in that case.  The box tree
-is walked in level order: all boxes of one depth are evaluated in one call,
-as the lanes of array intervals, and a refutation or exhaustion reports the
-first such box of its level.
+is walked in level order, one call per depth: a level's boxes and the
+previous level's undecided midpoints are the lanes of one call on array
+intervals, in chunks of at most ``_LANES`` lanes, so each midpoint's
+refutation check runs one level late.  A refutation or exhaustion reports
+the first such box of its level, as a walk that checked every midpoint
+before the next level would.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ __all__ = [
 
 _UNIT = Interval(0.0, 1.0)
 _CHORD_DOMAIN = Interval(0.0, 2.0)
+_ROOT2 = Interval(2.0).sqrt()
 
 
 def _g_iv(t: Interval) -> Interval:
@@ -78,16 +82,18 @@ def _coeff_intervals() -> tuple[tuple[Interval, ...], Interval]:
     a = [Fraction(1)]
     for k in range(1, K + 1):
         a.append(a[-1] * Fraction(2 * k - 3, 2 * k))
-    root2 = Interval(2.0).sqrt()
     coeffs = []
     for k in range(K + 1):
         c = Fraction(2) * a[k] / (2**k * Fraction(2 * k + 3, 2))
-        coeffs.append(root2 * Interval(float(c.numerator)) / float(c.denominator))
-    tail_scale = 2.0 * root2 / float(K + 2.5)
+        coeffs.append(_ROOT2 * Interval(float(c.numerator)) / float(c.denominator))
+    tail_scale = 2.0 * _ROOT2 / float(K + 2.5)
     return tuple(coeffs), tail_scale
 
 
 _G32_COEFFS, _G32_TAIL = _coeff_intervals()
+_FOUR_THIRDS = Interval(4.0) / 3.0
+# g(t) / t**1.5 <= (4/3) sqrt(2), its limit at t = 0.
+_G32_HI = (_FOUR_THIRDS * _ROOT2).hi
 
 
 def _g32_series_iv(t: Interval) -> Interval:
@@ -102,10 +108,8 @@ def _g32_series_iv(t: Interval) -> Interval:
 def _g32_iv(t: Interval) -> Interval:
     """Enclosure of g(t) / t**1.5, finite down to t = 0 (limit 4 sqrt(2) / 3)."""
     t = t.intersect(_CHORD_DOMAIN)
-    third = Interval(4.0) / 3.0
-    low = third * (2.0 - t).sqrt()
-    hi = (third * Interval(2.0).sqrt()).hi
-    enc = Interval(np.maximum(low.lo, 0.0), hi, low.invalid)
+    low = _FOUR_THIRDS * (2.0 - t).sqrt()
+    enc = Interval(np.maximum(low.lo, 0.0), _G32_HI, low.invalid)
     enc = on_lanes(t.hi <= 1.0, lambda enc, t: enc.intersect(_g32_series_iv(t)), enc, t)
     return on_lanes(t.lo > 0.0, lambda enc, t: enc.intersect(_g_iv(t) / t.pow32()), enc, t)
 
@@ -125,7 +129,7 @@ def _area_iv(x: Interval, z: Interval) -> Interval:
 
 def _ratio_iv(x: Interval, z: Interval) -> Interval:
     """f(x, 1/z) / f(x/2, 1/z), as sqrt(2) times the ratio of scaled areas."""
-    return Interval(2.0).sqrt() * _scaled_area_iv(x, z) / _scaled_area_iv(x * 0.5, z)
+    return _ROOT2 * _scaled_area_iv(x, z) / _scaled_area_iv(x * 0.5, z)
 
 
 def _slope_iv(x: Interval, z: Interval) -> Interval:
@@ -340,6 +344,28 @@ def _columns(lo: np.ndarray, hi: np.ndarray) -> list[Interval]:
     return [Interval(lo[:, i], hi[:, i]) for i in range(lo.shape[1])]
 
 
+#: Most lanes in one call of an expression.  A level's lanes are evaluated
+#: in calls of this many, so a call's temporaries stay bounded however wide
+#: the level grows.
+_LANES = 4096
+
+
+def _evaluate(fn, lo: np.ndarray, hi: np.ndarray) -> Interval:
+    """``fn`` over the boxes ``[lo, hi]`` (one row per box, one lane each),
+    in calls of at most ``_LANES`` lanes."""
+    parts = [
+        fn(*_columns(lo[start : start + _LANES], hi[start : start + _LANES]))
+        for start in range(0, len(lo), _LANES)
+    ]
+    if len(parts) == 1:
+        return parts[0]
+    return Interval(
+        np.concatenate([p.lo for p in parts]),
+        np.concatenate([p.hi for p in parts]),
+        np.concatenate([p.invalid for p in parts]),
+    )
+
+
 def _split(lo: np.ndarray, hi: np.ndarray, mid: np.ndarray, spans: np.ndarray):
     """The children of every box, its lo half then its hi half, cut at the
     midpoint of the dimension widest relative to the domain ``spans``
@@ -364,20 +390,49 @@ def _box(lo: np.ndarray, hi: np.ndarray, depth: int) -> Box:
     return Box(tuple(Interval(a, b) for a, b in zip(lo.tolist(), hi.tolist())), depth)
 
 
+def _refuting(point_enc: Interval, task: ProofTask) -> np.ndarray:
+    """The lanes whose point enclosure certifies the negated relation."""
+    return np.flatnonzero(
+        ~point_enc.invalid & _certifies(point_enc, _NEGATION[task.relation], task.bound)
+    )
+
+
+def _refutation(fn, task: ProofTask, lo, hi, mid, depth: int) -> dict | None:
+    """The witness of the first midpoint ``mid`` of the undecided boxes
+    ``[lo, hi]`` of level ``depth`` that refutes the task, evaluated alone,
+    or ``None`` when none does."""
+    point_enc = _evaluate(fn, mid, mid)
+    refuting = _refuting(point_enc, task)
+    if refuting.size == 0:
+        return None
+    k = refuting[0]
+    return {
+        "witness_box": _box(lo[k], hi[k], depth),
+        "witness_point": tuple(mid[k].tolist()),
+        "witness_enclosure": point_enc.take(k),
+    }
+
+
 @np.errstate(all="ignore")
 def prove(task: ProofTask, max_boxes: int = 2**24) -> ProofResult:
     """Decide a :class:`ProofTask` by deterministic adaptive bisection.
 
-    The box tree is walked in level order, one depth at a time.  All boxes
-    of a depth are evaluated in one call and certified; the midpoints of the
-    undecided ones are evaluated in a second call and checked for
-    refutation; then each undecided box is split along the dimension that is
-    widest relative to the task domain (ties go to the first dimension), lo
-    half before hi half, to form the next level.  A proved task visits the
-    same boxes in any order.  A refuted task reports the first refuting box
-    of its level.  A task is exhausted, and reports the first undecided box
-    of its last level, when that level is at ``_MAX_DEPTH`` or its children
-    would take the boxes processed past ``max_boxes``.  Results are
+    The box tree is walked in level order, one depth at a time.  The boxes
+    of a depth are certified, and each undecided box is split along the
+    dimension that is widest relative to the task domain (ties go to the
+    first dimension), lo half before hi half, to form the next level.  The
+    midpoints of the undecided boxes, as degenerate intervals, are checked
+    for refutation one level late: they ride as extra lanes in the next
+    level's call, so a level costs one call of at most ``_LANES`` lanes per
+    chunk.  When they refute, the next level is dropped from the count, and
+    the arccos clip counter is reset and the midpoints evaluated alone, so
+    the result is that of checking them before the next level ran.  A
+    proved task visits the same boxes in any order.  A refuted task reports
+    the first refuting box of its level.  A task is exhausted, and reports
+    the first undecided box of its last level, when that level is at
+    ``_MAX_DEPTH`` or its children would take the boxes processed past
+    ``max_boxes``; the midpoints of a last level, and of a level whose
+    boxes are too thin to split, are checked alone first.  Results are
     reproducible.
     """
     _, fn = EXPRESSIONS[task.expression]
@@ -387,33 +442,48 @@ def prove(task: ProofTask, max_boxes: int = 2**24) -> ProofResult:
     clips = intervals.acos_clip_events
     per_depth: list[int] = []
     verdict, witness = "proved", {}
+    # The previous level's undecided boxes and their midpoints, not yet
+    # checked for refutation; none ride with the root.
+    pending = (lo[:0], hi[:0], lo[:0])
     for depth in itertools.count():
         per_depth.append(len(lo))
-        enc = fn(*_columns(lo, hi))
+        before = intervals.acos_clip_events
+        mid = pending[2]
+        enc = _evaluate(fn, np.concatenate((lo, mid)), np.concatenate((hi, mid)))
+        if _refuting(enc.take(slice(len(lo), None)), task).size:
+            # The previous level is refuted, so this one never ran: its boxes
+            # and their clips do not count, and the midpoints count alone.
+            per_depth.pop()
+            intervals.acos_clip_events = before
+            verdict, witness = "refuted", _refutation(fn, task, *pending, depth - 1)
+            break
+        enc = enc.take(slice(len(lo)))
         undecided = np.flatnonzero(enc.invalid | ~_certifies(enc, task.relation, task.bound))
         if undecided.size == 0:
             break
         lo, hi = lo[undecided], hi[undecided]
         mid = 0.5 * (lo + hi)
-        point_enc = fn(*_columns(mid, mid))
-        refuting = np.flatnonzero(
-            ~point_enc.invalid & _certifies(point_enc, _NEGATION[task.relation], task.bound)
-        )
-        if refuting.size:
-            k = refuting[0]
-            verdict, witness = "refuted", {
-                "witness_box": _box(lo[k], hi[k], depth),
-                "witness_point": tuple(mid[k].tolist()),
-                "witness_enclosure": point_enc.take(k),
-            }
-            break
-        if depth >= _MAX_DEPTH or sum(per_depth) + 2 * len(lo) > max_boxes:
+        children = too_thin = None
+        if depth < _MAX_DEPTH and sum(per_depth) + 2 * len(lo) <= max_boxes:
+            try:
+                children = _split(lo, hi, mid, spans)
+            except DomainError as exc:
+                too_thin = exc
+        if children is None:
+            # The walk ends here, unless a midpoint refutes the task first.
+            refuted = _refutation(fn, task, lo, hi, mid, depth)
+            if refuted is not None:
+                verdict, witness = "refuted", refuted
+                break
+            if too_thin is not None:
+                raise too_thin
             verdict, witness = "exhausted", {
                 "witness_box": _box(lo[0], hi[0], depth),
                 "witness_point": tuple(mid[0].tolist()),
             }
             break
-        lo, hi = _split(lo, hi, mid, spans)
+        pending = (lo, hi, mid)
+        lo, hi = children
     return ProofResult(
         task,
         verdict,

@@ -202,40 +202,51 @@ def mimo_amplitude_bounds(senders: SenderSet, q, params: SignalParams):
     The screen sums the phasors with float32 cos and sin of the phase
     reduced to [-pi, pi] in float64, and widens |z| by eps W on each side
     (see ``_MIMO_EPS``).  Receivers outside the bound's preconditions get
-    the bounds (0, inf), which decide nothing.
+    the bounds (0, inf), which decide nothing.  The receivers are screened
+    in blocks of ``_PAIR_BUDGET`` pairs, through five work arrays of one
+    block each, allocated once.
     """
     qa, single = _receivers(q)
-    if senders.m == 0:
-        zero = np.zeros(qa.shape[0])
+    k, m = qa.shape[0], senders.m
+    if m == 0:
+        zero = np.zeros(k)
         return (0.0, 0.0) if single else (zero, zero.copy())
     pos = senders.positions
-    dist = qa[:, 0, None] - pos[:, 0]
-    theta = qa[:, 1, None] - pos[:, 1]
-    np.multiply(dist, dist, out=dist)
-    np.multiply(theta, theta, out=theta)
-    np.add(dist, theta, out=dist)
-    np.sqrt(dist, out=dist)
-    # The kernel's phase, then its nearest multiple of 2 pi subtracted.
-    np.multiply(dist, -2.0 * np.pi, out=theta)
-    np.divide(theta, params.lam, out=theta)
-    np.add(theta, senders.phases, out=theta)
-    turns = np.multiply(theta, 1.0 / (2.0 * np.pi))
-    np.rint(turns, out=turns)
-    np.multiply(turns, 2.0 * np.pi, out=turns)
-    np.subtract(theta, turns, out=theta)
-    cos = theta.astype(np.float32)
-    sin = np.sin(cos)
-    np.cos(cos, out=cos)
-    # |phase| <= 2 pi (d / lam + 1) bounds every phase of a row.
-    outside = 2.0 * np.pi * (dist.max(axis=1) / params.lam + 1.0) > _PHASE_LIMIT
-    outside |= senders.m > _SCREEN_SENDERS
-    weight = np.maximum(dist, params.c_f * params.lam, out=dist)
-    np.divide(senders.amplitudes, weight, out=weight)
-    amplitude = np.hypot(np.einsum("km,km->k", weight, cos),
-                         np.einsum("km,km->k", weight, sin))
-    slack = _MIMO_EPS * weight.sum(axis=1)
-    lower = np.maximum(amplitude - slack, 0.0)
-    upper = amplitude + slack
+    lower, upper, outside = np.empty(k), np.empty(k), np.empty(k, dtype=bool)
+    chunk = max(1, min(k, _PAIR_BUDGET // m))
+    work = [np.empty((chunk, m)) for _ in range(3)]
+    work += [np.empty((chunk, m), dtype=np.float32) for _ in range(2)]
+    for start in range(0, k, chunk):
+        block = slice(start, start + chunk)
+        q_b = qa[block]
+        dist, theta, turns, cos, sin = (w[: len(q_b)] for w in work)
+        np.subtract(q_b[:, 0, None], pos[:, 0], out=dist)
+        np.subtract(q_b[:, 1, None], pos[:, 1], out=theta)
+        np.multiply(dist, dist, out=dist)
+        np.multiply(theta, theta, out=theta)
+        np.add(dist, theta, out=dist)
+        np.sqrt(dist, out=dist)
+        # The kernel's phase, then its nearest multiple of 2 pi subtracted.
+        np.multiply(dist, -2.0 * np.pi, out=theta)
+        np.divide(theta, params.lam, out=theta)
+        np.add(theta, senders.phases, out=theta)
+        np.multiply(theta, 1.0 / (2.0 * np.pi), out=turns)
+        np.rint(turns, out=turns)
+        np.multiply(turns, 2.0 * np.pi, out=turns)
+        np.subtract(theta, turns, out=theta)
+        np.copyto(cos, theta, casting="same_kind")
+        np.sin(cos, out=sin)
+        np.cos(cos, out=cos)
+        # |phase| <= 2 pi (d / lam + 1) bounds every phase of a row.
+        outside[block] = 2.0 * np.pi * (dist.max(axis=1) / params.lam + 1.0) > _PHASE_LIMIT
+        weight = np.maximum(dist, params.c_f * params.lam, out=dist)
+        np.divide(senders.amplitudes, weight, out=weight)
+        amplitude = np.hypot(np.einsum("km,km->k", weight, cos),
+                             np.einsum("km,km->k", weight, sin))
+        slack = _MIMO_EPS * weight.sum(axis=1)
+        np.maximum(amplitude - slack, 0.0, out=lower[block])
+        np.add(amplitude, slack, out=upper[block])
+    outside |= m > _SCREEN_SENDERS
     lower[outside] = 0.0
     upper[outside] = np.inf
     return (float(lower[0]), float(upper[0])) if single else (lower, upper)

@@ -153,15 +153,44 @@ def test_criterion_03_geometry_oracle():
             f"f'' rel {worst_d2:.2e} in {elapsed:.1f}s")
 
 
+#: (boxes_processed, max_depth_reached, acos_clips) of each suite task's
+#: certificate: 66,873 boxes and 5,124 arccos clips in all.  A change that
+#: alters one changes the proofs, and must say why.
+SUITE_CERTIFICATES = {
+    "shape_scaled_lower": (15, 6, 6),
+    "shape_scaled_upper": (1, 0, 0),
+    "area_scaled_lower": (127, 14, 26),
+    "area_scaled_upper": (19287, 17, 943),
+    "area_scaled_far_lower": (201, 13, 29),
+    "area_half_width_ratio": (40275, 31, 4110),
+    "area_slope_positive": (29, 6, 0),
+    "area_concave_mid": (6489, 16, 0),
+    "area_concave_left": (15, 6, 1),
+    "term1_lower": (123, 11, 0),
+    "term1_upper": (179, 10, 0),
+    "term2_upper": (1, 0, 0),
+    "term3_lower": (3, 1, 0),
+    "term3_upper": (89, 11, 4),
+    "term3_left_upper": (39, 6, 5),
+}
+
+
 def test_criterion_04_interval_proof_suite():
     t0 = time.monotonic()
     results = run_suite()
     elapsed = time.monotonic() - t0
     verdicts = {r.task.name: r.verdict for r in results}
     bad = sorted(name for name, v in verdicts.items() if v != "proved")
-    ok = not bad and elapsed < 600.0
+    changed = sorted(
+        r.task.name
+        for r in results
+        if (r.boxes_processed, r.max_depth_reached, r.acos_clips)
+        != SUITE_CERTIFICATES.get(r.task.name)
+    )
+    ok = not bad and not changed and len(results) == len(SUITE_CERTIFICATES) and elapsed < 600.0
     _report(4, "interval proof suite", ok,
-            f"{len(results)} tasks, unproved={bad or 'none'} in {elapsed:.1f}s")
+            f"{len(results)} tasks, unproved={bad or 'none'}, "
+            f"changed certificates={changed or 'none'} in {elapsed:.1f}s")
 
 
 def test_criterion_05_udg_rounds_scaling():

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from coopcast import intervals
+from coopcast import intervals, prover
 from coopcast.geometry import f_double_prime, f_limit_inf, intersection_area_f, segment_g
 from coopcast.intervals import DomainError, Interval
 from coopcast.prover import (
@@ -106,6 +106,17 @@ def test_exhaustion_reports_hardest_box():
     assert again.certificate_json() == res.certificate_json()
     per_depth, *_ = _level_order_reference(task, stop_depth=5)
     assert per_depth == res.boxes_per_depth
+
+
+def test_box_too_thin_to_split():
+    # A degenerate domain cannot be split: a refuting midpoint still decides
+    # the task, and an undecided one ends the walk with an error.
+    point = ((1.0, 1.0),)
+    res = prove(ProofTask("refuted_point", "segment_shape_scaled", point, "<=", 1.5))
+    assert res.verdict == "refuted" and res.boxes_per_depth == [1]
+    enc = interval_eval("segment_shape_scaled", Interval(1.0))
+    with pytest.raises(DomainError, match="too thin"):
+        prove(ProofTask("straddled", "segment_shape_scaled", point, "<=", enc.mid))
 
 
 def test_certificate_contents():
@@ -223,15 +234,14 @@ def _level_order_reference(task, stop_depth=None):
     return per_depth, None, None, None
 
 
-@pytest.mark.parametrize(
-    "task",
-    [
-        ProofTask("absurd", "lens_area_curvature", MID, "<=", -1e6),
-        ProofTask("too_tight", "segment_shape_scaled", ((0.0, 2.0),), "<=", 1.885),
-        ProofTask("scaled_low", "lens_area_scaled", ((0.0, 2.0), (0.0, 0.5)), ">", 1.5),
-    ],
-    ids=lambda t: t.name,
-)
+LEVEL_ORDER_TASKS = [
+    ProofTask("absurd", "lens_area_curvature", MID, "<=", -1e6),
+    ProofTask("too_tight", "segment_shape_scaled", ((0.0, 2.0),), "<=", 1.885),
+    ProofTask("scaled_low", "lens_area_scaled", ((0.0, 2.0), (0.0, 0.5)), ">", 1.5),
+]
+
+
+@pytest.mark.parametrize("task", LEVEL_ORDER_TASKS, ids=lambda t: t.name)
 def test_level_order_matches_box_by_box_walk(task):
     res = prove(task)
     per_depth, box, point, point_enc = _level_order_reference(task)
@@ -245,6 +255,51 @@ def test_level_order_matches_box_by_box_walk(task):
         assert res.witness_box == box and res.witness_box.depth == box.depth
         assert res.witness_point == point
         assert res.witness_enclosure == point_enc
+
+
+@pytest.mark.parametrize(
+    "task",
+    [*LEVEL_ORDER_TASKS, *(t for t in inequality_suite() if t.name == "area_scaled_far_lower")],
+    ids=lambda t: t.name,
+)
+def test_certificates_do_not_depend_on_lanes_per_call(task, monkeypatch):
+    # A level's boxes and the previous level's midpoints are evaluated in
+    # calls of at most prover._LANES lanes; seven lanes a call split most
+    # levels, and change no certificate.
+    whole = prove(task).certificate_json()
+    lanes = []
+    columns = prover._columns
+
+    def counted(lo, hi):
+        lanes.append(len(lo))
+        return columns(lo, hi)
+
+    monkeypatch.setattr(prover, "_columns", counted)
+    monkeypatch.setattr(prover, "_LANES", 7)
+    assert prove(task).certificate_json() == whole
+    assert max(lanes) <= 7 and len(lanes) > len(json.loads(whole)["boxes_per_depth"])
+
+
+@pytest.mark.parametrize(
+    "task",
+    [
+        ProofTask("scaled_high", "lens_area_scaled", FULL, "<", 2.2),
+        ProofTask("shape_high", "segment_shape_scaled", ((0.0, 2.0),), ">=", 1.2),
+    ],
+    ids=lambda t: t.name,
+)
+def test_refutation_counts_the_clips_of_the_box_by_box_walk(task):
+    # The refuting midpoints ride in the next level's call, whose boxes clip
+    # arccos arguments too; a refuted task counts only the clips of the
+    # levels it decided, as the box-by-box walk does.
+    before = intervals.acos_clip_events
+    res = prove(task)
+    prove_clips = intervals.acos_clip_events - before
+    per_depth, box, point, _ = _level_order_reference(task)
+    walk_clips = intervals.acos_clip_events - before - prove_clips
+    assert res.verdict == "refuted" and res.witness_box == box and res.witness_point == point
+    assert res.boxes_per_depth == per_depth
+    assert res.acos_clips == prove_clips == walk_clips > 0
 
 
 def test_certificates_repeat_exactly():

@@ -423,6 +423,19 @@ def test_screen_containment_fails_with_a_narrower_bound(monkeypatch):
     assert _screen_misses(_screen_cases()) > 0
 
 
+def test_screen_bounds_do_not_depend_on_the_pair_budget(monkeypatch):
+    # The screen loops over blocks of the pair budget itself, through work
+    # arrays allocated once; a row's bounds are the same bits in any block,
+    # the last, shorter block included.
+    senders, q, params = _screen_cases()[-6]  # 600 senders, lam = 0.1
+    monkeypatch.setattr(signal_model, "_PAIR_BUDGET", senders.m * len(q))
+    whole = mimo_amplitude_bounds(senders, q, params)
+    for budget in (1, 7 * senders.m, 2**15):
+        monkeypatch.setattr(signal_model, "_PAIR_BUDGET", budget)
+        blocked = mimo_amplitude_bounds(senders, q, params)
+        assert [b.tobytes() for b in blocked] == [w.tobytes() for w in whole]
+
+
 def test_screen_edge_receivers():
     one = SenderSet.build([[0.0, 0.0]])
     # A single receiver gets floats; |z| = 1 at distance 1.
