@@ -6,8 +6,10 @@ transmit in round j), and the two-phase MISO broadcast (UDG bootstrap of a
 small disk, then expanding-disk MIMO rounds).  MIMO senders always transmit
 with center-synchronized phases.  Reception in a round is always evaluated
 against the complete transmitting set of that round; there is no intra-round
-chaining.  No round cap applies: a flood ends when a round informs nobody,
-an expanding disk when its schedule does.
+chaining.  Its arithmetic (distances, screens, kernels) is in
+:mod:`coopcast.signal_model`; this module only decides.  No round cap
+applies: a flood ends when a round informs nobody, an expanding disk when
+its schedule does.
 """
 
 from __future__ import annotations
@@ -18,17 +20,16 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .bounds import miso_upper_schedule
 from .signal_model import (
-    _PAIR_BUDGET,
-    _UDG_BOUND,
     SenderSet,
     SignalParams,
     center_sync_phases,
     mimo_amplitude_bounds,
+    nearest_sender_distance,
     received_phasor,
+    snr_level_bounds,
     snr_received_energy,
 )
 
@@ -127,39 +128,6 @@ class BroadcastConfig:
             raise ValueError("the radius schedule must be increasing")
 
 
-def _snr_bounds(
-    q_norm: np.ndarray, senders: SenderSet, d_min: np.ndarray, params: SignalParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """The SNR candidates, with radii ``q_norm`` and nearest-sender
-    distances ``d_min``, that distance bounds alone inform (a mask), and the
-    indices of those that the bounds leave to the kernel.
-
-    Senders transmit at unit amplitude, so each of the m terms of a level is
-    1 / max(d_j, c)^2 with c = c_f lam.  Every d_j lies between d_min and
-    |q| + r_s, where r_s is the largest sender radius, so the level lies
-    between L = m / max(|q| + r_s, c)^2 and U = m / max(d_min, c)^2.  A bound
-    decides a candidate only when it clears beta N0 by the relative margin
-    ``tol``, so the decision is the one the kernel would make; a level on the
-    threshold goes to the kernel.
-    """
-    # Relative rounding, in units of u = 2^-53.  Kernel, per term: the
-    # subtraction (u), hypot (1 ulp, at most 2u), the square and the division
-    # (u each), about 8u; the sum of m positive terms, at most (m - 1)u.
-    # Either bound: the kd-tree distance (squared differences summed, then
-    # sqrt) or |q| + r_s (two hypot and an addition), about 4u, doubled by the
-    # square, then the division, 1 -/+ tol and the product, about 12u.  In
-    # all below (m + 24)u; tol = 16 (m + 16)u leaves a margin of ten and more.
-    m = senders.m
-    tol = (m + 16) * 2.0**-49
-    c = params.c_f * params.lam
-    r_s = np.hypot(*senders.positions.T).max()
-    lower = m / np.maximum(q_norm + r_s, c) ** 2
-    upper = m / np.maximum(d_min, c) ** 2
-    hit = lower * (1.0 - tol) >= params.beta_N0
-    miss = upper * (1.0 + tol) < params.beta_N0
-    return hit, np.flatnonzero(~(hit | miss))
-
-
 def _senders(field_, active: np.ndarray, config: BroadcastConfig) -> SenderSet:
     """The nodes ``active`` as transmitters; MIMO senders center-synchronize."""
     pos = field_.positions[active]
@@ -173,35 +141,31 @@ def _receive(
     """The candidates that this round's senders inform, how far the signal
     travelled (the largest distance from a newly informed node to its
     nearest sender, 0 when nobody is informed), and how many receiver x
-    sender pairs were evaluated (see :class:`RoundRecord`)."""
-    if senders.m == 0:
-        return candidates[:0], 0.0, 0
-    tree = cKDTree(senders.positions)
+    sender pairs were evaluated (see :class:`RoundRecord`).
+
+    Under SNR and MIMO, a screen's lower level bound at or above beta N0
+    informs; the other rows whose upper bound reaches it go to the kernel.
+    """
     pts = field_.positions[candidates]
+    d_min = nearest_sender_distance(senders, pts, udg=config.model == "UDG")
     if config.model == "UDG":
-        d_min, _ = tree.query(pts, distance_upper_bound=_UDG_BOUND)
-        triggered = d_min <= 1.0
-        pairs = 0
+        triggered, pairs = d_min <= 1.0, 0
     else:
-        d_min, _ = tree.query(pts)
         params = config.params
-        if config.model == "SNR":
-            triggered, rows = _snr_bounds(field_.radii[candidates], senders, d_min, params)
-            pairs = senders.m * rows.size
-        else:  # a coherent sum can cancel: the screen, not a bound, decides
-            lower, upper = mimo_amplitude_bounds(senders, pts, params)
-            triggered = lower**2 >= params.beta_N0
-            # Rows the screen leaves open, or on beta N0, go to the kernel.
-            rows = np.flatnonzero(~triggered & (upper**2 >= params.beta_N0))
-            pairs = senders.m * candidates.size
-        chunk = max(1, _PAIR_BUDGET // senders.m)
-        for start in range(0, rows.size, chunk):
-            block = rows[start : start + chunk]
-            if config.model == "SNR":
-                level = snr_received_energy(senders, pts[block], params)
+        snr = config.model == "SNR"
+        if snr:
+            lower, upper = snr_level_bounds(senders, field_.radii[candidates], d_min, params)
+        else:  # a coherent sum can cancel: a phasor screen, not distance, bounds it
+            lower, upper = (b**2 for b in mimo_amplitude_bounds(senders, pts, params))
+        triggered = lower >= params.beta_N0
+        rows = np.flatnonzero(~triggered & (upper >= params.beta_N0))
+        if rows.size:
+            if snr:
+                level = snr_received_energy(senders, pts[rows], params)
             else:
-                level = np.abs(received_phasor(senders, pts[block], params)) ** 2
-            triggered[block] = level >= params.beta_N0
+                level = np.abs(received_phasor(senders, pts[rows], params)) ** 2
+            triggered[rows] = level >= params.beta_N0
+        pairs = senders.m * (rows.size if snr else candidates.size)
     travel = d_min[triggered]
     return candidates[triggered], float(travel.max()) if travel.size else 0.0, pairs
 
@@ -213,8 +177,8 @@ def _receive(
 # in units of u = 2^-53: hypot for the candidate's radius and for the
 # sender's (1 ulp each, at most 2u each); the kd-tree distance (differences,
 # squares, their sum, then sqrt, about 4u), counted as if accepted up to
-# _UDG_BOUND = 1 + 2u, though _receive keeps d <= 1; the addition of 1 (u)
-# and the product by 1 + tol (u).  They sum to 12u;
+# the query's bound 1 + 2u, though _receive keeps d <= 1; the addition of 1
+# (u) and the product by 1 + tol (u).  They sum to 12u;
 # tol = 2^-44 = 512u is more than forty times that, and a node it keeps in
 # vain costs one kd-tree query.
 _UDG_REACH_TOL = 2.0**-44

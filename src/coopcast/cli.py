@@ -23,11 +23,11 @@ import sys
 from .broadcast import BootstrapFailure
 from .experiments import (
     ExperimentConfig,
+    atomic_write,
     calibrate_c1,
     emit_fieldmaps,
     fit_scaling,
     run_experiment,
-    _atomic_write,
 )
 from .nodefield import sample_field
 from .prover import inequality_suite, prove
@@ -125,7 +125,7 @@ def _cmd_prove(args: argparse.Namespace) -> int:
             f"{task.name}: {result.verdict} "
             f"({result.boxes_processed} boxes, depth {result.max_depth_reached})"
         )
-        _atomic_write(
+        atomic_write(
             os.path.join(out_dir, f"certificate_{task.name}.json"),
             result.certificate_json() + "\n",
         )

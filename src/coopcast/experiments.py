@@ -46,6 +46,7 @@ __all__ = [
     "fit_scaling",
     "emit_fieldmaps",
     "calibrate_c1",
+    "atomic_write",
 ]
 
 #: Analysis constant of the doubly-exponential schedule (far more
@@ -104,7 +105,8 @@ class ScalingFit:
     r_squared: float
 
 
-def _atomic_write(path: str, text: str) -> None:
+def atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file and a rename."""
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
@@ -185,12 +187,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         lines.append(",".join(_csv_cell(v) for v in row.values()))
         path = os.path.join(cfg.output_dir, f"{model}_n{n}_seed{seed}.json")
         try:
-            _atomic_write(path, log.to_json())
+            atomic_write(path, log.to_json())
         except OSError as exc:
             raise OSError(f"writing round log {path}: {exc}") from exc
         result.log_paths.append(path)
     try:
-        _atomic_write(result.csv_path, "\n".join(lines) + "\n")
+        atomic_write(result.csv_path, "\n".join(lines) + "\n")
     except OSError as exc:
         raise OSError(f"writing summary {result.csv_path}: {exc}") from exc
     return result
@@ -244,7 +246,7 @@ def emit_fieldmaps(
     _run_single(cfg, model, field_, on_round=draw)
     os.makedirs(cfg.output_dir, exist_ok=True)
     for path, text in maps.items():
-        _atomic_write(path, text)
+        atomic_write(path, text)
     return list(maps)
 
 

@@ -5,10 +5,12 @@ per-sender received energies, and the UDG model is plain distance <= 1.
 Demodulation is evaluated in closed form: the time-domain Fourier integral
 collapses to the phasor sum for a steady-state window.
 
-:func:`received_phasor` is the exact MIMO kernel.  :func:`mimo_amplitude_bounds`
-is its screen: a float32-trig phasor sum with a rigorous error bound, which
-encloses the |z| the kernel would return, so a receiver whose enclosure
-lies clear of the threshold is decided without the kernel.
+This module owns reception's arithmetic; :mod:`coopcast.broadcast` only
+decides.  :func:`received_phasor` and :func:`snr_received_energy` are the
+exact kernels.  Their screens, :func:`mimo_amplitude_bounds` (a float32-trig
+phasor sum with a rigorous error bound) and :func:`snr_level_bounds`
+(distance bounds), bound a receiver's level without the kernel.  Kernels and
+the MIMO screen work in blocks of ``_PAIR_BUDGET`` pairs.
 """
 
 from __future__ import annotations
@@ -22,10 +24,12 @@ __all__ = [
     "SignalParams",
     "SenderSet",
     "center_sync_phases",
+    "nearest_sender_distance",
     "received_phasor",
     "mimo_amplitude_bounds",
     "mimo_triggered",
     "snr_received_energy",
+    "snr_level_bounds",
     "snr_triggered",
     "udg_triggered",
     "FieldMap",
@@ -33,11 +37,12 @@ __all__ = [
     "field_map",
 ]
 
-# Receiver x sender pairs per reception kernel or screen call: each call's
-# temporaries are a few arrays of this many elements, whatever the number of
-# senders.  A MIMO kernel block holds two float64 arrays and one complex128
-# array, a screen block three float64 and two float32 arrays: 32 bytes a
-# pair either way, 1 MiB at 2^15 pairs, within a 2 MiB per-core L2 cache.
+# Receiver x sender pairs per block of a reception kernel or screen (see
+# _blocks): each block's temporaries are a few arrays of this many elements,
+# whatever the number of senders.  A MIMO kernel block holds two float64
+# arrays and one complex128 array, a screen block three float64 and two
+# float32 arrays: 32 bytes a pair either way, 1 MiB at 2^15 pairs, within a
+# 2 MiB per-core L2 cache.
 # Of the budgets 2^14 to 2^17 this one ran the MIMO broadcast fastest on
 # criterion 08's five fields, one thread on a 2-vCPU x86-64 host: median
 # 1.91 s against 2.05, 2.91 and 3.07 s (three interleaved runs each).
@@ -74,17 +79,21 @@ class SignalParams:
 
 @dataclass(frozen=True)
 class SenderSet:
-    """Active transmitters: positions (m, 2), amplitudes (m,), phases (m,)."""
+    """Active transmitters: positions (m, 2), amplitudes (m,), phases (m,),
+    as read-only copies.  Positions ``[]`` give m = 0."""
 
     positions: np.ndarray
     amplitudes: np.ndarray
     phases: np.ndarray
 
     def __post_init__(self):
-        pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
-        amp = np.asarray(self.amplitudes, dtype=float)
+        pos = np.array(self.positions, dtype=float)
+        pos = pos.reshape(0, 2) if pos.shape == (0,) else pos
+        if pos.ndim != 2 or pos.shape[1] != 2:
+            raise ValueError(f"positions must have shape (m, 2), got {pos.shape}")
+        amp = np.array(self.amplitudes, dtype=float)
         ph = np.mod(np.asarray(self.phases, dtype=float), 2.0 * np.pi)
-        if pos.shape[0] != amp.shape[0] or pos.shape[0] != ph.shape[0]:
+        if amp.shape != (len(pos),) or ph.shape != (len(pos),):
             raise ValueError("positions, amplitudes and phases must have equal length")
         if np.any(amp < 0):
             raise ValueError("amplitudes must be nonnegative")
@@ -94,14 +103,10 @@ class SenderSet:
 
     @classmethod
     def build(cls, positions, amplitudes=None, phases=None) -> "SenderSet":
-        pos = np.atleast_2d(np.asarray(positions, dtype=float))
-        m = pos.shape[0]
-        if amplitudes is None:
-            amplitudes = np.ones(m)
-        if phases is None:
-            phases = np.zeros(m)
-        return cls(pos, np.broadcast_to(np.asarray(amplitudes, float), (m,)).copy(),
-                   np.broadcast_to(np.asarray(phases, float), (m,)).copy())
+        """Unit amplitudes and zero phases unless given."""
+        m = len(positions)
+        return cls(positions, np.ones(m) if amplitudes is None else amplitudes,
+                   np.zeros(m) if phases is None else phases)
 
     @property
     def m(self) -> int:
@@ -112,6 +117,20 @@ def center_sync_phases(positions: np.ndarray, lam: float) -> np.ndarray:
     """Center-synchronized phases -2 pi |p| / lam: each sender at p transmits
     in the phase that a wave leaving the origin has when it reaches p."""
     return -2.0 * np.pi * np.hypot(positions[:, 0], positions[:, 1]) / lam
+
+
+def nearest_sender_distance(senders: SenderSet, q, udg: bool = False) -> np.ndarray:
+    """Each receiver's distance to its nearest sender (inf if none); with
+    ``udg``, inf beyond ``_UDG_BOUND``, just above 1: compare with ``<= 1``."""
+    bound = _UDG_BOUND if udg else np.inf
+    return cKDTree(senders.positions).query(q, distance_upper_bound=bound)[0]
+
+
+def _blocks(k: int, m: int) -> list[slice]:
+    """Slices that cover k receiver rows in order, each of at most
+    ``_PAIR_BUDGET`` pairs with m senders, and of at least one row."""
+    rows = max(1, _PAIR_BUDGET // max(m, 1))
+    return [slice(start, min(start + rows, k)) for start in range(0, k, rows)]
 
 
 def _distances(senders: SenderSet, q: np.ndarray, params: SignalParams):
@@ -141,25 +160,24 @@ def received_phasor(senders: SenderSet, q, params: SignalParams):
     canonical sorting.
     """
     qa, single = _receivers(q)
-    if senders.m == 0:
-        z = np.zeros(qa.shape[0], dtype=complex)
-        return complex(z[0]) if single else z
-    # The operations of (a / dclamp) * exp(1j * (-2 pi dist / lam + phi)),
-    # in their order, written into three (k, m) buffers, 32 bytes a pair.
-    # The real part of the exponent is 0 and the weight is real, so leaving
-    # out the complex promotions changes no bit of z.
-    dist, weight = _distances(senders, qa, params)
-    np.divide(senders.amplitudes, weight, out=weight)
-    terms = np.empty(dist.shape, dtype=complex)
-    theta = terms.imag
-    np.multiply(dist, -2.0 * np.pi, out=theta)
-    np.divide(theta, params.lam, out=theta)
-    np.add(theta, senders.phases, out=theta)
-    terms.real = 0.0
-    np.exp(terms, out=terms)
-    np.multiply(terms.real, weight, out=terms.real)
-    np.multiply(terms.imag, weight, out=terms.imag)
-    z = terms.sum(axis=1)
+    z = np.empty(len(qa), dtype=complex)
+    for block in _blocks(len(qa), senders.m):
+        # The operations of (a / dclamp) * exp(1j * (-2 pi dist / lam + phi)),
+        # in their order, written into three (k, m) buffers, 32 bytes a pair.
+        # The real part of the exponent is 0 and the weight is real, so
+        # leaving out the complex promotions changes no bit of z.
+        dist, weight = _distances(senders, qa[block], params)
+        np.divide(senders.amplitudes, weight, out=weight)
+        terms = np.empty(dist.shape, dtype=complex)
+        theta = terms.imag
+        np.multiply(dist, -2.0 * np.pi, out=theta)
+        np.divide(theta, params.lam, out=theta)
+        np.add(theta, senders.phases, out=theta)
+        terms.real = 0.0
+        np.exp(terms, out=terms)
+        np.multiply(terms.real, weight, out=terms.real)
+        np.multiply(terms.imag, weight, out=terms.imag)
+        terms.sum(axis=1, out=z[block])
     return complex(z[0]) if single else z
 
 
@@ -208,16 +226,13 @@ def mimo_amplitude_bounds(senders: SenderSet, q, params: SignalParams):
     """
     qa, single = _receivers(q)
     k, m = qa.shape[0], senders.m
-    if m == 0:
-        zero = np.zeros(k)
-        return (0.0, 0.0) if single else (zero, zero.copy())
     pos = senders.positions
     lower, upper, outside = np.empty(k), np.empty(k), np.empty(k, dtype=bool)
-    chunk = max(1, min(k, _PAIR_BUDGET // m))
-    work = [np.empty((chunk, m)) for _ in range(3)]
-    work += [np.empty((chunk, m), dtype=np.float32) for _ in range(2)]
-    for start in range(0, k, chunk):
-        block = slice(start, start + chunk)
+    blocks = _blocks(k, m)
+    rows = blocks[0].stop if blocks else 0
+    work = [np.empty((rows, m)) for _ in range(3)]
+    work += [np.empty((rows, m), dtype=np.float32) for _ in range(2)]
+    for block in blocks:
         q_b = qa[block]
         dist, theta, turns, cos, sin = (w[: len(q_b)] for w in work)
         np.subtract(q_b[:, 0, None], pos[:, 0], out=dist)
@@ -238,7 +253,8 @@ def mimo_amplitude_bounds(senders: SenderSet, q, params: SignalParams):
         np.sin(cos, out=sin)
         np.cos(cos, out=cos)
         # |phase| <= 2 pi (d / lam + 1) bounds every phase of a row.
-        outside[block] = 2.0 * np.pi * (dist.max(axis=1) / params.lam + 1.0) > _PHASE_LIMIT
+        farthest = dist.max(axis=1, initial=0.0)
+        outside[block] = 2.0 * np.pi * (farthest / params.lam + 1.0) > _PHASE_LIMIT
         weight = np.maximum(dist, params.c_f * params.lam, out=dist)
         np.divide(senders.amplitudes, weight, out=weight)
         amplitude = np.hypot(np.einsum("km,km->k", weight, cos),
@@ -263,14 +279,41 @@ def mimo_triggered(senders: SenderSet, q, params: SignalParams):
 def snr_received_energy(senders: SenderSet, q, params: SignalParams):
     """Incoherent received energy RS = sum_j a_j^2 / max(dist_j, c_f lam)^2."""
     qa, single = _receivers(q)
-    if senders.m == 0:
-        rs = np.zeros(qa.shape[0])
-        return float(rs[0]) if single else rs
-    _, level = _distances(senders, qa, params)
-    np.square(level, out=level)
-    np.divide(senders.amplitudes**2, level, out=level)
-    rs = level.sum(axis=1)
+    rs = np.empty(len(qa))
+    power = senders.amplitudes**2
+    for block in _blocks(len(qa), senders.m):
+        _, level = _distances(senders, qa[block], params)
+        np.square(level, out=level)
+        np.divide(power, level, out=level)
+        level.sum(axis=1, out=rs[block])
     return float(rs[0]) if single else rs
+
+
+def snr_level_bounds(
+    senders: SenderSet, q_norm: np.ndarray, d_min: np.ndarray, params: SignalParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds L (1 - tol) and U (1 + tol), per receiver of radius ``q_norm``
+    and nearest-sender distance ``d_min``, on its :func:`snr_received_energy`.
+
+    Each term of a level is a_j^2 / max(d_j, c)^2 with c = c_f lam, and d_j
+    lies between d_min and |q| + r_s, r_s the largest sender radius.  So with
+    S = sum_j a_j^2, L = S / max(|q| + r_s, c)^2 and U = S / max(d_min, c)^2.
+    """
+    # Relative rounding, in units of u = 2^-53.  Kernel, per term: the
+    # subtraction (u), hypot (at most 2u), squaring the distance and a_j and
+    # the division (u each), about 9u; the sum of m terms, (m - 1)u.  S: the
+    # squares and their sum, at most mu (none for unit amplitudes: S = m).
+    # Either bound: the kd-tree distance (squared differences summed, then
+    # sqrt) or |q| + r_s (two hypot and an addition), about 4u, doubled by the
+    # square, then the division, 1 -/+ tol and the product, about 12u.  In all
+    # below (2m + 24)u; tol = 16 (m + 16)u leaves a margin of eight and more.
+    tol = (senders.m + 16) * 2.0**-49
+    c = params.c_f * params.lam
+    power = np.square(senders.amplitudes).sum()
+    r_s = np.hypot(*senders.positions.T).max(initial=0.0)
+    lower = power / np.maximum(q_norm + r_s, c) ** 2
+    upper = power / np.maximum(d_min, c) ** 2
+    return lower * (1.0 - tol), upper * (1.0 + tol)
 
 
 def snr_triggered(senders: SenderSet, q, params: SignalParams):
@@ -332,19 +375,10 @@ def field_map(
     xs, ys = grid.centers()
     X, Y = np.meshgrid(xs, ys)
     pts = np.column_stack([X.ravel(), Y.ravel()])
-    if senders.m == 0:
-        vals = np.zeros(len(pts))
-    elif model == "UDG":
-        dist, _ = cKDTree(senders.positions).query(pts, distance_upper_bound=_UDG_BOUND)
-        vals = (dist <= 1.0).astype(float)
-    else:  # blocks of the pair budget bound the kernels' temporaries
-        vals = np.empty(len(pts))
-        chunk = max(1, _PAIR_BUDGET // senders.m)
-        for start in range(0, len(pts), chunk):
-            block = pts[start : start + chunk]
-            if model == "SNR":
-                level = snr_received_energy(senders, block, params)
-            else:
-                level = np.abs(received_phasor(senders, block, params)) ** 2
-            vals[start : start + chunk] = level
+    if model == "UDG":
+        vals = (nearest_sender_distance(senders, pts, udg=True) <= 1.0).astype(float)
+    elif model == "SNR":
+        vals = snr_received_energy(senders, pts, params)
+    else:
+        vals = np.abs(received_phasor(senders, pts, params)) ** 2
     return FieldMap(grid=grid, values=vals.reshape(grid.ny, grid.nx))

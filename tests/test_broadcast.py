@@ -297,21 +297,16 @@ def test_miso_covered_by_bootstrap():
 def test_reception_memory_bounded_by_pair_budget(monkeypatch):
     # 600 center-synchronized MIMO senders, 3000 receivers: one unchunked
     # screen call would hold 1.8M pairs (about 60 MB).  Chunked by the pair
-    # budget (the screen's blocks and the kernel's), the peak stays near 35
-    # bytes per budgeted pair, and the informed set and travel distance do
-    # not change.
+    # budget, which the screen and the kernel read in signal_model, the peak
+    # stays near 35 bytes per budgeted pair, and the informed set and travel
+    # distance do not change.
     fld = sample_field(3600, 6.0, seed=3)
     config = BroadcastConfig(model="MIMO", params=PARAMS)
     active, candidates = np.arange(600), np.arange(600, 3600)
-
-    def pair_budget(pairs):
-        for module in (broadcast, signal_model):
-            monkeypatch.setattr(module, "_PAIR_BUDGET", pairs)
-
-    pair_budget(active.size * candidates.size)
+    monkeypatch.setattr(signal_model, "_PAIR_BUDGET", active.size * candidates.size)
     whole = _receive(fld, active, candidates, config)
     budget = 2**16
-    pair_budget(budget)
+    monkeypatch.setattr(signal_model, "_PAIR_BUDGET", budget)
     tracemalloc.start()
     try:
         newly, travel, pairs = _receive(fld, active, candidates, config)

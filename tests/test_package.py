@@ -46,3 +46,27 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _private_imports(source: str) -> list[str]:
+    """``_``-prefixed names a module imports from a ``coopcast`` module."""
+    return [
+        f"{alias.name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "coopcast")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_private_imports_are_found():
+    source = "from .a import _x, y\nfrom coopcast.b import _z\nfrom os import _exit\n"
+    assert _private_imports(source) == ["_x (line 1)", "_z (line 2)"]
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("src/coopcast/*.py")), ids=lambda p: p.name)
+def test_no_private_names_imported_across_modules(path):
+    # A module's _-prefixed names are its own: another module that needs one
+    # needs a public name.
+    assert _private_imports(path.read_text()) == []

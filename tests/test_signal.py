@@ -14,7 +14,9 @@ from coopcast.signal_model import (
     field_map,
     mimo_amplitude_bounds,
     mimo_triggered,
+    nearest_sender_distance,
     received_phasor,
+    snr_level_bounds,
     snr_received_energy,
     snr_triggered,
     udg_triggered,
@@ -312,13 +314,54 @@ def test_pgm_output_format():
 
 
 def test_empty_sender_set():
-    s = SenderSet.build(np.empty((0, 2)))
-    assert received_phasor(s, (1.0, 0.0), PARAMS) == 0j
-    assert snr_received_energy(s, (1.0, 0.0), PARAMS) == 0.0
+    # Empty positions, [] or of shape (0, 2), are m = 0 senders, which every
+    # kernel and screen takes.
     q = np.array([[1.0, 0.0], [0.0, 0.0]])
-    z, rs = reference_kernels(s, q, PARAMS)
-    assert np.array_equal(received_phasor(s, q, PARAMS), z)
-    assert np.array_equal(snr_received_energy(s, q, PARAMS), rs)
+    for positions in ([], np.empty((0, 2))):
+        s = SenderSet.build(positions)
+        assert s.m == 0 and s.positions.shape == (0, 2)
+        assert received_phasor(s, (1.0, 0.0), PARAMS) == 0j
+        assert snr_received_energy(s, (1.0, 0.0), PARAMS) == 0.0
+        z, rs = reference_kernels(s, q, PARAMS)
+        assert np.array_equal(received_phasor(s, q, PARAMS), z)
+        assert np.array_equal(snr_received_energy(s, q, PARAMS), rs)
+        bounds = snr_level_bounds(s, q[:, 0], q[:, 0], PARAMS)
+        assert [b.tolist() for b in bounds] == [[0.0, 0.0]] * 2
+        assert nearest_sender_distance(s, q).tolist() == [np.inf, np.inf]
+
+
+def test_sender_set_rejects_other_shapes():
+    # Any other shape of positions than (m, 2) is rejected, and the arrays
+    # are copies: the caller's stay writable.
+    for positions in ([[0.0, 0.0, 5.0]], [1.0, 2.0], np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="shape"):
+            SenderSet.build(positions)
+    with pytest.raises(ValueError, match="equal length"):
+        SenderSet.build([[0.0, 0.0]], amplitudes=[1.0, 2.0])
+    pos = np.zeros((1, 2))
+    SenderSet.build(pos)
+    pos[0, 0] = 1.0  # still writable
+
+
+@pytest.mark.parametrize("lam", [0.02, 0.1, 0.5])
+def test_snr_level_bounds_enclose_the_kernel_level(lam):
+    # With amplitudes from 0.5 to 2, every kernel level lies within the
+    # bounds: they scale with the sum of squared amplitudes, not with m.
+    params = SignalParams(lam=lam)
+    rng = np.random.Generator(np.random.Philox(17))
+    clamp = params.c_f * lam
+    for m in (1, 7, 85, 600):
+        pos = rng.uniform(-3.0, 3.0, size=(m, 2))
+        senders = SenderSet.build(pos, rng.uniform(0.5, 2.0, size=m))
+        q = np.vstack([
+            pos[:3],  # exactly on a sender: distance 0
+            pos[:3] + [0.3 * clamp, -0.4 * clamp],  # inside the near-field clamp
+            rng.uniform(-6.0, 6.0, size=(60, 2)),
+        ])
+        d_min = nearest_sender_distance(senders, q)
+        lower, upper = snr_level_bounds(senders, np.hypot(*q.T), d_min, params)
+        level = snr_received_energy(senders, q, params)
+        assert np.all((lower <= level) & (level <= upper))
 
 
 def assert_matches_reference(senders, q, params):
@@ -424,16 +467,21 @@ def test_screen_containment_fails_with_a_narrower_bound(monkeypatch):
 
 
 def test_screen_bounds_do_not_depend_on_the_pair_budget(monkeypatch):
-    # The screen loops over blocks of the pair budget itself, through work
-    # arrays allocated once; a row's bounds are the same bits in any block,
-    # the last, shorter block included.
+    # The screen and both kernels loop over blocks of the pair budget
+    # themselves (the screen through work arrays allocated once); a row's
+    # values are the same bits in any block, the last, shorter block included.
     senders, q, params = _screen_cases()[-6]  # 600 senders, lam = 0.1
-    monkeypatch.setattr(signal_model, "_PAIR_BUDGET", senders.m * len(q))
-    whole = mimo_amplitude_bounds(senders, q, params)
-    for budget in (1, 7 * senders.m, 2**15):
-        monkeypatch.setattr(signal_model, "_PAIR_BUDGET", budget)
-        blocked = mimo_amplitude_bounds(senders, q, params)
-        assert [b.tobytes() for b in blocked] == [w.tobytes() for w in whole]
+
+    def bits(function):
+        out = function(senders, q, params)
+        return [b.tobytes() for b in (out if isinstance(out, tuple) else (out,))]
+
+    for function in (mimo_amplitude_bounds, received_phasor, snr_received_energy):
+        monkeypatch.setattr(signal_model, "_PAIR_BUDGET", senders.m * len(q))
+        whole = bits(function)
+        for budget in (1, 7 * senders.m, 2**15):
+            monkeypatch.setattr(signal_model, "_PAIR_BUDGET", budget)
+            assert bits(function) == whole, (function.__name__, budget)
 
 
 def test_screen_edge_receivers():
