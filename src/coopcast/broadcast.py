@@ -58,9 +58,11 @@ class RoundRecord:
     # under UDG, those beyond the reach of the farthest sender.
     receivers: int
     # Receiver x sender pairs evaluated: every candidate's pairs under MIMO,
-    # where the screen evaluates them all and the exact kernel re-evaluates
-    # the rows the screen leaves open; under SNR the pairs of the candidates
-    # the distance bounds leave to the kernel; 0 under UDG.
+    # where the screen evaluates them all (its float32 tier those within its
+    # phase limit, its float64 tier the others and the rows the float32
+    # tier leaves open) and the exact kernel re-evaluates the rows the
+    # screen leaves open; under SNR the pairs of the candidates the distance
+    # bounds leave to the kernel; 0 under UDG.
     pairs_evaluated: int
     disk_radius_r_j: float | None = None
 

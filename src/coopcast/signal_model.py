@@ -7,10 +7,13 @@ collapses to the phasor sum for a steady-state window.
 
 This module owns reception's arithmetic; :mod:`coopcast.broadcast` only
 decides.  :func:`received_phasor` and :func:`snr_received_energy` are the
-exact kernels.  Their screens, :func:`mimo_amplitude_bounds` (a float32-trig
-phasor sum with a rigorous error bound) and :func:`snr_level_bounds`
-(distance bounds), bound a receiver's level without the kernel.  Kernels and
-the MIMO screen work in blocks of ``_PAIR_BUDGET`` pairs.
+exact kernels.  Their screens, :func:`mimo_amplitude_bounds` and
+:func:`snr_level_bounds` (distance bounds), bound a receiver's level without
+the kernel.  The MIMO screen has two tiers, each with a rigorous error bound
+of its own: an all-float32 phasor sum bounds every receiver, and a sum with
+float64 distances and phases, reduced to [-pi, pi] before float32 trig,
+bounds again the rows whose first bounds do not decide against beta N0.
+Kernels and both tiers work in blocks of ``_PAIR_BUDGET`` pairs.
 """
 
 from __future__ import annotations
@@ -40,9 +43,10 @@ __all__ = [
 # Receiver x sender pairs per block of a reception kernel or screen (see
 # _blocks): each block's temporaries are a few arrays of this many elements,
 # whatever the number of senders.  A MIMO kernel block holds two float64
-# arrays and one complex128 array, a screen block three float64 and two
-# float32 arrays: 32 bytes a pair either way, 1 MiB at 2^15 pairs, within a
-# 2 MiB per-core L2 cache.
+# arrays and one complex128 array, a float64 screen tier block three float64
+# and two float32 arrays: 32 bytes a pair either way, 1 MiB at 2^15 pairs,
+# within a 2 MiB per-core L2 cache.  A float32 tier block is three float32
+# arrays, 12 bytes a pair.
 # Of the budgets 2^14 to 2^17 this one ran the MIMO broadcast fastest on
 # criterion 08's five fields, one thread on a 2-vCPU x86-64 host: median
 # 1.91 s against 2.05, 2.91 and 3.07 s (three interleaved runs each).
@@ -181,8 +185,8 @@ def received_phasor(senders: SenderSet, q, params: SignalParams):
     return complex(z[0]) if single else z
 
 
-# The screen's error bound, as a multiple of a row's weight sum
-# W = sum_j a_j / max(d_j, c_f lam): |screen |z| - kernel |z|| <= eps W for
+# The float64 tier's error bound, as a multiple of a row's weight sum
+# W = sum_j a_j / max(d_j, c_f lam): |tier |z| - kernel |z|| <= eps W for
 # every receiver whose phases stay within _PHASE_LIMIT radians, with at
 # most _SCREEN_SENDERS senders.  Terms per unit of weight, with u = 2^-53
 # and M <= 2^20 the largest phase magnitude of the row:
@@ -213,18 +217,15 @@ _PHASE_LIMIT = 2.0**20
 _SCREEN_SENDERS = 2**20
 
 
-def mimo_amplitude_bounds(senders: SenderSet, q, params: SignalParams):
-    """Lower and upper bounds, per receiver, on ``np.abs(received_phasor(
-    senders, q, params))``.
+def _mimo_tier64(senders: SenderSet, qa: np.ndarray, params: SignalParams):
+    """Bounds (lower, upper) on every kernel |z| at receivers ``qa`` (k, 2)
+    from a phasor sum with float32 cos and sin of the phase reduced to
+    [-pi, pi] in float64, widened by eps W on each side (see ``_MIMO_EPS``).
 
-    The screen sums the phasors with float32 cos and sin of the phase
-    reduced to [-pi, pi] in float64, and widens |z| by eps W on each side
-    (see ``_MIMO_EPS``).  Receivers outside the bound's preconditions get
-    the bounds (0, inf), which decide nothing.  The receivers are screened
-    in blocks of ``_PAIR_BUDGET`` pairs, through five work arrays of one
-    block each, allocated once.
+    Receivers outside the bound's preconditions get (0, inf).  The
+    receivers are screened in blocks of ``_PAIR_BUDGET`` pairs, through five
+    work arrays of one block each, allocated once.
     """
-    qa, single = _receivers(q)
     k, m = qa.shape[0], senders.m
     pos = senders.positions
     lower, upper, outside = np.empty(k), np.empty(k), np.empty(k, dtype=bool)
@@ -265,6 +266,118 @@ def mimo_amplitude_bounds(senders: SenderSet, q, params: SignalParams):
     outside |= m > _SCREEN_SENDERS
     lower[outside] = 0.0
     upper[outside] = np.inf
+    return lower, upper
+
+
+# The float32 tier's error bound eps32, as a multiple of a row's weight sum
+# W = sum_j a_j / max(d_j, c), c = c_f lam.  For a receiver q, with P the
+# largest sender norm, Phi = 2 pi ((|q| + P) / lam + 1) bounds every phase
+# magnitude of the row (d_j <= |q| + |p_j| and phases lie in [0, 2 pi]), and
+#     eps32 = _MIMO_EPS32 (7 Phi + m + (|q| + P) / c + 32),
+# with _MIMO_EPS32 = 1.0625 u and u = 2^-24: then |tier |z| - kernel |z||
+# <= eps32 W for every row with Phi <= _TIER_PHASE_LIMIT and eps32 <= 2^-8
+# (so m <= 2^16), when lam and c are at least 2^-20 and every amplitude is
+# 0 or at least 2^-40; the tier gives the other rows (0, inf).
+# Terms per unit of weight, first order in u, for a pair at distance D:
+# - the float32 casts: each coordinate moves by at most u of itself, so the
+#   cast points' distance by at most u (|q| + |p|); a phase (below 2 pi),
+#   an amplitude and the constants -2 pi / lam and c, u relative each;
+# - the float32 distance: dx and dy, their squares, sum and sqrt, 3u D;
+# - the phase d (-2 pi / lam) + phi against the kernel's: the distance's
+#   error times 2 pi / lam, the constant and the product, u 2 pi D / lam
+#   each, the phase's cast 2 pi u and the sum u |phase|; with D <= |q| + P,
+#   in all below 7u Phi (2^-9.3 at criterion 08's largest Phi, 3,776 rad);
+# - float32 cos/sin of the unreduced phase, whose magnitude stays below
+#   Phi (1 + 8u) < 2^12, as the modulus |(cos, sin) - e^{it}|:
+#   _TRIG_ERROR = 12u (measured worst 1.43u over every float32 in
+#   [-2^12, 2^12]; tests/test_signal.py checks a dense sample against 1/8);
+# - the weights a / max(d, c) against the kernel's: a, c and the division,
+#   u each, and the distance, 3u + u (|q| + P) / c through the clamp;
+# - the products and the float32 einsum row sums in any order, m u;
+# - float32 underflow, which the limits on lam, c and the amplitudes keep
+#   below 2^-50 (a square below 2^-126 moves d by at most 2^-74.5; weights
+#   stay above 2^-104 while d^2 is finite);
+# - the kernel's own rounding (float64 distance, phase, exp, weight product
+#   and pairwise sum) and the float64 abs and widening, below 2^-30.
+# The constant terms, 12u (trig), 6u (weights) and below 2^-29 (underflow
+# and the kernel), sum to less than 32u.  The slack's W is the
+# tier's float32 weight sum, within (m - 1)u + (|q| + P) u / c + 6u of the
+# kernel's.  With eps32 <= 2^-8 every term is below 2^-8, so that and the
+# second-order terms scale the sum by less than 1 + 2^-6 <= 1.0625.
+# Overflow gives inf or nan bounds, which decide nothing.  Decisions square
+# a bound, as for the float64 tier.
+_MIMO_EPS32 = 1.0625 * 2.0**-24
+_TIER_PHASE_LIMIT = 4000.0
+
+
+def _mimo_tier32(senders: SenderSet, qa: np.ndarray, params: SignalParams):
+    """Bounds (lower, upper) on every kernel |z| at receivers ``qa`` (k, 2)
+    from a float32 phasor sum widened by eps32 W (see ``_MIMO_EPS32``).
+
+    Positions, receivers, amplitudes and phases are cast to float32 once;
+    the receivers within the tier's limits are screened in blocks of
+    ``_PAIR_BUDGET`` pairs through three float32 work arrays of one block
+    each, allocated once.  The others get (0, inf).
+    """
+    k, m = qa.shape[0], senders.m
+    clamp = params.c_f * params.lam
+    reach = np.hypot(qa[:, 0], qa[:, 1]) + np.hypot(*senders.positions.T).max(initial=0.0)
+    phase = 2.0 * np.pi * (reach / params.lam + 1.0)
+    eps = _MIMO_EPS32 * (7.0 * phase + m + reach / clamp + 32.0)
+    normal = min(params.lam, clamp) >= 2.0**-20 and np.all(
+        (senders.amplitudes == 0.0) | (senders.amplitudes >= 2.0**-40))
+    inside = np.flatnonzero((phase <= _TIER_PHASE_LIMIT) & (eps <= 2.0**-8) & normal)
+    q32 = qa[inside].astype(np.float32)
+    pos = senders.positions.astype(np.float32)
+    amplitudes = senders.amplitudes.astype(np.float32)
+    phases = senders.phases.astype(np.float32)
+    wave, clamp = np.float32(-2.0 * np.pi / params.lam), np.float32(clamp)
+    real, imag, total = np.empty((3, inside.size))
+    blocks = _blocks(inside.size, m)
+    rows = blocks[0].stop if blocks else 0
+    work = [np.empty((rows, m), dtype=np.float32) for _ in range(3)]
+    for block in blocks:
+        q_b = q32[block]
+        dist, theta, cos = (w[: len(q_b)] for w in work)
+        np.subtract(q_b[:, 0, None], pos[:, 0], out=dist)
+        np.subtract(q_b[:, 1, None], pos[:, 1], out=theta)
+        np.multiply(dist, dist, out=dist)
+        np.multiply(theta, theta, out=theta)
+        np.add(dist, theta, out=dist)
+        np.sqrt(dist, out=dist)
+        np.multiply(dist, wave, out=theta)
+        np.add(theta, phases, out=theta)
+        np.cos(theta, out=cos)
+        sin = np.sin(theta, out=theta)
+        weight = np.maximum(dist, clamp, out=dist)
+        np.divide(amplitudes, weight, out=weight)
+        real[block] = np.einsum("km,km->k", weight, cos)
+        imag[block] = np.einsum("km,km->k", weight, sin)
+        total[block] = weight.sum(axis=1)
+    amplitude = np.hypot(real, imag)
+    slack = eps[inside] * total
+    lower, upper = np.zeros(k), np.full(k, np.inf)
+    lower[inside] = np.maximum(amplitude - slack, 0.0)
+    upper[inside] = amplitude + slack
+    return lower, upper
+
+
+def mimo_amplitude_bounds(senders: SenderSet, q, params: SignalParams):
+    """Lower and upper bounds, per receiver, on ``np.abs(received_phasor(
+    senders, q, params))``.
+
+    Two certified tiers bound |z| without the kernel.  The float32 tier
+    (``_mimo_tier32``) bounds every receiver within its phase limit.  The
+    rows its bounds do not decide against ``params.beta_N0`` (neither
+    lower^2 >= beta N0 nor upper^2 < beta N0) go to the float64 tier
+    (``_mimo_tier64``), whose bounds replace theirs.  Receivers outside both
+    tiers' preconditions get the bounds (0, inf), which decide nothing.
+    """
+    qa, single = _receivers(q)
+    lower, upper = _mimo_tier32(senders, qa, params)
+    rows = np.flatnonzero(~(lower**2 >= params.beta_N0) & ~(upper**2 < params.beta_N0))
+    if rows.size:
+        lower[rows], upper[rows] = _mimo_tier64(senders, qa[rows], params)
     return (float(lower[0]), float(upper[0])) if single else (lower, upper)
 
 

@@ -331,6 +331,21 @@ def _kernel_receivers(monkeypatch) -> set[tuple[float, float]]:
     return seen
 
 
+def _tier64_receivers(monkeypatch) -> list[tuple[float, float]]:
+    """Wrap the float64 tier of the MIMO screen, which ``signal_model`` calls
+    on the rows its float32 tier leaves open; the returned list collects the
+    receiver positions of every call."""
+    seen = []
+    tier = signal_model._mimo_tier64
+
+    def spied(senders, q, params):
+        seen.extend(map(tuple, q))
+        return tier(senders, q, params)
+
+    monkeypatch.setattr(signal_model, "_mimo_tier64", spied)
+    return seen
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_mimo_receive_informs_center_synced_reference(monkeypatch, seed):
     # MIMO senders transmit with center-synchronized phases: a round informs
@@ -348,11 +363,16 @@ def test_mimo_receive_informs_center_synced_reference(monkeypatch, seed):
     for beta in thresholds:
         config = BroadcastConfig(model="MIMO", params=SignalParams(beta_N0=beta))
         kernel_rows = _kernel_receivers(monkeypatch)
+        tier64_rows = _tier64_receivers(monkeypatch)
         newly, _, pairs = _receive(fld, active, candidates, config)
         monkeypatch.undo()
         assert newly.tolist() == candidates[level >= beta].tolist()
         assert pairs == active.size * candidates.size
-        # A level on the threshold is left to the exact kernel.
+        # The float32 tier leaves rows to the float64 tier, and the float64
+        # tier leaves rows to the kernel; a level on the threshold reaches it.
+        assert kernel_rows <= set(tier64_rows)
+        if beta == 1.0:
+            assert len(tier64_rows) < candidates.size
         on_threshold = {tuple(p) for p in fld.positions[candidates[level == beta]]}
         assert on_threshold <= kernel_rows
 

@@ -440,14 +440,17 @@ def _screen_cases():
     return cases
 
 
-def _screen_misses(cases) -> int:
-    """Receivers whose kernel |z| falls outside the screen's bounds."""
+def _screen_misses(cases, bounds=mimo_amplitude_bounds) -> int:
+    """Receivers whose kernel |z| falls outside the ``bounds``."""
     misses = 0
     for senders, q, params in cases:
-        lower, upper = mimo_amplitude_bounds(senders, q, params)
+        lower, upper = bounds(senders, q, params)
         amplitude = np.abs(received_phasor(senders, q, params))
         misses += int(np.sum(~((lower <= amplitude) & (amplitude <= upper))))
     return misses
+
+
+TIERS = [signal_model._mimo_tier32, signal_model._mimo_tier64]
 
 
 def test_screen_encloses_the_kernel_amplitude():
@@ -460,15 +463,50 @@ def test_screen_encloses_the_kernel_amplitude():
     assert _screen_misses(cases) == 0
 
 
+@pytest.mark.parametrize("tier", TIERS)
+def test_each_tier_encloses_the_kernel_amplitude(tier):
+    # Each tier on its own, called directly: through the screen the float64
+    # tier sees only the rows the float32 tier leaves open.
+    assert _screen_misses(_screen_cases(), tier) == 0
+
+
+def test_float32_tier_bounds_most_receivers_within_its_phase_limit():
+    # The float32 tier widens |z| by its own eps32 W, less than 2^-8 W, on
+    # every receiver within its phase limit, phases of thousands of radians
+    # included, and gives the others (0, inf).
+    bounded = far = 0
+    for senders, q, params in _screen_cases():
+        lower, upper = signal_model._mimo_tier32(senders, q, params)
+        reach = np.hypot(*q.T) + np.hypot(*senders.positions.T).max()
+        within = 2.0 * np.pi * (reach / params.lam + 1.0) <= signal_model._TIER_PHASE_LIMIT
+        assert np.all(np.isfinite(upper) == within)
+        assert lower[~within].tolist() == [0.0] * int(np.sum(~within))
+        bounded += int(np.sum(within))
+        dist = np.linalg.norm(q[within][:, None] - senders.positions, axis=2)
+        weight = (senders.amplitudes / np.maximum(dist, params.c_f * params.lam)).sum(axis=1)
+        assert np.all(upper[within] - lower[within] <= 2.0**-7 * weight)
+        far = max(far, 2.0 * np.pi * dist.max(initial=0.0) / params.lam)
+    assert bounded > 1500 and far > 2000.0
+
+
 def test_screen_containment_fails_with_a_narrower_bound(monkeypatch):
-    # The check has teeth: 2^12 times less slack misses some receiver.
+    # The check has teeth: 2^12 times less slack misses some receiver.  It
+    # calls the float64 tier directly; through the screen the float32 tier
+    # would decide most rows before the float64 tier sees them.
     monkeypatch.setattr(signal_model, "_MIMO_EPS", signal_model._MIMO_EPS / 2**12)
-    assert _screen_misses(_screen_cases()) > 0
+    assert _screen_misses(_screen_cases(), signal_model._mimo_tier64) > 0
+
+
+def test_float32_tier_containment_fails_with_a_narrower_bound(monkeypatch):
+    # 2^5 times less slack misses some receiver: on these cases the worst
+    # error comes within a factor of 32 of the float32 tier's bound.
+    monkeypatch.setattr(signal_model, "_MIMO_EPS32", signal_model._MIMO_EPS32 / 2**5)
+    assert _screen_misses(_screen_cases(), signal_model._mimo_tier32) > 0
 
 
 def test_screen_bounds_do_not_depend_on_the_pair_budget(monkeypatch):
-    # The screen and both kernels loop over blocks of the pair budget
-    # themselves (the screen through work arrays allocated once); a row's
+    # The tiers and both kernels loop over blocks of the pair budget
+    # themselves (the tiers through work arrays allocated once); a row's
     # values are the same bits in any block, the last, shorter block included.
     senders, q, params = _screen_cases()[-6]  # 600 senders, lam = 0.1
 
@@ -476,7 +514,7 @@ def test_screen_bounds_do_not_depend_on_the_pair_budget(monkeypatch):
         out = function(senders, q, params)
         return [b.tobytes() for b in (out if isinstance(out, tuple) else (out,))]
 
-    for function in (mimo_amplitude_bounds, received_phasor, snr_received_energy):
+    for function in (mimo_amplitude_bounds, *TIERS, received_phasor, snr_received_energy):
         monkeypatch.setattr(signal_model, "_PAIR_BUDGET", senders.m * len(q))
         whole = bits(function)
         for budget in (1, 7 * senders.m, 2**15):
@@ -492,11 +530,33 @@ def test_screen_edge_receivers():
     # No senders: z = 0 exactly.
     lower, upper = mimo_amplitude_bounds(SenderSet.build(np.empty((0, 2))), np.ones((2, 2)), PARAMS)
     assert lower.tolist() == upper.tolist() == [0.0, 0.0]
-    # Phases beyond the bound's range decide nothing.
+    # At lam = 1e-4, a receiver at distance 1 has phases of 6.3e4 rad: past
+    # the float32 tier's limit, within the float64 tier's.  At distance 100,
+    # 6.3e6 rad, past both, the bounds decide nothing.
     params = SignalParams(lam=1e-4)
-    lower, upper = mimo_amplitude_bounds(one, np.array([[100.0, 0.0], [1.0, 0.0]]), params)
+    q = np.array([[100.0, 0.0], [1.0, 0.0]])
+    lower, upper = signal_model._mimo_tier32(one, q, params)
+    assert lower.tolist() == [0.0, 0.0] and upper.tolist() == [np.inf, np.inf]
+    lower, upper = mimo_amplitude_bounds(one, q, params)
     assert (lower[0], upper[0]) == (0.0, np.inf)
     assert lower[1] < 1.0 < upper[1]
+    # Amplitudes below 2^-40 could underflow in float32: the float32 tier
+    # takes no row, and the float64 tier bounds them.
+    tiny = SenderSet.build([[0.0, 0.0]], amplitudes=[1e-20])
+    lower, upper = signal_model._mimo_tier32(tiny, q[1:], PARAMS)
+    assert (lower[0], upper[0]) == (0.0, np.inf)
+    lower, upper = mimo_amplitude_bounds(tiny, q[1:], PARAMS)
+    assert lower[0] < 1e-20 < upper[0] < 1e-19
+
+
+def _worst_trig_error(t: np.ndarray) -> float:
+    """The worst |(cos t, sin t) - e^{it}| of numpy's float32 routines over
+    the float32 arguments +-t, against float64 of the same arguments."""
+    t = np.concatenate([t, -t])
+    t64 = t.astype(np.float64)
+    cos_error = np.abs(np.cos(t).astype(np.float64) - np.cos(t64))
+    sin_error = np.abs(np.sin(t).astype(np.float64) - np.sin(t64))
+    return float(np.hypot(cos_error, sin_error).max())
 
 
 def test_float32_trig_within_the_screen_guard_band():
@@ -513,10 +573,21 @@ def test_float32_trig_within_the_screen_guard_band():
         for c in (np.pi / 2, np.pi)
     ]
     tiny = np.arange(0, 2**12 + 1, dtype=np.int32).view(np.float32)
-    t = np.concatenate([strided, grid, *near, tiny])
-    t = np.concatenate([t, -t])
-    t64 = t.astype(np.float64)
-    cos_error = np.abs(np.cos(t).astype(np.float64) - np.cos(t64))
-    sin_error = np.abs(np.sin(t).astype(np.float64) - np.sin(t64))
-    worst = np.hypot(cos_error, sin_error).max()
+    worst = _worst_trig_error(np.concatenate([strided, grid, *near, tiny]))
+    assert 0.0 < worst <= signal_model._TRIG_ERROR / 8
+
+
+def test_float32_trig_within_the_tier_guard_band():
+    # The float32 tier takes cos and sin of unreduced phases, below 2^12 in
+    # magnitude (see _TIER_PHASE_LIMIT), whose range reduction is not the
+    # one on [-pi, pi].  A fixed dense sample of [-2^12, 2^12]: every 509th
+    # float32, a uniform grid, and every float32 within 2^8 ulps of each
+    # multiple of pi/2.  Same check as above: below 1/8 of _TRIG_ERROR.
+    top = int(np.float32(2.0**12).view(np.int32))
+    strided = np.arange(0, top + 1, 509, dtype=np.int32).view(np.float32)
+    grid = np.linspace(0.0, 2.0**12, 2**21).astype(np.float32)
+    quarter = (np.arange(1, 2608) * (np.pi / 2)).astype(np.float32).view(np.int32)
+    near = (quarter[:, None] + np.arange(-2**8, 2**8 + 1, dtype=np.int32)).view(np.float32)
+    t = np.concatenate([strided, grid, near.ravel()])
+    worst = _worst_trig_error(t[t <= 2.0**12])
     assert 0.0 < worst <= signal_model._TRIG_ERROR / 8
