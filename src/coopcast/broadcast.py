@@ -6,10 +6,11 @@ transmit in round j), and the two-phase MISO broadcast (UDG bootstrap of a
 small disk, then expanding-disk MIMO rounds).  MIMO senders always transmit
 with center-synchronized phases.  Reception in a round is always evaluated
 against the complete transmitting set of that round; there is no intra-round
-chaining.  Its arithmetic (distances, screens, kernels) is in
-:mod:`coopcast.signal_model`; this module only decides.  No round cap
-applies: a flood ends when a round informs nobody, an expanding disk when
-its schedule does.
+chaining.  :func:`informs` is the one reception rule, which the round
+engine, the acceptance criteria and :func:`coopcast.experiments.calibrate_c1`
+all decide by; its arithmetic (distances, screens, kernels) is in
+:mod:`coopcast.signal_model`.  No round cap applies: a flood ends when a
+round informs nobody, an expanding disk when its schedule does.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "RoundLog",
     "BroadcastConfig",
     "BootstrapFailure",
+    "informs",
     "run_udg_flood",
     "run_expanding_disk",
     "run_miso_broadcast",
@@ -110,6 +112,9 @@ def _fields_of(record) -> dict:
 OnRound = Callable[[RoundRecord, str, SenderSet], None]
 
 
+_MODELS = ("UDG", "SNR", "MIMO")
+
+
 @dataclass(frozen=True)
 class BroadcastConfig:
     """How a broadcast runs: a UDG flood, which takes no schedule, or an SNR
@@ -121,7 +126,7 @@ class BroadcastConfig:
     params: SignalParams = field(default_factory=SignalParams)
 
     def __post_init__(self):
-        if self.model not in ("UDG", "SNR", "MIMO"):
+        if self.model not in _MODELS:
             raise ValueError(f"unknown model {self.model!r}")
         radii = self.radius_schedule
         if self.model == "UDG" and radii:
@@ -137,39 +142,40 @@ def _senders(field_, active: np.ndarray, config: BroadcastConfig) -> SenderSet:
     return SenderSet.build(pos, phases=phases)
 
 
-def _receive(
-    field_, senders: SenderSet, candidates: np.ndarray, config: BroadcastConfig
-) -> tuple[np.ndarray, float, int]:
-    """The candidates that this round's senders inform, how far the signal
-    travelled (the largest distance from a newly informed node to its
-    nearest sender, 0 when nobody is informed), and how many receiver x
-    sender pairs were evaluated (see :class:`RoundRecord`).
+def informs(
+    model: str, senders: SenderSet, q, params: SignalParams
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Which receivers ``q`` (k, 2) the ``senders`` inform in one round under
+    ``model`` ("UDG", "SNR" or "MIMO"), as a boolean mask; each receiver's
+    distance to its nearest sender (under UDG, inf beyond 1); and how many
+    receiver x sender pairs were evaluated (see :class:`RoundRecord`).
 
-    Under SNR and MIMO, a screen's lower level bound at or above beta N0
-    informs; the other rows whose upper bound reaches it go to the kernel.
+    UDG informs within distance 1 of a sender.  SNR and MIMO inform where
+    the received level reaches beta N0, boundary included: a screen's lower
+    level bound at or above beta N0 informs, and the other rows whose upper
+    bound reaches it go to the exact kernel, so every decision is the
+    kernel's.  ``params`` is read only under SNR and MIMO.
     """
-    pts = field_.positions[candidates]
-    d_min = nearest_sender_distance(senders, pts, udg=config.model == "UDG")
-    if config.model == "UDG":
-        triggered, pairs = d_min <= 1.0, 0
-    else:
-        params = config.params
-        snr = config.model == "SNR"
+    if model not in _MODELS:
+        raise ValueError(f"unknown model {model!r}")
+    q = np.asarray(q, dtype=float)
+    d_min = nearest_sender_distance(senders, q, udg=model == "UDG")
+    if model == "UDG":
+        return d_min <= 1.0, d_min, 0
+    snr = model == "SNR"
+    if snr:
+        lower, upper = snr_level_bounds(senders, np.hypot(q[:, 0], q[:, 1]), d_min, params)
+    else:  # a coherent sum can cancel: a phasor screen, not distance, bounds it
+        lower, upper = (b**2 for b in mimo_amplitude_bounds(senders, q, params))
+    informed = lower >= params.beta_N0
+    rows = np.flatnonzero(~informed & (upper >= params.beta_N0))
+    if rows.size:
         if snr:
-            lower, upper = snr_level_bounds(senders, field_.radii[candidates], d_min, params)
-        else:  # a coherent sum can cancel: a phasor screen, not distance, bounds it
-            lower, upper = (b**2 for b in mimo_amplitude_bounds(senders, pts, params))
-        triggered = lower >= params.beta_N0
-        rows = np.flatnonzero(~triggered & (upper >= params.beta_N0))
-        if rows.size:
-            if snr:
-                level = snr_received_energy(senders, pts[rows], params)
-            else:
-                level = np.abs(received_phasor(senders, pts[rows], params)) ** 2
-            triggered[rows] = level >= params.beta_N0
-        pairs = senders.m * (rows.size if snr else candidates.size)
-    travel = d_min[triggered]
-    return candidates[triggered], float(travel.max()) if travel.size else 0.0, pairs
+            level = snr_received_energy(senders, q[rows], params)
+        else:
+            level = np.abs(received_phasor(senders, q[rows], params)) ** 2
+        informed[rows] = level >= params.beta_N0
+    return informed, d_min, senders.m * (rows.size if snr else len(q))
 
 
 # A UDG receiver q hears a sender s only if |q - s| <= 1, so |q| <= |s| + 1:
@@ -179,7 +185,7 @@ def _receive(
 # in units of u = 2^-53: hypot for the candidate's radius and for the
 # sender's (1 ulp each, at most 2u each); the kd-tree distance (differences,
 # squares, their sum, then sqrt, about 4u), counted as if accepted up to
-# the query's bound 1 + 2u, though _receive keeps d <= 1; the addition of 1
+# the query's bound 1 + 2u, though informs keeps d <= 1; the addition of 1
 # (u) and the product by 1 + tol (u).  They sum to 12u;
 # tol = 2^-44 = 512u is more than forty times that, and a node it keeps in
 # vain costs one kd-tree query.
@@ -236,7 +242,13 @@ def _run_rounds(
         else:
             active = np.flatnonzero(informed & (radii <= r_j))
         senders = _senders(field_, active, config)
-        newly, travel, pairs = _receive(field_, senders, candidates, config)
+        hit, d_min, pairs = informs(
+            config.model, senders, field_.positions[candidates], config.params
+        )
+        # The signal travelled to the newly informed node farthest from its
+        # nearest sender.
+        newly, travel = candidates[hit], float(d_min[hit].max(initial=0.0))
+        del hit, d_min  # one entry per candidate: not kept through the next round
         if flood and newly.size == 0:
             break
         informed[newly] = True

@@ -23,6 +23,7 @@ from .broadcast import (
     BroadcastConfig,
     OnRound,
     RoundLog,
+    informs,
     run_expanding_disk,
     run_miso_broadcast,
     run_udg_flood,
@@ -34,7 +35,6 @@ from .signal_model import (
     SignalParams,
     center_sync_phases,
     field_map,
-    mimo_triggered,
 )
 
 __all__ = [
@@ -265,8 +265,9 @@ def calibrate_c1(
     r_1 = c2/lam transmit with phases aligned toward the origin, and the
     step succeeds when 100 far-field receivers on the circle of radius
     d = c1 rho sqrt(lam) r_1^1.5 (floored at the far-field limit 15 r_1)
-    are all triggered.  Returns the largest candidate whose success
-    fraction over the seeds reaches ``success_rate``.
+    are all informed, by :func:`coopcast.broadcast.informs` under MIMO.
+    Returns the largest candidate whose success fraction over the seeds
+    reaches ``success_rate``.
     """
     radius = ExperimentConfig(models=("mimo",), node_counts=(n,), density=density).radius_for(n)
     r1 = c2 / params.lam
@@ -289,7 +290,7 @@ def calibrate_c1(
             rng = np.random.Generator(np.random.Philox(key=seed, counter=1))
             ang = rng.uniform(0.0, 2.0 * np.pi, 100)
             receivers = d * np.column_stack([np.cos(ang), np.sin(ang)])
-            if bool(np.all(mimo_triggered(senders, receivers, params))):
+            if bool(np.all(informs("MIMO", senders, receivers, params)[0])):
                 successes += 1
         if successes / len(seeds) >= success_rate:
             best = cand

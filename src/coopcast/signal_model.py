@@ -5,9 +5,12 @@ per-sender received energies, and the UDG model is plain distance <= 1.
 Demodulation is evaluated in closed form: the time-domain Fourier integral
 collapses to the phasor sum for a steady-state window.
 
-This module owns reception's arithmetic; :mod:`coopcast.broadcast` only
-decides.  :func:`received_phasor` and :func:`snr_received_energy` are the
-exact kernels.  Their screens, :func:`mimo_amplitude_bounds` and
+This module owns reception's arithmetic and decides nothing: the one
+reception rule is :func:`coopcast.broadcast.informs`.  The kernels, the
+MIMO screen and the nearest-sender distance take receivers as a (k, 2)
+array and return one value per receiver.
+:func:`received_phasor` and :func:`snr_received_energy` are the exact
+kernels.  Their screens, :func:`mimo_amplitude_bounds` and
 :func:`snr_level_bounds` (distance bounds), bound a receiver's level without
 the kernel.  The MIMO screen has two tiers, each with a rigorous error bound
 of its own: an all-float32 phasor sum bounds every receiver, and a sum with
@@ -30,11 +33,8 @@ __all__ = [
     "nearest_sender_distance",
     "received_phasor",
     "mimo_amplitude_bounds",
-    "mimo_triggered",
     "snr_received_energy",
     "snr_level_bounds",
-    "snr_triggered",
-    "udg_triggered",
     "FieldMap",
     "GridSpec",
     "field_map",
@@ -73,6 +73,8 @@ class SignalParams:
     def __post_init__(self):
         if self.lam <= 0:
             raise ValueError(f"wavelength must be positive, got {self.lam}")
+        if self.c_f <= 0:
+            raise ValueError(f"near-field cutoff multiplier c_f must be positive, got {self.c_f}")
         if self.c_f * self.lam > 1.0 + 1e-12:
             raise ValueError(
                 f"near-field cutoff c_f*lam must not exceed 1, got {self.c_f * self.lam}"
@@ -148,22 +150,15 @@ def _distances(senders: SenderSet, q: np.ndarray, params: SignalParams):
     return dist, clamped
 
 
-def _receivers(q) -> tuple[np.ndarray, bool]:
-    qa = np.asarray(q, dtype=float)
-    if qa.ndim == 1:
-        return qa[None, :], True
-    return qa, False
-
-
 def received_phasor(senders: SenderSet, q, params: SignalParams):
-    """Complex demodulation output z at receiver(s) ``q``.
+    """Complex demodulation output z at each receiver of ``q`` (k, 2).
 
     z = sum_j (a_j / max(dist_j, c_f lam)) * exp(i(-2 pi dist_j / lam + phi_j)).
     Summation runs in sender-index order with numpy pairwise reduction, so the
     result is reproducible and permutation of equal sender sets is exact after
     canonical sorting.
     """
-    qa, single = _receivers(q)
+    qa = np.asarray(q, dtype=float)
     z = np.empty(len(qa), dtype=complex)
     for block in _blocks(len(qa), senders.m):
         # The operations of (a / dclamp) * exp(1j * (-2 pi dist / lam + phi)),
@@ -182,7 +177,7 @@ def received_phasor(senders: SenderSet, q, params: SignalParams):
         np.multiply(terms.real, weight, out=terms.real)
         np.multiply(terms.imag, weight, out=terms.imag)
         terms.sum(axis=1, out=z[block])
-    return complex(z[0]) if single else z
+    return z
 
 
 # The float64 tier's error bound, as a multiple of a row's weight sum
@@ -363,8 +358,8 @@ def _mimo_tier32(senders: SenderSet, qa: np.ndarray, params: SignalParams):
 
 
 def mimo_amplitude_bounds(senders: SenderSet, q, params: SignalParams):
-    """Lower and upper bounds, per receiver, on ``np.abs(received_phasor(
-    senders, q, params))``.
+    """Lower and upper bounds, per receiver of ``q`` (k, 2), on
+    ``np.abs(received_phasor(senders, q, params))``.
 
     Two certified tiers bound |z| without the kernel.  The float32 tier
     (``_mimo_tier32``) bounds every receiver within its phase limit.  The
@@ -373,25 +368,18 @@ def mimo_amplitude_bounds(senders: SenderSet, q, params: SignalParams):
     (``_mimo_tier64``), whose bounds replace theirs.  Receivers outside both
     tiers' preconditions get the bounds (0, inf), which decide nothing.
     """
-    qa, single = _receivers(q)
+    qa = np.asarray(q, dtype=float)
     lower, upper = _mimo_tier32(senders, qa, params)
     rows = np.flatnonzero(~(lower**2 >= params.beta_N0) & ~(upper**2 < params.beta_N0))
     if rows.size:
         lower[rows], upper[rows] = _mimo_tier64(senders, qa[rows], params)
-    return (float(lower[0]), float(upper[0])) if single else (lower, upper)
-
-
-def mimo_triggered(senders: SenderSet, q, params: SignalParams):
-    """Whether |z|^2 >= beta*N0 (boundary inclusive) at receiver(s) ``q``."""
-    z = received_phasor(senders, q, params)
-    power = np.abs(np.asarray(z)) ** 2
-    out = power >= params.beta_N0
-    return bool(out) if np.ndim(z) == 0 else out
+    return lower, upper
 
 
 def snr_received_energy(senders: SenderSet, q, params: SignalParams):
-    """Incoherent received energy RS = sum_j a_j^2 / max(dist_j, c_f lam)^2."""
-    qa, single = _receivers(q)
+    """Incoherent received energy RS = sum_j a_j^2 / max(dist_j, c_f lam)^2
+    at each receiver of ``q`` (k, 2)."""
+    qa = np.asarray(q, dtype=float)
     rs = np.empty(len(qa))
     power = senders.amplitudes**2
     for block in _blocks(len(qa), senders.m):
@@ -399,7 +387,7 @@ def snr_received_energy(senders: SenderSet, q, params: SignalParams):
         np.square(level, out=level)
         np.divide(power, level, out=level)
         level.sum(axis=1, out=rs[block])
-    return float(rs[0]) if single else rs
+    return rs
 
 
 def snr_level_bounds(
@@ -427,19 +415,6 @@ def snr_level_bounds(
     lower = power / np.maximum(q_norm + r_s, c) ** 2
     upper = power / np.maximum(d_min, c) ** 2
     return lower * (1.0 - tol), upper * (1.0 + tol)
-
-
-def snr_triggered(senders: SenderSet, q, params: SignalParams):
-    rs = snr_received_energy(senders, q, params)
-    out = np.asarray(rs) >= params.beta_N0
-    return bool(out) if np.ndim(rs) == 0 else out
-
-
-def udg_triggered(sender, q) -> bool:
-    """Unit-disk reception: distance <= 1."""
-    s = np.asarray(sender, dtype=float)
-    r = np.asarray(q, dtype=float)
-    return bool(np.hypot(*(r - s)) <= 1.0)
 
 
 @dataclass(frozen=True)

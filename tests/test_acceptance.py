@@ -14,6 +14,7 @@ import numpy as np
 from coopcast.bounds import propagation_time, reverse_snr_schedule, snr_upper_schedule
 from coopcast.broadcast import (
     BroadcastConfig,
+    informs,
     run_expanding_disk,
     run_miso_broadcast,
     run_udg_flood,
@@ -26,11 +27,9 @@ from coopcast.prover import run_suite
 from coopcast.signal_model import (
     SenderSet,
     SignalParams,
-    mimo_triggered,
+    center_sync_phases,
     received_phasor,
     snr_received_energy,
-    snr_triggered,
-    udg_triggered,
 )
 
 
@@ -40,8 +39,9 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
 
 
 def test_criterion_01_model_equivalence():
-    # Single sender, a = 1, beta*N0 = 1: all three trigger predicates must
-    # agree on 1e5 random pairs with zero disagreements.
+    # Single sender, a = 1, beta*N0 = 1: the engine's reception rule must
+    # decide alike under all three models on 1e5 random pairs with zero
+    # disagreements.
     t0 = time.monotonic()
     params = SignalParams(lam=0.1, beta_N0=1.0)
     rng = np.random.Generator(np.random.Philox(101))
@@ -52,20 +52,20 @@ def test_criterion_01_model_equivalence():
         offsets = rng.uniform(-2.0, 2.0, (100, 2))
         receivers = sender + offsets
         senders = SenderSet.build(sender[None, :])
-        mimo = np.asarray(mimo_triggered(senders, receivers, params))
-        snr = np.asarray(snr_triggered(senders, receivers, params))
+        mimo = informs("MIMO", senders, receivers, params)[0]
+        snr = informs("SNR", senders, receivers, params)[0]
         udg = np.hypot(offsets[:, 0], offsets[:, 1]) <= 1.0
         disagreements += int(np.sum(mimo != udg) + np.sum(snr != udg))
         total += receivers.shape[0]
-    # Spot-check the scalar unit-disk predicate against the vectorized form.
+    # Spot-check single receivers, the unit disk through the kd-tree.
     for _ in range(200):
         sender = rng.uniform(-5.0, 5.0, 2)
         q = sender + rng.uniform(-2.0, 2.0, 2)
         senders = SenderSet.build(sender[None, :])
         agree = (
-            udg_triggered(sender, q)
-            == mimo_triggered(senders, q, params)
-            == snr_triggered(senders, q, params)
+            informs("UDG", senders, [q], params)[0][0]
+            == informs("MIMO", senders, [q], params)[0][0]
+            == informs("SNR", senders, [q], params)[0][0]
         )
         disagreements += int(not agree)
     elapsed = time.monotonic() - t0
@@ -93,16 +93,16 @@ def test_criterion_02_snr_expectation():
         base = np.array([
             received_phasor(
                 SenderSet.build(positions[j:j + 1], amplitudes[j:j + 1]),
-                receiver, params,
-            )
+                [receiver], params,
+            )[0]
             for j in range(m)
         ])
         phases = rng.uniform(0.0, 2.0 * np.pi, (20_000, m))
         z = (base[None, :] * np.exp(1j * phases)).sum(axis=1)
         mean_power = float(np.mean(np.abs(z) ** 2))
         expected = snr_received_energy(
-            SenderSet.build(positions, amplitudes), receiver, params
-        )
+            SenderSet.build(positions, amplitudes), [receiver], params
+        )[0]
         worst = max(worst, abs(mean_power - expected) / expected)
     elapsed = time.monotonic() - t0
     ok = worst < 0.05 and elapsed < 60.0
@@ -268,8 +268,8 @@ def test_criterion_07_mimo_trigger_reliability():
     worst_rate = 1.0
     for k, r in enumerate((r1, 4.0 * r1, 16.0 * r1)):
         sender_idx = np.flatnonzero(fld.radii <= r)
-        phases = -2.0 * np.pi * fld.radii[sender_idx] / params.lam
-        senders = SenderSet.build(fld.positions[sender_idx], phases=phases)
+        pos = fld.positions[sender_idx]
+        senders = SenderSet.build(pos, phases=center_sync_phases(pos, params.lam))
         reach = c1 * rho * math.sqrt(params.lam) * r**1.5
         for i, d in enumerate((15.0 * r,
                                max(0.5 * reach, 15.0 * r),
@@ -277,7 +277,7 @@ def test_criterion_07_mimo_trigger_reliability():
             rng = np.random.Generator(np.random.Philox(key=107, counter=3 * k + i))
             ang = rng.uniform(0.0, 2.0 * np.pi, 100)
             receivers = d * np.column_stack([np.cos(ang), np.sin(ang)])
-            rate = float(np.mean(mimo_triggered(senders, receivers, params)))
+            rate = float(np.mean(informs("MIMO", senders, receivers, params)[0]))
             worst_rate = min(worst_rate, rate)
     elapsed = time.monotonic() - t0
     ok = worst_rate >= 0.99 and elapsed < 180.0
@@ -350,16 +350,16 @@ def test_criterion_10_property_suite():
     amp = rng.uniform(0.5, 2.0, 12)
     phs = rng.uniform(0.0, 2.0 * np.pi, 12)
     q = np.array([7.0, -1.0])
-    total = received_phasor(SenderSet.build(pos, amp, phs), q, params)
+    total = received_phasor(SenderSet.build(pos, amp, phs), [q], params)[0]
     parts = sum(
         received_phasor(SenderSet.build(pos[j:j + 1], amp[j:j + 1], phs[j:j + 1]),
-                        q, params)
+                        [q], params)[0]
         for j in range(12)
     )
     perm = rng.permutation(12)
     permuted = received_phasor(
-        SenderSet.build(pos[perm], amp[perm], phs[perm]), q, params
-    )
+        SenderSet.build(pos[perm], amp[perm], phs[perm]), [q], params
+    )[0]
     checks.append(abs(total - parts) < 1e-9 and abs(total - permuted) < 1e-9)
 
     # Interval enclosure soundness on random arithmetic samples.

@@ -30,9 +30,13 @@ PARAMS = SignalParams()
 
 def _receive(fld, active, candidates, config):
     """One round's reception from the nodes ``active``, with the senders the
-    round engine builds."""
+    round engine builds: the candidates informed, the travel to the farthest
+    of them (0 if none) and the pairs evaluated."""
     senders = broadcast._senders(fld, active, config)
-    return broadcast._receive(fld, senders, candidates, config)
+    hit, d_min, pairs = broadcast.informs(
+        config.model, senders, fld.positions[candidates], config.params
+    )
+    return candidates[hit], float(d_min[hit].max(initial=0.0)), pairs
 
 
 def _bfs_layers(positions):
@@ -168,6 +172,15 @@ def test_udg_reach_filter_matches_unfiltered_flood(n, seed, restrict):
         dropped += uninformed - rec.receivers
         uninformed -= len(rec.newly_informed)
     assert dropped > 0  # the filter is on
+
+
+def test_informs_takes_the_three_model_names_only():
+    senders = SenderSet.build([[0.0, 0.0]])
+    for model in ("udg", "mimo", "SIMO"):
+        with pytest.raises(ValueError, match="unknown model"):
+            broadcast.informs(model, senders, [(1.0, 0.0)], PARAMS)
+    hit, d_min, pairs = broadcast.informs("UDG", senders, [(1.0, 0.0), (1.5, 0.0)], PARAMS)
+    assert hit.tolist() == [True, False] and d_min.tolist() == [1.0, np.inf] and pairs == 0
 
 
 def test_expanding_disk_requires_schedule():

@@ -240,6 +240,13 @@ def test_fit_missing_file_is_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_nonpositive_near_field_cutoff_is_usage_error(tmp_path, capsys):
+    code = main(["simulate", "--c-f", "0", "--output-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "c_f must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_flag_exits_with_usage_error():
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["simulate", "--density-rule", "cubic"])

@@ -1,5 +1,5 @@
 import ast
-import importlib
+import importlib.util
 import pathlib
 import pkgutil
 
@@ -70,3 +70,26 @@ def test_no_private_names_imported_across_modules(path):
     # A module's _-prefixed names are its own: another module that needs one
     # needs a public name.
     assert _private_imports(path.read_text()) == []
+
+
+def test_perfbench_tracer_finds_every_function_it_wraps():
+    # The benchmark's tracer wraps each function under the module attribute
+    # its caller looks it up by (the reception kernels under ``broadcast``),
+    # and skips any it cannot find.  Moving such a lookup must fail here.
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench/tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    modules = [importlib.import_module(f"coopcast.{name}") for name in SUBMODULES]
+    before = [(module, dict(vars(module))) for module in modules]
+    tracer = tracer_module.Tracer()
+    wrapped = []
+    try:
+        tracer_module.install_tracer(tracer)
+    finally:
+        for module, attrs in before:
+            for name, value in attrs.items():
+                if getattr(module, name) is not value:
+                    wrapped.append(f"{module.__name__}.{name}")
+                    setattr(module, name, value)
+    assert tracer.missing == []
+    assert "coopcast.broadcast.received_phasor" in wrapped

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from coopcast import signal_model
+from coopcast.broadcast import informs
 from coopcast.signal_model import (
     GridSpec,
     SenderSet,
@@ -13,13 +14,10 @@ from coopcast.signal_model import (
     center_sync_phases,
     field_map,
     mimo_amplitude_bounds,
-    mimo_triggered,
     nearest_sender_distance,
     received_phasor,
     snr_level_bounds,
     snr_received_energy,
-    snr_triggered,
-    udg_triggered,
 )
 
 PARAMS = SignalParams()  # lam=0.1, beta_N0=1, c_f=2
@@ -129,35 +127,44 @@ def test_params_validation():
         SignalParams(lam=0.6, c_f=2.0)  # near-field clamp above 1
     with pytest.raises(ValueError):
         SignalParams(beta_N0=0.0)
+    # c_f = 0 would leave a receiver on a sender unclamped (z = inf+nanj).
+    for c_f in (0.0, -1.0):
+        with pytest.raises(ValueError, match="c_f"):
+            SignalParams(c_f=c_f)
 
 
 def test_single_sender_amplitude():
     # |z| = a / dist beyond the near-field clamp, = a / (c_f lam) inside it.
     s = SenderSet.build([[0.0, 0.0]], amplitudes=[2.0])
     for d in (0.5, 1.0, 3.0):
-        z = received_phasor(s, (d, 0.0), PARAMS)
+        z = received_phasor(s, [(d, 0.0)], PARAMS)[0]
         assert abs(z) == pytest.approx(2.0 / d, rel=1e-12)
-    z = received_phasor(s, (0.05, 0.0), PARAMS)
+    z = received_phasor(s, [(0.05, 0.0)], PARAMS)[0]
     assert abs(z) == pytest.approx(2.0 / 0.2, rel=1e-12)
 
 
 def test_single_sender_phase():
     s = SenderSet.build([[0.0, 0.0]])
     d = 1.234
-    z = received_phasor(s, (d, 0.0), PARAMS)
+    z = received_phasor(s, [(d, 0.0)], PARAMS)[0]
     expected = math.e ** (1j * (-2.0 * math.pi * d / PARAMS.lam))
     assert z == pytest.approx(expected / d, rel=1e-12)
 
 
 def test_model_equivalence_single_sender():
+    # One sender of unit amplitude with beta N0 = 1: each kernel's level
+    # reaches beta N0 exactly within distance 1, and the reception rule
+    # decides as the kernels do under all three models.
     rng = np.random.Generator(np.random.Philox(5))
     pos = rng.uniform(-2, 2, size=(2000, 2))
     recv = rng.uniform(-2, 2, size=(2000, 2))
     for p, q in zip(pos, recv):
-        s = SenderSet.build([p])
-        udg = udg_triggered(p, q)
-        assert snr_triggered(s, q, PARAMS) == udg
-        assert mimo_triggered(s, q, PARAMS) == udg
+        s, q = SenderSet.build([p]), q[None]
+        udg = bool(np.hypot(*(q[0] - p)) <= 1.0)
+        assert (np.abs(received_phasor(s, q, PARAMS)) ** 2 >= PARAMS.beta_N0)[0] == udg
+        assert (snr_received_energy(s, q, PARAMS) >= PARAMS.beta_N0)[0] == udg
+        for model in ("UDG", "SNR", "MIMO"):
+            assert informs(model, s, q, PARAMS)[0].tolist() == [udg]
 
 
 def test_coherent_equidistant_gain():
@@ -167,7 +174,7 @@ def test_coherent_equidistant_gain():
     pos = d * np.column_stack([np.cos(ang), np.sin(ang)])
     phases = 2.0 * np.pi * d / PARAMS.lam * np.ones(m)
     s = SenderSet.build(pos, phases=phases)
-    z = received_phasor(s, (0.0, 0.0), PARAMS)
+    z = received_phasor(s, [(0.0, 0.0)], PARAMS)[0]
     assert abs(z) == pytest.approx(m / d, rel=1e-12)
 
 
@@ -175,13 +182,13 @@ def test_destructive_pair():
     # Two senders offset by half a wavelength cancel almost completely.
     s2 = SenderSet.build([[0.0, 0.0], [0.05, 0.0]])
     s1 = SenderSet.build([[0.0, 0.0]])
-    q = (1.025, 0.0)
-    power_pair = abs(received_phasor(s2, q, PARAMS)) ** 2
-    power_single = abs(received_phasor(s1, q, PARAMS)) ** 2
+    q = [(1.025, 0.0)]
+    power_pair = abs(received_phasor(s2, q, PARAMS)[0]) ** 2
+    power_single = abs(received_phasor(s1, q, PARAMS)[0]) ** 2
     assert power_single > 0.9
     assert power_pair < 0.01
-    assert mimo_triggered(s1, q, PARAMS) is False  # 1/1.025 < 1 amplitude
-    assert snr_received_energy(s2, q, PARAMS) > power_pair
+    assert informs("MIMO", s1, q, PARAMS)[0].tolist() == [False]  # 1/1.025 < 1 amplitude
+    assert snr_received_energy(s2, q, PARAMS)[0] > power_pair
 
 
 def test_linearity_and_permutation():
@@ -189,13 +196,13 @@ def test_linearity_and_permutation():
     pos = rng.uniform(-1, 1, size=(10, 2))
     amp = rng.uniform(0.5, 2.0, size=10)
     ph = rng.uniform(0, 2 * np.pi, size=10)
-    q = (4.0, 1.0)
-    whole = received_phasor(SenderSet.build(pos, amp, ph), q, PARAMS)
-    first = received_phasor(SenderSet.build(pos[:4], amp[:4], ph[:4]), q, PARAMS)
-    second = received_phasor(SenderSet.build(pos[4:], amp[4:], ph[4:]), q, PARAMS)
+    q = [(4.0, 1.0)]
+    whole = received_phasor(SenderSet.build(pos, amp, ph), q, PARAMS)[0]
+    first = received_phasor(SenderSet.build(pos[:4], amp[:4], ph[:4]), q, PARAMS)[0]
+    second = received_phasor(SenderSet.build(pos[4:], amp[4:], ph[4:]), q, PARAMS)[0]
     assert whole == pytest.approx(first + second, rel=1e-12)
     perm = rng.permutation(10)
-    shuffled = received_phasor(SenderSet.build(pos[perm], amp[perm], ph[perm]), q, PARAMS)
+    shuffled = received_phasor(SenderSet.build(pos[perm], amp[perm], ph[perm]), q, PARAMS)[0]
     assert shuffled == pytest.approx(whole, rel=1e-12)
 
 
@@ -205,13 +212,13 @@ def test_scaling_identity():
     rng = np.random.Generator(np.random.Philox(12))
     pos = rng.uniform(-1, 1, size=(8, 2))
     ph = rng.uniform(0, 2 * np.pi, size=8)
-    q = (5.0, -2.0)
-    base = received_phasor(SenderSet.build(pos, phases=ph), q, PARAMS)
+    q = [(5.0, -2.0)]
+    base = received_phasor(SenderSet.build(pos, phases=ph), q, PARAMS)[0]
     scaled = received_phasor(
         SenderSet.build(2.0 * pos, phases=ph),
-        (10.0, -4.0),
+        [(10.0, -4.0)],
         SignalParams(lam=2 * PARAMS.lam, c_f=PARAMS.c_f / 2),
-    )
+    )[0]
     assert scaled == pytest.approx(base / 2.0, rel=1e-8)
 
 
@@ -224,7 +231,7 @@ def test_demodulation_oracle():
         ph = rng.uniform(0, 2 * np.pi, size=m)
         q = tuple(rng.uniform(2, 5, size=2))
         s = SenderSet.build(pos, amp, ph)
-        direct = received_phasor(s, q, PARAMS)
+        direct = received_phasor(s, [q], PARAMS)[0]
         windowed = demodulate_numeric(s, q, PARAMS, delta=50 * PARAMS.lam, steps=20_000)
         assert windowed == pytest.approx(direct, rel=1e-6)
 
@@ -241,7 +248,7 @@ def test_random_phase_energy_matches_incoherent_sum():
     rng = np.random.Generator(np.random.Philox(14))
     pos = rng.uniform(-1, 1, size=(30, 2))
     q = (4.0, 0.0)
-    target = snr_received_energy(SenderSet.build(pos), q, PARAMS)
+    target = snr_received_energy(SenderSet.build(pos), [q], PARAMS)[0]
     draws = 4000
     phases = rng.uniform(0, 2 * np.pi, size=(draws, 30))
     diff = np.asarray(q) - pos
@@ -320,8 +327,6 @@ def test_empty_sender_set():
     for positions in ([], np.empty((0, 2))):
         s = SenderSet.build(positions)
         assert s.m == 0 and s.positions.shape == (0, 2)
-        assert received_phasor(s, (1.0, 0.0), PARAMS) == 0j
-        assert snr_received_energy(s, (1.0, 0.0), PARAMS) == 0.0
         z, rs = reference_kernels(s, q, PARAMS)
         assert np.array_equal(received_phasor(s, q, PARAMS), z)
         assert np.array_equal(snr_received_energy(s, q, PARAMS), rs)
@@ -370,11 +375,6 @@ def assert_matches_reference(senders, q, params):
     assert np.array_equal(z.real, z_ref.real)
     assert np.array_equal(z.imag, z_ref.imag)
     assert np.array_equal(snr_received_energy(senders, q, params), rs_ref)
-    # A single receiver given as a tuple gets Python scalars.
-    z0 = received_phasor(senders, tuple(q[0]), params)
-    rs0 = snr_received_energy(senders, tuple(q[0]), params)
-    assert type(z0) is complex and type(rs0) is float
-    assert (z0.real, z0.imag, rs0) == (z_ref[0].real, z_ref[0].imag, rs_ref[0])
 
 
 @pytest.mark.parametrize("lam", [0.02, 0.1, 0.5])
@@ -524,9 +524,9 @@ def test_screen_bounds_do_not_depend_on_the_pair_budget(monkeypatch):
 
 def test_screen_edge_receivers():
     one = SenderSet.build([[0.0, 0.0]])
-    # A single receiver gets floats; |z| = 1 at distance 1.
-    lower, upper = mimo_amplitude_bounds(one, (1.0, 0.0), PARAMS)
-    assert type(lower) is float and lower < 1.0 < upper
+    # |z| = 1 at distance 1.
+    lower, upper = mimo_amplitude_bounds(one, [(1.0, 0.0)], PARAMS)
+    assert lower[0] < 1.0 < upper[0]
     # No senders: z = 0 exactly.
     lower, upper = mimo_amplitude_bounds(SenderSet.build(np.empty((0, 2))), np.ones((2, 2)), PARAMS)
     assert lower.tolist() == upper.tolist() == [0.0, 0.0]
