@@ -31,6 +31,13 @@ hold inf or nan.  The operations leave numpy's floating-point warnings alone;
 :func:`coopcast.prover.prove` and :func:`coopcast.prover.interval_eval`
 silence them with ``numpy.errstate(all="ignore")``, entered once per call.
 
+A :class:`Gradient` carries forward-mode derivatives through the same
+operations: the value enclosure of a function on a batch of boxes, computed
+by the very operations a plain evaluation runs, and the enclosures of its
+partial derivatives stacked as one interval of shape (variables, lanes), so
+each chain-rule step is one operation for all partials.  Lanes are the last
+axis of every array interval.
+
 The rounding realization is recorded in proof certificates as
 ``ROUNDING_MODE``.
 """
@@ -41,7 +48,14 @@ import math
 
 import numpy as np
 
-__all__ = ["Interval", "DomainError", "ROUNDING_MODE", "acos_clip_events", "on_lanes"]
+__all__ = [
+    "Interval",
+    "Gradient",
+    "DomainError",
+    "ROUNDING_MODE",
+    "acos_clip_events",
+    "on_lanes",
+]
 
 ROUNDING_MODE = "nextafter-outward (1 ulp arithmetic, 2 ulp libm)"
 
@@ -159,11 +173,11 @@ class Interval:
         return Interval(np.where(bad, hi, lo), hi, self.invalid | other.invalid | bad)
 
     def take(self, lanes) -> "Interval":
-        """The lanes selected by an index or index array; a float interval
-        is the same on every lane."""
+        """The lanes selected by an index, slice or index array along the
+        last axis; a float interval is the same on every lane."""
         if np.ndim(self.lo) == 0:
             return self
-        return Interval(self.lo[lanes], self.hi[lanes], self.invalid[lanes])
+        return Interval(self.lo[..., lanes], self.hi[..., lanes], self.invalid[..., lanes])
 
     # -- arithmetic --------------------------------------------------------
 
@@ -175,6 +189,8 @@ class Interval:
         return Interval(-self.hi, -self.lo, self.invalid)
 
     def __add__(self, other) -> "Interval":
+        if isinstance(other, Gradient):
+            return NotImplemented
         o = self._coerce(other)
         return Interval(
             np.nextafter(self.lo + o.lo, -_INF),
@@ -185,6 +201,8 @@ class Interval:
     __radd__ = __add__
 
     def __sub__(self, other) -> "Interval":
+        if isinstance(other, Gradient):
+            return NotImplemented
         o = self._coerce(other)
         return Interval(
             np.nextafter(self.lo - o.hi, -_INF),
@@ -228,6 +246,8 @@ class Interval:
         return lo.reshape(lanes), hi.reshape(lanes)
 
     def __mul__(self, other) -> "Interval":
+        if isinstance(other, Gradient):
+            return NotImplemented
         o = self._coerce(other)
         a, b = _pairs(self, o)
         # Multiplication by an exactly-zero endpoint is exact.
@@ -237,6 +257,8 @@ class Interval:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Interval":
+        if isinstance(other, Gradient):
+            return NotImplemented
         o = self._coerce(other)
         bad = (o.lo <= 0.0) & (0.0 <= o.hi)
         if np.ndim(self.lo) == 0 and _raises(bad):
@@ -303,6 +325,86 @@ class Interval:
             _min(_up2(acos_hi), _PI_UP),
             self.invalid | bad,
         )
+
+
+class Gradient:
+    """A function of n variables over a batch of boxes: the enclosure
+    ``value`` of its values, of shape (lanes,), and the enclosures
+    ``partials`` of its n partial derivatives, stacked as one interval of
+    shape (n, lanes), so one operation steps every partial.
+
+    Forward mode: an operation computes its value from the operands'
+    values with exactly the interval operations it would run on them, so
+    ``value`` has the bits of the plain evaluation, and its partials by the
+    chain rule with every step outward-rounded.  A constant operand (a float
+    or an :class:`Interval`) has zero partials.  The operations are ``+``,
+    ``-`` and ``*`` between gradients or with a constant on either side,
+    ``/`` of a gradient by a gradient or a constant, ``sqrt``, ``pow32``
+    and ``intersect``; any other use raises instead of dropping a
+    derivative.  Only array intervals are supported.
+    """
+
+    __slots__ = ("value", "partials")
+
+    def __init__(self, value: Interval, partials: Interval):
+        self.value = value
+        self.partials = partials
+
+    @staticmethod
+    def variables(*boxes: Interval) -> tuple["Gradient", ...]:
+        """The independent variables over the given intervals, one lane per
+        box, each with the unit vector of its own index as partials."""
+        unit = np.eye(len(boxes))
+        return tuple(
+            Gradient(x, Interval(np.repeat(unit[:, i : i + 1], len(x.lo), axis=1)))
+            for i, x in enumerate(boxes)
+        )
+
+    def __add__(self, other) -> "Gradient":
+        if isinstance(other, Gradient):
+            return Gradient(self.value + other.value, self.partials + other.partials)
+        return Gradient(self.value + other, self.partials)
+
+    def __radd__(self, other) -> "Gradient":
+        return Gradient(other + self.value, self.partials)
+
+    def __sub__(self, other) -> "Gradient":
+        if isinstance(other, Gradient):
+            return Gradient(self.value - other.value, self.partials - other.partials)
+        return Gradient(self.value - other, self.partials)
+
+    def __rsub__(self, other) -> "Gradient":
+        return Gradient(other - self.value, -self.partials)
+
+    def __mul__(self, other) -> "Gradient":
+        if isinstance(other, Gradient):
+            return Gradient(
+                self.value * other.value,
+                self.partials * other.value + self.value * other.partials,
+            )
+        return Gradient(self.value * other, self.partials * other)
+
+    def __rmul__(self, other) -> "Gradient":
+        return Gradient(other * self.value, other * self.partials)
+
+    def __truediv__(self, other) -> "Gradient":
+        if isinstance(other, Gradient):
+            # (u / v)' = (u' - (u / v) v') / v, with the quotient's enclosure.
+            value = self.value / other.value
+            return Gradient(value, (self.partials - value * other.partials) / other.value)
+        return Gradient(self.value / other, self.partials / other)
+
+    def sqrt(self) -> "Gradient":
+        root = self.value.sqrt()
+        return Gradient(root, self.partials / (2.0 * root))
+
+    def pow32(self) -> "Gradient":
+        return Gradient(self.value.pow32(), self.partials * (1.5 * self.value.sqrt()))
+
+    def intersect(self, other: Interval) -> "Gradient":
+        """Tighten the value enclosure by ``other``, which must hold the
+        function's values on the whole box; the partials are unchanged."""
+        return Gradient(self.value.intersect(other), self.partials)
 
 
 def on_lanes(take, fn, base: Interval, *args: Interval) -> Interval:

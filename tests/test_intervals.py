@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopcast.intervals import DomainError, Interval
+from coopcast.intervals import DomainError, Gradient, Interval
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -240,3 +240,26 @@ def test_lane_reference_catches_inward_rounding(monkeypatch):
     for op in ("*", "/"):
         for shape in _SHAPES:
             assert _lane_mismatches(op, shape, seed=_SHAPES.index(shape)), (op, shape)
+
+
+def test_gradient_chain_rule_and_unsupported_operations():
+    # Exact inputs: x in [0.5, 1], z in [0.25, 0.5].  An Interval on the left
+    # defers to the gradient; an operation without a derivative rule raises
+    # rather than treating the gradient as a constant.
+    x, z = Gradient.variables(
+        Interval(np.array([0.5]), np.array([1.0])), Interval(np.array([0.25]), np.array([0.5]))
+    )
+    f = Interval(2.0) * x * z + 1.0
+    assert isinstance(f, Gradient)
+    # f in [1.25, 2], d/dx = 2 z in [0.5, 1] and d/dz = 2 x in [1, 2], each
+    # widened by a few ulps.
+    for lo, hi, exact in zip(
+        (f.value.lo[0], *f.partials.lo[:, 0]),
+        (f.value.hi[0], *f.partials.hi[:, 0]),
+        ((1.25, 2.0), (0.5, 1.0), (1.0, 2.0)),
+    ):
+        assert lo <= exact[0] and exact[1] <= hi
+        assert exact[0] - lo < 1e-14 and hi - exact[1] < 1e-14
+    for op in (lambda: -x, lambda: 1.0 / x, lambda: Interval(1.0) / x, lambda: x.acos()):
+        with pytest.raises((TypeError, AttributeError)):
+            op()

@@ -8,13 +8,19 @@ import pytest
 
 from coopcast import intervals, prover
 from coopcast.geometry import f_double_prime, f_limit_inf, intersection_area_f, segment_g
-from coopcast.intervals import DomainError, Interval
+from coopcast.intervals import DomainError, Gradient, Interval
 from coopcast.prover import (
     EXPRESSIONS,
+    GRADIENT_FORMS,
     Box,
     ProofTask,
     _NEGATION,
     _certifies,
+    _g32_iv,
+    _g32_slope_closed_iv,
+    _g32_slope_iv,
+    _g32_slope_series_iv,
+    _mean_value,
     inequality_suite,
     interval_eval,
     prove,
@@ -136,6 +142,12 @@ def test_task_validation():
         ProofTask("bad", "lens_area", FULL, "~", 0.0)
     with pytest.raises(ValueError):
         ProofTask("bad", "segment_shape", FULL, "<=", 0.0)  # wrong arity
+    for bounds in ((0.0, math.inf), (-math.inf, 0.0), (1.0, 0.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="not a finite interval"):
+            ProofTask("bad", "segment_shape_scaled", (bounds,), "<=", 2.0)
+    ProofTask("point", "segment_shape_scaled", ((1.0, 1.0),), "<=", 2.0)
+    with pytest.raises(ValueError, match="NaN"):
+        ProofTask("bad", "segment_shape_scaled", ((0.0, 2.0),), "<=", math.nan)
 
 
 def test_suite_names_cover_all_claims():
@@ -199,38 +211,87 @@ def test_box_split_deterministic():
         _halves(Interval(1.0))
 
 
+def _floats(iv, k):
+    """Lane ``k`` of an array interval as a float interval, or ``None``
+    where it is invalid."""
+    return None if iv.invalid[k] else Interval(float(iv.lo[k]), float(iv.hi[k]))
+
+
+def _enclosures(expression, boxes):
+    """Per box, its enclosure (``None`` where evaluation leaves the domain)
+    and, for an expression with a gradient form, the enclosures of its
+    partial derivatives (``None`` where any is invalid).
+
+    Float intervals one box at a time carry no gradient, so a gradient form
+    is evaluated in one array call over the boxes, each lane then taken as
+    float intervals; its value part has the bits of the plain evaluation."""
+    if expression not in GRADIENT_FORMS:
+        out = []
+        for box in boxes:
+            try:
+                out.append((interval_eval(expression, *box.intervals), None))
+            except DomainError:
+                out.append((None, None))
+        return out
+    columns = [
+        Interval(np.array([iv.lo for iv in ivs]), np.array([iv.hi for iv in ivs]))
+        for ivs in zip(*(box.intervals for box in boxes))
+    ]
+    with np.errstate(all="ignore"):
+        grad = EXPRESSIONS[expression][1](*Gradient.variables(*columns))
+    return [
+        (
+            _floats(grad.value, k),
+            None
+            if grad.partials.invalid[:, k].any()
+            else [_floats(grad.partials.take(k), i) for i in range(len(columns))],
+        )
+        for k in range(len(boxes))
+    ]
+
+
 def _level_order_reference(task, stop_depth=None):
     """The box tree walked in level order one box at a time, with float
     intervals: boxes per depth, and the first refuting box with its point
-    and point enclosure (``None`` when no box refutes)."""
+    and point enclosure (``None`` when no box refutes).
+
+    For an expression with a gradient form, a box the natural enclosure
+    leaves undecided is decided by its mean-value enclosure f(c) + sum_i
+    f_i(box) (X_i - c_i) when that certifies.  The center c is the
+    midpoint of the box it was split from, and f(c) the enclosure that
+    box's refutation check computed; the root has none."""
     spans = [hi - lo for lo, hi in task.domain]
-    level = [Box(tuple(Interval(lo, hi) for lo, hi in task.domain))]
+    # (box, center, enclosure at the center)
+    level = [(Box(tuple(Interval(lo, hi) for lo, hi in task.domain)), None, None)]
     per_depth = []
     while level:
         per_depth.append(len(level))
         undecided = []
-        for box in level:
-            try:
-                enc = interval_eval(task.expression, *box.intervals)
-                if _certifies(enc, task.relation, task.bound):
-                    continue
-            except DomainError:
-                pass
-            undecided.append(box)
-        for box in undecided:
-            mid = _midpoint(box)
-            try:
-                point_enc = interval_eval(task.expression, *(Interval(m) for m in mid))
-            except DomainError:
+        encs = _enclosures(task.expression, [box for box, _, _ in level])
+        for (box, center, at_center), (enc, partials) in zip(level, encs):
+            if enc is not None and _certifies(enc, task.relation, task.bound):
                 continue
-            if _certifies(point_enc, _NEGATION[task.relation], task.bound):
+            if partials is not None and at_center is not None:
+                mean_value = at_center
+                for d, iv, c in zip(partials, box.intervals, center):
+                    mean_value = mean_value + d * (iv - c)
+                if _certifies(mean_value, task.relation, task.bound):
+                    continue
+            undecided.append(box)
+        mids = [_midpoint(box) for box in undecided]
+        points = [Box(tuple(Interval(m) for m in mid)) for mid in mids]
+        at_mids = [enc for enc, _ in _enclosures(task.expression, points)]
+        for box, mid, point_enc in zip(undecided, mids, at_mids):
+            if point_enc is not None and _certifies(
+                point_enc, _NEGATION[task.relation], task.bound
+            ):
                 return per_depth, box, mid, point_enc
         if len(per_depth) - 1 == stop_depth:
             break
         level = []
-        for box in undecided:
+        for box, mid, point_enc in zip(undecided, mids, at_mids):
             rel = [iv.width / s if s > 0 else 0.0 for iv, s in zip(box.intervals, spans)]
-            level.extend(_split_box(box, rel.index(max(rel))))
+            level.extend((child, mid, point_enc) for child in _split_box(box, rel.index(max(rel))))
     return per_depth, None, None, None
 
 
@@ -238,6 +299,9 @@ LEVEL_ORDER_TASKS = [
     ProofTask("absurd", "lens_area_curvature", MID, "<=", -1e6),
     ProofTask("too_tight", "segment_shape_scaled", ((0.0, 2.0),), "<=", 1.885),
     ProofTask("scaled_low", "lens_area_scaled", ((0.0, 2.0), (0.0, 0.5)), ">", 1.5),
+    # The ratio's minimum, about 1.4043 at x = 2 and z -> 0, refutes 1.405
+    # in a tree that the mean-value enclosures cut.
+    ProofTask("ratio_too_tight", "lens_area_half_ratio", FULL, ">", 1.405),
 ]
 
 
@@ -259,7 +323,14 @@ def test_level_order_matches_box_by_box_walk(task):
 
 @pytest.mark.parametrize(
     "task",
-    [*LEVEL_ORDER_TASKS, *(t for t in inequality_suite() if t.name == "area_scaled_far_lower")],
+    [
+        *LEVEL_ORDER_TASKS,
+        *(
+            t
+            for t in inequality_suite()
+            if t.name in ("area_scaled_far_lower", "area_half_width_ratio")
+        ),
+    ],
     ids=lambda t: t.name,
 )
 def test_certificates_do_not_depend_on_lanes_per_call(task, monkeypatch):
@@ -328,12 +399,15 @@ def test_proof_telemetry():
 def test_prover_goes_through_the_interval_methods(monkeypatch):
     # The benchmark counts interval operations by wrapping these methods
     # (perfbench/tracer.py, IntervalCounter); a prover that bypassed them
-    # would count nothing.
+    # would count nothing.  Operations on stacked partials, shape
+    # (variables, lanes), are the gradient pass of a mean-value enclosure.
     counts = dict.fromkeys(("__mul__", "__add__"), 0)
+    stacked = dict.fromkeys(counts, 0)
 
     def counted(name, orig):
         def op(self, other):
             counts[name] += 1
+            stacked[name] += np.ndim(self.lo) == 2
             return orig(self, other)
 
         return op
@@ -344,6 +418,10 @@ def test_prover_goes_through_the_interval_methods(monkeypatch):
     res = prove(by_name["area_scaled_lower"])
     assert res.verdict == "proved" and res.boxes_processed == 127
     assert counts["__mul__"] > 0 and counts["__add__"] > 0
+    assert stacked == {"__mul__": 0, "__add__": 0}
+    res = prove(by_name["area_half_width_ratio"])
+    assert res.verdict == "proved" and sum(res.centered_per_depth) > 0
+    assert stacked["__mul__"] > 0 and stacked["__add__"] > 0
 
 
 def test_prove_and_interval_eval_raise_no_numpy_warning():
@@ -428,6 +506,21 @@ def _oracle(name, point):
     }[name]
 
 
+def _oracle_partial(name, point, axis):
+    """The derivative of :func:`_oracle`'s value in variable ``axis`` at a
+    point, by ``mpmath.diff``, differencing toward the inside of the domain
+    [0, 2] (x or t) x [0, 1] (z); ``None`` where the value is."""
+    point = [mpmath.mpf(v) for v in point]
+    if _oracle(name, point) is None:
+        return None
+
+    def along(v):
+        return _oracle(name, point[:axis] + [v] + point[axis + 1 :])
+
+    middle = 1.0 if axis == 0 else 0.5
+    return mpmath.diff(along, point[axis], direction=1 if point[axis] < middle else -1)
+
+
 def _random_boxes(rng, arity, count):
     """Seeded boxes in [0, 2] (x or t) x [0, 1] (z): random ones, and ones
     that are degenerate, touch a domain edge, sit on one, or fill it."""
@@ -472,3 +565,132 @@ def test_batched_enclosures_match_per_box_and_mpmath(name):
                     assert mpmath.mpf(one.lo) <= exact <= mpmath.mpf(one.hi), (point, one)
                     checked += 1
     assert checked > 100
+
+
+# ---------------------------------------------------------------------------
+# gradient forms and mean-value enclosures
+# ---------------------------------------------------------------------------
+
+
+def _t_boxes(rng, count):
+    """Boxes in [0, 2] of widths 0 to 0.5, most of them ending at, starting
+    at or centered on t = 0, 1 or 2, the rest anywhere."""
+    anchor = rng.choice(np.array([0.0, 1.0, 2.0]), count)
+    anchor[: count // 4] = rng.uniform(0.0, 2.0, count // 4)
+    width = rng.choice(np.array([0.0, 1e-6, 1e-3, 0.05, 0.5]), count)
+    lo = np.clip(anchor - width * rng.choice(np.array([0.0, 0.5, 1.0]), count), 0.0, 2.0)
+    return lo, np.clip(lo + width, 0.0, 2.0)
+
+
+def _points(rng, lo, hi, k, count):
+    """``count`` seeded points of box ``k`` of ``[lo, hi]`` (one row per box)."""
+    u = rng.uniform(0.0, 1.0, (count, lo.shape[1]))
+    return [[float(v) for v in np.clip(lo[k] + w * (hi[k] - lo[k]), lo[k], hi[k])] for w in u]
+
+
+def _encloses(enc, k, exact):
+    return mpmath.mpf(enc.lo[k]) <= exact <= mpmath.mpf(enc.hi[k])
+
+
+def test_shape_slope_branches_enclose_the_derivative():
+    # G(t) = g(t) / t**1.5: its series derivative on t <= 1, its closed form
+    # on t > 0, and their intersection each enclose G'(t) from mpmath.
+    rng = np.random.Generator(np.random.Philox(21))
+    lo, hi = _t_boxes(rng, 240)
+    t = Interval(lo, hi)
+    with np.errstate(all="ignore"):
+        g = _g32_iv(t)
+        series = _g32_slope_series_iv(t)
+        closed = _g32_slope_closed_iv(t, g)
+        slope = _g32_slope_iv(t, g)
+    in_series, in_closed = hi <= 1.0, lo > 0.0
+    assert not series.invalid[in_series].any() and not closed.invalid[in_closed].any()
+    assert (slope.invalid == ~(in_series | in_closed)).all()
+    checked = dict.fromkeys(("series", "closed", "near 0", "near 1", "near 2"), 0)
+    with mpmath.workdps(50):
+        for k in range(len(lo)):
+            for (point,) in _points(rng, lo[:, None], hi[:, None], k, 4):
+                exact = _oracle_partial("segment_shape_scaled", [point], 0)
+                if exact is None:
+                    continue
+                if in_series[k]:
+                    assert _encloses(series, k, exact), (point, series.take(k))
+                    checked["series"] += 1
+                if in_closed[k]:
+                    assert _encloses(closed, k, exact), (point, closed.take(k))
+                    checked["closed"] += 1
+                if not slope.invalid[k]:
+                    assert _encloses(slope, k, exact), (point, slope.take(k))
+                    for near in (0, 1, 2):
+                        checked[f"near {near}"] += abs(point - near) < 1e-3
+    assert min(checked.values()) > 20, checked
+
+
+def _narrow_boxes(rng, count):
+    """Boxes in [0, 2] x [0, 1] of relative widths 0.5, 0.05 and 0.002 in
+    each variable, half of them against an edge of the domain."""
+    lo = np.empty((count, 2))
+    hi = np.empty((count, 2))
+    for i, (a, b) in enumerate(((0.0, 2.0), (0.0, 1.0))):
+        width = rng.choice(np.array([0.5, 0.05, 0.002]), count) * (b - a)
+        lo[:, i] = rng.uniform(a, b - width)
+        edge = rng.integers(0, 4, count)
+        lo[edge == 1, i] = a
+        lo[edge == 2, i] = b - width[edge == 2]
+        hi[:, i] = np.minimum(lo[:, i] + width, b)
+    return lo, hi
+
+
+def test_ratio_gradient_and_mean_value_enclosures_match_mpmath():
+    # The ratio on gradient variables keeps the plain enclosure's bits and
+    # encloses both partials (mpmath.diff); its mean-value enclosure about a
+    # point of the box encloses the ratio on the box.
+    rng = np.random.Generator(np.random.Philox(22))
+    lo, hi = (
+        np.concatenate(pair) for pair in zip(_narrow_boxes(rng, 180), _random_boxes(rng, 2, 60))
+    )
+    x, z = Interval(lo[:, 0], hi[:, 0]), Interval(lo[:, 1], hi[:, 1])
+    center = np.array([_points(rng, lo, hi, k, 1)[0] for k in range(len(lo))])
+    with np.errstate(all="ignore"):
+        grad = EXPRESSIONS["lens_area_half_ratio"][1](*Gradient.variables(x, z))
+        plain = interval_eval("lens_area_half_ratio", x, z)
+        at_center = interval_eval(
+            "lens_area_half_ratio", Interval(center[:, 0]), Interval(center[:, 1])
+        )
+        mean_value = _mean_value(grad.partials, lo, hi, center, at_center)
+    assert _bits(grad.value.lo) == _bits(plain.lo) and _bits(grad.value.hi) == _bits(plain.hi)
+    assert (grad.value.invalid == plain.invalid).all()
+    p = grad.partials
+    rows = [Interval(p.lo[axis], p.hi[axis], p.invalid[axis]) for axis in (0, 1)]
+    checked = {"d/dx": 0, "d/dz": 0, "mean value": 0}
+    with mpmath.workdps(50):
+        for k in range(len(lo)):
+            for point in _points(rng, lo, hi, k, 4):
+                exact = _oracle("lens_area_half_ratio", point)
+                if exact is None:
+                    continue
+                if not mean_value.invalid[k]:
+                    assert _encloses(mean_value, k, exact), (point, mean_value.take(k))
+                    checked["mean value"] += 1
+                for axis, key in enumerate(("d/dx", "d/dz")):
+                    if rows[axis].invalid[k]:
+                        continue
+                    exact = _oracle_partial("lens_area_half_ratio", point, axis)
+                    assert _encloses(rows[axis], k, exact), (point, axis, rows[axis].take(k))
+                    checked[key] += 1
+    assert min(checked.values()) > 400, checked
+
+
+def test_mean_value_enclosure_decides_the_ratio_boxes():
+    # Only the ratio carries a gradient form, and its certificate says how
+    # many boxes per depth the mean-value enclosure decided; no other does.
+    assert GRADIENT_FORMS == {"lens_area_half_ratio"}
+    by_name = {t.name: t for t in inequality_suite()}
+    res = prove(by_name["area_half_width_ratio"])
+    cert = res.certificate()
+    assert res.verdict == "proved" and res.boxes_processed <= 2000 and res.max_depth_reached <= 16
+    assert cert["centered_per_depth"] == res.centered_per_depth
+    assert len(res.centered_per_depth) == len(res.boxes_per_depth)
+    assert res.centered_per_depth[0] == 0 and sum(res.centered_per_depth) > res.boxes_processed / 3
+    other = prove(by_name["area_scaled_far_lower"])
+    assert other.centered_per_depth is None and "centered_per_depth" not in other.certificate()
