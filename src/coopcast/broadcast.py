@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -53,7 +53,9 @@ class BootstrapFailure(RuntimeError):
 @dataclass(frozen=True)
 class RoundRecord:
     round_index: int
-    newly_informed: list[int]
+    # The nodes this round informed, as the engine's read-only index array
+    # (ascending); a hand-built record may hold any integer sequence.
+    newly_informed: np.ndarray
     frontier_radius: float
     senders_active: int
     # Candidates the round evaluated: the uninformed eligible nodes, less,
@@ -81,26 +83,50 @@ class RoundLog:
 
     def to_json(self) -> str:
         """``json.dumps`` of the log with ``indent=2``, each round's
-        ``newly_informed`` sorted, in time linear in its size.
+        ``newly_informed`` sorted: the pieces of :meth:`json_pieces`, joined."""
+        return "".join(self.json_pieces())
+
+    def json_pieces(self) -> Iterator[str]:
+        """The text of :meth:`to_json` in pieces of at most one slice of
+        indices each, made as they are asked for, in time linear in the
+        log's size.
 
         The index lists are nearly all of a log's bytes, and ``json`` encodes
         in pure Python when it indents.  So ``json`` encodes the skeleton,
         where a nonempty list is the placeholder string ``"@"`` (the skeleton
-        holds no other string value), and each list is joined in here with
-        the separator and indentation ``json`` would give it.
+        holds no other string value), and each list is laid out here with
+        the separator and indentation ``json`` would give it.  A list is
+        converted in slices of ``_JSON_SLICE`` indices, so no Python int or
+        str per node is alive beyond one slice.
         """
         doc = _fields_of(self)
         doc["rounds"] = [
-            {**_fields_of(r), "newly_informed": "@" if r.newly_informed else []}
+            {**_fields_of(r), "newly_informed": "@" if len(r.newly_informed) else []}
             for r in self.rounds
         ]
-        lists = (
-            "[\n        " + ",\n        ".join(map(str, sorted(r.newly_informed))) + "\n      ]"
-            for r in self.rounds
-            if r.newly_informed
-        )
+        lists = (r.newly_informed for r in self.rounds if len(r.newly_informed))
         parts = json.dumps(doc, indent=2).split('"@"')
-        return "".join(itertools.chain.from_iterable(zip(parts, lists))) + parts[-1]
+        for part, indices in zip(parts, lists):
+            yield part
+            yield from _json_index_list(indices)
+        yield parts[-1]
+
+
+#: Indices a round log converts to text at a time (see :meth:`RoundLog.json_pieces`).
+_JSON_SLICE = 4096
+
+
+def _json_index_list(indices):
+    """The pieces of a nonempty index list, sorted, as ``json.dumps(...,
+    indent=2)`` lays it out at a round record's depth."""
+    ordered = np.sort(np.asarray(indices, dtype=np.intp))
+    sep = ",\n        "
+    yield "[\n        "
+    for k in range(0, ordered.size, _JSON_SLICE):
+        if k:
+            yield sep
+        yield sep.join(map(str, ordered[k : k + _JSON_SLICE].tolist()))
+    yield "\n      ]"
 
 
 def _fields_of(record) -> dict:
@@ -251,11 +277,12 @@ def _run_rounds(
         del hit, d_min  # one entry per candidate: not kept through the next round
         if flood and newly.size == 0:
             break
+        newly.setflags(write=False)  # held by the round's record
         informed[newly] = True
         frontier = radii[newly].max(initial=frontier)
         record = RoundRecord(
             round_index=len(log.rounds) + 1,
-            newly_informed=newly.tolist(),
+            newly_informed=newly,
             frontier_radius=float(frontier),
             senders_active=int(active.size),
             receivers=int(candidates.size),

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -105,13 +106,14 @@ class ScalingFit:
     r_squared: float
 
 
-def atomic_write(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` through a temporary file and a rename."""
+def atomic_write(path: str, text: str | Iterable[str]) -> None:
+    """Write ``text``, a string or an iterable of string pieces written one
+    at a time, to ``path`` through a temporary file and a rename."""
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines((text,) if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -165,32 +167,37 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         for seed in cfg.seeds
     ]
 
+    def log_path(model, n, seed):
+        return os.path.join(cfg.output_dir, f"{model}_n{n}_seed{seed}.json")
+
     def work(job):
+        """Run one job and write its round log; return its summary row or
+        its failure.  Only the log's writer holds the log, so a sweep holds
+        the logs of the jobs running at once, not of every job."""
         model, n, seed = job
         try:
-            fld = sample_field(n, cfg.radius_for(n), seed)
-            return job, _run_single(cfg, model, fld), None
+            log = _run_single(cfg, model, sample_field(n, cfg.radius_for(n), seed))
         except Exception as exc:  # noqa: BLE001 - recorded, run continues
-            return job, None, f"{type(exc).__name__}: {exc}"
-
-    with ThreadPoolExecutor(max_workers=max(1, cfg.workers)) as pool:
-        outcomes = list(pool.map(work, jobs))
+            return None, f"{type(exc).__name__}: {exc}"
+        path = log_path(model, n, seed)
+        try:
+            atomic_write(path, log.json_pieces())
+        except OSError as exc:  # aborts the sweep: not a job failure
+            raise OSError(f"writing round log {path}: {exc}") from exc
+        return _summary_row(cfg, model, n, seed, log), None
 
     result = ExperimentResult(cfg, [], [], os.path.join(cfg.output_dir, "summary.csv"))
     lines = [CSV_HEADER]
-    for (model, n, seed), log, error in outcomes:
-        if error is not None:
-            result.failures.append((model, n, seed, error))
-            continue
-        row = _summary_row(cfg, model, n, seed, log)
-        result.rows.append(row)
-        lines.append(",".join(_csv_cell(v) for v in row.values()))
-        path = os.path.join(cfg.output_dir, f"{model}_n{n}_seed{seed}.json")
-        try:
-            atomic_write(path, log.to_json())
-        except OSError as exc:
-            raise OSError(f"writing round log {path}: {exc}") from exc
-        result.log_paths.append(path)
+    with ThreadPoolExecutor(max_workers=max(1, cfg.workers)) as pool:
+        # In job order; the first log that cannot be written raises here and
+        # cancels the jobs not yet started.
+        for job, (row, error) in zip(jobs, pool.map(work, jobs)):
+            if error is not None:
+                result.failures.append((*job, error))
+                continue
+            result.rows.append(row)
+            lines.append(",".join(_csv_cell(v) for v in row.values()))
+            result.log_paths.append(log_path(*job))
     try:
         atomic_write(result.csv_path, "\n".join(lines) + "\n")
     except OSError as exc:
@@ -272,7 +279,11 @@ def calibrate_c1(
     radius = ExperimentConfig(models=("mimo",), node_counts=(n,), density=density).radius_for(n)
     r1 = c2 / params.lam
     if r1 > radius:
-        raise ValueError(f"sender radius r1={r1} exceeds field radius {radius}")
+        raise ValueError(
+            f"sender radius r1 = c2/lam = {r1} exceeds field radius {radius}; "
+            "shrink r1 with a smaller --c2 or a larger --lam, "
+            "or widen the field with a larger --n or a smaller --density"
+        )
     best = None
     for exponent in range(-14, 6):
         cand = 2.0**exponent

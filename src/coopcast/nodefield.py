@@ -52,12 +52,16 @@ def sample_field(n: int, R: float, seed: int) -> NodeField:
     if R <= 0:
         raise ValueError(f"disk radius must be positive, got {R}")
     rng = np.random.Generator(np.random.Philox(seed))
-    u = rng.random(n - 1)
-    v = rng.random(n - 1)
-    r = R * np.sqrt(u)
-    theta = 2.0 * np.pi * v
+    # In place: besides r, theta and the positions, one temporary of n
+    # floats (the cosines) is alive.  The operations and their order are
+    # those of r = R sqrt(u), theta = 2 pi v, so the bits are too.
+    r = rng.random(n - 1)
+    theta = rng.random(n - 1)
+    np.sqrt(r, out=r)
+    r *= R
+    theta *= 2.0 * np.pi
     pos = np.empty((n, 2))
     pos[0] = 0.0
-    pos[1:, 0] = r * np.cos(theta)
-    pos[1:, 1] = r * np.sin(theta)
+    np.multiply(r, np.cos(theta), out=pos[1:, 0])
+    np.multiply(r, np.sin(theta, out=theta), out=pos[1:, 1])
     return NodeField(positions=pos, R=R, seed=seed)

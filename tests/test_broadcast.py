@@ -70,7 +70,7 @@ def test_udg_flood_matches_bfs(seed):
     layers = _bfs_layers(fld.positions)
     assert log.total_rounds == len(layers)
     for rec, layer in zip(log.rounds, layers):
-        assert rec.newly_informed == layer
+        assert rec.newly_informed.tolist() == layer
     reachable = 1 + sum(len(lay) for lay in layers)
     assert log.fully_informed == (reachable == fld.n)
 
@@ -111,7 +111,7 @@ def test_udg_flood_long_chain_has_no_round_cap():
 def test_udg_reception_includes_distance_one():
     positions = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     log = run_udg_flood(NodeField(positions=positions, R=2.0, seed=0))
-    assert [rec.newly_informed for rec in log.rounds] == [[1], [2]]
+    assert [rec.newly_informed.tolist() for rec in log.rounds] == [[1], [2]]
     assert log.fully_informed
     assert log.propagation_time == 2.0
 
@@ -122,7 +122,7 @@ def test_udg_reach_filter_keeps_a_node_at_distance_one_past_the_farthest_sender(
     # and node 4 at distance exactly 1 from the nearer sender.
     positions = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, -1.0], [0.0, -2.0], [1.5, 0.0]])
     log = run_udg_flood(NodeField(positions=positions, R=2.0, seed=0))
-    assert [rec.newly_informed for rec in log.rounds] == [[1, 2], [3, 4]]
+    assert [rec.newly_informed.tolist() for rec in log.rounds] == [[1, 2], [3, 4]]
     assert [rec.receivers for rec in log.rounds] == [2, 2]
     assert log.fully_informed and log.propagation_time == 2.0
 
@@ -164,7 +164,7 @@ def test_udg_reach_filter_matches_unfiltered_flood(n, seed, restrict):
     eligible[0] = True
     log = run_udg_flood(fld, restrict_radius=restrict)
     rounds, time = _unfiltered_udg_flood(fld, eligible)
-    assert [(rec.newly_informed, rec.frontier_radius) for rec in log.rounds] == rounds
+    assert [(rec.newly_informed.tolist(), rec.frontier_radius) for rec in log.rounds] == rounds
     assert log.propagation_time == time
     uninformed, dropped = int(np.count_nonzero(eligible)) - 1, 0
     for rec in log.rounds:
@@ -233,10 +233,10 @@ def test_destructive_interference_beats_pair():
     config = BroadcastConfig(model="MIMO", radius_schedule=(1.0, 1.5), params=PARAMS)
     base = np.array([[0.0, 0.0], [0.3, -0.6], [1.05, 0.0]])
     lone = run_expanding_disk(NodeField(positions=base, R=2.0, seed=0), config)
-    assert [rec.newly_informed for rec in lone.rounds] == [[1], [2]]
+    assert [rec.newly_informed.tolist() for rec in lone.rounds] == [[1], [2]]
     spoiled = np.vstack([base, [0.3, -0.5]])
     both = run_expanding_disk(NodeField(positions=spoiled, R=2.0, seed=0), config)
-    assert [rec.newly_informed for rec in both.rounds] == [[1, 3], []]
+    assert [rec.newly_informed.tolist() for rec in both.rounds] == [[1, 3], []]
     assert not both.fully_informed
 
 
@@ -253,15 +253,24 @@ def test_round_log_json_round_trip():
     assert len(doc["rounds"]) == log.total_rounds
 
 
+def test_newly_informed_is_read_only():
+    log = run_udg_flood(sample_field(300, 2.0, seed=3))
+    assert log.total_rounds > 1
+    for rec in log.rounds:
+        assert rec.newly_informed.dtype == np.intp
+        with pytest.raises(ValueError, match="read-only"):
+            rec.newly_informed[:1] = -1
+
+
 def _json_oracle(log: RoundLog) -> str:
     """The round log as ``json.dumps`` encodes it whole with ``indent=2``."""
     doc = dataclasses.asdict(log)
     for rec in doc["rounds"]:
-        rec["newly_informed"] = sorted(rec["newly_informed"])
+        rec["newly_informed"] = sorted(np.asarray(rec["newly_informed"]).tolist())
     return json.dumps(doc, indent=2)
 
 
-def test_round_log_json_matches_json_dumps():
+def test_round_log_json_matches_json_dumps(monkeypatch):
     fld = sample_field(2000, 10.0, seed=1)
     udg = run_udg_flood(sample_field(1000, 3.0, seed=4))
     # Round 1 sends from the origin alone and informs the nodes within 1;
@@ -269,11 +278,16 @@ def test_round_log_json_matches_json_dumps():
     config = BroadcastConfig(model="SNR", radius_schedule=(1e-9, 2e-9, 1.0, 16.0))
     snr = run_expanding_disk(fld, config)
     miso = run_miso_broadcast(fld, SignalParams(lam=0.1), c1=12.0, c2=0.02)
-    assert [] in [rec.newly_informed for rec in snr.rounds]
+    assert [] in [rec.newly_informed.tolist() for rec in snr.rounds]
     assert miso.phase1_rounds > 0 and miso.phase2_rounds > 0
     # newly_informed is sorted on output, whatever order a record holds.
     shuffled = RoundLog(rounds=[dataclasses.replace(udg.rounds[0], newly_informed=[5, -1, 3])])
     for log in (udg, snr, miso, shuffled, RoundLog()):
+        assert log.to_json() == _json_oracle(log)
+    # Lists longer than a slice join their slices with the same separator.
+    assert max(len(rec.newly_informed) for rec in snr.rounds) > 7
+    monkeypatch.setattr(broadcast, "_JSON_SLICE", 7)
+    for log in (udg, snr, miso, shuffled):
         assert log.to_json() == _json_oracle(log)
 
 
@@ -476,7 +490,7 @@ def test_snr_level_exactly_on_threshold_informs(monkeypatch):
     seen = _count_snr_pairs(monkeypatch)
     config = BroadcastConfig(model="SNR", radius_schedule=(1.0,), params=SignalParams(beta_N0=1.0))
     log = run_expanding_disk(fld, config)
-    assert [rec.newly_informed for rec in log.rounds] == [[1]]
+    assert [rec.newly_informed.tolist() for rec in log.rounds] == [[1]]
     assert log.fully_informed and log.propagation_time == 1.0
     assert seen == [1] and log.rounds[0].pairs_evaluated == 1
 

@@ -226,6 +226,19 @@ def test_calibrate_without_a_constant_fails_cleanly(capsys):
     assert captured.err == "FAILED: no candidate constant met the target success rate\n"
 
 
+def test_calibrate_with_senders_outside_the_field_names_the_remedy(capsys):
+    # The defaults (n = 4096, density 64, lam = 0.1, c2 = 1) put r1 = 10
+    # outside the field radius sqrt(4096 / (64 pi)) = 4.51.
+    assert main(["calibrate-c1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: sender radius r1 = c2/lam = 10.0 exceeds field radius 4.51351666838205; "
+        "shrink r1 with a smaller --c2 or a larger --lam, "
+        "or widen the field with a larger --n or a smaller --density\n"
+    )
+
+
 def test_fit(tmp_path, capsys):
     csv = tmp_path / "points.csv"
     csv.write_text("x,y\n2,4\n4,16\n8,64\n16,256\n")
