@@ -51,9 +51,12 @@ def miso_upper_schedule(
     """Radii of the two-phase MISO broadcast: r_1 = 15 c2/lam (the UDG
     bootstrap disk), r_{j+1} = (c1/15) rho lam^(1/2) r_j^(3/2).
 
-    The 1/15 shrink keeps receivers at 15x the sender-disk radius.  There
-    is no growth precondition: the radii stop at R, or as soon as a step
-    would not grow.
+    The loop only applies this step; nothing checks that a new radius is at
+    least 15 times the one before, the far-field ratio of the analysis.  On
+    criterion 08's fields (n = 10^4, R = 30, c1 = 12, c2 = 0.02) the radii
+    grow only 1.55 to 4.39 times a step (ROADMAP.md, item 1).  There is no
+    growth precondition: the radii stop at R, or as soon as a step would
+    not grow.
     """
     if c1 <= 0 or c2 <= 0:
         raise ValueError("c1 and c2 must be positive")

@@ -134,7 +134,9 @@ def _run_single(
 
 
 def _summary_row(cfg: ExperimentConfig, model: str, n: int, seed: int, log: RoundLog) -> dict:
-    """One ``summary.csv`` row; its keys, in order, are the columns."""
+    """One ``summary.csv`` row; its keys, in order, are the columns.
+    ``uninformed`` counts the nodes no round informed (the origin starts
+    informed), so a run that misses one node shows it."""
     return {
         "model": model,
         "n": n,
@@ -147,6 +149,7 @@ def _summary_row(cfg: ExperimentConfig, model: str, n: int, seed: int, log: Roun
         "phase1_rounds": log.phase1_rounds,
         "phase2_rounds": log.phase2_rounds,
         "schedule_exhausted": log.schedule_exhausted,
+        "uninformed": n - 1 - sum(len(r.newly_informed) for r in log.rounds),
     }
 
 
@@ -270,11 +273,12 @@ def calibrate_c1(
     For each candidate c1, one growth step of the doubly-exponential
     schedule is simulated on fresh node fields: all nodes inside radius
     r_1 = c2/lam transmit with phases aligned toward the origin, and the
-    step succeeds when 100 far-field receivers on the circle of radius
-    d = c1 rho sqrt(lam) r_1^1.5 (floored at the far-field limit 15 r_1)
-    are all informed, by :func:`coopcast.broadcast.informs` under MIMO.
-    Returns the largest candidate whose success fraction over the seeds
-    reaches ``success_rate``.
+    step succeeds when 100 receivers on the circle of radius
+    d = c1 rho sqrt(lam) r_1^1.5 are all informed, by
+    :func:`coopcast.broadcast.informs` under MIMO.  A candidate whose circle
+    lies inside the far-field limit, d < 15 r_1, is skipped.  Returns the
+    largest candidate whose success fraction over the seeds reaches
+    ``success_rate``.
     """
     radius = ExperimentConfig(models=("mimo",), node_counts=(n,), density=density).radius_for(n)
     r1 = c2 / params.lam

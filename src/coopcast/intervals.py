@@ -14,9 +14,10 @@ The endpoints ``lo`` and ``hi`` are either floats or arrays of one shape;
 an array interval is a batch of independent intervals, one per lane, and
 every operation acts lane by lane with the same rounding as on floats.  An
 operation that leaves its domain on some lanes marks them in the boolean
-``invalid`` mask, which propagates to every result computed from them; on
-floats it raises :class:`DomainError` (or ``ValueError`` for a malformed
-interval) instead.
+``invalid`` mask, which propagates to every result computed from them.  A
+float interval follows the same rule as one lane: it is marked invalid when
+an operation leaves its domain, or when it is built with lo > hi or a NaN
+endpoint.  No operation raises.
 
 A product or quotient is one stack: the endpoints of the left operand,
 shaped (2, 1, ...), and of the right, shaped (1, 2, ...), give the four
@@ -26,8 +27,8 @@ outward once: fold, then step, so ``nextafter`` runs on one value a lane
 each way, not four.  The bits are those of stepping all four candidates
 and taking Python's ``min`` and ``max`` of the steps.
 
-Invalid lanes, and lanes that divide by an interval containing zero, may
-hold inf or nan.  The operations leave numpy's floating-point warnings alone;
+Invalid lanes and invalid float intervals may hold inf or nan.  The
+operations leave numpy's floating-point warnings alone;
 :func:`coopcast.prover.prove` and :func:`coopcast.prover.interval_eval`
 silence them with ``numpy.errstate(all="ignore")``, entered once per call.
 
@@ -51,7 +52,6 @@ import numpy as np
 __all__ = [
     "Interval",
     "Gradient",
-    "DomainError",
     "ROUNDING_MODE",
     "acos_clip_events",
     "on_lanes",
@@ -64,10 +64,6 @@ _TINY = 2.0**-1074
 
 #: Number of lanes whose arccos argument had to be clipped into [-1, 1].
 acos_clip_events = 0
-
-
-class DomainError(ValueError):
-    """Operand interval leaves the mathematical domain of an operation."""
 
 
 def _down2(x):
@@ -108,16 +104,12 @@ def _pairs(x: Interval, y: Interval):
     )
 
 
-def _raises(bad) -> bool:
-    """True when a float operation failed: it raises instead of marking."""
-    return np.ndim(bad) == 0 and bool(bad)
-
-
 class Interval:
     """``[lo, hi]``, or a batch of such intervals when ``lo`` and ``hi`` are
-    arrays.  ``invalid`` marks the lanes of a batch that left the domain of
-    an operation (it may be passed in to carry a mask over to endpoints
-    taken from another interval); a float interval is never invalid."""
+    arrays.  ``invalid`` marks the lanes that left the domain of an
+    operation or were built with lo > hi or a NaN endpoint (it may be passed
+    in to carry a mask over to endpoints taken from another interval); a
+    float interval is one lane, and its ``invalid`` a numpy bool."""
 
     __slots__ = ("lo", "hi", "invalid")
     # numpy operands defer to the reflected Interval operations.
@@ -128,26 +120,23 @@ class Interval:
             hi = lo
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
-        bad = ~(lo <= hi)  # nan on either side, or lo > hi
-        if bad.ndim == 0:
-            if bad or invalid:
-                raise ValueError(f"invalid interval [{lo}, {hi}]")
-            self.lo = float(lo)
-            self.hi = float(hi)
-            self.invalid = np.False_
-        else:
-            if lo.shape != hi.shape:
-                lo, hi = np.broadcast_arrays(lo, hi)
-            self.lo, self.hi = lo, hi
-            self.invalid = bad | invalid
+        # nan on either side, or lo > hi
+        self.invalid = ~(lo <= hi) | invalid
+        if self.invalid.ndim == 0:
+            lo, hi = float(lo), float(hi)
+        elif lo.shape != hi.shape:
+            lo, hi = np.broadcast_arrays(lo, hi)
+        self.lo, self.hi = lo, hi
 
     # -- structure ---------------------------------------------------------
 
     def __repr__(self) -> str:
-        return f"Interval({self.lo!r}, {self.hi!r})"
+        flag = f", invalid={self.invalid!r}" if np.any(self.invalid) else ""
+        return f"Interval({self.lo!r}, {self.hi!r}{flag})"
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Interval) and self.lo == other.lo and self.hi == other.hi
+        same = isinstance(other, Interval) and self.lo == other.lo and self.hi == other.hi
+        return same and self.invalid == other.invalid
 
     def __hash__(self) -> int:
         return hash((self.lo, self.hi))
@@ -161,14 +150,12 @@ class Interval:
         return 0.5 * (self.lo + self.hi)
 
     def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
+        return not self.invalid and self.lo <= x <= self.hi
 
     def intersect(self, other: "Interval") -> "Interval":
         lo = _max(self.lo, other.lo)
         hi = _min(self.hi, other.hi)
         bad = lo > hi
-        if _raises(bad):
-            raise DomainError(f"empty intersection of {self} and {other}")
         # An empty lane gets a placeholder so the result stays well formed.
         return Interval(np.where(bad, hi, lo), hi, self.invalid | other.invalid | bad)
 
@@ -261,8 +248,6 @@ class Interval:
             return NotImplemented
         o = self._coerce(other)
         bad = (o.lo <= 0.0) & (0.0 <= o.hi)
-        if np.ndim(self.lo) == 0 and _raises(bad):
-            raise DomainError(f"division by interval containing zero: {o}")
         a, b = _pairs(self, o)
         # An exactly-zero numerator is exact; a divisor that contains zero
         # gives the placeholder [0, 0] on its invalid lanes.
@@ -276,8 +261,6 @@ class Interval:
 
     def sqrt(self) -> "Interval":
         bad = self.hi < 0.0
-        if _raises(bad):
-            raise DomainError(f"sqrt of negative interval {self}")
         # Clamping hi as well keeps np.sqrt off the negative, invalid lanes.
         # Which zero np.maximum keeps does not matter: zero lanes become 0.0.
         lo = np.maximum(self.lo, 0.0)
@@ -289,8 +272,6 @@ class Interval:
     def pow32(self) -> "Interval":
         """x ** (3/2) for nonnegative x, via the monotone form x * sqrt(x)."""
         bad = self.hi < 0.0
-        if _raises(bad):
-            raise DomainError(f"pow32 of negative interval {self}")
         lo = np.maximum(self.lo, 0.0)
         hi = np.maximum(self.hi, 0.0)
         plo = np.where(lo == 0.0, 0.0, _down2(lo * np.sqrt(lo)))
@@ -314,8 +295,6 @@ class Interval:
         lo = _max(self.lo, -1.0)
         hi = _min(self.hi, 1.0)
         bad = (lo > 1.0) | (hi < -1.0)
-        if _raises(bad):
-            raise DomainError(f"acos argument interval {self} outside [-1, 1]")
         # libm arccos lane by lane; invalid lanes get a placeholder argument.
         skip = bad | self.invalid
         acos_lo = np.asarray(_ACOS(np.where(skip, 0.0, hi)), dtype=float)
@@ -412,15 +391,15 @@ def on_lanes(take, fn, base: Interval, *args: Interval) -> Interval:
     others.
 
     The branch is evaluated only on the lanes that take it and on which
-    ``base`` and every argument are valid, so a lane that float evaluation
-    would never bring to the branch counts no arccos clip and flags no error
-    there.  On floats this is a plain ``if``.
+    ``base`` and every argument are valid, so an invalid lane counts no
+    arccos clip there.  A float interval is one such lane: the branch is a
+    plain ``if``.
     """
-    if np.ndim(take) == 0:
-        return fn(base, *args) if take else base
     ok = take & ~base.invalid
     for a in args:
         ok &= ~a.invalid
+    if np.ndim(ok) == 0:
+        return fn(base, *args) if ok else base
     lanes = np.flatnonzero(ok)
     if lanes.size == 0:
         return base

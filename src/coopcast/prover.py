@@ -48,10 +48,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import intervals
-from .intervals import DomainError, Gradient, Interval, ROUNDING_MODE, on_lanes
+from .intervals import Gradient, Interval, ROUNDING_MODE, on_lanes
 
 __all__ = [
     "Box",
+    "DomainError",
     "ProofTask",
     "ProofResult",
     "interval_eval",
@@ -302,6 +303,10 @@ GRADIENT_FORMS = frozenset({"lens_area_half_ratio"})
 # ---------------------------------------------------------------------------
 # branch and bound
 # ---------------------------------------------------------------------------
+
+
+class DomainError(ValueError):
+    """A proof tree reached a box too thin to split."""
 
 
 @dataclass(frozen=True)

@@ -72,6 +72,54 @@ def test_summary_csv_phase_columns(tmp_path):
     assert (row["phase1_rounds"], row["phase2_rounds"]) == (row["rounds"], 0)
 
 
+def _uninformed_rows(cfg):
+    """The rows of a sweep's ``summary.csv``, each checked against its round
+    log: ``uninformed`` is n - 1 less the nodes its rounds informed."""
+    result = run_experiment(cfg)
+    assert not result.failures
+    with open(result.csv_path) as fh:
+        table = list(csv.DictReader(fh))
+    assert list(table[0])[-1] == "uninformed"
+    for line, path in zip(table, result.log_paths):
+        with open(path) as fh:
+            log = json.load(fh)
+        informed = sum(len(r["newly_informed"]) for r in log["rounds"])
+        assert int(line["uninformed"]) == int(line["n"]) - 1 - informed
+    return table
+
+
+def test_summary_uninformed_counts_a_one_node_miss(tmp_path):
+    # Criterion 08's constants: field 1002 ends with one node in an
+    # interference null, field 1001 informs every node.
+    cfg = _small_config(
+        tmp_path, models=("mimo",), node_counts=(10_000,), density=10_000 / (900.0 * math.pi),
+        seeds=(1001, 1002), params=SignalParams(lam=0.1, beta_N0=1.0), c1=12.0, c2=0.02,
+    )
+    assert cfg.radius_for(10_000) == 30.0
+    lines = _uninformed_rows(cfg)
+    assert [(line["fully_informed"], line["uninformed"]) for line in lines] == [
+        ("1", "0"),
+        ("0", "1"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # Sparse enough that some floods miss nodes cut off from the origin.
+        dict(models=("udg",), density=3.0),
+        # A threshold high enough that some expanding disks inform no one.
+        dict(models=("snr",), density=16.5, params=SignalParams(beta_N0=16.0)),
+    ],
+    ids=["udg", "snr"],
+)
+def test_summary_uninformed_is_zero_exactly_when_fully_informed(tmp_path, overrides):
+    lines = _uninformed_rows(_small_config(tmp_path, seeds=(0, 1, 2), **overrides))
+    full = [line["fully_informed"] == "1" for line in lines]
+    assert [line["uninformed"] == "0" for line in lines] == full
+    assert any(full) and not all(full)
+
+
 def test_run_experiment_deterministic(tmp_path):
     first = run_experiment(_small_config(tmp_path / "a"))
     second = run_experiment(_small_config(tmp_path / "b"))
