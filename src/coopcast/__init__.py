@@ -1,5 +1,5 @@
-"""Collaborative multi-hop broadcast: geometry, signal models, schedules,
-simulation drivers, and a certified-inequality prover.
+"""Collaborative multi-hop broadcast: random fields, signal models,
+schedules, simulation drivers, and a certified-inequality prover.
 
 Import from the submodules: ``coopcast.broadcast``, ``coopcast.signal_model``,
 ``coopcast.prover`` and so on.

@@ -1,11 +1,13 @@
 """Rigorous branch-and-bound certification of analytic inequalities.
 
-The quantities certified here are the lens-intersection area helpers from
-:mod:`coopcast.geometry`, rewritten in forms that stay finite on the closed
-parameter box.  The distance parameter ``d`` in [1, inf) is compactified to
-``z = 1/d`` in (0, 1], so every inequality lives on a closed rectangle in
-``(x, z)`` (or a closed segment in one variable) and can be decided by
-adaptive bisection with outward-rounded interval arithmetic.
+The quantities certified here are the area f(x, d) of the unit disk inside
+the phase ellipse of excess path x at distance d, its first two derivatives
+in x and the circular-segment area g they are built from, written in forms
+that stay finite on the closed parameter box.  The distance parameter ``d``
+in [1, inf) is compactified to ``z = 1/d`` in (0, 1], so every inequality
+lives on a closed rectangle in ``(x, z)`` (or a closed segment in one
+variable) and can be decided by adaptive bisection with outward-rounded
+interval arithmetic.
 
 Key rewrites (all verified against direct evaluation):
 
@@ -769,7 +771,3 @@ def inequality_suite() -> list[ProofTask]:
             "for x in [0, 0.01]",
         ),
     ]
-
-
-def run_suite() -> list[ProofResult]:
-    return [prove(task) for task in inequality_suite()]

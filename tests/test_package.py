@@ -72,6 +72,43 @@ def test_no_private_names_imported_across_modules(path):
     assert _private_imports(path.read_text()) == []
 
 
+def _imported_submodules(source: str) -> set[str]:
+    """The ``coopcast`` submodules a module imports, at any depth of its
+    syntax tree, so that an import inside a function counts."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["coopcast" if node.level else "", node.module]))
+            names = [alias.name for alias in node.names] if base == "coopcast" else []
+            modules = [base, *(f"{base}.{name}" for name in names)]
+        else:
+            continue
+        found.update(m.split(".")[1] for m in modules if m.startswith("coopcast."))
+    return found & set(SUBMODULES)
+
+
+def test_imported_submodules_are_found():
+    source = (
+        "import coopcast.bounds\nfrom .intervals import Interval\n"
+        "def f():\n    from . import broadcast, no_such_module\n"
+    )
+    assert _imported_submodules(source) == {"bounds", "intervals", "broadcast"}
+
+
+def test_every_submodule_is_reachable_from_the_cli():
+    # A module that the command line never imports, directly or through
+    # another module, serves no command: it is dead code.
+    reached, pending = set(), ["cli"]
+    while pending:
+        name = pending.pop()
+        if name not in reached:
+            reached.add(name)
+            pending.extend(_imported_submodules((ROOT / f"src/coopcast/{name}.py").read_text()))
+    assert sorted(set(SUBMODULES) - reached) == []
+
+
 def test_perfbench_tracer_finds_every_function_it_wraps():
     # The benchmark's tracer wraps each function under the module attribute
     # its caller looks it up by (the reception kernels under ``broadcast``),

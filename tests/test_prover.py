@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from coopcast import intervals, prover
-from coopcast.geometry import f_double_prime, f_limit_inf, intersection_area_f, segment_g
 from coopcast.intervals import Gradient, Interval
 from coopcast.prover import (
     EXPRESSIONS,
@@ -31,34 +30,41 @@ FULL = ((0.0, 2.0), (0.0, 1.0))
 MID = ((0.01, 1.99), (0.0, 1.0))
 
 
+def _contains(enc, exact):
+    return mpmath.mpf(enc.lo) <= exact <= mpmath.mpf(enc.hi)
+
+
 def test_point_enclosures_match_direct_evaluation():
     rng = np.random.Generator(np.random.Philox(3))
-    for _ in range(300):
-        x = float(rng.uniform(1e-4, 2 - 1e-4))
-        z = float(rng.uniform(1e-4, 1.0))
-        d = 1.0 / z
-        enc = interval_eval("lens_area", Interval(x), Interval(z))
-        val = intersection_area_f(x, d)
-        assert enc.lo - 1e-9 <= val <= enc.hi + 1e-9
-        enc = interval_eval("lens_area_scaled", Interval(x), Interval(z))
-        assert enc.lo - 1e-9 <= val / math.sqrt(x) <= enc.hi + 1e-9
+    with mpmath.workdps(50):
+        for _ in range(300):
+            x = float(rng.uniform(1e-4, 2 - 1e-4))
+            z = float(rng.uniform(1e-4, 1.0))
+            for name in ("lens_area", "lens_area_scaled"):
+                enc = interval_eval(name, Interval(x), Interval(z))
+                assert _contains(enc, _oracle(name, [x, z])), (name, x, z)
+        # f(0, d) = 0 and f(2, d) = pi: no area, then the whole disk.
+        for z in (0.0, 1e-4, 0.25, 1.0):
+            assert _contains(interval_eval("lens_area", Interval(0.0), Interval(z)), 0)
+            assert _contains(interval_eval("lens_area", Interval(2.0), Interval(z)), mpmath.pi)
 
 
 def test_curvature_enclosure_matches_direct():
     rng = np.random.Generator(np.random.Philox(4))
-    for _ in range(200):
-        x = float(rng.uniform(0.02, 1.98))
-        z = float(rng.uniform(1e-3, 1.0))
-        enc = interval_eval("lens_area_curvature", Interval(x), Interval(z))
-        val = f_double_prime(x, 1.0 / z)
-        assert enc.lo - 1e-7 <= val <= enc.hi + 1e-7
+    with mpmath.workdps(50):
+        for _ in range(200):
+            x = float(rng.uniform(0.02, 1.98))
+            z = float(rng.uniform(1e-3, 1.0))
+            enc = interval_eval("lens_area_curvature", Interval(x), Interval(z))
+            assert _contains(enc, _oracle("lens_area_curvature", [x, z])), (x, z)
 
 
 def test_far_distance_limit_via_z_zero():
     # z = 0 encodes d -> infinity; the enclosure must contain the limit.
-    for x in (0.25, 1.0, 1.75):
-        enc = interval_eval("lens_area", Interval(x), Interval(0.0))
-        assert enc.lo <= f_limit_inf(x) <= enc.hi
+    with mpmath.workdps(50):
+        for x in map(mpmath.mpf, (0.25, 1.0, 1.75)):
+            enc = interval_eval("lens_area", Interval(float(x)), Interval(0.0))
+            assert _contains(enc, (x + 1) * mpmath.sqrt((2 - x) * x) / 3 + mpmath.acos(1 - x))
 
 
 def test_shape_scaled_bounds_tight_at_endpoints():
@@ -84,16 +90,16 @@ def test_refutation_with_witness():
     assert res.verdict == "refuted"
     assert res.witness_point is not None
     x, z = res.witness_point
-    assert f_double_prime(x, 1.0 / max(z, 1e-12)) > -1e6
+    with mpmath.workdps(50):
+        assert _oracle("lens_area_curvature", [x, max(z, 1e-12)]) > -1e6
     assert res.witness_enclosure.lo > -1e6
 
 
 def test_refutation_of_slightly_weakened_bound():
-    # Dense scan: g(t)/t^1.5 reaches 4 sqrt(2)/3 ~ 1.8856 at t -> 0, so a
-    # claimed upper bound of 1.885 is false.
-    ts = np.linspace(1e-6, 2.0, 10_000)
-    scan_max = float(np.max(segment_g(ts) / ts**1.5))
-    assert scan_max > 1.885
+    # g(t)/t^1.5 tends to 4 sqrt(2)/3 ~ 1.8856 as t -> 0, so a claimed upper
+    # bound of 1.885 is false.
+    with mpmath.workdps(50):
+        assert _oracle("segment_shape_scaled", [1e-6]) > 1.885
     task = ProofTask("too_tight", "segment_shape_scaled", ((0.0, 2.0),), "<=", 1.885)
     res = prove(task, max_boxes=100_000)
     assert res.verdict == "refuted"
@@ -469,9 +475,9 @@ def _t_terms(x, y):
 
 def _oracle(name, point):
     """The exact value of a cataloged expression at a point, from the closed
-    forms of :mod:`coopcast.geometry` in 50-digit arithmetic; ``None`` where
-    those forms are singular (z = 0, and x or t = 0, or x = 2 for the
-    curvature terms)."""
+    forms above of the lens area f(x, d) and its derivatives, at mpmath's
+    working precision (50 digits in the tests); ``None`` where those forms
+    are singular (z = 0, and x or t = 0, or x = 2 for the curvature terms)."""
     point = [mpmath.mpf(v) for v in point]
     if len(point) == 1:
         (t,) = point
@@ -500,6 +506,15 @@ def _oracle(name, point):
         "curvature_term2_weighted": t2 * mpmath.sqrt(x),
         "curvature_term3_weighted": t3 * x**1.5,
     }[name]
+
+
+def test_segment_g_matches_quadrature():
+    # The oracle's segment area g is the integral of the chord length
+    # 2 sqrt(u (2 - u)), so its closed form is checked against its definition.
+    with mpmath.workdps(50):
+        for depth in map(mpmath.mpf, (0.1, 0.5, 1.3, 1.9, 2.0)):
+            quad = mpmath.quad(lambda u: 2 * mpmath.sqrt(u * (2 - u)), [0, depth])
+            assert abs(_g(depth) - quad) < mpmath.mpf(10) ** -40, depth
 
 
 def _oracle_partial(name, point, axis):
