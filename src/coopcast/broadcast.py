@@ -7,10 +7,10 @@ small disk, then expanding-disk MIMO rounds).  MIMO senders always transmit
 with center-synchronized phases.  Reception in a round is always evaluated
 against the complete transmitting set of that round; there is no intra-round
 chaining.  :func:`informs` is the one reception rule, which the round
-engine, the acceptance criteria and :func:`coopcast.experiments.calibrate_c1`
-all decide by; its arithmetic (distances, screens, kernels) is in
-:mod:`coopcast.signal_model`.  No round cap applies: a flood ends when a
-round informs nobody, an expanding disk when its schedule does.
+engine and the acceptance criteria decide by; its arithmetic (distances,
+screens, kernels) is in :mod:`coopcast.signal_model`.  No round cap
+applies: a flood ends when a round informs nobody, an expanding disk when
+its schedule does.
 """
 
 from __future__ import annotations

@@ -15,28 +15,22 @@ import os
 import tempfile
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bounds import snr_upper_schedule
+from .bounds import miso_upper_schedule, snr_upper_schedule
 from .broadcast import (
+    BootstrapFailure,
     BroadcastConfig,
     OnRound,
     RoundLog,
-    informs,
     run_expanding_disk,
     run_miso_broadcast,
     run_udg_flood,
 )
 from .nodefield import NodeField, sample_field
-from .signal_model import (
-    GridSpec,
-    SenderSet,
-    SignalParams,
-    center_sync_phases,
-    field_map,
-)
+from .signal_model import GridSpec, SignalParams, field_map
 
 __all__ = [
     "ExperimentConfig",
@@ -78,6 +72,13 @@ class ExperimentConfig:
             raise ValueError("density must be positive")
         if not self.node_counts:
             raise ValueError("need at least one node count")
+        # rho = density ln n is positive only from n = 2 on.
+        least = 2 if self.density_rule == "log" else 1
+        if min(self.node_counts) < least:
+            raise ValueError(
+                f"node counts must be at least {least} under the {self.density_rule} "
+                f"density rule, got {min(self.node_counts)}"
+            )
         if len(set(self.seeds)) != len(self.seeds) or not self.seeds:
             raise ValueError("seeds must be nonempty and distinct")
 
@@ -268,47 +269,39 @@ def calibrate_c1(
     success_rate: float = 0.99,
     n: int = 4096,
 ) -> float:
-    """Largest power-of-two schedule constant with reliable round success.
+    """Largest power-of-two schedule constant c1 under which the MISO
+    broadcast reliably informs every node.
 
-    For each candidate c1, one growth step of the doubly-exponential
-    schedule is simulated on fresh node fields: all nodes inside radius
-    r_1 = c2/lam transmit with phases aligned toward the origin, and the
-    step succeeds when 100 receivers on the circle of radius
-    d = c1 rho sqrt(lam) r_1^1.5 are all informed, by
-    :func:`coopcast.broadcast.informs` under MIMO.  A candidate whose circle
-    lies inside the far-field limit, d < 15 r_1, is skipped.  Returns the
+    Each candidate c1 = 2^-14, ..., 2^5 runs the job of ``simulate --models
+    mimo`` on the field of each seed: n nodes at the fixed density
+    ``density``.  A run succeeds when it is fully informed; a
+    :class:`~coopcast.broadcast.BootstrapFailure` is a miss.  Returns the
     largest candidate whose success fraction over the seeds reaches
     ``success_rate``.
     """
-    radius = ExperimentConfig(models=("mimo",), node_counts=(n,), density=density).radius_for(n)
-    r1 = c2 / params.lam
-    if r1 > radius:
+    cfg = ExperimentConfig(
+        models=("mimo",), node_counts=(n,), density=density, seeds=tuple(seeds),
+        params=params, c2=c2,
+    )
+    radius = cfg.radius_for(n)
+    bootstrap = miso_upper_schedule(cfg.rho(n), params.lam, cfg.c1, c2, radius).radii[0]
+    if bootstrap >= radius:
         raise ValueError(
-            f"sender radius r1 = c2/lam = {r1} exceeds field radius {radius}; "
-            "shrink r1 with a smaller --c2 or a larger --lam, "
+            f"bootstrap radius 15 c2/lam = {bootstrap} reaches field radius {radius}; "
+            "shrink it with a smaller --c2 or a larger --lam, "
             "or widen the field with a larger --n or a smaller --density"
         )
-    best = None
-    for exponent in range(-14, 6):
-        cand = 2.0**exponent
-        d = cand * density * math.sqrt(params.lam) * r1**1.5
-        if d < 15.0 * r1:
-            continue
-        successes = 0
-        for seed in seeds:
-            fld = sample_field(n, radius, seed)
-            sender_idx = np.flatnonzero(fld.radii <= r1)
-            if sender_idx.size == 0:
+    candidates = [2.0**exponent for exponent in range(-14, 6)]
+    successes = dict.fromkeys(candidates, 0)
+    for seed in cfg.seeds:
+        fld = sample_field(n, radius, seed)
+        for cand in candidates:
+            try:
+                log = _run_single(replace(cfg, c1=cand), "mimo", fld)
+            except BootstrapFailure:
                 continue
-            pos = fld.positions[sender_idx]
-            senders = SenderSet.build(pos, phases=center_sync_phases(pos, params.lam))
-            rng = np.random.Generator(np.random.Philox(key=seed, counter=1))
-            ang = rng.uniform(0.0, 2.0 * np.pi, 100)
-            receivers = d * np.column_stack([np.cos(ang), np.sin(ang)])
-            if bool(np.all(informs("MIMO", senders, receivers, params)[0])):
-                successes += 1
-        if successes / len(seeds) >= success_rate:
-            best = cand
-    if best is None:
+            successes[cand] += log.fully_informed
+    passed = [c for c in candidates if successes[c] / len(cfg.seeds) >= success_rate]
+    if not passed:
         raise RuntimeError("no candidate constant met the target success rate")
-    return best
+    return passed[-1]

@@ -219,7 +219,10 @@ def test_fieldmap_of_a_failed_bootstrap_writes_no_maps(tmp_path, drawn, capsys):
 
 
 def test_calibrate_without_a_constant_fails_cleanly(capsys):
-    code = main(["calibrate-c1", "--density", "64", "--lam", "0.5", "--c2", "0.05", "--seeds", "3"])
+    # Criterion 08's density, lam and c2 at n = 400: field 2's bootstrap
+    # fails, so no candidate informs all of fields 0-2.
+    code = main(["calibrate-c1", "--density", "3.5368", "--lam", "0.1", "--c2", "0.02",
+                 "--n", "400", "--seeds", "3"])
     assert code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -227,16 +230,35 @@ def test_calibrate_without_a_constant_fails_cleanly(capsys):
 
 
 def test_calibrate_with_senders_outside_the_field_names_the_remedy(capsys):
-    # The defaults (n = 4096, density 64, lam = 0.1, c2 = 1) put r1 = 10
-    # outside the field radius sqrt(4096 / (64 pi)) = 4.51.
+    # The defaults (n = 4096, density 64, lam = 0.1, c2 = 1) put the
+    # bootstrap disk's radius 15 c2/lam = 150 outside the field radius
+    # sqrt(4096 / (64 pi)) = 4.51.
     assert main(["calibrate-c1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: sender radius r1 = c2/lam = 10.0 exceeds field radius 4.51351666838205; "
-        "shrink r1 with a smaller --c2 or a larger --lam, "
+        "error: bootstrap radius 15 c2/lam = 150.0 reaches field radius 4.51351666838205; "
+        "shrink it with a smaller --c2 or a larger --lam, "
         "or widen the field with a larger --n or a smaller --density\n"
     )
+
+
+def test_calibrate_without_seeds_is_a_usage_error(capsys):
+    assert main(["calibrate-c1", "--lam", "0.1", "--c2", "0.02", "--seeds", "0"]) == 2
+    assert capsys.readouterr().err == "error: seeds must be nonempty and distinct\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["fieldmap", "--model", "udg", "--n", "1"], ["simulate", "--node-counts", "1"]]
+)
+def test_one_node_under_the_log_rule_is_a_usage_error(tmp_path, capsys, argv):
+    # rho = density ln 1 = 0 leaves no field radius.
+    out = tmp_path / "out"
+    assert main([*argv, "--density-rule", "log", "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: node counts must be at least 2 under the log density rule, got 1\n"
+    )
+    assert not out.exists()
 
 
 def test_fit(tmp_path, capsys):

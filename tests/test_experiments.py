@@ -3,10 +3,12 @@ import json
 import math
 import os
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from coopcast.broadcast import BootstrapFailure
 from coopcast.experiments import (
     CSV_HEADER,
     ExperimentConfig,
@@ -210,6 +212,12 @@ def test_config_validation():
         ExperimentConfig(models=("udg",), node_counts=(10,), seeds=(1, 1))
     with pytest.raises(ValueError):
         ExperimentConfig(models=("udg",), node_counts=(10,), density_rule="cubic")
+    with pytest.raises(ValueError, match="at least 1 under the fixed"):
+        ExperimentConfig(models=("udg",), node_counts=(10, 0))
+    ExperimentConfig(models=("udg",), node_counts=(1,))
+    # rho = density ln 1 = 0: the log rule needs two nodes.
+    with pytest.raises(ValueError, match="at least 2 under the log"):
+        ExperimentConfig(models=("udg",), node_counts=(1,), density_rule="log")
 
 
 def test_density_rules():
@@ -284,15 +292,57 @@ def test_emit_fieldmaps(tmp_path):
         informed[rec.newly_informed] = True
 
 
+#: Criterion 08's density (n = 10^4 nodes in a disk of radius 30) and
+#: wavelength; the tests below run its c2 = 0.02 too.
+C08_DENSITY = 10_000 / (900.0 * math.pi)
+C08_PARAMS = SignalParams(lam=0.1)
+
+
+def _informed_share(tmp_path, c1, n, seeds):
+    """The share of ``seeds`` whose ``simulate --models mimo`` job informs
+    every node at criterion 08's constants; a failed job is a miss."""
+    cfg = ExperimentConfig(
+        models=("mimo",), node_counts=(n,), density=C08_DENSITY, seeds=seeds,
+        params=C08_PARAMS, c1=c1, c2=0.02, output_dir=str(tmp_path),
+    )
+    return sum(row["fully_informed"] for row in run_experiment(cfg).rows) / len(seeds)
+
+
 def test_calibrate_c1_power_of_two_and_repeatable():
-    params = SignalParams(lam=0.5)
-    kwargs = dict(c2=0.044, seeds=(0, 1, 2), n=512)
-    c1 = calibrate_c1(300.0, params, **kwargs)
+    kwargs = dict(c2=0.02, seeds=(0, 1, 2), n=1000)
+    c1 = calibrate_c1(C08_DENSITY, C08_PARAMS, **kwargs)
     assert c1 > 0 and math.frexp(c1)[0] == 0.5
-    assert calibrate_c1(300.0, params, **kwargs) == c1
+    assert calibrate_c1(C08_DENSITY, C08_PARAMS, **kwargs) == c1
     # Every candidate meets a zero success rate: the largest one, 2^5, wins.
-    assert calibrate_c1(300.0, params, success_rate=0.0, **kwargs) == 32.0
+    assert calibrate_c1(C08_DENSITY, C08_PARAMS, success_rate=0.0, **kwargs) == 32.0
     with pytest.raises(RuntimeError):
-        calibrate_c1(300.0, params, success_rate=1.01, **kwargs)
-    with pytest.raises(ValueError):
-        calibrate_c1(300.0, params, c2=1.0, seeds=(0,), n=512)
+        calibrate_c1(C08_DENSITY, C08_PARAMS, success_rate=1.01, **kwargs)
+    # With c2 = 1 the bootstrap disk, of radius 150, covers the field.
+    with pytest.raises(ValueError, match="reaches field radius"):
+        calibrate_c1(C08_DENSITY, C08_PARAMS, c2=1.0, seeds=(0,), n=1000)
+
+
+def test_calibrate_c1_at_criterion_08_density_is_what_simulate_runs(tmp_path):
+    # n = 4096 (R = 19.2): up to c1 = 4 the schedule never grows past the
+    # bootstrap disk and no run informs every node; c1 = 8 informs all ten
+    # fields, 16 six and 32 one.
+    seeds = tuple(range(10))
+    c1 = calibrate_c1(C08_DENSITY, C08_PARAMS, c2=0.02, seeds=seeds, n=4096)
+    assert c1 == 8.0
+    assert _informed_share(tmp_path, c1, 4096, seeds) == 1.0
+
+
+def test_calibrate_c1_counts_a_failed_bootstrap_as_a_miss(tmp_path):
+    # n = 400 (R = 6): field 2's bootstrap disk is not connected; fields 0,
+    # 1 and 3 are fully informed from c1 = 8 on.
+    seeds = (0, 1, 2, 3)
+    cfg = ExperimentConfig(
+        models=("mimo",), node_counts=(400,), density=C08_DENSITY, params=C08_PARAMS, c2=0.02
+    )
+    with pytest.raises(BootstrapFailure):
+        _run_single(replace(cfg, c1=8.0), "mimo", sample_field(400, cfg.radius_for(400), 2))
+    c1 = calibrate_c1(C08_DENSITY, C08_PARAMS, c2=0.02, seeds=seeds, success_rate=0.75, n=400)
+    assert c1 == 32.0
+    assert _informed_share(tmp_path, c1, 400, seeds) == 0.75
+    with pytest.raises(RuntimeError):
+        calibrate_c1(C08_DENSITY, C08_PARAMS, c2=0.02, seeds=seeds, success_rate=0.8, n=400)
