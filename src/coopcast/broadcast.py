@@ -65,8 +65,10 @@ class RoundRecord:
     # where the screen evaluates them all (its float32 tier those within its
     # phase limit, its float64 tier the others and the rows the float32
     # tier leaves open) and the exact kernel re-evaluates the rows the
-    # screen leaves open; under SNR the pairs of the candidates the distance
-    # bounds leave to the kernel; 0 under UDG.
+    # screen leaves open; under SNR the pairs of the candidates that the
+    # bounds from |q| - P and |q| + P (P the largest sender radius) leave
+    # to the kernel; 0 under UDG.  The nearest-sender queries for travel
+    # are not pairs.
     pairs_evaluated: int
     disk_radius_r_j: float | None = None
 
@@ -172,25 +174,29 @@ def informs(
     model: str, senders: SenderSet, q, params: SignalParams
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Which receivers ``q`` (k, 2) the ``senders`` inform in one round under
-    ``model`` ("UDG", "SNR" or "MIMO"), as a boolean mask; each receiver's
-    distance to its nearest sender (under UDG, inf beyond 1); and how many
-    receiver x sender pairs were evaluated (see :class:`RoundRecord`).
+    ``model`` ("UDG", "SNR" or "MIMO"), as a boolean mask; the distance from
+    each informed receiver to its nearest sender, in the order of ``q``, from
+    which the round takes its travel; and how many receiver x sender pairs
+    were evaluated (see :class:`RoundRecord`).
 
-    UDG informs within distance 1 of a sender.  SNR and MIMO inform where
-    the received level reaches beta N0, boundary included: a screen's lower
-    level bound at or above beta N0 informs, and the other rows whose upper
-    bound reaches it go to the exact kernel, so every decision is the
-    kernel's.  ``params`` is read only under SNR and MIMO.
+    UDG informs within distance 1 of a sender, by one nearest-sender query
+    over all of ``q``.  SNR and MIMO inform where the received level reaches
+    beta N0, boundary included: a screen's lower level bound at or above
+    beta N0 informs, and the other rows whose upper bound reaches it go to
+    the exact kernel, so every decision is the kernel's; their screens need
+    no distances, and only the informed receivers are queried for theirs.
+    ``params`` is read only under SNR and MIMO.
     """
     if model not in _MODELS:
         raise ValueError(f"unknown model {model!r}")
     q = np.asarray(q, dtype=float)
-    d_min = nearest_sender_distance(senders, q, udg=model == "UDG")
     if model == "UDG":
-        return d_min <= 1.0, d_min, 0
+        d_min = nearest_sender_distance(senders, q, udg=True)
+        informed = d_min <= 1.0
+        return informed, d_min[informed], 0
     snr = model == "SNR"
     if snr:
-        lower, upper = snr_level_bounds(senders, np.hypot(q[:, 0], q[:, 1]), d_min, params)
+        lower, upper = snr_level_bounds(senders, np.hypot(q[:, 0], q[:, 1]), params)
     else:  # a coherent sum can cancel: a phasor screen, not distance, bounds it
         lower, upper = (b**2 for b in mimo_amplitude_bounds(senders, q, params))
     informed = lower >= params.beta_N0
@@ -201,7 +207,8 @@ def informs(
         else:
             level = np.abs(received_phasor(senders, q[rows], params)) ** 2
         informed[rows] = level >= params.beta_N0
-    return informed, d_min, senders.m * (rows.size if snr else len(q))
+    pairs = senders.m * (rows.size if snr else len(q))
+    return informed, nearest_sender_distance(senders, q[informed]), pairs
 
 
 # A UDG receiver q hears a sender s only if |q - s| <= 1, so |q| <= |s| + 1:
@@ -268,13 +275,13 @@ def _run_rounds(
         else:
             active = np.flatnonzero(informed & (radii <= r_j))
         senders = _senders(field_, active, config)
-        hit, d_min, pairs = informs(
+        hit, d_newly, pairs = informs(
             config.model, senders, field_.positions[candidates], config.params
         )
         # The signal travelled to the newly informed node farthest from its
         # nearest sender.
-        newly, travel = candidates[hit], float(d_min[hit].max(initial=0.0))
-        del hit, d_min  # one entry per candidate: not kept through the next round
+        newly, travel = candidates[hit], float(d_newly.max(initial=0.0))
+        del hit  # one entry per candidate: not kept through the next round
         if flood and newly.size == 0:
             break
         newly.setflags(write=False)  # held by the round's record

@@ -275,7 +275,8 @@ def calibrate_c1(
     Each candidate c1 = 2^-14, ..., 2^5 runs the job of ``simulate --models
     mimo`` on the field of each seed: n nodes at the fixed density
     ``density``.  A run succeeds when it is fully informed; a
-    :class:`~coopcast.broadcast.BootstrapFailure` is a miss.  Returns the
+    :class:`~coopcast.broadcast.BootstrapFailure` is a miss.  Candidates with
+    the same radius schedule share one run per field.  Returns the
     largest candidate whose success fraction over the seeds reaches
     ``success_rate``.
     """
@@ -295,12 +296,18 @@ def calibrate_c1(
     successes = dict.fromkeys(candidates, 0)
     for seed in cfg.seeds:
         fld = sample_field(n, radius, seed)
+        # c1 enters a run only through its schedule: one run per schedule.
+        succeeded = {}
         for cand in candidates:
-            try:
-                log = _run_single(replace(cfg, c1=cand), "mimo", fld)
-            except BootstrapFailure:
-                continue
-            successes[cand] += log.fully_informed
+            radii = tuple(miso_upper_schedule(fld.density(), params.lam, cand, c2, fld.R).radii)
+            if radii not in succeeded:
+                try:
+                    log = _run_single(replace(cfg, c1=cand), "mimo", fld)
+                except BootstrapFailure:
+                    succeeded[radii] = False
+                else:
+                    succeeded[radii] = log.fully_informed
+            successes[cand] += succeeded[radii]
     passed = [c for c in candidates if successes[c] / len(cfg.seeds) >= success_rate]
     if not passed:
         raise RuntimeError("no candidate constant met the target success rate")

@@ -11,12 +11,17 @@ MIMO screen and the nearest-sender distance take receivers as a (k, 2)
 array and return one value per receiver.
 :func:`received_phasor` and :func:`snr_received_energy` are the exact
 kernels.  Their screens, :func:`mimo_amplitude_bounds` and
-:func:`snr_level_bounds` (distance bounds), bound a receiver's level without
-the kernel.  The MIMO screen has two tiers, each with a rigorous error bound
-of its own: an all-float32 phasor sum bounds every receiver, and a sum with
-float64 distances and phases, reduced to [-pi, pi] before float32 trig,
-bounds again the rows whose first bounds do not decide against beta N0.
-Kernels and both tiers work in blocks of ``_PAIR_BUDGET`` pairs.
+:func:`snr_level_bounds`, bound a receiver's level without the kernel.  The
+SNR screen needs only the receiver's radius |q| and the largest sender
+radius P, since every sender lies between |q| - P and |q| + P of it.  The
+MIMO screen has two tiers, each with a rigorous error bound of its own: an
+all-float32 phasor sum bounds every receiver, and a sum with float64
+distances and phases, reduced to [-pi, pi] before float32 trig, bounds
+again the rows whose first bounds do not decide against beta N0.  Kernels
+and both tiers work in blocks of ``_BLOCK_BYTES`` bytes of work arrays,
+each at its own bytes per pair.  :func:`nearest_sender_distance` is the one
+kd-tree query: the UDG decision and map, and the travel of the receivers a
+round informs.
 """
 
 from __future__ import annotations
@@ -40,17 +45,26 @@ __all__ = [
     "field_map",
 ]
 
-# Receiver x sender pairs per block of a reception kernel or screen (see
-# _blocks): each block's temporaries are a few arrays of this many elements,
-# whatever the number of senders.  A MIMO kernel block holds two float64
-# arrays and one complex128 array, a float64 screen tier block three float64
-# and two float32 arrays: 32 bytes a pair either way, 1 MiB at 2^15 pairs,
-# within a 2 MiB per-core L2 cache.  A float32 tier block is three float32
-# arrays, 12 bytes a pair.
-# Of the budgets 2^14 to 2^17 this one ran the MIMO broadcast fastest on
-# criterion 08's five fields, one thread on a 2-vCPU x86-64 host: median
-# 1.91 s against 2.05, 2.91 and 3.07 s (three interleaved runs each).
-_PAIR_BUDGET = 2**15
+# Bytes of work arrays per block of a reception kernel or screen (see
+# _blocks).  Each stage divides this budget by its own bytes per pair, so
+# its temporaries stay the same size whatever the number of senders:
+# - the float32 screen tier, three float32 arrays: 12 bytes a pair, 2^17
+#   pairs a block;
+# - the MIMO kernel, two float64 arrays and one complex128 array, and the
+#   float64 screen tier, three float64 and two float32 arrays: 32 bytes a
+#   pair, 49,152 pairs;
+# - the SNR kernel, sized as the MIMO kernel at 32 bytes a pair although
+#   its two float64 arrays take 16: at 16 its blocks double, and the peak
+#   RSS of the benchmark's simulate pass rose from 83 to 87 MB, for no
+#   speed that showed.
+# It was tuned with the benchmark's simulate sweeps at --workers 2 on a
+# 2-vCPU x86-64 host (2 MiB of L2 cache a core).  The MISO sweep, criterion
+# 08's five fields, took medians of 0.84 s at 1.5 MiB, 0.85 s at 1 and at
+# 2 MiB, and 1.08 s with the former 2^15 pairs in every stage (12
+# interleaved runs each).  Above 1.5 MiB the pass's peak RSS grew (85 MB
+# at 2 MiB).  Fewer, longer numpy calls leave the two workers less
+# Python to run under the GIL.
+_BLOCK_BYTES = 3 * 2**19
 
 # A node at distance exactly 1 hears a UDG sender, but a kd-tree query's
 # distance_upper_bound is exclusive: query just above 1 and keep d <= 1.
@@ -132,10 +146,11 @@ def nearest_sender_distance(senders: SenderSet, q, udg: bool = False) -> np.ndar
     return cKDTree(senders.positions).query(q, distance_upper_bound=bound)[0]
 
 
-def _blocks(k: int, m: int) -> list[slice]:
-    """Slices that cover k receiver rows in order, each of at most
-    ``_PAIR_BUDGET`` pairs with m senders, and of at least one row."""
-    rows = max(1, _PAIR_BUDGET // max(m, 1))
+def _blocks(k: int, m: int, pair_bytes: int) -> list[slice]:
+    """Slices that cover k receiver rows in order, each of at least one row
+    and, with m senders, of at most ``_BLOCK_BYTES`` bytes of work arrays
+    at the stage's ``pair_bytes`` per pair."""
+    rows = max(1, _BLOCK_BYTES // (pair_bytes * max(m, 1)))
     return [slice(start, min(start + rows, k)) for start in range(0, k, rows)]
 
 
@@ -160,7 +175,7 @@ def received_phasor(senders: SenderSet, q, params: SignalParams):
     """
     qa = np.asarray(q, dtype=float)
     z = np.empty(len(qa), dtype=complex)
-    for block in _blocks(len(qa), senders.m):
+    for block in _blocks(len(qa), senders.m, 32):
         # The operations of (a / dclamp) * exp(1j * (-2 pi dist / lam + phi)),
         # in their order, written into three (k, m) buffers, 32 bytes a pair.
         # The real part of the exponent is 0 and the weight is real, so
@@ -218,13 +233,13 @@ def _mimo_tier64(senders: SenderSet, qa: np.ndarray, params: SignalParams):
     [-pi, pi] in float64, widened by eps W on each side (see ``_MIMO_EPS``).
 
     Receivers outside the bound's preconditions get (0, inf).  The
-    receivers are screened in blocks of ``_PAIR_BUDGET`` pairs, through five
-    work arrays of one block each, allocated once.
+    receivers are screened in blocks of ``_BLOCK_BYTES`` at 32 bytes a pair,
+    through five work arrays of one block each, allocated once.
     """
     k, m = qa.shape[0], senders.m
     pos = senders.positions
     lower, upper, outside = np.empty(k), np.empty(k), np.empty(k, dtype=bool)
-    blocks = _blocks(k, m)
+    blocks = _blocks(k, m, 32)
     rows = blocks[0].stop if blocks else 0
     work = [np.empty((rows, m)) for _ in range(3)]
     work += [np.empty((rows, m), dtype=np.float32) for _ in range(2)]
@@ -311,8 +326,8 @@ def _mimo_tier32(senders: SenderSet, qa: np.ndarray, params: SignalParams):
 
     Positions, receivers, amplitudes and phases are cast to float32 once;
     the receivers within the tier's limits are screened in blocks of
-    ``_PAIR_BUDGET`` pairs through three float32 work arrays of one block
-    each, allocated once.  The others get (0, inf).
+    ``_BLOCK_BYTES`` at 12 bytes a pair, through three float32 work arrays
+    of one block each, allocated once.  The others get (0, inf).
     """
     k, m = qa.shape[0], senders.m
     clamp = params.c_f * params.lam
@@ -328,7 +343,7 @@ def _mimo_tier32(senders: SenderSet, qa: np.ndarray, params: SignalParams):
     phases = senders.phases.astype(np.float32)
     wave, clamp = np.float32(-2.0 * np.pi / params.lam), np.float32(clamp)
     real, imag, total = np.empty((3, inside.size))
-    blocks = _blocks(inside.size, m)
+    blocks = _blocks(inside.size, m, 12)
     rows = blocks[0].stop if blocks else 0
     work = [np.empty((rows, m), dtype=np.float32) for _ in range(3)]
     for block in blocks:
@@ -382,7 +397,7 @@ def snr_received_energy(senders: SenderSet, q, params: SignalParams):
     qa = np.asarray(q, dtype=float)
     rs = np.empty(len(qa))
     power = senders.amplitudes**2
-    for block in _blocks(len(qa), senders.m):
+    for block in _blocks(len(qa), senders.m, 32):
         _, level = _distances(senders, qa[block], params)
         np.square(level, out=level)
         np.divide(power, level, out=level)
@@ -390,30 +405,45 @@ def snr_received_energy(senders: SenderSet, q, params: SignalParams):
     return rs
 
 
-def snr_level_bounds(
-    senders: SenderSet, q_norm: np.ndarray, d_min: np.ndarray, params: SignalParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds L (1 - tol) and U (1 + tol), per receiver of radius ``q_norm``
-    and nearest-sender distance ``d_min``, on its :func:`snr_received_energy`.
+# The SNR screen's U takes |q| - P as q_norm (1 - tol) - P (1 + tol), with
+# tol = _SNR_NEAR_TOL, so that it stays below the exact |q| - P of the float
+# points, which every sender's distance reaches.  In units of u = 2^-53:
+# the computed |q| and P (hypot, at most 2u each) and the two products (u
+# each) move each side by at most 3u of itself, so any margin above 3u
+# would do; 2^-44 = 512u is more than a hundred and fifty times that, and a
+# receiver it sends to the kernel in vain costs m pairs.  The subtraction's
+# own rounding is relative to the result, and snr_level_bounds' tol covers it.
+_SNR_NEAR_TOL = 2.0**-44
 
-    Each term of a level is a_j^2 / max(d_j, c)^2 with c = c_f lam, and d_j
-    lies between d_min and |q| + r_s, r_s the largest sender radius.  So with
-    S = sum_j a_j^2, L = S / max(|q| + r_s, c)^2 and U = S / max(d_min, c)^2.
+
+def snr_level_bounds(
+    senders: SenderSet, q_norm: np.ndarray, params: SignalParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds L (1 - tol) and U (1 + tol), per receiver of radius ``q_norm``,
+    on its :func:`snr_received_energy`.
+
+    Each term of a level is a_j^2 / max(d_j, c)^2 with c = c_f lam, and every
+    sender lies within P, the largest sender radius, so d_j lies between
+    |q| - P and |q| + P.  So with S = sum_j a_j^2, L = S / max(|q| + P, c)^2
+    and U = S / max(|q| - P, c)^2; a receiver inside the sender disk
+    (|q| <= P + c) gets U = S / c^2, the largest level there is.
     """
-    # Relative rounding, in units of u = 2^-53.  Kernel, per term: the
+    # Relative rounding in tol, in units of u.  Kernel, per term: the
     # subtraction (u), hypot (at most 2u), squaring the distance and a_j and
     # the division (u each), about 9u; the sum of m terms, (m - 1)u.  S: the
     # squares and their sum, at most mu (none for unit amplitudes: S = m).
-    # Either bound: the kd-tree distance (squared differences summed, then
-    # sqrt) or |q| + r_s (two hypot and an addition), about 4u, doubled by the
-    # square, then the division, 1 -/+ tol and the product, about 12u.  In all
-    # below (2m + 24)u; tol = 16 (m + 16)u leaves a margin of eight and more.
+    # Either bound's distance: |q| + P (two hypot and an addition) or, past
+    # the margin, |q| - P (the subtraction), at most about 5u, doubled by
+    # the square, then the division, 1 -/+ tol and the product, about 13u.
+    # In all below (2m + 24)u; tol = 16 (m + 16)u leaves a margin of eight
+    # and more.
     tol = (senders.m + 16) * 2.0**-49
     c = params.c_f * params.lam
     power = np.square(senders.amplitudes).sum()
-    r_s = np.hypot(*senders.positions.T).max(initial=0.0)
-    lower = power / np.maximum(q_norm + r_s, c) ** 2
-    upper = power / np.maximum(d_min, c) ** 2
+    p = np.hypot(*senders.positions.T).max(initial=0.0)
+    lower = power / np.maximum(q_norm + p, c) ** 2
+    near = q_norm * (1.0 - _SNR_NEAR_TOL) - p * (1.0 + _SNR_NEAR_TOL)
+    upper = power / np.maximum(near, c) ** 2
     return lower * (1.0 - tol), upper * (1.0 + tol)
 
 

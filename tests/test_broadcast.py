@@ -33,10 +33,10 @@ def _receive(fld, active, candidates, config):
     round engine builds: the candidates informed, the travel to the farthest
     of them (0 if none) and the pairs evaluated."""
     senders = broadcast._senders(fld, active, config)
-    hit, d_min, pairs = broadcast.informs(
+    hit, d_newly, pairs = broadcast.informs(
         config.model, senders, fld.positions[candidates], config.params
     )
-    return candidates[hit], float(d_min[hit].max(initial=0.0)), pairs
+    return candidates[hit], float(d_newly.max(initial=0.0)), pairs
 
 
 def _bfs_layers(positions):
@@ -179,8 +179,8 @@ def test_informs_takes_the_three_model_names_only():
     for model in ("udg", "mimo", "SIMO"):
         with pytest.raises(ValueError, match="unknown model"):
             broadcast.informs(model, senders, [(1.0, 0.0)], PARAMS)
-    hit, d_min, pairs = broadcast.informs("UDG", senders, [(1.0, 0.0), (1.5, 0.0)], PARAMS)
-    assert hit.tolist() == [True, False] and d_min.tolist() == [1.0, np.inf] and pairs == 0
+    hit, d_newly, pairs = broadcast.informs("UDG", senders, [(1.0, 0.0), (1.5, 0.0)], PARAMS)
+    assert hit.tolist() == [True, False] and d_newly.tolist() == [1.0] and pairs == 0
 
 
 def test_expanding_disk_requires_schedule():
@@ -323,26 +323,66 @@ def test_miso_covered_by_bootstrap():
 
 def test_reception_memory_bounded_by_pair_budget(monkeypatch):
     # 600 center-synchronized MIMO senders, 3000 receivers: one unchunked
-    # screen call would hold 1.8M pairs (about 60 MB).  Chunked by the pair
+    # screen call would hold 1.8M pairs (about 60 MB).  Chunked by the byte
     # budget, which the screen and the kernel read in signal_model, the peak
-    # stays near 35 bytes per budgeted pair, and the informed set and travel
+    # stays near one block's work arrays, and the informed set and travel
     # distance do not change.
     fld = sample_field(3600, 6.0, seed=3)
     config = BroadcastConfig(model="MIMO", params=PARAMS)
     active, candidates = np.arange(600), np.arange(600, 3600)
-    monkeypatch.setattr(signal_model, "_PAIR_BUDGET", active.size * candidates.size)
+    monkeypatch.setattr(signal_model, "_BLOCK_BYTES", 32 * active.size * candidates.size)
     whole = _receive(fld, active, candidates, config)
-    budget = 2**16
-    monkeypatch.setattr(signal_model, "_PAIR_BUDGET", budget)
+    budget = 2**21
+    monkeypatch.setattr(signal_model, "_BLOCK_BYTES", budget)
     tracemalloc.start()
     try:
         newly, travel, pairs = _receive(fld, active, candidates, config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 64 * budget + 2**20
+    assert peak <= 2 * budget + 2**20
     assert newly.tolist() == whole[0].tolist() and travel == whole[1]
     assert pairs == whole[2] == active.size * candidates.size
+
+
+@pytest.mark.parametrize("model", ["UDG", "SNR", "MIMO"])
+def test_nearest_sender_queries_only_what_a_round_needs(monkeypatch, model):
+    # Under SNR and MIMO the screens and kernels decide without distances:
+    # the kd-tree sees exactly each round's newly informed receivers, for
+    # their travel.  Under UDG the distance decides: it sees the candidates
+    # in reach in every round, a last one that informs nobody included.
+    fld = sample_field(2000, 5.0, seed=7)
+    seen = []
+
+    def spied(senders, q, udg=False):
+        seen.append(np.array(q))
+        return signal_model.nearest_sender_distance(senders, q, udg)
+
+    monkeypatch.setattr(broadcast, "nearest_sender_distance", spied)
+    if model == "UDG":
+        fld = sample_field(150, 5.0, seed=7)  # sparse: the flood stalls
+        log = run_udg_flood(fld)
+        assert not log.fully_informed
+    else:
+        config = BroadcastConfig(model=model, radius_schedule=(0.5, 1, 2, 4, 8), params=PARAMS)
+        log = run_expanding_disk(fld, config)
+    monkeypatch.undo()
+    newly = [rec.newly_informed for rec in log.rounds]
+    if model == "UDG":
+        radii, informed, expected = fld.radii, np.zeros(fld.n, dtype=bool), []
+        informed[0], senders = True, np.array([0])
+        for nodes in [*newly, None]:
+            if informed.all():
+                break
+            reach = (radii[senders].max() + 1.0) * (1.0 + broadcast._UDG_REACH_TOL)
+            expected.append(np.flatnonzero(~informed & (radii <= reach)))
+            if nodes is not None:
+                informed[nodes], senders = True, nodes
+    else:
+        expected = newly
+    assert len(seen) == len(expected)
+    for q, nodes in zip(seen, expected):
+        assert np.array_equal(q, fld.positions[nodes])
 
 
 def _kernel_receivers(monkeypatch) -> set[tuple[float, float]]:

@@ -8,7 +8,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from coopcast.broadcast import BootstrapFailure
+from coopcast import experiments
+from coopcast.bounds import miso_upper_schedule
+from coopcast.broadcast import BootstrapFailure, run_miso_broadcast
 from coopcast.experiments import (
     CSV_HEADER,
     ExperimentConfig,
@@ -346,3 +348,27 @@ def test_calibrate_c1_counts_a_failed_bootstrap_as_a_miss(tmp_path):
     assert _informed_share(tmp_path, c1, 400, seeds) == 0.75
     with pytest.raises(RuntimeError):
         calibrate_c1(C08_DENSITY, C08_PARAMS, c2=0.02, seeds=seeds, success_rate=0.8, n=400)
+
+
+def test_calibrate_c1_runs_each_distinct_schedule_once(monkeypatch):
+    # c1 enters a MISO run only through its radius schedule, and at n = 400
+    # most of the 20 candidates share one: each field runs each distinct
+    # schedule once, and the result is the one pinned above.
+    runs, fields = [], {}
+
+    def schedule(fld, c1):
+        return tuple(miso_upper_schedule(fld.density(), C08_PARAMS.lam, c1, 0.02, fld.R).radii)
+
+    def counted(fld, params, c1, c2, on_round=None):
+        runs.append((fld.seed, schedule(fld, c1)))
+        fields[fld.seed] = fld
+        return run_miso_broadcast(fld, params, c1, c2, on_round)
+
+    monkeypatch.setattr(experiments, "run_miso_broadcast", counted)
+    seeds = (0, 1, 2, 3)
+    c1 = calibrate_c1(C08_DENSITY, C08_PARAMS, c2=0.02, seeds=seeds, success_rate=0.75, n=400)
+    assert c1 == 32.0 and sorted(fields) == list(seeds)
+    distinct = sum(
+        len({schedule(fld, 2.0**e) for e in range(-14, 6)}) for fld in fields.values()
+    )
+    assert len(runs) == len(set(runs)) == distinct < 20 * len(seeds)

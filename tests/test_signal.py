@@ -330,7 +330,7 @@ def test_empty_sender_set():
         z, rs = reference_kernels(s, q, PARAMS)
         assert np.array_equal(received_phasor(s, q, PARAMS), z)
         assert np.array_equal(snr_received_energy(s, q, PARAMS), rs)
-        bounds = snr_level_bounds(s, q[:, 0], q[:, 0], PARAMS)
+        bounds = snr_level_bounds(s, q[:, 0], PARAMS)
         assert [b.tolist() for b in bounds] == [[0.0, 0.0]] * 2
         assert nearest_sender_distance(s, q).tolist() == [np.inf, np.inf]
 
@@ -352,21 +352,35 @@ def test_sender_set_rejects_other_shapes():
 def test_snr_level_bounds_enclose_the_kernel_level(lam):
     # With amplitudes from 0.5 to 2, every kernel level lies within the
     # bounds: they scale with the sum of squared amplitudes, not with m.
+    # Receivers lie on senders, inside the near-field clamp, inside the
+    # sender disk (|q| < P, where U is S / c^2) and beyond it.  One sender at
+    # the origin makes both bounds tight (|q| - P = |q| + P = |q|).
     params = SignalParams(lam=lam)
     rng = np.random.Generator(np.random.Philox(17))
     clamp = params.c_f * lam
-    for m in (1, 7, 85, 600):
-        pos = rng.uniform(-3.0, 3.0, size=(m, 2))
+    sender_sets = [np.zeros((1, 2))]
+    sender_sets += [rng.uniform(-3.0, 3.0, size=(m, 2)) for m in (1, 7, 85, 600)]
+    for pos in sender_sets:
+        m = len(pos)
         senders = SenderSet.build(pos, rng.uniform(0.5, 2.0, size=m))
         q = np.vstack([
             pos[:3],  # exactly on a sender: distance 0
             pos[:3] + [0.3 * clamp, -0.4 * clamp],  # inside the near-field clamp
             rng.uniform(-6.0, 6.0, size=(60, 2)),
         ])
-        d_min = nearest_sender_distance(senders, q)
-        lower, upper = snr_level_bounds(senders, np.hypot(*q.T), d_min, params)
+        q_norm = np.hypot(*q.T)
+        lower, upper = snr_level_bounds(senders, q_norm, params)
         level = snr_received_energy(senders, q, params)
         assert np.all((lower <= level) & (level <= upper))
+        if m > 1:
+            assert np.any(q_norm < np.hypot(*pos.T).max())
+        # A threshold on a receiver's own level: no bound decides it, and
+        # informs takes the kernel's inclusive decision.
+        for i in (0, 3, 10, 40):
+            beta = float(level[i])
+            assert lower[i] < beta <= upper[i]
+            hit = informs("SNR", senders, q, SignalParams(lam=lam, beta_N0=beta))[0]
+            assert hit.tolist() == (level >= beta).tolist()
 
 
 def assert_matches_reference(senders, q, params):
@@ -396,8 +410,8 @@ def test_kernels_match_reference_bit_for_bit(m, lam):
 @pytest.mark.parametrize("model", ["MIMO", "SNR"])
 def test_field_map_memory_bounded_by_pair_budget(model):
     # 128^2 cells x 2000 senders is 32.8M pairs, about 1 GB of kernel
-    # temporaries in one call.  Blocked by the pair budget, the peak is the
-    # kernel's 32 bytes per budgeted pair plus the grid's own arrays.
+    # temporaries in one call.  Blocked by the byte budget, the peak is one
+    # block's work arrays plus the grid's own arrays.
     rng = np.random.Generator(np.random.Philox(16))
     senders = SenderSet.build(rng.uniform(-4.0, 4.0, size=(2000, 2)))
     grid = GridSpec(-5.0, 5.0, -5.0, 5.0, 128, 128)
@@ -407,7 +421,7 @@ def test_field_map_memory_bounded_by_pair_budget(model):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 64 * signal_model._PAIR_BUDGET + 64 * grid.nx * grid.ny
+    assert peak <= 2 * signal_model._BLOCK_BYTES + 64 * grid.nx * grid.ny
     # Every 16th cell in one unblocked kernel call: 2M pairs.
     xs, ys = grid.centers()
     X, Y = np.meshgrid(xs, ys)
@@ -505,21 +519,42 @@ def test_float32_tier_containment_fails_with_a_narrower_bound(monkeypatch):
 
 
 def test_screen_bounds_do_not_depend_on_the_pair_budget(monkeypatch):
-    # The tiers and both kernels loop over blocks of the pair budget
-    # themselves (the tiers through work arrays allocated once); a row's
-    # values are the same bits in any block, the last, shorter block included.
+    # The tiers and both kernels loop over blocks of the byte budget
+    # themselves, each stage at its own bytes per pair (the tiers through
+    # work arrays allocated once); a row's values are the same bits in any
+    # block, the last, shorter block included.
     senders, q, params = _screen_cases()[-6]  # 600 senders, lam = 0.1
+    k, m = len(q), senders.m
+    blocks, sizes = signal_model._blocks, {}
 
     def bits(function):
         out = function(senders, q, params)
         return [b.tobytes() for b in (out if isinstance(out, tuple) else (out,))]
 
     for function in (mimo_amplitude_bounds, *TIERS, received_phasor, snr_received_energy):
-        monkeypatch.setattr(signal_model, "_PAIR_BUDGET", senders.m * len(q))
+
+        def spied(rows, m, pair_bytes):
+            out = blocks(rows, m, pair_bytes)
+            size = "one" if out[0].stop == 1 else "whole" if out[0].stop == rows else "some"
+            sizes.setdefault((function.__name__, pair_bytes), set()).add(size)
+            return out
+
+        monkeypatch.setattr(signal_model, "_blocks", spied)
+        monkeypatch.setattr(signal_model, "_BLOCK_BYTES", 32 * m * k)
         whole = bits(function)
-        for budget in (1, 7 * senders.m, 2**15):
-            monkeypatch.setattr(signal_model, "_PAIR_BUDGET", budget)
+        for budget in (1, 7 * 12 * m, 12 * m * k - 1, 2**21):
+            monkeypatch.setattr(signal_model, "_BLOCK_BYTES", budget)
             assert bits(function) == whole, (function.__name__, budget)
+    # Each stage, the float32 tier's included, ran one row a block, all its
+    # rows in one block, and blocks of sizes between.
+    assert sizes == {
+        (function, pair_bytes): {"one", "some", "whole"}
+        for function, pair_bytes in [
+            ("mimo_amplitude_bounds", 12), ("mimo_amplitude_bounds", 32),
+            ("_mimo_tier32", 12), ("_mimo_tier64", 32),
+            ("received_phasor", 32), ("snr_received_energy", 32),
+        ]
+    }
 
 
 def test_screen_edge_receivers():
