@@ -1,7 +1,8 @@
 """Radius schedules of the broadcast algorithms.
 
 Each schedule is the list of disk radii an expanding-disk broadcast runs,
-one per round, so its length bounds the rounds of that broadcast.
+one per round, so its length bounds the rounds of that broadcast.  Only
+:meth:`coopcast.experiments.ExperimentConfig.schedule` picks a job's radii.
 """
 
 from __future__ import annotations

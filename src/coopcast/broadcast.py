@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .bounds import miso_upper_schedule
 from .signal_model import (
     SenderSet,
     SignalParams,
@@ -159,8 +159,8 @@ class BroadcastConfig:
         radii = self.radius_schedule
         if self.model == "UDG" and radii:
             raise ValueError("a UDG broadcast floods and takes no radius schedule")
-        if any(b <= a for a, b in zip(radii, radii[1:])):
-            raise ValueError("the radius schedule must be increasing")
+        if any(map(math.isnan, radii)) or any(b <= a for a, b in zip(radii, radii[1:])):
+            raise ValueError("the radius schedule must be increasing, with no NaN radius")
 
 
 def _senders(field_, active: np.ndarray, config: BroadcastConfig) -> SenderSet:
@@ -336,17 +336,18 @@ def run_expanding_disk(
 
 
 def run_miso_broadcast(
-    field_, params: SignalParams, c1: float, c2: float, on_round: OnRound | None = None
+    field_, config: BroadcastConfig, on_round: OnRound | None = None
 ) -> RoundLog:
-    """Two-phase MISO broadcast over the radii of
-    :func:`coopcast.bounds.miso_upper_schedule`.
+    """Two-phase MISO broadcast over the radius schedule of a MIMO
+    ``config``, whose first radius is the bootstrap disk's.
 
-    Phase 1 informs the first disk, of radius 15 c2/lam, by UDG flooding
-    restricted to that disk.  Phase 2 runs expanding-disk MIMO rounds with
-    center-synchronized phases over the whole schedule.
+    Phase 1 informs the bootstrap disk by UDG flooding restricted to it.
+    Phase 2 runs expanding-disk MIMO rounds with center-synchronized phases
+    over the whole schedule (a job's is ``ExperimentConfig.schedule``).
     """
-    schedule = miso_upper_schedule(field_.density(), params.lam, c1, c2, field_.R).radii
-    bootstrap_radius = schedule[0]
+    if config.model != "MIMO" or not config.radius_schedule:
+        raise ValueError("a MISO broadcast needs a MIMO config with a radius schedule")
+    bootstrap_radius = config.radius_schedule[0]
     log = run_udg_flood(field_, restrict_radius=bootstrap_radius, on_round=on_round)
     if not log.fully_informed:
         raise BootstrapFailure(
@@ -356,7 +357,6 @@ def run_miso_broadcast(
     # The bootstrap informed its whole eligible disk.
     informed = field_.radii <= bootstrap_radius
     informed[0] = True
-    config = BroadcastConfig(model="MIMO", radius_schedule=tuple(schedule), params=params)
     log = _run_rounds(field_, config, informed, on_round=on_round, log=log)
     log.phase2_rounds = log.total_rounds - log.phase1_rounds
     return log

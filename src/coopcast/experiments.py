@@ -68,8 +68,10 @@ class ExperimentConfig:
             raise ValueError(f"models must be a nonempty subset of udg/snr/mimo, got {self.models}")
         if self.density_rule not in ("fixed", "log"):
             raise ValueError(f"unknown density rule {self.density_rule!r}")
-        if self.density <= 0.0:
-            raise ValueError("density must be positive")
+        for name in ("density", "c1", "c2"):
+            value = getattr(self, name)
+            if not value > 0 or not math.isfinite(value):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if not self.node_counts:
             raise ValueError("need at least one node count")
         # rho = density ln n is positive only from n = 2 on.
@@ -89,6 +91,15 @@ class ExperimentConfig:
 
     def radius_for(self, n: int) -> float:
         return math.sqrt(n / (math.pi * self.rho(n)))
+
+    def schedule(self, model: str, n: int) -> tuple[float, ...]:
+        """The radii of an "snr" or "mimo" job on n nodes, from rho(n) and radius_for(n)."""
+        rho, radius = self.rho(n), self.radius_for(n)
+        if model == "snr":
+            return tuple(snr_upper_schedule(rho, radius).radii)
+        if model != "mimo":
+            raise ValueError(f"a {model!r} job has no radius schedule")
+        return tuple(miso_upper_schedule(rho, self.params.lam, self.c1, self.c2, radius).radii)
 
 
 @dataclass
@@ -127,11 +138,9 @@ def _run_single(
 ) -> RoundLog:
     if model == "udg":
         return run_udg_flood(fld, on_round=on_round)
-    if model == "snr":
-        schedule = snr_upper_schedule(cfg.rho(fld.n), fld.R).radii
-        config = BroadcastConfig(model="SNR", radius_schedule=tuple(schedule), params=cfg.params)
-        return run_expanding_disk(fld, config, on_round=on_round)
-    return run_miso_broadcast(fld, cfg.params, c1=cfg.c1, c2=cfg.c2, on_round=on_round)
+    config = BroadcastConfig(model.upper(), cfg.schedule(model, fld.n), cfg.params)
+    driver = run_expanding_disk if model == "snr" else run_miso_broadcast
+    return driver(fld, config, on_round=on_round)
 
 
 def _summary_row(cfg: ExperimentConfig, model: str, n: int, seed: int, log: RoundLog) -> dict:
@@ -275,8 +284,9 @@ def calibrate_c1(
     Each candidate c1 = 2^-14, ..., 2^5 runs the job of ``simulate --models
     mimo`` on the field of each seed: n nodes at the fixed density
     ``density``.  A run succeeds when it is fully informed; a
-    :class:`~coopcast.broadcast.BootstrapFailure` is a miss.  Candidates with
-    the same radius schedule share one run per field.  Returns the
+    :class:`~coopcast.broadcast.BootstrapFailure` is a miss.  Each
+    candidate's schedule is computed once, and candidates with the same
+    schedule share one run per field.  Returns the
     largest candidate whose success fraction over the seeds reaches
     ``success_rate``.
     """
@@ -284,25 +294,25 @@ def calibrate_c1(
         models=("mimo",), node_counts=(n,), density=density, seeds=tuple(seeds),
         params=params, c2=c2,
     )
+    candidates = [2.0**exponent for exponent in range(-14, 6)]
+    schedules = {cand: replace(cfg, c1=cand).schedule("mimo", n) for cand in candidates}
     radius = cfg.radius_for(n)
-    bootstrap = miso_upper_schedule(cfg.rho(n), params.lam, cfg.c1, c2, radius).radii[0]
+    bootstrap = schedules[candidates[0]][0]  # 15 c2/lam, whatever c1
     if bootstrap >= radius:
         raise ValueError(
             f"bootstrap radius 15 c2/lam = {bootstrap} reaches field radius {radius}; "
             "shrink it with a smaller --c2 or a larger --lam, "
             "or widen the field with a larger --n or a smaller --density"
         )
-    candidates = [2.0**exponent for exponent in range(-14, 6)]
     successes = dict.fromkeys(candidates, 0)
     for seed in cfg.seeds:
         fld = sample_field(n, radius, seed)
         # c1 enters a run only through its schedule: one run per schedule.
         succeeded = {}
-        for cand in candidates:
-            radii = tuple(miso_upper_schedule(fld.density(), params.lam, cand, c2, fld.R).radii)
+        for cand, radii in schedules.items():
             if radii not in succeeded:
                 try:
-                    log = _run_single(replace(cfg, c1=cand), "mimo", fld)
+                    log = run_miso_broadcast(fld, BroadcastConfig("MIMO", radii, params))
                 except BootstrapFailure:
                     succeeded[radii] = False
                 else:

@@ -19,13 +19,14 @@ all-float32 phasor sum bounds every receiver, and a sum with float64
 distances and phases, reduced to [-pi, pi] before float32 trig, bounds
 again the rows whose first bounds do not decide against beta N0.  Kernels
 and both tiers work in blocks of ``_BLOCK_BYTES`` bytes of work arrays,
-each at its own bytes per pair.  :func:`nearest_sender_distance` is the one
-kd-tree query: the UDG decision and map, and the travel of the receivers a
-round informs.
+which ``_blocks`` allocates once per call and sizes from their dtypes.
+:func:`nearest_sender_distance` is the one kd-tree query: the UDG decision
+and map, and the travel of the receivers a round informs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,18 +46,14 @@ __all__ = [
     "field_map",
 ]
 
-# Bytes of work arrays per block of a reception kernel or screen (see
-# _blocks).  Each stage divides this budget by its own bytes per pair, so
-# its temporaries stay the same size whatever the number of senders:
-# - the float32 screen tier, three float32 arrays: 12 bytes a pair, 2^17
-#   pairs a block;
-# - the MIMO kernel, two float64 arrays and one complex128 array, and the
-#   float64 screen tier, three float64 and two float32 arrays: 32 bytes a
-#   pair, 49,152 pairs;
-# - the SNR kernel, sized as the MIMO kernel at 32 bytes a pair although
-#   its two float64 arrays take 16: at 16 its blocks double, and the peak
-#   RSS of the benchmark's simulate pass rose from 83 to 87 MB, for no
-#   speed that showed.
+# Bytes of work arrays per block of a reception kernel or screen.  _blocks
+# divides it by the bytes per pair of a stage's work arrays, so temporaries
+# stay the same size whatever the number of senders: 12 for the float32
+# screen tier (2^17 pairs a block), 16 for the SNR kernel (98,304 pairs), 32
+# for the MIMO kernel and the float64 screen tier (49,152 pairs).  Each call
+# allocates its work arrays once: allocated per block, the SNR kernel's
+# 16-byte blocks raised the simulate pass's peak RSS from 83 to 87 MB;
+# allocated per call, by 0.5 MB.
 # It was tuned with the benchmark's simulate sweeps at --workers 2 on a
 # 2-vCPU x86-64 host (2 MiB of L2 cache a core).  The MISO sweep, criterion
 # 08's five fields, took medians of 0.84 s at 1.5 MiB, 0.85 s at 1 and at
@@ -85,16 +82,14 @@ class SignalParams:
     c_f: float = 2.0
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError(f"wavelength must be positive, got {self.lam}")
-        if self.c_f <= 0:
-            raise ValueError(f"near-field cutoff multiplier c_f must be positive, got {self.c_f}")
+        for name, value in (("wavelength lam", self.lam), ("beta_N0", self.beta_N0),
+                            ("near-field cutoff multiplier c_f", self.c_f)):
+            if not value > 0 or not math.isfinite(value):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.c_f * self.lam > 1.0 + 1e-12:
             raise ValueError(
                 f"near-field cutoff c_f*lam must not exceed 1, got {self.c_f * self.lam}"
             )
-        if self.beta_N0 <= 0:
-            raise ValueError(f"beta_N0 must be positive, got {self.beta_N0}")
 
 
 @dataclass(frozen=True)
@@ -146,23 +141,27 @@ def nearest_sender_distance(senders: SenderSet, q, udg: bool = False) -> np.ndar
     return cKDTree(senders.positions).query(q, distance_upper_bound=bound)[0]
 
 
-def _blocks(k: int, m: int, pair_bytes: int) -> list[slice]:
-    """Slices that cover k receiver rows in order, each of at least one row
-    and, with m senders, of at most ``_BLOCK_BYTES`` bytes of work arrays
-    at the stage's ``pair_bytes`` per pair."""
+def _blocks(k: int, m: int, *dtypes):
+    """Yield, for k receiver rows in order, each block's slice and views of
+    one (rows, m) work array per dtype, allocated once per call.  A block
+    holds at least one row and, with m senders, at most ``_BLOCK_BYTES``
+    bytes of work arrays at the bytes per pair that ``dtypes`` sum to."""
+    pair_bytes = sum(np.dtype(dtype).itemsize for dtype in dtypes)
     rows = max(1, _BLOCK_BYTES // (pair_bytes * max(m, 1)))
-    return [slice(start, min(start + rows, k)) for start in range(0, k, rows)]
+    work = [np.empty((min(rows, k), m), dtype=dtype) for dtype in dtypes]
+    for start in range(0, k, rows):
+        block = slice(start, min(start + rows, k))
+        yield block, [w[: block.stop - start] for w in work]
 
 
-def _distances(senders: SenderSet, q: np.ndarray, params: SignalParams):
-    """(k, m) distances from every receiver to every sender, and a second
-    (k, m) array holding them clamped below at c_f lam."""
+def _distances(senders: SenderSet, q: np.ndarray, params: SignalParams, dist, clamped):
+    """Write into ``dist`` the (k, m) distances from every receiver to every
+    sender, and into ``clamped`` those distances clamped below at c_f lam."""
     pos = senders.positions
-    dist = q[:, 0, None] - pos[:, 0]
-    clamped = q[:, 1, None] - pos[:, 1]
+    np.subtract(q[:, 0, None], pos[:, 0], out=dist)
+    np.subtract(q[:, 1, None], pos[:, 1], out=clamped)
     np.hypot(dist, clamped, out=dist)
     np.maximum(dist, params.c_f * params.lam, out=clamped)
-    return dist, clamped
 
 
 def received_phasor(senders: SenderSet, q, params: SignalParams):
@@ -175,14 +174,13 @@ def received_phasor(senders: SenderSet, q, params: SignalParams):
     """
     qa = np.asarray(q, dtype=float)
     z = np.empty(len(qa), dtype=complex)
-    for block in _blocks(len(qa), senders.m, 32):
+    for block, (dist, weight, terms) in _blocks(len(qa), senders.m, "f8", "f8", "c16"):
         # The operations of (a / dclamp) * exp(1j * (-2 pi dist / lam + phi)),
-        # in their order, written into three (k, m) buffers, 32 bytes a pair.
-        # The real part of the exponent is 0 and the weight is real, so
-        # leaving out the complex promotions changes no bit of z.
-        dist, weight = _distances(senders, qa[block], params)
+        # in their order, written into the three work arrays.  The real part
+        # of the exponent is 0 and the weight is real, so leaving out the
+        # complex promotions changes no bit of z.
+        _distances(senders, qa[block], params, dist, weight)
         np.divide(senders.amplitudes, weight, out=weight)
-        terms = np.empty(dist.shape, dtype=complex)
         theta = terms.imag
         np.multiply(dist, -2.0 * np.pi, out=theta)
         np.divide(theta, params.lam, out=theta)
@@ -233,19 +231,14 @@ def _mimo_tier64(senders: SenderSet, qa: np.ndarray, params: SignalParams):
     [-pi, pi] in float64, widened by eps W on each side (see ``_MIMO_EPS``).
 
     Receivers outside the bound's preconditions get (0, inf).  The
-    receivers are screened in blocks of ``_BLOCK_BYTES`` at 32 bytes a pair,
-    through five work arrays of one block each, allocated once.
+    receivers are screened in blocks (see ``_blocks``) through three float64
+    and two float32 work arrays.
     """
     k, m = qa.shape[0], senders.m
     pos = senders.positions
     lower, upper, outside = np.empty(k), np.empty(k), np.empty(k, dtype=bool)
-    blocks = _blocks(k, m, 32)
-    rows = blocks[0].stop if blocks else 0
-    work = [np.empty((rows, m)) for _ in range(3)]
-    work += [np.empty((rows, m), dtype=np.float32) for _ in range(2)]
-    for block in blocks:
+    for block, (dist, theta, turns, cos, sin) in _blocks(k, m, "f8", "f8", "f8", "f4", "f4"):
         q_b = qa[block]
-        dist, theta, turns, cos, sin = (w[: len(q_b)] for w in work)
         np.subtract(q_b[:, 0, None], pos[:, 0], out=dist)
         np.subtract(q_b[:, 1, None], pos[:, 1], out=theta)
         np.multiply(dist, dist, out=dist)
@@ -325,9 +318,8 @@ def _mimo_tier32(senders: SenderSet, qa: np.ndarray, params: SignalParams):
     from a float32 phasor sum widened by eps32 W (see ``_MIMO_EPS32``).
 
     Positions, receivers, amplitudes and phases are cast to float32 once;
-    the receivers within the tier's limits are screened in blocks of
-    ``_BLOCK_BYTES`` at 12 bytes a pair, through three float32 work arrays
-    of one block each, allocated once.  The others get (0, inf).
+    the receivers within the tier's limits are screened in blocks (see
+    ``_blocks``) through three float32 work arrays.  The others get (0, inf).
     """
     k, m = qa.shape[0], senders.m
     clamp = params.c_f * params.lam
@@ -343,12 +335,8 @@ def _mimo_tier32(senders: SenderSet, qa: np.ndarray, params: SignalParams):
     phases = senders.phases.astype(np.float32)
     wave, clamp = np.float32(-2.0 * np.pi / params.lam), np.float32(clamp)
     real, imag, total = np.empty((3, inside.size))
-    blocks = _blocks(inside.size, m, 12)
-    rows = blocks[0].stop if blocks else 0
-    work = [np.empty((rows, m), dtype=np.float32) for _ in range(3)]
-    for block in blocks:
+    for block, (dist, theta, cos) in _blocks(inside.size, m, "f4", "f4", "f4"):
         q_b = q32[block]
-        dist, theta, cos = (w[: len(q_b)] for w in work)
         np.subtract(q_b[:, 0, None], pos[:, 0], out=dist)
         np.subtract(q_b[:, 1, None], pos[:, 1], out=theta)
         np.multiply(dist, dist, out=dist)
@@ -397,8 +385,8 @@ def snr_received_energy(senders: SenderSet, q, params: SignalParams):
     qa = np.asarray(q, dtype=float)
     rs = np.empty(len(qa))
     power = senders.amplitudes**2
-    for block in _blocks(len(qa), senders.m, 32):
-        _, level = _distances(senders, qa[block], params)
+    for block, (dist, level) in _blocks(len(qa), senders.m, "f8", "f8"):
+        _distances(senders, qa[block], params, dist, level)
         np.square(level, out=level)
         np.divide(power, level, out=level)
         level.sum(axis=1, out=rs[block])

@@ -19,7 +19,7 @@ from coopcast.broadcast import (
     run_miso_broadcast,
     run_udg_flood,
 )
-from coopcast.experiments import fit_scaling
+from coopcast.experiments import ExperimentConfig, fit_scaling
 from coopcast.intervals import Interval
 from coopcast.nodefield import sample_field
 from coopcast.prover import inequality_suite, interval_eval, prove
@@ -295,11 +295,18 @@ def test_criterion_07_mimo_trigger_reliability():
 def test_criterion_08_mimo_round_growth():
     t0 = time.monotonic()
     params = SignalParams(lam=0.1, beta_N0=1.0)
+    # The schedule of a `simulate --models mimo` job: n = 10^4 in a disk of
+    # radius 30, beamforming constants c1 = 12 and c2 = 0.02.
+    n = 10_000
+    cfg = ExperimentConfig(models=("mimo",), node_counts=(n,), density=n / (900.0 * math.pi),
+                           params=params, c1=12.0, c2=0.02)
+    assert cfg.radius_for(n) == 30.0
+    config = BroadcastConfig(model="MIMO", radius_schedule=cfg.schedule("mimo", n), params=params)
     ok = True
     worst_rounds = 0
     for seed in range(5):
-        fld = sample_field(10_000, 30.0, seed)
-        log = run_miso_broadcast(fld, params, c1=12.0, c2=0.02)
+        fld = sample_field(n, 30.0, seed)
+        log = run_miso_broadcast(fld, config)
         worst_rounds = max(worst_rounds, log.phase2_rounds)
         radii = [rec.disk_radius_r_j for rec in log.rounds
                  if rec.disk_radius_r_j is not None]

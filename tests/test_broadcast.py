@@ -7,6 +7,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from coopcast import broadcast, signal_model
+from coopcast.bounds import miso_upper_schedule
 from coopcast.broadcast import (
     BootstrapFailure,
     BroadcastConfig,
@@ -26,6 +27,13 @@ from coopcast.signal_model import (
 )
 
 PARAMS = SignalParams()
+
+
+def _miso(fld, c1, c2):
+    """A MISO broadcast's config on ``fld`` at lam = 0.1: the schedule at the
+    field's own density and radius."""
+    radii = miso_upper_schedule(fld.density(), 0.1, c1, c2, fld.R).radii
+    return BroadcastConfig("MIMO", tuple(radii), SignalParams(lam=0.1))
 
 
 def _receive(fld, active, candidates, config):
@@ -189,6 +197,19 @@ def test_expanding_disk_requires_schedule():
         run_expanding_disk(fld, BroadcastConfig(model="SNR", params=PARAMS))
     with pytest.raises(ValueError):
         BroadcastConfig(model="SNR", radius_schedule=(2.0, 1.0))
+    # A NaN radius compares false both ways: not increasing, and rejected.
+    for radii in [(float("nan"),), (1.0, float("nan")), (float("nan"), 1.0)]:
+        with pytest.raises(ValueError, match="NaN"):
+            BroadcastConfig(model="MIMO", radius_schedule=radii)
+
+
+def test_miso_broadcast_takes_a_mimo_schedule():
+    # The driver's bootstrap disk is the schedule's first radius: it needs
+    # one, and it runs MIMO rounds only.
+    fld = sample_field(50, 2.0, seed=7)
+    for config in (BroadcastConfig(model="MIMO"), BroadcastConfig("SNR", (1.0, 2.0))):
+        with pytest.raises(ValueError, match="MIMO config with a radius schedule"):
+            run_miso_broadcast(fld, config)
 
 
 def test_only_udg_floods():
@@ -277,7 +298,7 @@ def test_round_log_json_matches_json_dumps(monkeypatch):
     # round 2 sends from the same origin and informs nobody.
     config = BroadcastConfig(model="SNR", radius_schedule=(1e-9, 2e-9, 1.0, 16.0))
     snr = run_expanding_disk(fld, config)
-    miso = run_miso_broadcast(fld, SignalParams(lam=0.1), c1=12.0, c2=0.02)
+    miso = run_miso_broadcast(fld, _miso(fld, c1=12.0, c2=0.02))
     assert [] in [rec.newly_informed.tolist() for rec in snr.rounds]
     assert miso.phase1_rounds > 0 and miso.phase2_rounds > 0
     # newly_informed is sorted on output, whatever order a record holds.
@@ -299,12 +320,12 @@ def test_miso_bootstrap_failure():
     # c2 = 0.1 puts the whole field inside the bootstrap disk (radius 15),
     # and every node sits more than one hop from the origin.
     with pytest.raises(BootstrapFailure):
-        run_miso_broadcast(fld, SignalParams(lam=0.1), c1=1.0, c2=0.1)
+        run_miso_broadcast(fld, _miso(fld, c1=1.0, c2=0.1))
 
 
 def test_miso_full_run_round_counts():
     fld = sample_field(4000, 12.0, seed=1)
-    log = run_miso_broadcast(fld, SignalParams(lam=0.1), c1=12.0, c2=0.02)
+    log = run_miso_broadcast(fld, _miso(fld, c1=12.0, c2=0.02))
     assert log.fully_informed
     assert log.phase1_rounds + log.phase2_rounds == log.total_rounds
     mimo_rounds = [r for r in log.rounds if r.disk_radius_r_j is not None]
@@ -316,7 +337,7 @@ def test_miso_full_run_round_counts():
 def test_miso_covered_by_bootstrap():
     # When the bootstrap disk already covers the field there is no MIMO phase.
     fld = sample_field(500, 2.0, seed=2)
-    log = run_miso_broadcast(fld, SignalParams(lam=0.1), c1=1.0, c2=1.0)
+    log = run_miso_broadcast(fld, _miso(fld, c1=1.0, c2=1.0))
     assert log.fully_informed and not log.schedule_exhausted
     assert log.phase2_rounds == 0 and log.total_rounds == log.phase1_rounds > 0
 

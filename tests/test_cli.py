@@ -282,6 +282,35 @@ def test_nonpositive_near_field_cutoff_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--models", "snr", "--lam", "nan"],
+        ["--beta-n0", "nan"],
+        ["--c-f", "inf"],
+        ["--density", "nan"],
+        ["--density", "inf"],
+        ["--models", "mimo", "--c1", "nan"],
+        ["--models", "mimo", "--c1", "-1"],
+        ["--models", "mimo", "--c2", "inf"],
+    ],
+    ids=lambda flags: " ".join(flags[-2:]),
+)
+def test_nonfinite_or_nonpositive_setting_is_usage_error(tmp_path, capsys, flags):
+    # NaN fails every comparison, so each setting is checked as "not x > 0"
+    # and finite, before any job runs.
+    out = tmp_path / "out"
+    argv = ["simulate", "--node-counts", "64", "--seeds", "0", *flags, "--output-dir", str(out)]
+    assert main(argv) == 2
+    assert "must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_calibrate_with_a_nan_density_is_a_usage_error(capsys):
+    assert main(["calibrate-c1", "--density", "nan", "--lam", "0.1", "--c2", "0.02"]) == 2
+    assert capsys.readouterr().err == "error: density must be positive and finite, got nan\n"
+
+
 def test_bad_flag_exits_with_usage_error():
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["simulate", "--density-rule", "cubic"])

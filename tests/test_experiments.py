@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from coopcast import experiments
-from coopcast.bounds import miso_upper_schedule
+from coopcast.bounds import miso_upper_schedule, snr_upper_schedule
 from coopcast.broadcast import BootstrapFailure, run_miso_broadcast
 from coopcast.experiments import (
     CSV_HEADER,
@@ -352,23 +352,56 @@ def test_calibrate_c1_counts_a_failed_bootstrap_as_a_miss(tmp_path):
 
 def test_calibrate_c1_runs_each_distinct_schedule_once(monkeypatch):
     # c1 enters a MISO run only through its radius schedule, and at n = 400
-    # most of the 20 candidates share one: each field runs each distinct
-    # schedule once, and the result is the one pinned above.
-    runs, fields = [], {}
+    # most of the 20 candidates share one: each candidate's schedule is
+    # computed once, 20 in all, each field runs each distinct schedule once,
+    # and the result is the one pinned above.
+    computed, runs, fields = [], [], {}
+    schedule = experiments.miso_upper_schedule
 
-    def schedule(fld, c1):
-        return tuple(miso_upper_schedule(fld.density(), C08_PARAMS.lam, c1, 0.02, fld.R).radii)
+    def counted_schedule(*args):
+        computed.append(args)
+        return schedule(*args)
 
-    def counted(fld, params, c1, c2, on_round=None):
-        runs.append((fld.seed, schedule(fld, c1)))
+    def counted(fld, config, on_round=None):
+        runs.append((fld.seed, config.radius_schedule))
         fields[fld.seed] = fld
-        return run_miso_broadcast(fld, params, c1, c2, on_round)
+        return run_miso_broadcast(fld, config, on_round)
 
+    monkeypatch.setattr(experiments, "miso_upper_schedule", counted_schedule)
     monkeypatch.setattr(experiments, "run_miso_broadcast", counted)
     seeds = (0, 1, 2, 3)
     c1 = calibrate_c1(C08_DENSITY, C08_PARAMS, c2=0.02, seeds=seeds, success_rate=0.75, n=400)
     assert c1 == 32.0 and sorted(fields) == list(seeds)
-    distinct = sum(
-        len({schedule(fld, 2.0**e) for e in range(-14, 6)}) for fld in fields.values()
+    assert len(computed) == 20
+    cfg = ExperimentConfig(
+        models=("mimo",), node_counts=(400,), density=C08_DENSITY, params=C08_PARAMS, c2=0.02
     )
-    assert len(runs) == len(set(runs)) == distinct < 20 * len(seeds)
+    distinct = {replace(cfg, c1=2.0**e).schedule("mimo", 400) for e in range(-14, 6)}
+    assert len(runs) == len(set(runs)) == len(distinct) * len(seeds) < 20 * len(seeds)
+
+
+def test_config_schedule_is_the_bounds_schedule_at_rho_and_radius(tmp_path):
+    cfg = _small_config(tmp_path, models=("snr", "mimo"), density=3.0, density_rule="log")
+    n, rho, radius = 800, cfg.rho(800), cfg.radius_for(800)
+    assert cfg.schedule("snr", n) == tuple(snr_upper_schedule(rho, radius).radii)
+    lam, c1, c2 = cfg.params.lam, cfg.c1, cfg.c2
+    assert cfg.schedule("mimo", n) == tuple(miso_upper_schedule(rho, lam, c1, c2, radius).radii)
+    with pytest.raises(ValueError, match="no radius schedule"):
+        cfg.schedule("udg", n)
+
+
+def test_miso_job_runs_the_schedule_at_the_config_rho():
+    # At density 64 and n = 16384 the field's own n / (pi R^2) is
+    # 64.00000000000001, one ulp above rho(n), and the schedule's r_2 moves
+    # in its last bit.  A MISO job runs the schedule at rho(n), the rho that
+    # summary.csv prints.
+    n = 16384
+    cfg = ExperimentConfig(
+        models=("mimo",), node_counts=(n,), density=64.0, params=C08_PARAMS, c1=12.0, c2=0.02
+    )
+    fld = sample_field(n, cfg.radius_for(n), 0)
+    radii = miso_upper_schedule(cfg.rho(n), C08_PARAMS.lam, 12.0, 0.02, fld.R).radii
+    assert radii != miso_upper_schedule(fld.density(), C08_PARAMS.lam, 12.0, 0.02, fld.R).radii
+    log = _run_single(cfg, "mimo", fld)
+    assert [r.disk_radius_r_j for r in log.rounds[log.phase1_rounds :]] == radii
+    assert radii[1] == 84.13018483279352 and log.fully_informed

@@ -185,17 +185,18 @@ def test_miso_broadcast_matches_the_reference(case, log2_c1, bootstrap):
     # of the field radius.
     fld, params, block_bytes, pick = case
     c1, c2 = 2.0**log2_c1, bootstrap * fld.R * params.lam / 15.0
-    schedule = miso_upper_schedule(fld.density(), params.lam, c1, c2, fld.R).radii
+    schedule = tuple(miso_upper_schedule(fld.density(), params.lam, c1, c2, fld.R).radii)
     bootstrapped = fld.radii <= schedule[0]
     bootstrapped[0] = True
     if pick is not None:
         params = _on_a_level(fld, "MIMO", schedule, params, pick, bootstrapped.copy())
+    config = BroadcastConfig(model="MIMO", radius_schedule=schedule, params=params)
     phase1, _, covered = _reference_udg(fld, schedule[0])
     if not covered:
         with pytest.raises(BootstrapFailure):
-            _run(block_bytes, run_miso_broadcast, fld, params, c1, c2)
+            _run(block_bytes, run_miso_broadcast, fld, config)
         return
-    log = _run(block_bytes, run_miso_broadcast, fld, params, c1, c2)
+    log = _run(block_bytes, run_miso_broadcast, fld, config)
     informed = bootstrapped
     phase2, exhausted, fully = _reference_disk(fld, "MIMO", schedule, params, informed)
     _assert_log_matches(

@@ -519,10 +519,10 @@ def test_float32_tier_containment_fails_with_a_narrower_bound(monkeypatch):
 
 
 def test_screen_bounds_do_not_depend_on_the_pair_budget(monkeypatch):
-    # The tiers and both kernels loop over blocks of the byte budget
-    # themselves, each stage at its own bytes per pair (the tiers through
-    # work arrays allocated once); a row's values are the same bits in any
-    # block, the last, shorter block included.
+    # The tiers and both kernels loop over the blocks of _blocks, which
+    # sizes each stage's blocks of the byte budget from the dtypes of the
+    # work arrays it yields; a row's values are the same bits in any block,
+    # the last, shorter block included.
     senders, q, params = _screen_cases()[-6]  # 600 senders, lam = 0.1
     k, m = len(q), senders.m
     blocks, sizes = signal_model._blocks, {}
@@ -533,11 +533,14 @@ def test_screen_bounds_do_not_depend_on_the_pair_budget(monkeypatch):
 
     for function in (mimo_amplitude_bounds, *TIERS, received_phasor, snr_received_energy):
 
-        def spied(rows, m, pair_bytes):
-            out = blocks(rows, m, pair_bytes)
-            size = "one" if out[0].stop == 1 else "whole" if out[0].stop == rows else "some"
-            sizes.setdefault((function.__name__, pair_bytes), set()).add(size)
-            return out
+        def spied(rows, m, *dtypes):
+            for block, work in blocks(rows, m, *dtypes):
+                assert {w.shape for w in work} == {(block.stop - block.start, m)}
+                if block.start == 0:
+                    pair_bytes = sum(w.dtype.itemsize for w in work)
+                    size = "one" if block.stop == 1 else "whole" if block.stop == rows else "some"
+                    sizes.setdefault((function.__name__, pair_bytes), set()).add(size)
+                yield block, work
 
         monkeypatch.setattr(signal_model, "_blocks", spied)
         monkeypatch.setattr(signal_model, "_BLOCK_BYTES", 32 * m * k)
@@ -552,7 +555,7 @@ def test_screen_bounds_do_not_depend_on_the_pair_budget(monkeypatch):
         for function, pair_bytes in [
             ("mimo_amplitude_bounds", 12), ("mimo_amplitude_bounds", 32),
             ("_mimo_tier32", 12), ("_mimo_tier64", 32),
-            ("received_phasor", 32), ("snr_received_energy", 32),
+            ("received_phasor", 32), ("snr_received_energy", 16),
         ]
     }
 
