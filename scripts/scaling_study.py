@@ -9,6 +9,8 @@ one scaling fit per model:
   * incoherent (SNR) expanding disk: rounds vs n, semilog
   * coherent (MIMO) two-phase broadcast: rounds vs n, log-log-x
 
+A model whose round counts do not vary across n prints r^2 as nan.
+
 Usage: scaling_study.py [--out DIR] [--max-exp 14] [--seeds 10]
 """
 

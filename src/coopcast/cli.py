@@ -1,7 +1,8 @@
 """Command line entry point.
 
 Subcommands: ``simulate`` (experiment sweeps), ``fieldmap`` (per-round PGM
-coverage or energy maps), ``prove`` (certified inequality suite),
+coverage or energy maps), ``prove`` (certified inequality suite, its
+tasks in forked workers, one per usable CPU),
 ``calibrate-c1`` (schedule-constant search), and ``fit`` (scaling-law fits
 on CSV points).
 
@@ -16,10 +17,12 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 
+from . import prover
 from .broadcast import BootstrapFailure
 from .experiments import (
     ExperimentConfig,
@@ -109,7 +112,17 @@ def _cmd_fieldmap(args: argparse.Namespace) -> int:
     return 0
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask, where known)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _cmd_prove(args: argparse.Namespace) -> int:
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     tasks = inequality_suite()
     if args.task is not None:
         tasks = [t for t in tasks if t.name == args.task]
@@ -118,18 +131,38 @@ def _cmd_prove(args: argparse.Namespace) -> int:
             return 2
     out_dir = args.output_dir or _default_output_dir()
     os.makedirs(out_dir, exist_ok=True)
+    opts = _given(args, ("max_boxes",))
+    workers = min(len(tasks), _usable_cpus())
+    pool = None
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        # Forked workers start without importing numpy and scipy again.  They
+        # run only prover code, never BLAS: after `import scipy.spatial` this
+        # process holds OpenBLAS's idle threads (3 OS threads in all), so
+        # Python >= 3.12 may warn at the fork.  Workers get `prover.prove` by
+        # module reference: this module's own name `prove` may be wrapped,
+        # as a tracer does, by a closure that does not pickle.
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        results = pool.map(functools.partial(prover.prove, **opts), tasks)
+    else:  # a lone task or a single CPU: in this process
+        results = map(functools.partial(prove, **opts), tasks)
     all_proved = True
-    for task in tasks:
-        result = prove(task, **_given(args, ("max_boxes",)))
-        print(
-            f"{task.name}: {result.verdict} "
-            f"({result.boxes_processed} boxes, depth {result.max_depth_reached})"
-        )
-        atomic_write(
-            os.path.join(out_dir, f"certificate_{task.name}.json"),
-            result.certificate_json() + "\n",
-        )
-        all_proved &= result.verdict == "proved"
+    try:
+        # In suite order: a task that raises stops the run after the
+        # certificates of the tasks before it.
+        for task, result in zip(tasks, results):
+            print(
+                f"{task.name}: {result.verdict} "
+                f"({result.boxes_processed} boxes, depth {result.max_depth_reached})"
+            )
+            print(f"{task.name}: {result.elapsed_s:.3f} s", file=sys.stderr)
+            atomic_write(
+                os.path.join(out_dir, f"certificate_{task.name}.json"),
+                result.certificate_json() + "\n",
+            )
+            all_proved &= result.verdict == "proved"
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return 0 if all_proved else 1
 
 

@@ -224,6 +224,7 @@ def fit_scaling(points, transform: str = "loglog") -> ScalingFit:
     ``loglog`` takes logs of both axes (power laws become lines),
     ``semilog`` logs only x (so y = a log x has slope a), and ``loglogx``
     maps x to log(log(x)), which linearizes doubly logarithmic growth.
+    ``r_squared`` is NaN when every y is equal.
     """
     if len(points) < 4:
         raise ValueError("need at least four points to fit")
@@ -243,7 +244,8 @@ def fit_scaling(points, transform: str = "loglog") -> ScalingFit:
     resid = ys - (slope * xs + intercept)
     total = ys - np.mean(ys)
     ss_tot = float(total @ total)
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - float(resid @ resid) / ss_tot
+    # A flat series has no variance to explain: its r^2 is undefined, not 1.
+    r_squared = math.nan if ss_tot == 0.0 else 1.0 - float(resid @ resid) / ss_tot
     return ScalingFit(slope=float(slope), intercept=float(intercept), r_squared=r_squared)
 
 

@@ -37,10 +37,6 @@ class NodeField:
     def n(self) -> int:
         return self.positions.shape[0]
 
-    def density(self) -> float:
-        """Node density rho = n / (pi R^2)."""
-        return self.n / (np.pi * self.R**2)
-
 
 def sample_field(n: int, R: float, seed: int) -> NodeField:
     """Sample ``n - 1`` i.i.d. uniform points in the disk of radius R plus v0.

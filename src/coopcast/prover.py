@@ -45,6 +45,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -367,6 +368,9 @@ class ProofResult:
     #: boxes at each depth that only the mean-value enclosure decided;
     #: ``None`` for an expression without a gradient form
     centered_per_depth: list[int] | None = None
+    #: wall seconds of the proof, timed in the process that ran it; kept out
+    #: of the certificate, which is deterministic
+    elapsed_s: float = field(default=0.0, compare=False)
 
     def certificate(self) -> dict:
         cert = {
@@ -550,6 +554,7 @@ def prove(task: ProofTask, max_boxes: int = 2**24) -> ProofResult:
     boxes are too thin to split, are checked alone first.  Results are
     reproducible.
     """
+    start = time.perf_counter()
     _, fn = EXPRESSIONS[task.expression]
     gradient = task.expression in GRADIENT_FORMS
     domain = np.array(task.domain, dtype=float)
@@ -627,6 +632,7 @@ def prove(task: ProofTask, max_boxes: int = 2**24) -> ProofResult:
         acos_clips=intervals.acos_clip_events - clips,
         boxes_per_depth=per_depth,
         centered_per_depth=centered if gradient else None,
+        elapsed_s=time.perf_counter() - start,
         **witness,
     )
 

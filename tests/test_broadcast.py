@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -32,7 +33,7 @@ PARAMS = SignalParams()
 def _miso(fld, c1, c2):
     """A MISO broadcast's config on ``fld`` at lam = 0.1: the schedule at the
     field's own density and radius."""
-    radii = miso_upper_schedule(fld.density(), 0.1, c1, c2, fld.R).radii
+    radii = miso_upper_schedule(fld.n / (math.pi * fld.R**2), 0.1, c1, c2, fld.R).radii
     return BroadcastConfig("MIMO", tuple(radii), SignalParams(lam=0.1))
 
 

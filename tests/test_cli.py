@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from coopcast import broadcast, cli, experiments
+from coopcast import broadcast, cli, experiments, prover
 from coopcast.broadcast import BootstrapFailure
 from coopcast.cli import OUTPUT_DIR_ENV, build_parser, main
 from coopcast.experiments import ExperimentConfig, ExperimentResult
@@ -131,14 +131,82 @@ def test_output_dir_env_default(tmp_path, monkeypatch):
     assert (tmp_path / "envdir" / "summary.csv").exists()
 
 
-def test_prove_single_task(tmp_path, capsys):
+@pytest.fixture
+def pools(monkeypatch):
+    """The ``ProcessPoolExecutor`` constructions of the command under test,
+    with two usable CPUs whatever the host has."""
+    import concurrent.futures
+
+    made = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    def spy(*args, **kwargs):
+        made.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return made
+
+
+SUITE = [task.name for task in prover.inequality_suite()]
+
+
+def test_prove_single_task(tmp_path, capsys, pools):
     code = main(
         ["prove", "--task", "term2_upper", "--output-dir", str(tmp_path)]
     )
     assert code == 0
-    assert "term2_upper: proved" in capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert "term2_upper: proved" in out
+    assert err.startswith("term2_upper: ") and err.endswith(" s\n")
     cert = json.loads((tmp_path / "certificate_term2_upper.json").read_text())
     assert cert["verdict"] == "proved"
+    assert pools == []  # a lone task runs in this process
+
+
+def test_prove_suite_in_workers_writes_the_in_process_certificates(tmp_path, capsys, pools):
+    assert main(["prove", "--suite", "--output-dir", str(tmp_path)]) == 0
+    [(args, kwargs)] = pools
+    assert args == (2,) and kwargs["mp_context"].get_start_method() == "fork"
+    out, err = capsys.readouterr()
+    assert [line.split(": ")[0] for line in out.splitlines()] == SUITE
+    assert [line.split(": ")[0] for line in err.splitlines()] == SUITE
+    for task in prover.inequality_suite():
+        written = (tmp_path / f"certificate_{task.name}.json").read_text()
+        assert written == prover.prove(task).certificate_json() + "\n"
+
+
+def test_prove_suite_with_exhausted_tasks_writes_every_certificate(tmp_path, pools):
+    assert main(["prove", "--suite", "--max-boxes", "1", "--output-dir", str(tmp_path)]) == 1
+    assert pools
+    verdicts = [
+        json.loads((tmp_path / f"certificate_{name}.json").read_text())["verdict"]
+        for name in SUITE
+    ]
+    assert "exhausted" in verdicts
+
+
+_PROVE = prover.prove
+
+
+def _prove_raising_at_fifth(task, **opts):
+    """``prover.prove``, except that the suite's fifth task raises as a box
+    too thin to split does.  Module level, so that a worker can unpickle it."""
+    if task.name == SUITE[4]:
+        raise prover.DomainError("box too thin to split")
+    return _PROVE(task, **opts)
+
+
+def test_prove_suite_stops_at_a_task_that_raises_in_a_worker(
+    tmp_path, capsys, pools, monkeypatch
+):
+    monkeypatch.setattr(prover, "prove", _prove_raising_at_fifth)
+    assert main(["prove", "--suite", "--max-boxes", "64", "--output-dir", str(tmp_path)]) == 2
+    assert pools
+    assert "error: box too thin to split" in capsys.readouterr().err
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert written == sorted(f"certificate_{name}.json" for name in SUITE[:4])
 
 
 def test_prove_unknown_task(tmp_path, capsys):

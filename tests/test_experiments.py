@@ -255,6 +255,13 @@ def test_fit_scaling_noisy():
     assert fit.r_squared > 0.99
 
 
+def test_fit_scaling_of_a_flat_series_has_no_r_squared():
+    # ss_tot = 0: no variance to explain, so r^2 is undefined, not a perfect 1.
+    fit = fit_scaling([(float(2**k), 2.0) for k in range(10, 14)], "semilog")
+    assert fit.slope == pytest.approx(0.0, abs=1e-12)
+    assert math.isnan(fit.r_squared)
+
+
 def test_fit_scaling_errors():
     with pytest.raises(ValueError):
         fit_scaling([(1.0, 1.0), (2.0, 2.0)], "loglog")
@@ -401,7 +408,8 @@ def test_miso_job_runs_the_schedule_at_the_config_rho():
     )
     fld = sample_field(n, cfg.radius_for(n), 0)
     radii = miso_upper_schedule(cfg.rho(n), C08_PARAMS.lam, 12.0, 0.02, fld.R).radii
-    assert radii != miso_upper_schedule(fld.density(), C08_PARAMS.lam, 12.0, 0.02, fld.R).radii
+    rho = fld.n / (math.pi * fld.R**2)
+    assert radii != miso_upper_schedule(rho, C08_PARAMS.lam, 12.0, 0.02, fld.R).radii
     log = _run_single(cfg, "mimo", fld)
     assert [r.disk_radius_r_j for r in log.rounds[log.phase1_rounds :]] == radii
     assert radii[1] == 84.13018483279352 and log.fully_informed

@@ -40,11 +40,6 @@ def test_count_within_binomial():
         assert abs(np.count_nonzero(fld.radii <= r) - 1 - n * p) <= 4.0 * sigma
 
 
-def test_density():
-    fld = sample_field(1000, 3.0, seed=0)
-    assert fld.density() == pytest.approx(1000 / (math.pi * 9.0))
-
-
 def test_positions_read_only():
     fld = sample_field(10, 2.0, seed=0)
     with pytest.raises(ValueError):

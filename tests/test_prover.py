@@ -393,6 +393,8 @@ def test_proof_telemetry():
         cert = res.certificate()
         assert cert["acos_clips"] == res.acos_clips
         assert cert["boxes_per_depth"] == res.boxes_per_depth
+        # Wall time is reported, but kept out of the deterministic certificate.
+        assert res.elapsed_s > 0.0 and "elapsed_s" not in cert
     assert res.boxes_per_depth == [1] and res.acos_clips == 0
     far = prove(by_name["area_scaled_far_lower"])
     assert far.acos_clips > 0

@@ -13,6 +13,7 @@ differ by design.
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -185,7 +186,8 @@ def test_miso_broadcast_matches_the_reference(case, log2_c1, bootstrap):
     # of the field radius.
     fld, params, block_bytes, pick = case
     c1, c2 = 2.0**log2_c1, bootstrap * fld.R * params.lam / 15.0
-    schedule = tuple(miso_upper_schedule(fld.density(), params.lam, c1, c2, fld.R).radii)
+    rho = fld.n / (math.pi * fld.R**2)
+    schedule = tuple(miso_upper_schedule(rho, params.lam, c1, c2, fld.R).radii)
     bootstrapped = fld.radii <= schedule[0]
     bootstrapped[0] = True
     if pick is not None:

@@ -24,6 +24,8 @@ def test_scaling_study_prints_a_fit_per_model(tmp_path):
     assert lines[0] == f"wrote 12 logs and {out / 'summary.csv'}"
     fits = [line.split(" slope ")[0] for line in lines[1:]]
     assert fits == ["udg: loglog", "snr: semilog", "mimo: loglogx"]
+    # Every SNR run on this grid takes 2 rounds: a flat series has no r^2.
+    assert lines[2].endswith("(r^2 nan)")
     with open(out / "summary.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 12
