@@ -44,7 +44,7 @@ def main() -> int:
     )
     result = run_experiment(cfg)
     print(f"wrote {len(result.log_paths)} logs and {result.csv_path}")
-    for model, n, seed, err in result.failures:
+    for model, n, seed, err, _ in result.failures:
         print(f"FAILED {model} n={n} seed={seed}: {err}", file=sys.stderr)
 
     transforms = {"udg": "loglog", "snr": "semilog", "mimo": "loglogx"}

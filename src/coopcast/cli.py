@@ -6,25 +6,26 @@ tasks in forked workers, one per usable CPU),
 ``calibrate-c1`` (schedule-constant search), and ``fit`` (scaling-law fits
 on CSV points).
 
-``simulate`` and ``fieldmap`` share their configuration flags.  Flags beat
-the JSON config file, which beats the defaults of ``ExperimentConfig`` and
-``SignalParams``.  The output directory can also be set with the
-``COOPCAST_OUTPUT_DIR`` environment variable (flags and the config file still
-win).  Exit codes: 0 all assertions passed, 1 assertion failure, 2 usage
-error.
+``simulate``, ``fieldmap`` and ``calibrate-c1`` share their physical flags,
+and all three build their ``ExperimentConfig`` in one place; a setting that
+no flag gives takes the default of ``ExperimentConfig`` or ``SignalParams``.
+The output directory can also be set with the ``COOPCAST_OUTPUT_DIR``
+environment variable (the flag still wins).  Exit codes: 0 all assertions
+passed, 1 assertion failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
 from . import prover
 from .broadcast import BootstrapFailure
 from .experiments import (
+    C1_CANDIDATES,
+    MODELS,
     ExperimentConfig,
     atomic_write,
     calibrate_c1,
@@ -38,19 +39,11 @@ from .signal_model import GridSpec, SignalParams
 
 OUTPUT_DIR_ENV = "COOPCAST_OUTPUT_DIR"
 
-# The settings a JSON config key or a flag of the same name can give, with
-# the coercion each JSON value gets (None keeps it as it is).
-_EXPERIMENT_KEYS = {
-    "models": tuple,
-    "node_counts": lambda v: tuple(int(n) for n in v),
-    "density": float,
-    "density_rule": None,
-    "seeds": lambda v: tuple(int(s) for s in v),
-    "c1": float,
-    "c2": float,
-    "output_dir": None,
-    "workers": int,
-}
+# The ExperimentConfig and SignalParams fields that a flag of the same name sets.
+_EXPERIMENT_KEYS = (
+    "models", "node_counts", "density", "density_rule", "seeds", "c1", "c2", "output_dir",
+    "workers",
+)
 _SIGNAL_KEYS = ("lam", "beta_N0", "c_f")
 
 
@@ -63,41 +56,30 @@ def _given(args: argparse.Namespace, keys) -> dict:
     return {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
 
 
-def _experiment_config(args: argparse.Namespace, defaults: dict, **fixed) -> ExperimentConfig:
-    """The config of a ``simulate`` or ``fieldmap`` call.
+def _experiment_config(args: argparse.Namespace, **defaults) -> ExperimentConfig:
+    """The config of a command: the flags given, over ``defaults``.
 
-    Later layers win: ``defaults``, the JSON config file, the flags given,
-    then ``fixed``.  A setting that no layer gives is left to
-    :class:`ExperimentConfig` and :class:`SignalParams`.
+    A setting that neither gives is left to :class:`ExperimentConfig` and
+    :class:`SignalParams`.
     """
-    opts = dict(defaults)
-    if args.config:
-        with open(args.config) as fh:
-            opts.update(json.load(fh))
-    opts.update(_given(args, (*_EXPERIMENT_KEYS, *_SIGNAL_KEYS)))
-    opts.setdefault("output_dir", _default_output_dir())
-    opts.update(fixed)
-    settings = {
-        key: opts[key] if coerce is None else coerce(opts[key])
-        for key, coerce in _EXPERIMENT_KEYS.items()
-        if key in opts
-    }
-    params = SignalParams(**{key: opts[key] for key in _SIGNAL_KEYS if key in opts})
-    return ExperimentConfig(params=params, **settings)
+    opts = {"output_dir": _default_output_dir(), **defaults, **_given(args, _EXPERIMENT_KEYS)}
+    settings = {key: tuple(v) if isinstance(v, list) else v for key, v in opts.items()}
+    return ExperimentConfig(params=SignalParams(**_given(args, _SIGNAL_KEYS)), **settings)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _experiment_config(args, {"models": ["udg"], "node_counts": [1024]})
+    cfg = _experiment_config(args, models=("udg",), node_counts=(1024,))
     result = run_experiment(cfg)
     print(f"wrote {len(result.log_paths)} round logs and {result.csv_path}")
-    for model, n, seed, error in result.failures:
+    for model, n, seed, error, trace in result.failures:
         print(f"FAILED {model} n={n} seed={seed}: {error}", file=sys.stderr)
+        print(trace, end="", file=sys.stderr)
     return 1 if result.failures else 0
 
 
 def _cmd_fieldmap(args: argparse.Namespace) -> int:
     cfg = _experiment_config(
-        args, {}, models=[args.model], node_counts=[args.n], seeds=[args.seed]
+        args, models=(args.model,), node_counts=(args.n,), seeds=(args.seed,)
     )
     radius = cfg.radius_for(args.n)
     fld = sample_field(args.n, radius, args.seed)
@@ -167,16 +149,18 @@ def _cmd_prove(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    opts = _given(args, ("c2", "seeds", "n"))
-    if "seeds" in opts:
-        opts["seeds"] = tuple(range(opts["seeds"]))
-    params = SignalParams(**_given(args, ("lam",)))
+    cfg = _experiment_config(
+        args, models=("mimo",), node_counts=(args.n,), seeds=tuple(range(args.seed_count))
+    )
     try:
-        value = calibrate_c1(density=args.density, params=params, **opts)
+        value = calibrate_c1(cfg)
     except RuntimeError as exc:  # no candidate met the success rate
         print(f"FAILED: {exc}", file=sys.stderr)
         return 1
     print(f"c1 = {value}")
+    if value == C1_CANDIDATES[-1]:
+        print(f"{value} is the largest candidate: a lower bound, "
+              "not the largest constant that works")
     return 0
 
 
@@ -202,21 +186,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="coopcast")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Flags of both simulate and fieldmap; unset ones take the defaults of
-    # ExperimentConfig and SignalParams.
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", help="JSON config file; flags override it")
-    shared.add_argument("--density", type=float)
-    shared.add_argument("--density-rule", dest="density_rule", choices=["fixed", "log"])
-    shared.add_argument("--lam", type=float)
-    shared.add_argument("--beta-n0", dest="beta_N0", type=float)
-    shared.add_argument("--c-f", dest="c_f", type=float)
+    # Flags of simulate, fieldmap and calibrate-c1; unset ones take the
+    # defaults of ExperimentConfig and SignalParams.
+    physical = argparse.ArgumentParser(add_help=False)
+    physical.add_argument("--density", type=float)
+    physical.add_argument("--density-rule", dest="density_rule", choices=["fixed", "log"])
+    physical.add_argument("--lam", type=float)
+    physical.add_argument("--beta-n0", dest="beta_N0", type=float)
+    physical.add_argument("--c-f", dest="c_f", type=float)
+    physical.add_argument("--c2", type=float)
+    # Flags of simulate and fieldmap only: calibrate-c1 searches c1 and
+    # writes no file.
+    shared = argparse.ArgumentParser(add_help=False, parents=[physical])
     shared.add_argument("--c1", type=float)
-    shared.add_argument("--c2", type=float)
     shared.add_argument("--output-dir", dest="output_dir")
 
     sim = sub.add_parser("simulate", parents=[shared], help="run broadcast experiment sweeps")
-    sim.add_argument("--models", nargs="+", choices=["udg", "snr", "mimo"])
+    sim.add_argument("--models", nargs="+", choices=MODELS)
     sim.add_argument("--node-counts", dest="node_counts", type=_int_list)
     sim.add_argument("--seeds", type=_int_list)
     sim.add_argument("--workers", type=int)
@@ -225,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     fmap = sub.add_parser(
         "fieldmap", parents=[shared], help="write per-round PGM coverage or energy maps"
     )
-    fmap.add_argument("--model", required=True, choices=["udg", "snr", "mimo"])
+    fmap.add_argument("--model", required=True, choices=MODELS)
     fmap.add_argument("--n", type=int, required=True)
     fmap.add_argument("--seed", type=int, default=0)
     fmap.add_argument("--grid", type=int, default=128, help="cells per axis")
@@ -239,12 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
     prv.add_argument("--output-dir", dest="output_dir")
     prv.set_defaults(func=_cmd_prove)
 
-    cal = sub.add_parser("calibrate-c1", help="search the schedule constant")
-    cal.add_argument("--density", type=float, default=ExperimentConfig.density)
-    cal.add_argument("--lam", type=float)
-    cal.add_argument("--c2", type=float)
-    cal.add_argument("--seeds", type=int)
-    cal.add_argument("--n", type=int)
+    cal = sub.add_parser(
+        "calibrate-c1", parents=[physical], help="search the schedule constant"
+    )
+    cal.add_argument("--n", type=int, default=4096)
+    cal.add_argument("--seeds", dest="seed_count", metavar="N", type=int, default=50,
+                     help="fields of seeds 0 to N - 1")
     cal.set_defaults(func=_cmd_calibrate)
 
     fit = sub.add_parser("fit", help="fit a scaling law to CSV points")

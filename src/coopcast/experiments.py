@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+import traceback
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -36,7 +37,9 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "ScalingFit",
+    "MODELS",
     "DEFAULT_C1",
+    "C1_CANDIDATES",
     "run_experiment",
     "fit_scaling",
     "emit_fieldmaps",
@@ -48,10 +51,16 @@ __all__ = [
 #: conservative than what simulations support, see :func:`calibrate_c1`).
 DEFAULT_C1 = 9.0 / (8.0 * 4480.0 * math.pi * math.sqrt(2.0))
 
+#: The schedule constants :func:`calibrate_c1` tries, in increasing order.
+C1_CANDIDATES = tuple(2.0**exponent for exponent in range(-14, 6))
+
+#: The reception models a job can run.
+MODELS = ("udg", "snr", "mimo")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    models: tuple[str, ...]  # subset of {"udg", "snr", "mimo"}
+    models: tuple[str, ...]  # subset of MODELS
     node_counts: tuple[int, ...]
     density: float = 64.0
     density_rule: str = "fixed"  # "fixed" | "log" (rho = density * ln n)
@@ -63,9 +72,11 @@ class ExperimentConfig:
     workers: int = 4
 
     def __post_init__(self):
-        unknown = set(self.models) - {"udg", "snr", "mimo"}
+        unknown = set(self.models) - set(MODELS)
         if unknown or not self.models:
-            raise ValueError(f"models must be a nonempty subset of udg/snr/mimo, got {self.models}")
+            raise ValueError(
+                f"models must be a nonempty subset of {'/'.join(MODELS)}, got {self.models}"
+            )
         if self.density_rule not in ("fixed", "log"):
             raise ValueError(f"unknown density rule {self.density_rule!r}")
         for name in ("density", "c1", "c2"):
@@ -108,7 +119,8 @@ class ExperimentResult:
     rows: list[dict]
     log_paths: list[str]
     csv_path: str
-    failures: list[tuple[str, int, int, str]] = field(default_factory=list)
+    # (model, n, seed, error, traceback) of each job that raised.
+    failures: list[tuple[str, int, int, str, str]] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -185,13 +197,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     def work(job):
         """Run one job and write its round log; return its summary row or
-        its failure.  Only the log's writer holds the log, so a sweep holds
-        the logs of the jobs running at once, not of every job."""
+        its failure and traceback.  Only the log's writer holds the log, so
+        a sweep holds the logs of the jobs running at once, not of every job."""
         model, n, seed = job
         try:
             log = _run_single(cfg, model, sample_field(n, cfg.radius_for(n), seed))
         except Exception as exc:  # noqa: BLE001 - recorded, run continues
-            return None, f"{type(exc).__name__}: {exc}"
+            return None, (f"{type(exc).__name__}: {exc}", traceback.format_exc())
         path = log_path(model, n, seed)
         try:
             atomic_write(path, log.json_pieces())
@@ -206,7 +218,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         # cancels the jobs not yet started.
         for job, (row, error) in zip(jobs, pool.map(work, jobs)):
             if error is not None:
-                result.failures.append((*job, error))
+                result.failures.append((*job, *error))
                 continue
             result.rows.append(row)
             lines.append(",".join(_csv_cell(v) for v in row.values()))
@@ -272,55 +284,49 @@ def emit_fieldmaps(
     return list(maps)
 
 
-def calibrate_c1(
-    density: float,
-    params: SignalParams,
-    c2: float = 1.0,
-    seeds: tuple[int, ...] = tuple(range(50)),
-    success_rate: float = 0.99,
-    n: int = 4096,
-) -> float:
-    """Largest power-of-two schedule constant c1 under which the MISO
-    broadcast reliably informs every node.
+def calibrate_c1(cfg: ExperimentConfig, success_rate: float = 0.99) -> float:
+    """Largest schedule constant c1 in :data:`C1_CANDIDATES` under which the
+    MISO broadcast reliably informs every node.
 
-    Each candidate c1 = 2^-14, ..., 2^5 runs the job of ``simulate --models
-    mimo`` on the field of each seed: n nodes at the fixed density
-    ``density``.  A run succeeds when it is fully informed; a
+    Each candidate runs the "mimo" job of ``run_experiment(cfg)``, with c1
+    replaced by the candidate, on each (n, seed) field of ``cfg``.  A run
+    succeeds when it is fully informed; a
     :class:`~coopcast.broadcast.BootstrapFailure` is a miss.  Each
-    candidate's schedule is computed once, and candidates with the same
-    schedule share one run per field.  Returns the
-    largest candidate whose success fraction over the seeds reaches
-    ``success_rate``.
+    candidate's schedule is computed once per n, and candidates with the
+    same schedule share one run per field.  Returns the largest candidate
+    whose success fraction over the fields reaches ``success_rate``; when
+    that is the last candidate, it is only a lower bound on the constants
+    that work.  ``cfg``'s c1, ``models``, ``output_dir`` and ``workers``
+    are not read.
     """
-    cfg = ExperimentConfig(
-        models=("mimo",), node_counts=(n,), density=density, seeds=tuple(seeds),
-        params=params, c2=c2,
-    )
-    candidates = [2.0**exponent for exponent in range(-14, 6)]
-    schedules = {cand: replace(cfg, c1=cand).schedule("mimo", n) for cand in candidates}
-    radius = cfg.radius_for(n)
-    bootstrap = schedules[candidates[0]][0]  # 15 c2/lam, whatever c1
-    if bootstrap >= radius:
-        raise ValueError(
-            f"bootstrap radius 15 c2/lam = {bootstrap} reaches field radius {radius}; "
-            "shrink it with a smaller --c2 or a larger --lam, "
-            "or widen the field with a larger --n or a smaller --density"
-        )
-    successes = dict.fromkeys(candidates, 0)
-    for seed in cfg.seeds:
-        fld = sample_field(n, radius, seed)
-        # c1 enters a run only through its schedule: one run per schedule.
-        succeeded = {}
-        for cand, radii in schedules.items():
-            if radii not in succeeded:
-                try:
-                    log = run_miso_broadcast(fld, BroadcastConfig("MIMO", radii, params))
-                except BootstrapFailure:
-                    succeeded[radii] = False
-                else:
-                    succeeded[radii] = log.fully_informed
-            successes[cand] += succeeded[radii]
-    passed = [c for c in candidates if successes[c] / len(cfg.seeds) >= success_rate]
+    schedules = {}  # n -> {candidate: radii}
+    for n in cfg.node_counts:
+        schedules[n] = {cand: replace(cfg, c1=cand).schedule("mimo", n) for cand in C1_CANDIDATES}
+        bootstrap = schedules[n][C1_CANDIDATES[0]][0]  # 15 c2/lam, whatever c1
+        radius = cfg.radius_for(n)
+        if bootstrap >= radius:
+            raise ValueError(
+                f"bootstrap radius 15 c2/lam = {bootstrap} reaches field radius {radius}; "
+                "shrink it with a smaller --c2 or a larger --lam, "
+                "or widen the field with a larger --n or a smaller --density"
+            )
+    successes = dict.fromkeys(C1_CANDIDATES, 0)
+    for n, by_candidate in schedules.items():
+        for seed in cfg.seeds:
+            fld = sample_field(n, cfg.radius_for(n), seed)
+            # c1 enters a run only through its schedule: one run per schedule.
+            succeeded = {}
+            for cand, radii in by_candidate.items():
+                if radii not in succeeded:
+                    try:
+                        log = run_miso_broadcast(fld, BroadcastConfig("MIMO", radii, cfg.params))
+                    except BootstrapFailure:
+                        succeeded[radii] = False
+                    else:
+                        succeeded[radii] = log.fully_informed
+                successes[cand] += succeeded[radii]
+    fields = len(cfg.node_counts) * len(cfg.seeds)
+    passed = [c for c in C1_CANDIDATES if successes[c] / fields >= success_rate]
     if not passed:
         raise RuntimeError("no candidate constant met the target success rate")
     return passed[-1]

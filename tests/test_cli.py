@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,13 +12,18 @@ from coopcast.experiments import ExperimentConfig, ExperimentResult
 from coopcast.signal_model import SignalParams
 
 FIELDMAP = ["fieldmap", "--model", "udg", "--n", "50"]
+CALIBRATE = ["calibrate-c1"]
 
 
 @pytest.fixture
 def built_config(monkeypatch):
-    """Runs a simulate or fieldmap command with the broadcast stubbed out
-    and returns the ExperimentConfig that the command built."""
+    """Runs a simulate, fieldmap or calibrate-c1 command with the broadcast
+    stubbed out and returns the ExperimentConfig that the command built."""
     configs = []
+
+    def fake_calibrate_c1(cfg):
+        configs.append(cfg)
+        return 1.0
 
     def fake_run_experiment(cfg):
         configs.append(cfg)
@@ -28,6 +34,7 @@ def built_config(monkeypatch):
         raise BootstrapFailure("stubbed")
 
     monkeypatch.setattr(cli, "run_experiment", fake_run_experiment)
+    monkeypatch.setattr(cli, "calibrate_c1", fake_calibrate_c1)
     monkeypatch.setattr(experiments, "_run_single", fake_run_single)
     monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
 
@@ -45,25 +52,32 @@ def test_unset_settings_take_library_defaults(built_config):
     assert built_config(FIELDMAP) == ExperimentConfig(
         models=("udg",), node_counts=(50,), seeds=(0,)
     )
+    assert built_config(CALIBRATE) == ExperimentConfig(
+        models=("mimo",), node_counts=(4096,), seeds=tuple(range(50))
+    )
 
 
-@pytest.mark.parametrize("command", [["simulate"], FIELDMAP])
-def test_commands_share_every_config_flag(built_config, tmp_path, command):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"density": 3, "c1": 5, "lam": 0.4}))
-    flags = [
-        "--config", str(cfg), "--density", "20", "--density-rule", "log",
-        "--lam", "0.2", "--beta-n0", "2", "--c-f", "1.5", "--c1", "3",
-        "--c2", "0.5", "--output-dir", str(tmp_path / "out"),
-    ]
-    got = built_config([*command, *flags])
-    assert (got.density, got.density_rule, got.c1, got.c2) == (20.0, "log", 3.0, 0.5)
-    assert got.params == SignalParams(lam=0.2, beta_N0=2.0, c_f=1.5)
-    assert got.output_dir == str(tmp_path / "out")
-    # A JSON value no flag overrides is used, coerced as the flag's would be.
-    got = built_config([*command, "--config", str(cfg)])
-    assert (got.density, got.c1, got.params.lam) == (3.0, 5.0, 0.4)
-    assert isinstance(got.density, float) and isinstance(got.c1, float)
+# A flag, its value, and the ExperimentConfig field it sets to what value.
+PHYSICAL_FLAGS = [
+    ("--density", "20", "density", 20.0),
+    ("--density-rule", "log", "density_rule", "log"),
+    ("--lam", "0.2", "params", SignalParams(lam=0.2)),
+    ("--beta-n0", "2", "params", SignalParams(beta_N0=2.0)),
+    ("--c-f", "1.5", "params", SignalParams(c_f=1.5)),
+    ("--c2", "0.5", "c2", 0.5),
+]
+RUN_FLAGS = [("--c1", "3", "c1", 3.0), ("--output-dir", "out", "output_dir", "out")]
+CALIBRATE_FLAGS = [("--n", "1000", "node_counts", (1000,)), ("--seeds", "3", "seeds", (0, 1, 2))]
+
+
+@pytest.mark.parametrize("command", [["simulate"], FIELDMAP, CALIBRATE])
+def test_commands_share_every_config_flag(built_config, command):
+    # Each flag sets its one field, whichever command takes it.
+    default = built_config(command)
+    own = CALIBRATE_FLAGS if command == CALIBRATE else RUN_FLAGS
+    for flag, value, key, expected in PHYSICAL_FLAGS + own:
+        assert getattr(default, key) != expected, flag
+        assert built_config([*command, flag, value]) == replace(default, **{key: expected}), flag
 
 
 def test_simulate_success(tmp_path, capsys):
@@ -96,29 +110,13 @@ def test_simulate_reports_failures(tmp_path, capsys):
         ]
     )
     assert code == 1
-    assert "FAILED" in capsys.readouterr().err
-
-
-def test_config_file_with_flag_override(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(
-        json.dumps(
-            {
-                "models": ["udg"],
-                "node_counts": [200],
-                "density": 32,
-                "seeds": [7],
-                "output_dir": str(tmp_path / "from_config"),
-            }
-        )
-    )
-    out = tmp_path / "from_flag"
-    code = main(["simulate", "--config", str(cfg), "--output-dir", str(out)])
-    assert code == 0
-    assert (out / "udg_n200_seed7.json").exists()
-    assert not (tmp_path / "from_config").exists()
-    # The JSON int density is coerced to a float, as the --density flag is.
-    assert (out / "summary.csv").read_text().splitlines()[1].startswith("udg,200,32.0,")
+    err = capsys.readouterr().err
+    # The FAILED line, then the job's traceback down to where it raised.
+    failed, trace = err.split("\n", 1)
+    assert failed.startswith("FAILED mimo n=50 seed=0: BootstrapFailure: ")
+    assert trace.startswith("Traceback (most recent call last):\n")
+    assert "in run_miso_broadcast" in trace
+    assert trace.endswith(f"BootstrapFailure: {failed.split(': ', 2)[2]}\n")
 
 
 def test_output_dir_env_default(tmp_path, monkeypatch):
@@ -295,6 +293,18 @@ def test_calibrate_without_a_constant_fails_cleanly(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "FAILED: no candidate constant met the target success rate\n"
+
+
+def test_calibrate_says_when_the_largest_candidate_passes(capsys):
+    # At rho = 64, lam = 0.1 and c2 = 0.01 even c1 = 2^5 informs every
+    # field, so the search saturates and its result is only a lower bound.
+    code = main(["calibrate-c1", "--density", "64", "--lam", "0.1", "--c2", "0.01",
+                 "--n", "1024", "--seeds", "5"])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "c1 = 32.0\n"
+        "32.0 is the largest candidate: a lower bound, not the largest constant that works\n"
+    )
 
 
 def test_calibrate_with_senders_outside_the_field_names_the_remedy(capsys):

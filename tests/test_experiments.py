@@ -12,6 +12,7 @@ from coopcast import experiments
 from coopcast.bounds import miso_upper_schedule, snr_upper_schedule
 from coopcast.broadcast import BootstrapFailure, run_miso_broadcast
 from coopcast.experiments import (
+    C1_CANDIDATES,
     CSV_HEADER,
     ExperimentConfig,
     ScalingFit,
@@ -145,7 +146,10 @@ def test_run_experiment_records_failures_and_continues(tmp_path):
     )
     result = run_experiment(cfg)
     assert len(result.failures) == 2
-    assert all(model == "mimo" for model, _, _, _ in result.failures)
+    assert all(model == "mimo" for model, *_ in result.failures)
+    # Each failure keeps its traceback, ending in the error it records.
+    for *_, error, trace in result.failures:
+        assert trace.startswith("Traceback") and trace.endswith(error.split(": ", 1)[1] + "\n")
     assert len(result.rows) == 2  # the udg runs
 
 
@@ -307,28 +311,33 @@ C08_DENSITY = 10_000 / (900.0 * math.pi)
 C08_PARAMS = SignalParams(lam=0.1)
 
 
+def _c08_config(n, seeds, c2=0.02):
+    """The "mimo" jobs of criterion 08's constants on n nodes."""
+    return ExperimentConfig(
+        models=("mimo",), node_counts=(n,), density=C08_DENSITY, seeds=seeds,
+        params=C08_PARAMS, c2=c2,
+    )
+
+
 def _informed_share(tmp_path, c1, n, seeds):
     """The share of ``seeds`` whose ``simulate --models mimo`` job informs
     every node at criterion 08's constants; a failed job is a miss."""
-    cfg = ExperimentConfig(
-        models=("mimo",), node_counts=(n,), density=C08_DENSITY, seeds=seeds,
-        params=C08_PARAMS, c1=c1, c2=0.02, output_dir=str(tmp_path),
-    )
+    cfg = replace(_c08_config(n, seeds), c1=c1, output_dir=str(tmp_path))
     return sum(row["fully_informed"] for row in run_experiment(cfg).rows) / len(seeds)
 
 
 def test_calibrate_c1_power_of_two_and_repeatable():
-    kwargs = dict(c2=0.02, seeds=(0, 1, 2), n=1000)
-    c1 = calibrate_c1(C08_DENSITY, C08_PARAMS, **kwargs)
+    cfg = _c08_config(1000, (0, 1, 2))
+    c1 = calibrate_c1(cfg)
     assert c1 > 0 and math.frexp(c1)[0] == 0.5
-    assert calibrate_c1(C08_DENSITY, C08_PARAMS, **kwargs) == c1
+    assert calibrate_c1(cfg) == c1
     # Every candidate meets a zero success rate: the largest one, 2^5, wins.
-    assert calibrate_c1(C08_DENSITY, C08_PARAMS, success_rate=0.0, **kwargs) == 32.0
+    assert calibrate_c1(cfg, success_rate=0.0) == C1_CANDIDATES[-1] == 32.0
     with pytest.raises(RuntimeError):
-        calibrate_c1(C08_DENSITY, C08_PARAMS, success_rate=1.01, **kwargs)
+        calibrate_c1(cfg, success_rate=1.01)
     # With c2 = 1 the bootstrap disk, of radius 150, covers the field.
     with pytest.raises(ValueError, match="reaches field radius"):
-        calibrate_c1(C08_DENSITY, C08_PARAMS, c2=1.0, seeds=(0,), n=1000)
+        calibrate_c1(_c08_config(1000, (0,), c2=1.0))
 
 
 def test_calibrate_c1_at_criterion_08_density_is_what_simulate_runs(tmp_path):
@@ -336,7 +345,7 @@ def test_calibrate_c1_at_criterion_08_density_is_what_simulate_runs(tmp_path):
     # bootstrap disk and no run informs every node; c1 = 8 informs all ten
     # fields, 16 six and 32 one.
     seeds = tuple(range(10))
-    c1 = calibrate_c1(C08_DENSITY, C08_PARAMS, c2=0.02, seeds=seeds, n=4096)
+    c1 = calibrate_c1(_c08_config(4096, seeds))
     assert c1 == 8.0
     assert _informed_share(tmp_path, c1, 4096, seeds) == 1.0
 
@@ -345,16 +354,23 @@ def test_calibrate_c1_counts_a_failed_bootstrap_as_a_miss(tmp_path):
     # n = 400 (R = 6): field 2's bootstrap disk is not connected; fields 0,
     # 1 and 3 are fully informed from c1 = 8 on.
     seeds = (0, 1, 2, 3)
-    cfg = ExperimentConfig(
-        models=("mimo",), node_counts=(400,), density=C08_DENSITY, params=C08_PARAMS, c2=0.02
-    )
+    cfg = _c08_config(400, seeds)
     with pytest.raises(BootstrapFailure):
         _run_single(replace(cfg, c1=8.0), "mimo", sample_field(400, cfg.radius_for(400), 2))
-    c1 = calibrate_c1(C08_DENSITY, C08_PARAMS, c2=0.02, seeds=seeds, success_rate=0.75, n=400)
+    c1 = calibrate_c1(cfg, success_rate=0.75)
     assert c1 == 32.0
     assert _informed_share(tmp_path, c1, 400, seeds) == 0.75
     with pytest.raises(RuntimeError):
-        calibrate_c1(C08_DENSITY, C08_PARAMS, c2=0.02, seeds=seeds, success_rate=0.8, n=400)
+        calibrate_c1(cfg, success_rate=0.8)
+
+
+def test_calibrate_c1_counts_the_fields_of_every_node_count():
+    # Seeds 0-3 at n = 400 and at n = 1000: all eight fields but field 2 at
+    # n = 400 are fully informed at c1 = 8, a share of 7/8.
+    cfg = replace(_c08_config(400, (0, 1, 2, 3)), node_counts=(400, 1000))
+    assert calibrate_c1(cfg, success_rate=0.875) == 8.0
+    with pytest.raises(RuntimeError):
+        calibrate_c1(cfg, success_rate=0.9)
 
 
 def test_calibrate_c1_runs_each_distinct_schedule_once(monkeypatch):
@@ -377,13 +393,11 @@ def test_calibrate_c1_runs_each_distinct_schedule_once(monkeypatch):
     monkeypatch.setattr(experiments, "miso_upper_schedule", counted_schedule)
     monkeypatch.setattr(experiments, "run_miso_broadcast", counted)
     seeds = (0, 1, 2, 3)
-    c1 = calibrate_c1(C08_DENSITY, C08_PARAMS, c2=0.02, seeds=seeds, success_rate=0.75, n=400)
+    cfg = _c08_config(400, seeds)
+    c1 = calibrate_c1(cfg, success_rate=0.75)
     assert c1 == 32.0 and sorted(fields) == list(seeds)
     assert len(computed) == 20
-    cfg = ExperimentConfig(
-        models=("mimo",), node_counts=(400,), density=C08_DENSITY, params=C08_PARAMS, c2=0.02
-    )
-    distinct = {replace(cfg, c1=2.0**e).schedule("mimo", 400) for e in range(-14, 6)}
+    distinct = {replace(cfg, c1=cand).schedule("mimo", 400) for cand in C1_CANDIDATES}
     assert len(runs) == len(set(runs)) == len(distinct) * len(seeds) < 20 * len(seeds)
 
 
