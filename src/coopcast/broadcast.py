@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .signal_model import (
+    MODELS,
     SenderSet,
     SignalParams,
     center_sync_phases,
@@ -140,24 +141,21 @@ def _fields_of(record) -> dict:
 OnRound = Callable[[RoundRecord, str, SenderSet], None]
 
 
-_MODELS = ("UDG", "SNR", "MIMO")
-
-
 @dataclass(frozen=True)
 class BroadcastConfig:
     """How a broadcast runs: a UDG flood, which takes no schedule, or an SNR
     or MIMO expanding disk over ``radius_schedule``, which runs one round per
     radius and none when the schedule is empty."""
 
-    model: str  # "UDG" | "SNR" | "MIMO"
+    model: str  # one of MODELS
     radius_schedule: tuple[float, ...] = ()
     params: SignalParams = field(default_factory=SignalParams)
 
     def __post_init__(self):
-        if self.model not in _MODELS:
+        if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
         radii = self.radius_schedule
-        if self.model == "UDG" and radii:
+        if self.model == "udg" and radii:
             raise ValueError("a UDG broadcast floods and takes no radius schedule")
         if any(map(math.isnan, radii)) or any(b <= a for a, b in zip(radii, radii[1:])):
             raise ValueError("the radius schedule must be increasing, with no NaN radius")
@@ -166,7 +164,7 @@ class BroadcastConfig:
 def _senders(field_, active: np.ndarray, config: BroadcastConfig) -> SenderSet:
     """The nodes ``active`` as transmitters; MIMO senders center-synchronize."""
     pos = field_.positions[active]
-    phases = center_sync_phases(pos, config.params.lam) if config.model == "MIMO" else None
+    phases = center_sync_phases(pos, config.params.lam) if config.model == "mimo" else None
     return SenderSet.build(pos, phases=phases)
 
 
@@ -174,7 +172,7 @@ def informs(
     model: str, senders: SenderSet, q, params: SignalParams
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Which receivers ``q`` (k, 2) the ``senders`` inform in one round under
-    ``model`` ("UDG", "SNR" or "MIMO"), as a boolean mask; the distance from
+    ``model`` ("udg", "snr" or "mimo"), as a boolean mask; the distance from
     each informed receiver to its nearest sender, in the order of ``q``, from
     which the round takes its travel; and how many receiver x sender pairs
     were evaluated (see :class:`RoundRecord`).
@@ -187,14 +185,14 @@ def informs(
     no distances, and only the informed receivers are queried for theirs.
     ``params`` is read only under SNR and MIMO.
     """
-    if model not in _MODELS:
+    if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
     q = np.asarray(q, dtype=float)
-    if model == "UDG":
+    if model == "udg":
         d_min = nearest_sender_distance(senders, q, udg=True)
         informed = d_min <= 1.0
         return informed, d_min[informed], 0
-    snr = model == "SNR"
+    snr = model == "snr"
     if snr:
         lower, upper = snr_level_bounds(senders, np.hypot(q[:, 0], q[:, 1]), params)
     else:  # a coherent sum can cancel: a phasor screen, not distance, bounds it
@@ -260,7 +258,7 @@ def _run_rounds(
         eligible = np.ones(field_.n, dtype=bool)
     if log is None:
         log = RoundLog()
-    flood = config.model == "UDG"
+    flood = config.model == "udg"
     schedule = itertools.repeat(None) if flood else config.radius_schedule
     newly = np.flatnonzero(informed)
     frontier = radii[newly].max()  # the largest informed radius, kept as a running maximum
@@ -322,7 +320,7 @@ def run_udg_flood(
     if restrict_radius is not None:
         eligible = field_.radii <= restrict_radius
         eligible[0] = True
-    return _run_rounds(field_, BroadcastConfig(model="UDG"), informed, eligible, on_round)
+    return _run_rounds(field_, BroadcastConfig(model="udg"), informed, eligible, on_round)
 
 
 def run_expanding_disk(
@@ -338,14 +336,14 @@ def run_expanding_disk(
 def run_miso_broadcast(
     field_, config: BroadcastConfig, on_round: OnRound | None = None
 ) -> RoundLog:
-    """Two-phase MISO broadcast over the radius schedule of a MIMO
+    """Two-phase MISO broadcast over the radius schedule of a "mimo"
     ``config``, whose first radius is the bootstrap disk's.
 
     Phase 1 informs the bootstrap disk by UDG flooding restricted to it.
     Phase 2 runs expanding-disk MIMO rounds with center-synchronized phases
     over the whole schedule (a job's is ``ExperimentConfig.schedule``).
     """
-    if config.model != "MIMO" or not config.radius_schedule:
+    if config.model != "mimo" or not config.radius_schedule:
         raise ValueError("a MISO broadcast needs a MIMO config with a radius schedule")
     bootstrap_radius = config.radius_schedule[0]
     log = run_udg_flood(field_, restrict_radius=bootstrap_radius, on_round=on_round)

@@ -25,17 +25,17 @@ from . import prover
 from .broadcast import BootstrapFailure
 from .experiments import (
     C1_CANDIDATES,
-    MODELS,
     ExperimentConfig,
     atomic_write,
     calibrate_c1,
     emit_fieldmaps,
     fit_scaling,
     run_experiment,
+    usable_cpus,
 )
 from .nodefield import sample_field
 from .prover import inequality_suite, prove
-from .signal_model import GridSpec, SignalParams
+from .signal_model import MODELS, SignalParams
 
 OUTPUT_DIR_ENV = "COOPCAST_OUTPUT_DIR"
 
@@ -81,24 +81,14 @@ def _cmd_fieldmap(args: argparse.Namespace) -> int:
     cfg = _experiment_config(
         args, models=(args.model,), node_counts=(args.n,), seeds=(args.seed,)
     )
-    radius = cfg.radius_for(args.n)
-    fld = sample_field(args.n, radius, args.seed)
-    half = radius * 1.05
-    grid = GridSpec(-half, half, -half, half, args.grid, args.grid)
+    fld = sample_field(args.n, cfg.radius_for(args.n), args.seed)
     try:
-        paths = emit_fieldmaps(cfg, args.model, fld, grid)
+        paths = emit_fieldmaps(cfg, args.model, fld, args.grid)
     except BootstrapFailure as exc:
         print(f"FAILED: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {len(paths)} field maps to {cfg.output_dir}")
     return 0
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on (its affinity mask, where known)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _cmd_prove(args: argparse.Namespace) -> int:
@@ -114,7 +104,7 @@ def _cmd_prove(args: argparse.Namespace) -> int:
     out_dir = args.output_dir or _default_output_dir()
     os.makedirs(out_dir, exist_ok=True)
     opts = _given(args, ("max_boxes",))
-    workers = min(len(tasks), _usable_cpus())
+    workers = min(len(tasks), usable_cpus())
     pool = None
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         # Forked workers start without importing numpy and scipy again.  They
@@ -205,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--models", nargs="+", choices=MODELS)
     sim.add_argument("--node-counts", dest="node_counts", type=_int_list)
     sim.add_argument("--seeds", type=_int_list)
-    sim.add_argument("--workers", type=int)
+    sim.add_argument("--workers", type=int, help="job threads (default: the usable CPUs)")
     sim.set_defaults(func=_cmd_simulate)
 
     fmap = sub.add_parser(

@@ -31,13 +31,12 @@ from .broadcast import (
     run_udg_flood,
 )
 from .nodefield import NodeField, sample_field
-from .signal_model import GridSpec, SignalParams, field_map
+from .signal_model import MODELS, SignalParams, field_map, to_pgm
 
 __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "ScalingFit",
-    "MODELS",
     "DEFAULT_C1",
     "C1_CANDIDATES",
     "run_experiment",
@@ -45,6 +44,7 @@ __all__ = [
     "emit_fieldmaps",
     "calibrate_c1",
     "atomic_write",
+    "usable_cpus",
 ]
 
 #: Analysis constant of the doubly-exponential schedule (far more
@@ -54,8 +54,12 @@ DEFAULT_C1 = 9.0 / (8.0 * 4480.0 * math.pi * math.sqrt(2.0))
 #: The schedule constants :func:`calibrate_c1` tries, in increasing order.
 C1_CANDIDATES = tuple(2.0**exponent for exponent in range(-14, 6))
 
-#: The reception models a job can run.
-MODELS = ("udg", "snr", "mimo")
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask, where known)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,7 @@ class ExperimentConfig:
     c1: float = DEFAULT_C1
     c2: float = 1.0
     output_dir: str = "runs"
-    workers: int = 4
+    workers: int = field(default_factory=usable_cpus)  # threads running jobs
 
     def __post_init__(self):
         unknown = set(self.models) - set(MODELS)
@@ -94,6 +98,8 @@ class ExperimentConfig:
             )
         if len(set(self.seeds)) != len(self.seeds) or not self.seeds:
             raise ValueError("seeds must be nonempty and distinct")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
 
     def rho(self, n: int) -> float:
         if self.density_rule == "log":
@@ -115,7 +121,6 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentResult:
-    config: ExperimentConfig
     rows: list[dict]
     log_paths: list[str]
     csv_path: str
@@ -150,7 +155,7 @@ def _run_single(
 ) -> RoundLog:
     if model == "udg":
         return run_udg_flood(fld, on_round=on_round)
-    config = BroadcastConfig(model.upper(), cfg.schedule(model, fld.n), cfg.params)
+    config = BroadcastConfig(model, cfg.schedule(model, fld.n), cfg.params)
     driver = run_expanding_disk if model == "snr" else run_miso_broadcast
     return driver(fld, config, on_round=on_round)
 
@@ -211,9 +216,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             raise OSError(f"writing round log {path}: {exc}") from exc
         return _summary_row(cfg, model, n, seed, log), None
 
-    result = ExperimentResult(cfg, [], [], os.path.join(cfg.output_dir, "summary.csv"))
+    result = ExperimentResult([], [], os.path.join(cfg.output_dir, "summary.csv"))
     lines = [CSV_HEADER]
-    with ThreadPoolExecutor(max_workers=max(1, cfg.workers)) as pool:
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         # In job order; the first log that cannot be written raises here and
         # cancels the jobs not yet started.
         for job, (row, error) in zip(jobs, pool.map(work, jobs)):
@@ -261,21 +266,23 @@ def fit_scaling(points, transform: str = "loglog") -> ScalingFit:
     return ScalingFit(slope=float(slope), intercept=float(intercept), r_squared=r_squared)
 
 
-def emit_fieldmaps(
-    cfg: ExperimentConfig, model: str, field_: NodeField, grid: GridSpec
-) -> list[str]:
+def emit_fieldmaps(cfg: ExperimentConfig, model: str, field_: NodeField, cells: int) -> list[str]:
     """Run ``model`` on ``field_`` and write one PGM map per round to
-    ``cfg.output_dir``: the field of that round's senders, with their phases.
-    UDG rounds, a MISO run's bootstrap too, map unit-disk coverage
-    (``round_<k>_udg.pgm``); SNR and MIMO rounds map received energy
-    against beta N0.  A run that raises writes no map."""
+    ``cfg.output_dir``: the field of that round's senders, with their phases,
+    on ``cells`` x ``cells`` cells over the square of half-width 1.05 R about
+    the origin.  UDG rounds, a MISO run's bootstrap too, map unit-disk
+    coverage (``round_<k>_udg.pgm``); SNR and MIMO rounds map received
+    energy against beta N0.  A run that raises writes no map."""
+    if cells < 1:
+        raise ValueError(f"a map needs at least one cell per axis, got {cells}")
     maps = {}  # path -> PGM text, written once the run returns
+    half_width = field_.R * 1.05
 
     def draw(record, round_model, senders):
-        fmap = field_map(senders, grid, cfg.params, model=round_model)
-        threshold = 1.0 if round_model == "UDG" else cfg.params.beta_N0
-        name = f"round_{record.round_index}_{round_model.lower()}.pgm"
-        maps[os.path.join(cfg.output_dir, name)] = fmap.to_pgm(threshold=threshold)
+        values = field_map(senders, half_width, cells, cfg.params, round_model)
+        threshold = 1.0 if round_model == "udg" else cfg.params.beta_N0
+        name = f"round_{record.round_index}_{round_model}.pgm"
+        maps[os.path.join(cfg.output_dir, name)] = to_pgm(values, threshold)
 
     _run_single(cfg, model, field_, on_round=draw)
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -319,7 +326,7 @@ def calibrate_c1(cfg: ExperimentConfig, success_rate: float = 0.99) -> float:
             for cand, radii in by_candidate.items():
                 if radii not in succeeded:
                     try:
-                        log = run_miso_broadcast(fld, BroadcastConfig("MIMO", radii, cfg.params))
+                        log = run_miso_broadcast(fld, BroadcastConfig("mimo", radii, cfg.params))
                     except BootstrapFailure:
                         succeeded[radii] = False
                     else:

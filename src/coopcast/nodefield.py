@@ -20,7 +20,6 @@ class NodeField:
 
     positions: np.ndarray  # (n, 2) float64
     R: float
-    seed: int
     radii: np.ndarray = field(init=False, repr=False, compare=False)  # (n,) |positions|
 
     def __post_init__(self):
@@ -60,4 +59,4 @@ def sample_field(n: int, R: float, seed: int) -> NodeField:
     pos[0] = 0.0
     np.multiply(r, np.cos(theta), out=pos[1:, 0])
     np.multiply(r, np.sin(theta, out=theta), out=pos[1:, 1])
-    return NodeField(positions=pos, R=R, seed=seed)
+    return NodeField(positions=pos, R=R)

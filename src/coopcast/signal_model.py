@@ -33,6 +33,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 __all__ = [
+    "MODELS",
     "SignalParams",
     "SenderSet",
     "center_sync_phases",
@@ -41,10 +42,12 @@ __all__ = [
     "mimo_amplitude_bounds",
     "snr_received_energy",
     "snr_level_bounds",
-    "FieldMap",
-    "GridSpec",
     "field_map",
+    "to_pgm",
 ]
+
+#: The three reception models, as a broadcast, a job and the CLI name them.
+MODELS = ("udg", "snr", "mimo")
 
 # Bytes of work arrays per block of a reception kernel or screen.  _blocks
 # divides it by the bytes per pair of a stage's work arrays, so temporaries
@@ -435,56 +438,29 @@ def snr_level_bounds(
     return lower * (1.0 - tol), upper * (1.0 + tol)
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    xmin: float
-    xmax: float
-    ymin: float
-    ymax: float
-    nx: int
-    ny: int
-
-    def __post_init__(self):
-        if self.nx < 1 or self.ny < 1:
-            raise ValueError("grid must have at least one cell per axis")
-        if self.xmax <= self.xmin or self.ymax <= self.ymin:
-            raise ValueError("grid bounds must be nonempty")
-
-    def centers(self) -> tuple[np.ndarray, np.ndarray]:
-        xs = self.xmin + (np.arange(self.nx) + 0.5) * (self.xmax - self.xmin) / self.nx
-        ys = self.ymin + (np.arange(self.ny) + 0.5) * (self.ymax - self.ymin) / self.ny
-        return xs, ys
-
-
-@dataclass(frozen=True)
-class FieldMap:
-    """Row-major matrix of |z|^2, RS or unit-disk coverage (1 or 0) values at
-    grid cell centers."""
-
-    grid: GridSpec
-    values: np.ndarray  # (ny, nx)
-
-    def to_pgm(self, threshold: float) -> str:
-        """Plain (P2) 8-bit PGM, value = round(255 * min(1, v / threshold))."""
-        scaled = np.round(255.0 * np.minimum(1.0, self.values / threshold)).astype(int)
-        rows = [" ".join(str(v) for v in row) for row in scaled]
-        return f"P2\n{self.grid.nx} {self.grid.ny}\n255\n" + "\n".join(rows) + "\n"
-
-
 def field_map(
-    senders: SenderSet, grid: GridSpec, params: SignalParams, model: str = "MIMO"
-) -> FieldMap:
-    """Sample |z|^2 (MIMO), RS (SNR) or unit-disk coverage (UDG: 1 within
-    distance 1 of a sender, else 0) at every grid cell center."""
-    if model not in ("MIMO", "SNR", "UDG"):
-        raise ValueError(f"model must be MIMO, SNR or UDG, got {model!r}")
-    xs, ys = grid.centers()
-    X, Y = np.meshgrid(xs, ys)
+    senders: SenderSet, half_width: float, cells: int, params: SignalParams, model: str
+) -> np.ndarray:
+    """The (cells, cells) row-major map of |z|^2 (mimo), RS (snr) or unit-disk
+    coverage (udg: 1 within distance 1 of a sender, else 0) at the cell
+    centers of the square of half-width ``half_width`` about the origin."""
+    if model not in MODELS:
+        raise ValueError(f"model must be one of {'/'.join(MODELS)}, got {model!r}")
+    xs = -half_width + (np.arange(cells) + 0.5) * (2.0 * half_width) / cells
+    X, Y = np.meshgrid(xs, xs)
     pts = np.column_stack([X.ravel(), Y.ravel()])
-    if model == "UDG":
+    if model == "udg":
         vals = (nearest_sender_distance(senders, pts, udg=True) <= 1.0).astype(float)
-    elif model == "SNR":
+    elif model == "snr":
         vals = snr_received_energy(senders, pts, params)
     else:
         vals = np.abs(received_phasor(senders, pts, params)) ** 2
-    return FieldMap(grid=grid, values=vals.reshape(grid.ny, grid.nx))
+    return vals.reshape(cells, cells)
+
+
+def to_pgm(values: np.ndarray, threshold: float) -> str:
+    """Plain (P2) 8-bit PGM of a map, value = round(255 * min(1, v / threshold))."""
+    scaled = np.round(255.0 * np.minimum(1.0, values / threshold)).astype(int)
+    rows = [" ".join(str(v) for v in row) for row in scaled]
+    ny, nx = values.shape
+    return f"P2\n{nx} {ny}\n255\n" + "\n".join(rows) + "\n"

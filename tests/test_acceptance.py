@@ -51,8 +51,8 @@ def test_criterion_01_model_equivalence():
         offsets = rng.uniform(-2.0, 2.0, (100, 2))
         receivers = sender + offsets
         senders = SenderSet.build(sender[None, :])
-        mimo = informs("MIMO", senders, receivers, params)[0]
-        snr = informs("SNR", senders, receivers, params)[0]
+        mimo = informs("mimo", senders, receivers, params)[0]
+        snr = informs("snr", senders, receivers, params)[0]
         udg = np.hypot(offsets[:, 0], offsets[:, 1]) <= 1.0
         disagreements += int(np.sum(mimo != udg) + np.sum(snr != udg))
         total += receivers.shape[0]
@@ -62,9 +62,9 @@ def test_criterion_01_model_equivalence():
         q = sender + rng.uniform(-2.0, 2.0, 2)
         senders = SenderSet.build(sender[None, :])
         agree = (
-            informs("UDG", senders, [q], params)[0][0]
-            == informs("MIMO", senders, [q], params)[0][0]
-            == informs("SNR", senders, [q], params)[0][0]
+            informs("udg", senders, [q], params)[0][0]
+            == informs("mimo", senders, [q], params)[0][0]
+            == informs("snr", senders, [q], params)[0][0]
         )
         disagreements += int(not agree)
     elapsed = time.monotonic() - t0
@@ -236,7 +236,7 @@ def test_criterion_06_snr_expanding_disk_guarantee():
     schedule = snr_upper_schedule(rho, radius).radii
     params = SignalParams(lam=0.1, beta_N0=1.0)
     config = BroadcastConfig(
-        model="SNR",
+        model="snr",
         radius_schedule=tuple(schedule), params=params,
     )
     predicted = len(schedule)
@@ -284,7 +284,7 @@ def test_criterion_07_mimo_trigger_reliability():
             rng = np.random.Generator(np.random.Philox(key=107, counter=3 * k + i))
             ang = rng.uniform(0.0, 2.0 * np.pi, 100)
             receivers = d * np.column_stack([np.cos(ang), np.sin(ang)])
-            rate = float(np.mean(informs("MIMO", senders, receivers, params)[0]))
+            rate = float(np.mean(informs("mimo", senders, receivers, params)[0]))
             worst_rate = min(worst_rate, rate)
     elapsed = time.monotonic() - t0
     ok = worst_rate >= 0.99 and elapsed < 180.0
@@ -301,7 +301,7 @@ def test_criterion_08_mimo_round_growth():
     cfg = ExperimentConfig(models=("mimo",), node_counts=(n,), density=n / (900.0 * math.pi),
                            params=params, c1=12.0, c2=0.02)
     assert cfg.radius_for(n) == 30.0
-    config = BroadcastConfig(model="MIMO", radius_schedule=cfg.schedule("mimo", n), params=params)
+    config = BroadcastConfig(model="mimo", radius_schedule=cfg.schedule("mimo", n), params=params)
     ok = True
     worst_rounds = 0
     for seed in range(5):

@@ -20,6 +20,7 @@ from coopcast.broadcast import (
 )
 from coopcast.nodefield import NodeField, sample_field
 from coopcast.signal_model import (
+    MODELS,
     SenderSet,
     SignalParams,
     center_sync_phases,
@@ -34,7 +35,7 @@ def _miso(fld, c1, c2):
     """A MISO broadcast's config on ``fld`` at lam = 0.1: the schedule at the
     field's own density and radius."""
     radii = miso_upper_schedule(fld.n / (math.pi * fld.R**2), 0.1, c1, c2, fld.R).radii
-    return BroadcastConfig("MIMO", tuple(radii), SignalParams(lam=0.1))
+    return BroadcastConfig("mimo", tuple(radii), SignalParams(lam=0.1))
 
 
 def _receive(fld, active, candidates, config):
@@ -111,7 +112,7 @@ def test_informed_set_monotone_and_rounds_connected():
 
 def test_udg_flood_long_chain_has_no_round_cap():
     positions = np.column_stack([0.9 * np.arange(300), np.zeros(300)])
-    log = run_udg_flood(NodeField(positions=positions, R=270.0, seed=0))
+    log = run_udg_flood(NodeField(positions=positions, R=270.0))
     assert log.total_rounds == 299
     assert log.fully_informed
     assert log.propagation_time == pytest.approx(299 * 0.9)
@@ -119,7 +120,7 @@ def test_udg_flood_long_chain_has_no_round_cap():
 
 def test_udg_reception_includes_distance_one():
     positions = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    log = run_udg_flood(NodeField(positions=positions, R=2.0, seed=0))
+    log = run_udg_flood(NodeField(positions=positions, R=2.0))
     assert [rec.newly_informed.tolist() for rec in log.rounds] == [[1], [2]]
     assert log.fully_informed
     assert log.propagation_time == 2.0
@@ -130,7 +131,7 @@ def test_udg_reach_filter_keeps_a_node_at_distance_one_past_the_farthest_sender(
     # sender's ray at distance exactly 1 from it, on the reach bound itself,
     # and node 4 at distance exactly 1 from the nearer sender.
     positions = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, -1.0], [0.0, -2.0], [1.5, 0.0]])
-    log = run_udg_flood(NodeField(positions=positions, R=2.0, seed=0))
+    log = run_udg_flood(NodeField(positions=positions, R=2.0))
     assert [rec.newly_informed.tolist() for rec in log.rounds] == [[1, 2], [3, 4]]
     assert [rec.receivers for rec in log.rounds] == [2, 2]
     assert log.fully_informed and log.propagation_time == 2.0
@@ -185,30 +186,30 @@ def test_udg_reach_filter_matches_unfiltered_flood(n, seed, restrict):
 
 def test_informs_takes_the_three_model_names_only():
     senders = SenderSet.build([[0.0, 0.0]])
-    for model in ("udg", "mimo", "SIMO"):
+    for model in ("UDG", "MIMO", "SIMO"):
         with pytest.raises(ValueError, match="unknown model"):
             broadcast.informs(model, senders, [(1.0, 0.0)], PARAMS)
-    hit, d_newly, pairs = broadcast.informs("UDG", senders, [(1.0, 0.0), (1.5, 0.0)], PARAMS)
+    hit, d_newly, pairs = broadcast.informs("udg", senders, [(1.0, 0.0), (1.5, 0.0)], PARAMS)
     assert hit.tolist() == [True, False] and d_newly.tolist() == [1.0] and pairs == 0
 
 
 def test_expanding_disk_requires_schedule():
     fld = sample_field(50, 2.0, seed=7)
     with pytest.raises(ValueError):
-        run_expanding_disk(fld, BroadcastConfig(model="SNR", params=PARAMS))
+        run_expanding_disk(fld, BroadcastConfig(model="snr", params=PARAMS))
     with pytest.raises(ValueError):
-        BroadcastConfig(model="SNR", radius_schedule=(2.0, 1.0))
+        BroadcastConfig(model="snr", radius_schedule=(2.0, 1.0))
     # A NaN radius compares false both ways: not increasing, and rejected.
     for radii in [(float("nan"),), (1.0, float("nan")), (float("nan"), 1.0)]:
         with pytest.raises(ValueError, match="NaN"):
-            BroadcastConfig(model="MIMO", radius_schedule=radii)
+            BroadcastConfig(model="mimo", radius_schedule=radii)
 
 
 def test_miso_broadcast_takes_a_mimo_schedule():
     # The driver's bootstrap disk is the schedule's first radius: it needs
     # one, and it runs MIMO rounds only.
     fld = sample_field(50, 2.0, seed=7)
-    for config in (BroadcastConfig(model="MIMO"), BroadcastConfig("SNR", (1.0, 2.0))):
+    for config in (BroadcastConfig(model="mimo"), BroadcastConfig("snr", (1.0, 2.0))):
         with pytest.raises(ValueError, match="MIMO config with a radius schedule"):
             run_miso_broadcast(fld, config)
 
@@ -217,12 +218,12 @@ def test_only_udg_floods():
     # A UDG config takes no schedule; an SNR or MIMO config without one runs
     # no round, where a flood would inform this dense field.
     with pytest.raises(ValueError):
-        BroadcastConfig(model="UDG", radius_schedule=(1.0, 2.0))
+        BroadcastConfig(model="udg", radius_schedule=(1.0, 2.0))
     with pytest.raises(TypeError):
         BroadcastConfig()
     fld = sample_field(300, 2.0, seed=7)
     assert run_udg_flood(fld).fully_informed
-    for model in ("SNR", "MIMO"):
+    for model in ("snr", "mimo"):
         config = BroadcastConfig(model=model, params=PARAMS)
         log = broadcast._run_rounds(fld, config, broadcast._origin_informed(fld))
         assert log.rounds == [] and log.total_rounds == 0
@@ -232,7 +233,7 @@ def test_only_udg_floods():
 def test_expanding_disk_senders_restricted():
     fld = sample_field(2000, 5.0, seed=7)
     cfg = BroadcastConfig(
-        model="SNR",
+        model="snr",
         radius_schedule=(1.0, 2.0, 4.0, 8.0),
         params=PARAMS,
     )
@@ -252,12 +253,12 @@ def test_destructive_interference_beats_pair():
     # In round 2 (r_2 = 1.5) the center and the relay give the receiver
     # |z|^2 = 2.75; a spoiler at (0.3, -0.5), also informed in round 1, pulls
     # it down to 0.54.
-    config = BroadcastConfig(model="MIMO", radius_schedule=(1.0, 1.5), params=PARAMS)
+    config = BroadcastConfig(model="mimo", radius_schedule=(1.0, 1.5), params=PARAMS)
     base = np.array([[0.0, 0.0], [0.3, -0.6], [1.05, 0.0]])
-    lone = run_expanding_disk(NodeField(positions=base, R=2.0, seed=0), config)
+    lone = run_expanding_disk(NodeField(positions=base, R=2.0), config)
     assert [rec.newly_informed.tolist() for rec in lone.rounds] == [[1], [2]]
     spoiled = np.vstack([base, [0.3, -0.5]])
-    both = run_expanding_disk(NodeField(positions=spoiled, R=2.0, seed=0), config)
+    both = run_expanding_disk(NodeField(positions=spoiled, R=2.0), config)
     assert [rec.newly_informed.tolist() for rec in both.rounds] == [[1, 3], []]
     assert not both.fully_informed
 
@@ -297,7 +298,7 @@ def test_round_log_json_matches_json_dumps(monkeypatch):
     udg = run_udg_flood(sample_field(1000, 3.0, seed=4))
     # Round 1 sends from the origin alone and informs the nodes within 1;
     # round 2 sends from the same origin and informs nobody.
-    config = BroadcastConfig(model="SNR", radius_schedule=(1e-9, 2e-9, 1.0, 16.0))
+    config = BroadcastConfig(model="snr", radius_schedule=(1e-9, 2e-9, 1.0, 16.0))
     snr = run_expanding_disk(fld, config)
     miso = run_miso_broadcast(fld, _miso(fld, c1=12.0, c2=0.02))
     assert [] in [rec.newly_informed.tolist() for rec in snr.rounds]
@@ -317,7 +318,7 @@ def test_miso_bootstrap_failure():
     # A sparse wide field cannot flood its bootstrap disk hop by hop.
     rng = np.random.Generator(np.random.Philox(21))
     pos = np.vstack([[0.0, 0.0], rng.uniform(5.0, 8.0, size=(5, 2))])
-    fld = NodeField(positions=pos, R=12.0, seed=0)
+    fld = NodeField(positions=pos, R=12.0)
     # c2 = 0.1 puts the whole field inside the bootstrap disk (radius 15),
     # and every node sits more than one hop from the origin.
     with pytest.raises(BootstrapFailure):
@@ -350,7 +351,7 @@ def test_reception_memory_bounded_by_pair_budget(monkeypatch):
     # stays near one block's work arrays, and the informed set and travel
     # distance do not change.
     fld = sample_field(3600, 6.0, seed=3)
-    config = BroadcastConfig(model="MIMO", params=PARAMS)
+    config = BroadcastConfig(model="mimo", params=PARAMS)
     active, candidates = np.arange(600), np.arange(600, 3600)
     monkeypatch.setattr(signal_model, "_BLOCK_BYTES", 32 * active.size * candidates.size)
     whole = _receive(fld, active, candidates, config)
@@ -367,7 +368,7 @@ def test_reception_memory_bounded_by_pair_budget(monkeypatch):
     assert pairs == whole[2] == active.size * candidates.size
 
 
-@pytest.mark.parametrize("model", ["UDG", "SNR", "MIMO"])
+@pytest.mark.parametrize("model", MODELS, ids=str.upper)
 def test_nearest_sender_queries_only_what_a_round_needs(monkeypatch, model):
     # Under SNR and MIMO the screens and kernels decide without distances:
     # the kd-tree sees exactly each round's newly informed receivers, for
@@ -381,7 +382,7 @@ def test_nearest_sender_queries_only_what_a_round_needs(monkeypatch, model):
         return signal_model.nearest_sender_distance(senders, q, udg)
 
     monkeypatch.setattr(broadcast, "nearest_sender_distance", spied)
-    if model == "UDG":
+    if model == "udg":
         fld = sample_field(150, 5.0, seed=7)  # sparse: the flood stalls
         log = run_udg_flood(fld)
         assert not log.fully_informed
@@ -390,7 +391,7 @@ def test_nearest_sender_queries_only_what_a_round_needs(monkeypatch, model):
         log = run_expanding_disk(fld, config)
     monkeypatch.undo()
     newly = [rec.newly_informed for rec in log.rounds]
-    if model == "UDG":
+    if model == "udg":
         radii, informed, expected = fld.radii, np.zeros(fld.n, dtype=bool), []
         informed[0], senders = True, np.array([0])
         for nodes in [*newly, None]:
@@ -450,7 +451,7 @@ def test_mimo_receive_informs_center_synced_reference(monkeypatch, seed):
     ordered = np.sort(level)
     thresholds = [1.0] + [float(ordered[int(q * (ordered.size - 1))]) for q in (0.1, 0.5, 0.9)]
     for beta in thresholds:
-        config = BroadcastConfig(model="MIMO", params=SignalParams(beta_N0=beta))
+        config = BroadcastConfig(model="mimo", params=SignalParams(beta_N0=beta))
         kernel_rows = _kernel_receivers(monkeypatch)
         tier64_rows = _tier64_receivers(monkeypatch)
         newly, _, pairs = _receive(fld, active, candidates, config)
@@ -492,7 +493,7 @@ def _reference_snr_receive(fld, active, candidates, params):
 
 
 def _assert_snr_receive_matches(monkeypatch, fld, active, candidates, params):
-    config = BroadcastConfig(model="SNR", params=params)
+    config = BroadcastConfig(model="snr", params=params)
     seen = _count_snr_pairs(monkeypatch)
     newly, travel, pairs = _receive(fld, active, candidates, config)
     monkeypatch.undo()
@@ -540,7 +541,7 @@ def test_snr_bounds_inside_the_near_field_clamp(monkeypatch, seed):
         _assert_snr_receive_matches(monkeypatch, fld, active, candidates, params)
     newly, _, _ = _receive(
         fld, active, candidates,
-        BroadcastConfig(model="SNR", params=SignalParams(lam=0.5, beta_N0=20.0))
+        BroadcastConfig(model="snr", params=SignalParams(lam=0.5, beta_N0=20.0))
     )
     assert newly.tolist() == candidates.tolist()
 
@@ -548,9 +549,9 @@ def test_snr_bounds_inside_the_near_field_clamp(monkeypatch, seed):
 def test_snr_level_exactly_on_threshold_informs(monkeypatch):
     # One sender at distance exactly 1 with beta N0 = 1: the level is 1.0,
     # no bound can decide it, and the kernel's inclusive test informs.
-    fld = NodeField(positions=np.array([[0.0, 0.0], [1.0, 0.0]]), R=1.0, seed=0)
+    fld = NodeField(positions=np.array([[0.0, 0.0], [1.0, 0.0]]), R=1.0)
     seen = _count_snr_pairs(monkeypatch)
-    config = BroadcastConfig(model="SNR", radius_schedule=(1.0,), params=SignalParams(beta_N0=1.0))
+    config = BroadcastConfig(model="snr", radius_schedule=(1.0,), params=SignalParams(beta_N0=1.0))
     log = run_expanding_disk(fld, config)
     assert [rec.newly_informed.tolist() for rec in log.rounds] == [[1]]
     assert log.fully_informed and log.propagation_time == 1.0
@@ -561,13 +562,13 @@ def test_round_telemetry_counts_receivers_and_kernel_pairs(monkeypatch):
     fld = sample_field(2000, 5.0, seed=7)
     seen = _count_snr_pairs(monkeypatch)
     cfg = BroadcastConfig(
-        model="SNR", radius_schedule=(1.0, 2.0, 4.0, 8.0),
+        model="snr", radius_schedule=(1.0, 2.0, 4.0, 8.0),
         params=PARAMS,
     )
     snr = run_expanding_disk(fld, cfg)
     assert sum(rec.pairs_evaluated for rec in snr.rounds) == sum(seen)
     mimo = run_expanding_disk(
-        fld, BroadcastConfig(model="MIMO", radius_schedule=(1, 2, 4, 8), params=PARAMS)
+        fld, BroadcastConfig(model="mimo", radius_schedule=(1, 2, 4, 8), params=PARAMS)
     )
     udg = run_udg_flood(fld)
     radii = fld.radii

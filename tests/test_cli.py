@@ -27,7 +27,7 @@ def built_config(monkeypatch):
 
     def fake_run_experiment(cfg):
         configs.append(cfg)
-        return ExperimentResult(cfg, [], [], "summary.csv")
+        return ExperimentResult([], [], "summary.csv")
 
     def fake_run_single(cfg, model, fld, on_round=None):
         configs.append(cfg)
@@ -242,9 +242,9 @@ def drawn(monkeypatch):
     calls = []
     field_map = experiments.field_map
 
-    def spy(senders, grid, params, model):
+    def spy(senders, half_width, cells, params, model):
         calls.append((model, senders))
-        return field_map(senders, grid, params, model)
+        return field_map(senders, half_width, cells, params, model)
 
     monkeypatch.setattr(experiments, "field_map", spy)
     return calls
@@ -265,14 +265,14 @@ def test_miso_fieldmap_draws_the_senders_the_kernel_received(tmp_path, monkeypat
     out = tmp_path / "maps"
     assert main([*MISO_FIELDMAP, "--n", "1000", "--seed", "0", "--output-dir", str(out)]) == 0
     models = [model for model, _ in drawn]
-    bootstrap = models.count("UDG")
-    assert bootstrap > 0 and models == ["UDG"] * bootstrap + ["MIMO"] * len(received)
+    bootstrap = models.count("udg")
+    assert bootstrap > 0 and models == ["udg"] * bootstrap + ["mimo"] * len(received)
     for (_, senders), sent in zip(drawn[bootstrap:], received):
         np.testing.assert_array_equal(senders.positions, sent.positions)
         np.testing.assert_array_equal(senders.phases, sent.phases)
         assert np.any(sent.phases != 0.0)  # center-synchronized, not zero phase
     assert sorted(os.listdir(out)) == sorted(
-        f"round_{k}_{model.lower()}.pgm" for k, model in enumerate(models, start=1)
+        f"round_{k}_{model}.pgm" for k, model in enumerate(models, start=1)
     )
 
 
@@ -280,7 +280,7 @@ def test_fieldmap_of_a_failed_bootstrap_writes_no_maps(tmp_path, drawn, capsys):
     out = tmp_path / "maps"
     assert main([*MISO_FIELDMAP, "--n", "2000", "--seed", "3", "--output-dir", str(out)]) == 1
     assert "FAILED" in capsys.readouterr().err
-    assert drawn and {model for model, _ in drawn} == {"UDG"}  # bootstrap rounds ran
+    assert drawn and {model for model, _ in drawn} == {"udg"}  # bootstrap rounds ran
     assert not out.exists()
 
 
@@ -381,6 +381,29 @@ def test_nonfinite_or_nonpositive_setting_is_usage_error(tmp_path, capsys, flags
     argv = ["simulate", "--node-counts", "64", "--seeds", "0", *flags, "--output-dir", str(out)]
     assert main(argv) == 2
     assert "must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_fewer_than_one_worker_is_a_usage_error(tmp_path, capsys, workers):
+    out = tmp_path / "out"
+    assert main(["simulate", "--workers", workers, "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: workers must be at least 1, got {workers}\n"
+    assert not out.exists()
+
+
+def test_workers_default_to_the_usable_cpus(built_config, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert built_config(["simulate"]).workers == 3
+
+
+@pytest.mark.parametrize("cells", ["0", "-1"])
+def test_fieldmap_without_cells_is_a_usage_error(tmp_path, capsys, cells):
+    out = tmp_path / "out"
+    assert main([*FIELDMAP, "--grid", cells, "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: a map needs at least one cell per axis, got {cells}\n"
+    )
     assert not out.exists()
 
 

@@ -24,7 +24,7 @@ from coopcast.experiments import (
     run_experiment,
 )
 from coopcast.nodefield import sample_field
-from coopcast.signal_model import GridSpec, SenderSet, SignalParams, field_map
+from coopcast.signal_model import SenderSet, SignalParams, field_map, to_pgm
 
 
 def _small_config(tmp_path, **overrides):
@@ -288,8 +288,7 @@ def test_emit_fieldmaps(tmp_path):
         models=("snr",), node_counts=(300,), density=32.0, output_dir=str(tmp_path)
     )
     fld = sample_field(300, cfg.radius_for(300), seed=5)
-    grid = GridSpec(-2.0, 2.0, -2.0, 2.0, 16, 16)
-    paths = emit_fieldmaps(cfg, "snr", fld, grid)
+    paths = emit_fieldmaps(cfg, "snr", fld, 16)
     log = _run_single(cfg, "snr", fld)
     assert log.total_rounds > 1
     assert [os.path.basename(p) for p in paths] == [
@@ -299,9 +298,9 @@ def test_emit_fieldmaps(tmp_path):
     informed[0] = True
     for rec, path in zip(log.rounds, paths):
         senders = SenderSet.build(fld.positions[informed & (fld.radii <= rec.disk_radius_r_j)])
-        fmap = field_map(senders, grid, cfg.params, model="SNR")
+        values = field_map(senders, 1.05 * fld.R, 16, cfg.params, "snr")
         with open(path) as fh:
-            assert fh.read() == fmap.to_pgm(threshold=cfg.params.beta_N0)
+            assert fh.read() == to_pgm(values, threshold=cfg.params.beta_N0)
         informed[rec.newly_informed] = True
 
 
@@ -378,24 +377,29 @@ def test_calibrate_c1_runs_each_distinct_schedule_once(monkeypatch):
     # most of the 20 candidates share one: each candidate's schedule is
     # computed once, 20 in all, each field runs each distinct schedule once,
     # and the result is the one pinned above.
-    computed, runs, fields = [], [], {}
-    schedule = experiments.miso_upper_schedule
+    computed, runs, seed_of = [], [], {}
+    schedule, sample = experiments.miso_upper_schedule, experiments.sample_field
 
     def counted_schedule(*args):
         computed.append(args)
         return schedule(*args)
 
+    def sampled(n, R, seed):
+        fld = sample(n, R, seed)
+        seed_of[id(fld)] = seed
+        return fld
+
     def counted(fld, config, on_round=None):
-        runs.append((fld.seed, config.radius_schedule))
-        fields[fld.seed] = fld
+        runs.append((seed_of[id(fld)], config.radius_schedule))
         return run_miso_broadcast(fld, config, on_round)
 
     monkeypatch.setattr(experiments, "miso_upper_schedule", counted_schedule)
+    monkeypatch.setattr(experiments, "sample_field", sampled)
     monkeypatch.setattr(experiments, "run_miso_broadcast", counted)
     seeds = (0, 1, 2, 3)
     cfg = _c08_config(400, seeds)
     c1 = calibrate_c1(cfg, success_rate=0.75)
-    assert c1 == 32.0 and sorted(fields) == list(seeds)
+    assert c1 == 32.0 and sorted({seed for seed, _ in runs}) == list(seeds)
     assert len(computed) == 20
     distinct = {replace(cfg, c1=cand).schedule("mimo", 400) for cand in C1_CANDIDATES}
     assert len(runs) == len(set(runs)) == len(distinct) * len(seeds) < 20 * len(seeds)

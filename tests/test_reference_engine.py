@@ -48,7 +48,7 @@ def _level(model, pos, q, params):
     dist = np.hypot(diff[..., 0], diff[..., 1])
     dclamp = np.maximum(dist, params.c_f * params.lam)
     amp = np.ones(len(pos))
-    if model == "SNR":
+    if model == "snr":
         return (amp**2 / dclamp**2).sum(axis=1)
     phases = SenderSet.build(pos, phases=center_sync_phases(pos, params.lam)).phases
     z = ((amp / dclamp) * np.exp(1j * (-2.0 * np.pi * dist / params.lam + phases))).sum(axis=1)
@@ -60,7 +60,7 @@ def _reference_rounds(fld, model, schedule, params, informed, eligible, levels=N
     travel) triples, and whether the schedule ran out with nodes left.  Each
     SNR or MIMO round's candidate levels are appended to ``levels``."""
     radii, pos = fld.radii, fld.positions
-    flood = model == "UDG"
+    flood = model == "udg"
     newly = np.flatnonzero(informed)
     rounds = []
     for r_j in itertools.repeat(None) if flood else schedule:
@@ -99,7 +99,7 @@ def _reference_udg(fld, restrict_radius=None):
         eligible = fld.radii <= restrict_radius
         eligible[0] = True
     informed = _origin(fld)
-    rounds, exhausted = _reference_rounds(fld, "UDG", None, None, informed, eligible)
+    rounds, exhausted = _reference_rounds(fld, "udg", None, None, informed, eligible)
     return rounds, exhausted, bool(np.all(informed[eligible]))
 
 
@@ -166,7 +166,7 @@ def test_udg_flood_matches_the_reference(case, restrict_radius):
 @settings(max_examples=120, deadline=None)
 @given(
     _cases(),
-    st.sampled_from(["SNR", "MIMO"]),
+    st.sampled_from(["snr", "mimo"]),
     st.lists(st.floats(0.0, 10.0), min_size=1, max_size=6, unique=True),
 )
 def test_expanding_disk_matches_the_reference(case, model, radii):
@@ -191,8 +191,8 @@ def test_miso_broadcast_matches_the_reference(case, log2_c1, bootstrap):
     bootstrapped = fld.radii <= schedule[0]
     bootstrapped[0] = True
     if pick is not None:
-        params = _on_a_level(fld, "MIMO", schedule, params, pick, bootstrapped.copy())
-    config = BroadcastConfig(model="MIMO", radius_schedule=schedule, params=params)
+        params = _on_a_level(fld, "mimo", schedule, params, pick, bootstrapped.copy())
+    config = BroadcastConfig(model="mimo", radius_schedule=schedule, params=params)
     phase1, _, covered = _reference_udg(fld, schedule[0])
     if not covered:
         with pytest.raises(BootstrapFailure):
@@ -200,7 +200,7 @@ def test_miso_broadcast_matches_the_reference(case, log2_c1, bootstrap):
         return
     log = _run(block_bytes, run_miso_broadcast, fld, config)
     informed = bootstrapped
-    phase2, exhausted, fully = _reference_disk(fld, "MIMO", schedule, params, informed)
+    phase2, exhausted, fully = _reference_disk(fld, "mimo", schedule, params, informed)
     _assert_log_matches(
         log, phase1 + phase2, exhausted, fully, phases=(len(phase1), len(phase2))
     )

@@ -8,7 +8,6 @@ import pytest
 from coopcast import signal_model
 from coopcast.broadcast import informs
 from coopcast.signal_model import (
-    GridSpec,
     SenderSet,
     SignalParams,
     center_sync_phases,
@@ -18,6 +17,7 @@ from coopcast.signal_model import (
     received_phasor,
     snr_level_bounds,
     snr_received_energy,
+    to_pgm,
 )
 
 PARAMS = SignalParams()  # lam=0.1, beta_N0=1, c_f=2
@@ -163,7 +163,7 @@ def test_model_equivalence_single_sender():
         udg = bool(np.hypot(*(q[0] - p)) <= 1.0)
         assert (np.abs(received_phasor(s, q, PARAMS)) ** 2 >= PARAMS.beta_N0)[0] == udg
         assert (snr_received_energy(s, q, PARAMS) >= PARAMS.beta_N0)[0] == udg
-        for model in ("UDG", "SNR", "MIMO"):
+        for model in ("udg", "snr", "mimo"):
             assert informs(model, s, q, PARAMS)[0].tolist() == [udg]
 
 
@@ -187,7 +187,7 @@ def test_destructive_pair():
     power_single = abs(received_phasor(s1, q, PARAMS)[0]) ** 2
     assert power_single > 0.9
     assert power_pair < 0.01
-    assert informs("MIMO", s1, q, PARAMS)[0].tolist() == [False]  # 1/1.025 < 1 amplitude
+    assert informs("mimo", s1, q, PARAMS)[0].tolist() == [False]  # 1/1.025 < 1 amplitude
     assert snr_received_energy(s2, q, PARAMS)[0] > power_pair
 
 
@@ -272,15 +272,11 @@ def test_expected_phasor_integral_converges():
         expected_phasor_integral(20.0, 3.0)
 
 
-def test_grid_spec_and_single_cell():
-    grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 1, 1)
-    xs, ys = grid.centers()
-    assert xs.tolist() == [0.0] and ys.tolist() == [0.0]
-    fmap = field_map(SenderSet.build([[0.5, 0.0]]), grid, PARAMS, model="SNR")
-    assert fmap.values.shape == (1, 1)
-    assert fmap.values[0, 0] == pytest.approx(1.0 / 0.5**2)
-    with pytest.raises(ValueError):
-        GridSpec(1.0, -1.0, 0.0, 1.0, 4, 4)
+def test_single_cell_field_map():
+    # One cell: its center is the origin.
+    values = field_map(SenderSet.build([[0.5, 0.0]]), 1.0, 1, PARAMS, "snr")
+    assert values.shape == (1, 1)
+    assert values[0, 0] == pytest.approx(1.0 / 0.5**2)
 
 
 def test_field_map_angular_contrast():
@@ -298,19 +294,19 @@ def test_field_map_angular_contrast():
 
 
 def test_field_map_udg_coverage():
-    # Cell centers at x = 0, 1, 2 on the axis: distance exactly 1 is covered.
-    grid = GridSpec(-0.5, 2.5, -0.5, 0.5, 3, 1)
-    fmap = field_map(SenderSet.build([[0.0, 0.0]]), grid, PARAMS, model="UDG")
-    assert fmap.values.tolist() == [[1.0, 1.0, 0.0]]
-    assert fmap.to_pgm(threshold=1.0).splitlines()[-1] == "255 255 0"
+    # Cell centers at -1, 0 and 1 on each axis: distance exactly 1 is
+    # covered, the corners at sqrt 2 are not.
+    sender = SenderSet.build([[0.0, 0.0]])
+    values = field_map(sender, 1.5, 3, PARAMS, "udg")
+    assert values.tolist() == [[0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 0.0]]
+    assert to_pgm(values, threshold=1.0).splitlines()[-1] == "0 255 0"
     with pytest.raises(ValueError):
-        field_map(SenderSet.build([[0.0, 0.0]]), grid, PARAMS, model="udg")
+        field_map(sender, 1.5, 3, PARAMS, "UDG")
 
 
 def test_pgm_output_format():
-    grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 4, 3)
-    fmap = field_map(SenderSet.build([[0.0, 0.0]]), grid, PARAMS, model="MIMO")
-    text = fmap.to_pgm(threshold=1.0)
+    values = field_map(SenderSet.build([[0.0, 0.0]]), 1.0, 4, PARAMS, "mimo")
+    text = to_pgm(values[:3], threshold=1.0)  # 4 columns, 3 rows
     lines = text.strip().splitlines()
     assert lines[0] == "P2"
     assert lines[1] == "4 3"
@@ -379,7 +375,7 @@ def test_snr_level_bounds_enclose_the_kernel_level(lam):
         for i in (0, 3, 10, 40):
             beta = float(level[i])
             assert lower[i] < beta <= upper[i]
-            hit = informs("SNR", senders, q, SignalParams(lam=lam, beta_N0=beta))[0]
+            hit = informs("snr", senders, q, SignalParams(lam=lam, beta_N0=beta))[0]
             assert hit.tolist() == (level >= beta).tolist()
 
 
@@ -407,28 +403,28 @@ def test_kernels_match_reference_bit_for_bit(m, lam):
     assert_matches_reference(senders, q, params)
 
 
-@pytest.mark.parametrize("model", ["MIMO", "SNR"])
+@pytest.mark.parametrize("model", ["mimo", "snr"], ids=str.upper)
 def test_field_map_memory_bounded_by_pair_budget(model):
     # 128^2 cells x 2000 senders is 32.8M pairs, about 1 GB of kernel
     # temporaries in one call.  Blocked by the byte budget, the peak is one
     # block's work arrays plus the grid's own arrays.
     rng = np.random.Generator(np.random.Philox(16))
     senders = SenderSet.build(rng.uniform(-4.0, 4.0, size=(2000, 2)))
-    grid = GridSpec(-5.0, 5.0, -5.0, 5.0, 128, 128)
+    cells = 128
     tracemalloc.start()
     try:
-        fmap = field_map(senders, grid, PARAMS, model=model)
+        values = field_map(senders, 5.0, cells, PARAMS, model)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * signal_model._BLOCK_BYTES + 64 * grid.nx * grid.ny
+    assert peak <= 2 * signal_model._BLOCK_BYTES + 64 * cells * cells
     # Every 16th cell in one unblocked kernel call: 2M pairs.
-    xs, ys = grid.centers()
-    X, Y = np.meshgrid(xs, ys)
+    xs = -5.0 + (np.arange(cells) + 0.5) * 10.0 / cells
+    X, Y = np.meshgrid(xs, xs)
     sample = np.column_stack([X.ravel(), Y.ravel()])[::16]
     z, rs = reference_kernels(senders, sample, PARAMS)
-    whole = np.abs(z) ** 2 if model == "MIMO" else rs
-    assert np.array_equal(fmap.values.ravel()[::16], whole)
+    whole = np.abs(z) ** 2 if model == "mimo" else rs
+    assert np.array_equal(values.ravel()[::16], whole)
 
 
 def _screen_cases():
