@@ -59,8 +59,8 @@ class RoundRecord:
     newly_informed: np.ndarray
     frontier_radius: float
     senders_active: int
-    # Candidates the round evaluated: the uninformed eligible nodes, less,
-    # under UDG, those beyond the reach of the farthest sender.
+    # Candidates the round evaluated: the engine's waiting nodes, less, under
+    # UDG, those beyond the reach of the farthest sender.
     receivers: int
     # Receiver x sender pairs evaluated: every candidate's pairs under MIMO,
     # where the screen evaluates them all (its float32 tier those within its
@@ -235,43 +235,43 @@ def _run_rounds(
     field_,
     config: BroadcastConfig,
     informed: np.ndarray,
-    eligible: np.ndarray | None = None,
     on_round: OnRound | None = None,
     log: RoundLog | None = None,
+    extent: float = math.inf,
 ) -> RoundLog:
     """The round engine of every driver.
 
-    Each round's senders follow the model: a UDG flood sends from the nodes
-    informed in the previous round (an older informed node within distance 1
-    of a node would already have informed it), and evaluates only the
-    candidates within reach of its farthest sender (see ``_UDG_REACH_TOL``);
-    round j of an SNR or MIMO expanding disk sends from the informed nodes
-    within r_j of the origin.  Only ``eligible`` nodes can be informed.  A
-    flood stops once a round informs nobody; an expanding disk runs until its
-    schedule ends or r_j reaches the field radius.
+    Only ``waiting`` nodes, the uninformed ones within ``extent`` of the
+    origin in ascending order, can be informed; each round's newly informed
+    leave it.  A UDG flood sends from the nodes informed in the previous
+    round (an older informed node within distance 1 of a node would already
+    have informed it) to the waiting nodes within reach of its farthest
+    sender (see ``_UDG_REACH_TOL``); round j of an SNR or MIMO expanding
+    disk sends from the informed nodes within r_j of the origin to every
+    waiting node.  A flood stops once a round informs nobody; an expanding
+    disk runs until its schedule ends or r_j reaches the field radius.
 
     After each logged round, ``on_round(record, model, senders)`` gets its
     record, its model and the :class:`SenderSet` it transmitted with.
     """
     radii = field_.radii
-    if eligible is None:
-        eligible = np.ones(field_.n, dtype=bool)
     if log is None:
         log = RoundLog()
     flood = config.model == "udg"
     schedule = itertools.repeat(None) if flood else config.radius_schedule
+    waiting = np.flatnonzero(~informed & (radii <= extent))
     newly = np.flatnonzero(informed)
     frontier = radii[newly].max()  # the largest informed radius, kept as a running maximum
     for r_j in schedule:
-        candidates = np.flatnonzero(eligible & ~informed)
-        if candidates.size == 0:
+        if waiting.size == 0:
             break
         if flood:
             active = newly
             reach = (radii[active].max(initial=-np.inf) + 1.0) * (1.0 + _UDG_REACH_TOL)
-            candidates = candidates[radii[candidates] <= reach]
+            candidates = waiting[radii[waiting] <= reach]
         else:
             active = np.flatnonzero(informed & (radii <= r_j))
+            candidates = waiting
         senders = _senders(field_, active, config)
         hit, d_newly, pairs = informs(
             config.model, senders, field_.positions[candidates], config.params
@@ -284,6 +284,7 @@ def _run_rounds(
             break
         newly.setflags(write=False)  # held by the round's record
         informed[newly] = True
+        waiting = waiting[~informed[waiting]]
         frontier = radii[newly].max(initial=frontier)
         record = RoundRecord(
             round_index=len(log.rounds) + 1,
@@ -301,9 +302,9 @@ def _run_rounds(
         if not flood and r_j >= field_.R:
             break
     else:  # the schedule ran out
-        log.schedule_exhausted = bool(np.any(eligible & ~informed))
+        log.schedule_exhausted = waiting.size > 0
     log.total_rounds = len(log.rounds)
-    log.fully_informed = bool(np.all(informed[eligible]))
+    log.fully_informed = waiting.size == 0
     return log
 
 
@@ -315,12 +316,9 @@ def run_udg_flood(
     Round t informs exactly BFS layer t.  With ``restrict_radius`` the flood
     only runs among nodes within that distance of the origin.
     """
-    informed = _origin_informed(field_)
-    eligible = None
-    if restrict_radius is not None:
-        eligible = field_.radii <= restrict_radius
-        eligible[0] = True
-    return _run_rounds(field_, BroadcastConfig(model="udg"), informed, eligible, on_round)
+    extent = math.inf if restrict_radius is None else restrict_radius
+    return _run_rounds(field_, BroadcastConfig("udg"), _origin_informed(field_), on_round,
+                       extent=extent)
 
 
 def run_expanding_disk(
@@ -352,7 +350,7 @@ def run_miso_broadcast(
             f"UDG bootstrap left nodes uninformed inside radius {bootstrap_radius}"
         )
     log.phase1_rounds = log.total_rounds
-    # The bootstrap informed its whole eligible disk.
+    # The bootstrap informed its whole disk.
     informed = field_.radii <= bootstrap_radius
     informed[0] = True
     log = _run_rounds(field_, config, informed, on_round=on_round, log=log)

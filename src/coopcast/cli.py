@@ -6,12 +6,11 @@ tasks in forked workers, one per usable CPU),
 ``calibrate-c1`` (schedule-constant search), and ``fit`` (scaling-law fits
 on CSV points).
 
-``simulate``, ``fieldmap`` and ``calibrate-c1`` share their physical flags,
-and all three build their ``ExperimentConfig`` in one place; a setting that
-no flag gives takes the default of ``ExperimentConfig`` or ``SignalParams``.
-The output directory can also be set with the ``COOPCAST_OUTPUT_DIR``
-environment variable (the flag still wins).  Exit codes: 0 all assertions
-passed, 1 assertion failure, 2 usage error.
+``simulate``, ``fieldmap`` and ``calibrate-c1`` share their physical flags
+and build their ``ExperimentConfig`` in one place.  A setting that no flag
+gives takes the default of ``ExperimentConfig`` or ``SignalParams``, the
+output directory of ``prove`` too.  Exit codes: 0 all assertions passed,
+1 assertion failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -20,11 +19,14 @@ import argparse
 import functools
 import os
 import sys
+from dataclasses import fields
 
 from . import prover
 from .broadcast import BootstrapFailure
 from .experiments import (
     C1_CANDIDATES,
+    DENSITY_RULES,
+    TRANSFORMS,
     ExperimentConfig,
     atomic_write,
     calibrate_c1,
@@ -37,19 +39,6 @@ from .nodefield import sample_field
 from .prover import inequality_suite, prove
 from .signal_model import MODELS, SignalParams
 
-OUTPUT_DIR_ENV = "COOPCAST_OUTPUT_DIR"
-
-# The ExperimentConfig and SignalParams fields that a flag of the same name sets.
-_EXPERIMENT_KEYS = (
-    "models", "node_counts", "density", "density_rule", "seeds", "c1", "c2", "output_dir",
-    "workers",
-)
-_SIGNAL_KEYS = ("lam", "beta_N0", "c_f")
-
-
-def _default_output_dir() -> str:
-    return os.environ.get(OUTPUT_DIR_ENV, ExperimentConfig.output_dir)
-
 
 def _given(args: argparse.Namespace, keys) -> dict:
     """The flags among ``keys`` that the command line set."""
@@ -57,14 +46,13 @@ def _given(args: argparse.Namespace, keys) -> dict:
 
 
 def _experiment_config(args: argparse.Namespace, **defaults) -> ExperimentConfig:
-    """The config of a command: the flags given, over ``defaults``.
-
-    A setting that neither gives is left to :class:`ExperimentConfig` and
-    :class:`SignalParams`.
-    """
-    opts = {"output_dir": _default_output_dir(), **defaults, **_given(args, _EXPERIMENT_KEYS)}
+    """The config of a command: each field of :class:`ExperimentConfig` and
+    :class:`SignalParams` that a flag of its name gives, over ``defaults``."""
+    keys = (f.name for f in fields(ExperimentConfig) if f.name != "params")
+    opts = {**defaults, **_given(args, keys)}
     settings = {key: tuple(v) if isinstance(v, list) else v for key, v in opts.items()}
-    return ExperimentConfig(params=SignalParams(**_given(args, _SIGNAL_KEYS)), **settings)
+    params = SignalParams(**_given(args, (f.name for f in fields(SignalParams))))
+    return ExperimentConfig(params=params, **settings)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -101,7 +89,7 @@ def _cmd_prove(args: argparse.Namespace) -> int:
         if not tasks:
             print(f"unknown task {args.task!r}", file=sys.stderr)
             return 2
-    out_dir = args.output_dir or _default_output_dir()
+    out_dir = args.output_dir or ExperimentConfig.output_dir
     os.makedirs(out_dir, exist_ok=True)
     opts = _given(args, ("max_boxes",))
     workers = min(len(tasks), usable_cpus())
@@ -163,7 +151,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
                 continue
             x, y = line.split(",")[:2]
             points.append((float(x), float(y)))
-    fit = fit_scaling(points, transform=args.transform)
+    fit = fit_scaling(points, **_given(args, ("transform",)))
     print(f"slope={fit.slope} intercept={fit.intercept} r_squared={fit.r_squared}")
     return 0
 
@@ -176,11 +164,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="coopcast")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Flags of simulate, fieldmap and calibrate-c1; unset ones take the
-    # defaults of ExperimentConfig and SignalParams.
+    # Flags of simulate, fieldmap and calibrate-c1.
     physical = argparse.ArgumentParser(add_help=False)
     physical.add_argument("--density", type=float)
-    physical.add_argument("--density-rule", dest="density_rule", choices=["fixed", "log"])
+    physical.add_argument("--density-rule", dest="density_rule", choices=DENSITY_RULES)
     physical.add_argument("--lam", type=float)
     physical.add_argument("--beta-n0", dest="beta_N0", type=float)
     physical.add_argument("--c-f", dest="c_f", type=float)
@@ -225,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fit = sub.add_parser("fit", help="fit a scaling law to CSV points")
     fit.add_argument("csv", help="two-column x,y CSV file")
-    fit.add_argument("--transform", default="loglog", choices=["loglog", "semilog", "loglogx"])
+    fit.add_argument("--transform", choices=TRANSFORMS)
     fit.set_defaults(func=_cmd_fit)
     return parser
 

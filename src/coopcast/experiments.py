@@ -39,6 +39,8 @@ __all__ = [
     "ScalingFit",
     "DEFAULT_C1",
     "C1_CANDIDATES",
+    "DENSITY_RULES",
+    "TRANSFORMS",
     "run_experiment",
     "fit_scaling",
     "emit_fieldmaps",
@@ -54,6 +56,13 @@ DEFAULT_C1 = 9.0 / (8.0 * 4480.0 * math.pi * math.sqrt(2.0))
 #: The schedule constants :func:`calibrate_c1` tries, in increasing order.
 C1_CANDIDATES = tuple(2.0**exponent for exponent in range(-14, 6))
 
+#: The density rules of :meth:`ExperimentConfig.rho`.
+DENSITY_RULES = ("fixed", "log")
+
+#: The transforms of :func:`fit_scaling`, each with the bounds x and y must exceed.
+_DOMAINS = {"loglog": (0.0, 0.0), "semilog": (0.0, -math.inf), "loglogx": (1.0, -math.inf)}
+TRANSFORMS = tuple(_DOMAINS)
+
 
 def usable_cpus() -> int:
     """The CPUs this process may run on (its affinity mask, where known)."""
@@ -67,7 +76,7 @@ class ExperimentConfig:
     models: tuple[str, ...]  # subset of MODELS
     node_counts: tuple[int, ...]
     density: float = 64.0
-    density_rule: str = "fixed"  # "fixed" | "log" (rho = density * ln n)
+    density_rule: str = "fixed"  # one of DENSITY_RULES
     seeds: tuple[int, ...] = (0, 1, 2)
     params: SignalParams = field(default_factory=SignalParams)
     c1: float = DEFAULT_C1
@@ -81,7 +90,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"models must be a nonempty subset of {'/'.join(MODELS)}, got {self.models}"
             )
-        if self.density_rule not in ("fixed", "log"):
+        if self.density_rule not in DENSITY_RULES:
             raise ValueError(f"unknown density rule {self.density_rule!r}")
         for name in ("density", "c1", "c2"):
             value = getattr(self, name)
@@ -98,6 +107,8 @@ class ExperimentConfig:
             )
         if len(set(self.seeds)) != len(self.seeds) or not self.seeds:
             raise ValueError("seeds must be nonempty and distinct")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be nonnegative, got {min(self.seeds)}")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
 
@@ -238,23 +249,26 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 def fit_scaling(points, transform: str = "loglog") -> ScalingFit:
     """Least-squares line after a coordinate transform.
 
-    ``loglog`` takes logs of both axes (power laws become lines),
-    ``semilog`` logs only x (so y = a log x has slope a), and ``loglogx``
-    maps x to log(log(x)), which linearizes doubly logarithmic growth.
+    ``loglog`` takes logs of both axes (power laws become lines) and needs
+    x, y > 0, ``semilog`` logs only x (so y = a log x has slope a) and needs
+    x > 0, and ``loglogx`` maps x to log(log(x)), which linearizes doubly
+    logarithmic growth, and needs x > 1.  Every value must be finite.
     ``r_squared`` is NaN when every y is equal.
     """
+    if transform not in TRANSFORMS:
+        raise ValueError(f"unknown transform {transform!r}; choose from {', '.join(TRANSFORMS)}")
     if len(points) < 4:
         raise ValueError("need at least four points to fit")
     xs = np.array([p[0] for p in points], dtype=float)
     ys = np.array([p[1] for p in points], dtype=float)
+    x_low, y_low = _DOMAINS[transform]
+    for x, y in zip(xs.tolist(), ys.tolist()):
+        if not (x_low < x < math.inf and y_low < y < math.inf):
+            raise ValueError(f"the {transform} transform needs finite x > {x_low:g} and "
+                             f"y > {y_low:g}, got the point ({x}, {y})")
+    xs = np.log(np.log(xs)) if transform == "loglogx" else np.log(xs)
     if transform == "loglog":
-        xs, ys = np.log(xs), np.log(ys)
-    elif transform == "semilog":
-        xs = np.log(xs)
-    elif transform == "loglogx":
-        xs = np.log(np.log(xs))
-    else:
-        raise ValueError(f"unknown transform {transform!r}")
+        ys = np.log(ys)
     if np.ptp(xs) == 0.0:
         raise ValueError("degenerate fit: all x values coincide after transform")
     slope, intercept = np.polyfit(xs, ys, 1)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from coopcast import broadcast, signal_model
+from coopcast import broadcast, experiments, signal_model
 from coopcast.bounds import miso_upper_schedule
 from coopcast.broadcast import (
     BootstrapFailure,
@@ -18,6 +18,7 @@ from coopcast.broadcast import (
     run_miso_broadcast,
     run_udg_flood,
 )
+from coopcast.experiments import ExperimentConfig
 from coopcast.nodefield import NodeField, sample_field
 from coopcast.signal_model import (
     MODELS,
@@ -182,6 +183,61 @@ def test_udg_reach_filter_matches_unfiltered_flood(n, seed, restrict):
         dropped += uninformed - rec.receivers
         uninformed -= len(rec.newly_informed)
     assert dropped > 0  # the filter is on
+
+
+# A round's m unit-amplitude senders, the farthest at radius P, inform no
+# node farther from the origin than P + 1 under UDG; P + sqrt(m / beta N0)
+# under SNR, whose level at distance d from the nearest sender is at most
+# m / d^2; and P + m / sqrt(beta N0) under MIMO, whose |z| is at most m / d.
+_REACH_EXCESS = {
+    "udg": lambda m, beta_N0: 1.0,
+    "snr": lambda m, beta_N0: math.sqrt(m / beta_N0),
+    "mimo": lambda m, beta_N0: m / math.sqrt(beta_N0),
+}
+
+# Relative margin on the allowed excess.  A decided level sums m <= 65536
+# terms, each within a few u = 2^-53 of its value, so it lies within
+# (m + 8) u < 7.3e-12 of the exact level (relative); a MIMO phase of up to
+# 2 pi R / lam < 1900 rad adds under 1e-12 of m / d.  The radii are within
+# 1 ulp each, under 2 u R < 4e-15 for R < 19, and every allowed excess is
+# at least 1 here (m >= 1, beta N0 = 1).  2^-30 = 9.3e-10 is over a
+# hundred times their sum.
+_REACH_MARGIN = 2.0**-30
+
+# The benchmark's simulate sweeps: a flood at the UDG sweep's density,
+# (32/pi) ln n, and its largest n; SNR at n = 65536 and rho = 64 on two
+# fields; and MISO on criterion 08's five fields with c1 = 12, c2 = 0.02.
+_SWEEPS = {
+    "udg": ExperimentConfig(("udg",), (65536,), density=32.0 / math.pi,
+                            density_rule="log", seeds=(0,)),
+    "snr": ExperimentConfig(("snr",), (65536,), density=64.0, seeds=(0, 1)),
+    "mimo": ExperimentConfig(("mimo",), (10_000,), density=10_000 / (900.0 * math.pi),
+                             seeds=(0, 1, 2, 3, 4), c1=12.0, c2=0.02),
+}
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_every_round_informs_within_its_senders_reach(model):
+    cfg = _SWEEPS[model]
+    (n,) = cfg.node_counts
+    closest = {}  # round model -> largest share of the allowed excess reached
+
+    def check(record, round_model, senders):
+        pos = senders.positions
+        P = np.hypot(pos[:, 0], pos[:, 1]).max()
+        allowed = _REACH_EXCESS[round_model](senders.m, cfg.params.beta_N0)
+        excess = fld.radii[record.newly_informed].max(initial=-np.inf) - P
+        assert excess <= allowed * (1.0 + _REACH_MARGIN), (record.round_index, excess, allowed)
+        closest[round_model] = max(closest.get(round_model, -np.inf), excess / allowed)
+
+    for seed in cfg.seeds:
+        fld = sample_field(n, cfg.radius_for(n), seed)
+        experiments._run_single(cfg, model, fld, on_round=check)
+    # Every model's rounds ran, the bootstrap's UDG rounds too under MISO,
+    # and came near their bound: to 0.9998 of it under UDG and SNR, and to
+    # 0.29 under MIMO.
+    assert set(closest) == ({"udg", "mimo"} if model == "mimo" else {model})
+    assert min(closest.values()) > 0.25
 
 
 def test_informs_takes_the_three_model_names_only():

@@ -7,7 +7,7 @@ import pytest
 
 from coopcast import broadcast, cli, experiments, prover
 from coopcast.broadcast import BootstrapFailure
-from coopcast.cli import OUTPUT_DIR_ENV, build_parser, main
+from coopcast.cli import build_parser, main
 from coopcast.experiments import ExperimentConfig, ExperimentResult
 from coopcast.signal_model import SignalParams
 
@@ -36,7 +36,6 @@ def built_config(monkeypatch):
     monkeypatch.setattr(cli, "run_experiment", fake_run_experiment)
     monkeypatch.setattr(cli, "calibrate_c1", fake_calibrate_c1)
     monkeypatch.setattr(experiments, "_run_single", fake_run_single)
-    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
 
     def run(argv):
         main(argv)
@@ -119,14 +118,15 @@ def test_simulate_reports_failures(tmp_path, capsys):
     assert trace.endswith(f"BootstrapFailure: {failed.split(': ', 2)[2]}\n")
 
 
-def test_output_dir_env_default(tmp_path, monkeypatch):
-    monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "envdir"))
-    code = main(
-        ["simulate", "--models", "udg", "--node-counts", "200",
-         "--density", "32", "--seeds", "0"]
-    )
-    assert code == 0
-    assert (tmp_path / "envdir" / "summary.csv").exists()
+def test_unset_output_dir_is_the_library_default(tmp_path, monkeypatch):
+    # simulate and prove alike write to ExperimentConfig.output_dir.
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / ExperimentConfig.output_dir
+    assert main(["simulate", "--node-counts", "200", "--density", "32", "--seeds", "0"]) == 0
+    assert main(["prove", "--task", "term2_upper"]) == 0
+    assert sorted(os.listdir(out)) == [
+        "certificate_term2_upper.json", "summary.csv", "udg_n200_seed0.json"
+    ]
 
 
 @pytest.fixture
@@ -347,6 +347,17 @@ def test_fit(tmp_path, capsys):
     assert "slope=2.0" in capsys.readouterr().out
 
 
+def test_fit_outside_the_transform_domain_is_usage_error(tmp_path, capsys):
+    csv = tmp_path / "points.csv"
+    csv.write_text("x,y\n2,0\n4,16\n8,64\n16,256\n")
+    assert main(["fit", str(csv)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the loglog transform needs finite x > 0 and y > 0, got the point (2.0, 0.0)\n"
+    )
+
+
 def test_fit_missing_file_is_usage_error(tmp_path, capsys):
     code = main(["fit", str(tmp_path / "absent.csv")])
     assert code == 2
@@ -381,6 +392,17 @@ def test_nonfinite_or_nonpositive_setting_is_usage_error(tmp_path, capsys, flags
     argv = ["simulate", "--node-counts", "64", "--seeds", "0", *flags, "--output-dir", str(out)]
     assert main(argv) == 2
     assert "must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [["simulate", "--seeds", "0,-1"], [*FIELDMAP, "--seed", "-1"]],
+    ids=["simulate", "fieldmap"],
+)
+def test_a_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err == "error: seeds must be nonnegative, got -1\n"
     assert not out.exists()
 
 

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -273,6 +274,23 @@ def test_fit_scaling_errors():
         fit_scaling([(2.0, y) for y in (1.0, 2.0, 3.0, 4.0)], "loglog")
     with pytest.raises(ValueError):
         fit_scaling([(x, x) for x in (1.0, 2.0, 3.0, 4.0)], "sqrtlog")
+
+
+@pytest.mark.parametrize(
+    "transform, point, domain",
+    [
+        ("loglog", (4.0, 0.0), "x > 0 and y > 0"),
+        ("semilog", (0.0, 3.0), "x > 0 and y > -inf"),
+        ("loglogx", (1.0, 3.0), "x > 1 and y > -inf"),
+        ("semilog", (4.0, math.inf), "x > 0 and y > -inf"),
+        ("loglogx", (math.nan, 3.0), "x > 1 and y > -inf"),
+    ],
+)
+def test_fit_scaling_rejects_a_point_outside_the_transform_domain(transform, point, domain):
+    points = [(2.0, 1.0), point, (8.0, 3.0), (16.0, 4.0)]
+    message = f"the {transform} transform needs finite {domain}, got the point {point}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fit_scaling(points, transform)
 
 
 def test_scaling_fit_is_frozen():
