@@ -90,7 +90,6 @@ def _cmd_prove(args: argparse.Namespace) -> int:
             print(f"unknown task {args.task!r}", file=sys.stderr)
             return 2
     out_dir = args.output_dir or ExperimentConfig.output_dir
-    os.makedirs(out_dir, exist_ok=True)
     opts = _given(args, ("max_boxes",))
     workers = min(len(tasks), usable_cpus())
     pool = None
@@ -108,13 +107,15 @@ def _cmd_prove(args: argparse.Namespace) -> int:
     all_proved = True
     try:
         # In suite order: a task that raises stops the run after the
-        # certificates of the tasks before it.
+        # certificates of the tasks before it, and a run whose first task
+        # raises makes no output directory.
         for task, result in zip(tasks, results):
             print(
                 f"{task.name}: {result.verdict} "
                 f"({result.boxes_processed} boxes, depth {result.max_depth_reached})"
             )
             print(f"{task.name}: {result.elapsed_s:.3f} s", file=sys.stderr)
+            os.makedirs(out_dir, exist_ok=True)
             atomic_write(
                 os.path.join(out_dir, f"certificate_{task.name}.json"),
                 result.certificate_json() + "\n",
@@ -142,15 +143,26 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fit(args: argparse.Namespace) -> int:
+def _read_points(path: str) -> list[tuple[float, float]]:
+    """The x,y rows of a CSV file.  Its first non-blank line is a header
+    unless it holds two numbers; any other row that does not is an error
+    that names its line.  NaN and infinite values are left to the fit."""
+    with open(path) as fh:
+        rows = [(number, line.strip()) for number, line in enumerate(fh, 1) if line.strip()]
     points = []
-    with open(args.csv) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line[0].isalpha():
+    for k, (number, row) in enumerate(rows):
+        try:
+            x, y = map(float, row.split(","))
+        except ValueError:
+            if k == 0:
                 continue
-            x, y = line.split(",")[:2]
-            points.append((float(x), float(y)))
+            raise ValueError(f"line {number} of {path} is not two numbers x,y: {row!r}") from None
+        points.append((x, y))
+    return points
+
+
+def _cmd_fit(args: argparse.Namespace) -> int:
+    points = _read_points(args.csv)
     fit = fit_scaling(points, **_given(args, ("transform",)))
     print(f"slope={fit.slope} intercept={fit.intercept} r_squared={fit.r_squared}")
     return 0

@@ -47,6 +47,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -80,7 +81,7 @@ def _g_iv(t: Interval) -> Interval:
     return u.acos() - u * (t * (2.0 - t)).sqrt()
 
 
-def _coeff_intervals() -> tuple[tuple[Interval, ...], Interval]:
+def _coeff_intervals() -> tuple[tuple[Interval, ...], float]:
     """Series data for g(t)/t**1.5 on t <= 1.
 
     From g(t) = int_0^t 2 sqrt(u) sqrt(2) sqrt(1 - u/2) du and the binomial
@@ -88,10 +89,9 @@ def _coeff_intervals() -> tuple[tuple[Interval, ...], Interval]:
     termwise integration gives g(t)/t**1.5 = sum_k C_k t^k with
     C_k = 2 sqrt(2) a_k / (2^k (k + 1.5)).  Truncating after degree K leaves
     a tail in [-2 sqrt(2) (t/2)^(K+1) / (K + 2.5), 0] because the dropped
-    a_k are negative with absolute sum at most 1.
+    a_k are negative with absolute sum at most 1; its scale is returned
+    rounded up.
     """
-    from fractions import Fraction
-
     K = 10
     a = [Fraction(1)]
     for k in range(1, K + 1):
@@ -100,7 +100,7 @@ def _coeff_intervals() -> tuple[tuple[Interval, ...], Interval]:
     for k in range(K + 1):
         c = Fraction(2) * a[k] / (2**k * Fraction(2 * k + 3, 2))
         coeffs.append(_ROOT2 * Interval(float(c.numerator)) / float(c.denominator))
-    tail_scale = 2.0 * _ROOT2 / float(K + 2.5)
+    tail_scale = (2.0 * _ROOT2 / float(K + 2.5)).hi
     return tuple(coeffs), tail_scale
 
 
@@ -109,32 +109,99 @@ _FOUR_THIRDS = Interval(4.0) / 3.0
 # g(t) / t**1.5 <= (4/3) sqrt(2), its limit at t = 0.
 _G32_HI = (_FOUR_THIRDS * _ROOT2).hi
 
+# A truncated series P(t) = sum_k C_k t^k with tail bound T(t) = scale (t/2)^p
+# (the exact function lies in [P(t) - T(t), P(t)] on [0, 1]) is bounded over
+# [lo, hi] within [0, 1] by float Horner sums of the coefficient midpoints
+# m_k at the two endpoints: lower S(hi) - E - T~(hi), upper S(lo) + E, each
+# stepped outward once.  The argument, in units of u = 2**-53:
+#
+# * Monotonicity.  C_0 > 0 and C_k < 0 for k >= 1 (the a_k of sqrt(1 - v)
+#   are negative), so P decreases on [0, 1], and so does P - T, as T grows
+#   with t.  G''s series has coefficients k C_k, all negative, and its tail
+#   grows with t too.  So P(hi) - T(hi) <= F(t) <= P(lo) on [lo, hi].
+# * Coefficients.  C_k lies in its outward-rounded interval, which holds
+#   m_k, so |C_k - m_k| <= r_k, the larger distance from m_k to an
+#   endpoint, and |P(t) - sum_k m_k t^k| <= sum_k r_k for t <= 1.
+# * Horner.  For t in [0, 1] the float sum S(t) of degree n is within
+#   gamma_2n sum_k |m_k| of sum_k m_k t^k, gamma_j = j u / (1 - j u)
+#   (Higham, Accuracy and Stability of Numerical Algorithms, Thm 5.1).
+# * Tail.  scale is rounded up, t / 2 is exact above the subnormals, and
+#   the float T~ is T times p factors (1 + d), |d| <= u, so
+#   T~ >= T - gamma_p scale 2**-p.
+# * Final operations.  Each of the (at most two) roundings of the lower or
+#   upper sum errs by at most u times a result no larger than
+#   sum_k |m_k| + 1, as E and T are below 1/2: 2 u (sum_k |m_k| + 1).
+# * Underflow.  At subnormal t a product may also lose up to 2**-1075 (sums
+#   are exact there); there are fewer than 30 of them, each carried by
+#   factors of at most 1 + u: well below 2**-1000.
+#
+# E is the sum of these bounds, computed exactly in rationals and rounded up;
+# the outward steps leave further room.
+_U = Fraction(1, 2**53)
 
-def _g32_series_iv(t: Interval) -> Interval:
-    acc = _G32_COEFFS[-1]
-    for c in reversed(_G32_COEFFS[:-1]):
-        acc = acc * t + c
-    half_t = t * 0.5
-    tail_hi = _G32_TAIL * half_t.sq().sq().sq() * half_t.sq() * half_t
-    return acc + Interval(-tail_hi.hi, 0.0, tail_hi.invalid)
+
+def _gamma(j: int) -> Fraction:
+    return j * _U / (1 - j * _U)
 
 
-# The series of G'(t), G(t) = g(t) / t**1.5: k C_k for k = 1..10.
-_G32_SLOPE_COEFFS = tuple(c * float(k) for k, c in enumerate(_G32_COEFFS) if k)
+@dataclass(frozen=True)
+class _FloatSeries:
+    """A truncated series with its tail bound, evaluated in floats at the
+    endpoints of an interval within [0, 1] (see the argument above)."""
+
+    mids: tuple[float, ...]
+    tail_scale: float
+    tail_power: int
+    error: float
+
+    @classmethod
+    def of(cls, coeffs: tuple[Interval, ...], tail_scale: float, tail_power: int):
+        mids = tuple(c.mid for c in coeffs)
+        exact = [(Fraction(c.lo), Fraction(m), Fraction(c.hi)) for c, m in zip(coeffs, mids)]
+        size = sum(abs(m) for _, m, _ in exact)
+        bound = (
+            sum(max(hi - m, m - lo) for lo, m, hi in exact)
+            + _gamma(2 * (len(mids) - 1)) * size
+            + _gamma(tail_power) * Fraction(tail_scale) / 2**tail_power
+            + 2 * _U * (size + 1)
+            + Fraction(1, 2**1000)
+        )
+        error = float(bound)
+        if Fraction(error) < bound:
+            error = math.nextafter(error, math.inf)
+        return cls(mids, tail_scale, tail_power, error)
+
+    def horner(self, t):
+        """The float Horner sums S(t) of the midpoints at the floats ``t``."""
+        acc = self.mids[-1]
+        for m in reversed(self.mids[:-1]):
+            acc = acc * t + m
+        return acc
+
+    def __call__(self, t: Interval) -> Interval:
+        ends = np.array((t.hi, t.lo))
+        acc = self.horner(ends)
+        half = ends[0] * 0.5
+        tail = self.tail_scale
+        for _ in range(self.tail_power):
+            tail = tail * half
+        lo = np.nextafter(acc[0] - self.error - tail, -np.inf)
+        return Interval(lo, np.nextafter(acc[1] + self.error, np.inf), t.invalid)
 
 
-def _g32_slope_series_iv(t: Interval) -> Interval:
-    """G'(t) for t <= 1 from the termwise derivative of G's series.
+# G(t) = g(t) / t**1.5 for t <= 1: its series through degree K = 10, tail
+# bounded by 2 sqrt(2) (t/2)^11 / 12.5 (see _coeff_intervals).
+_g32_series_iv = _FloatSeries.of(_G32_COEFFS, _G32_TAIL, len(_G32_COEFFS))
 
-    The dropped terms k C_k t^(k-1), k > K = 10, are negative, and each is
-    at most sqrt(2) |a_k| (t/2)^(k-1) <= sqrt(2) |a_k| (t/2)^K in absolute
-    value, so their sum lies in [-sqrt(2) (t/2)^K, 0]."""
-    acc = _G32_SLOPE_COEFFS[-1]
-    for c in reversed(_G32_SLOPE_COEFFS[:-1]):
-        acc = acc * t + c
-    half_t = t * 0.5
-    tail_hi = _ROOT2 * half_t.sq().sq().sq() * half_t.sq()
-    return acc + Interval(-tail_hi.hi, 0.0, tail_hi.invalid)
+# G'(t) for t <= 1 from the termwise derivative of G's series, k C_k for
+# k = 1..10.  The dropped terms k C_k t^(k-1), k > K = 10, are negative, and
+# each is at most sqrt(2) |a_k| (t/2)^(k-1) <= sqrt(2) |a_k| (t/2)^K in
+# absolute value, so their sum lies in [-sqrt(2) (t/2)^K, 0].
+_g32_slope_series_iv = _FloatSeries.of(
+    tuple(c * float(k) for k, c in enumerate(_G32_COEFFS) if k),
+    _ROOT2.hi,
+    len(_G32_COEFFS) - 1,
+)
 
 
 def _g32_slope_closed_iv(t: Interval, g: Interval) -> Interval:
@@ -175,7 +242,13 @@ def _g32_iv(t: Interval) -> Interval:
 
 
 def _scaled_area_iv(x: Interval, z: Interval) -> Interval:
-    """f(x, 1/z) / sqrt(x), finite on the closed box [0,2] x [0,1]."""
+    """f(x, 1/z) / sqrt(x), finite on the closed box [0,2] x [0,1].
+
+    Its gradient form is sound for mean-value enclosures because it is C^1
+    on that closed box: G is analytic at 0 and C^1 up to 2, its arguments
+    x c and (2 - x) z stay in [0, 2], the pow32 factors are C^1 on
+    [0, inf), and sqrt(q + 2) has q + 2 >= 2.  Every ``intersect`` on the
+    way clamps a value that the exact function never leaves."""
     c = (1.0 + z * (x - 2.0) * 0.5).intersect(_UNIT)
     q = x * z
     term1 = _g32_iv((x * c).intersect(_CHORD_DOMAIN)) * x * c.pow32()
@@ -190,11 +263,8 @@ def _area_iv(x: Interval, z: Interval) -> Interval:
 def _ratio_iv(x: Interval, z: Interval) -> Interval:
     """f(x, 1/z) / f(x/2, 1/z), as sqrt(2) times the ratio of scaled areas.
 
-    Its gradient form is sound for mean-value enclosures because the ratio
-    R is C^1 on the closed box [0, 2] x [0, 1]: the scaled areas exceed 1,
-    G is analytic at 0 and C^1 up to 2, the pow32 factors are C^1 on
-    [0, inf), and sqrt(q + 2) has q + 2 >= 2.  Every ``intersect`` on the
-    way clamps a value that the exact function never leaves."""
+    C^1 on the closed box [0, 2] x [0, 1], as the scaled areas are and the
+    one it divides by exceeds 1, so its gradient form is sound too."""
     return _ROOT2 * _scaled_area_iv(x, z) / _scaled_area_iv(x * 0.5, z)
 
 
@@ -296,11 +366,12 @@ EXPRESSIONS = {
 }
 
 #: The expressions whose evaluator also runs on :class:`Gradient` variables,
-#: so that :func:`prove` may decide a box by its mean-value enclosure.
-#: ``lens_area_scaled``'s evaluator would run on them too; its upper-bound
-#: task would then take 655 boxes instead of 19,287, but its two cheap
-#: lower-bound tasks would run slower.
-GRADIENT_FORMS = frozenset({"lens_area_half_ratio"})
+#: so that :func:`prove` may decide a box by its mean-value enclosure: the
+#: scaled area and the ratio built from it, both C^1 on the closed box.  The
+#: form pays where natural enclosures need deep trees (the ratio takes 1,197
+#: boxes instead of 40,275, ``area_scaled_upper`` 655 instead of 19,287); a
+#: shallow task spends more on the partials than the boxes it saves.
+GRADIENT_FORMS = frozenset({"lens_area_half_ratio", "lens_area_scaled"})
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +623,10 @@ def prove(task: ProofTask, max_boxes: int = 2**24) -> ProofResult:
     ``_MAX_DEPTH`` or its children would take the boxes processed past
     ``max_boxes``; the midpoints of a last level, and of a level whose
     boxes are too thin to split, are checked alone first.  Results are
-    reproducible.
+    reproducible.  A budget below one box raises ``ValueError``.
     """
+    if max_boxes < 1:
+        raise ValueError(f"a proof needs a budget of at least 1 box, got {max_boxes}")
     start = time.perf_counter()
     _, fn = EXPRESSIONS[task.expression]
     gradient = task.expression in GRADIENT_FORMS

@@ -168,14 +168,14 @@ def test_criterion_03_geometry_oracle():
 
 
 #: (boxes_processed, max_depth_reached, acos_clips) of each suite task's
-#: certificate: 27,795 boxes and 1,150 arccos clips in all.  A change that
+#: certificate: 8,995 boxes and 282 arccos clips in all.  A change that
 #: alters one changes the proofs, and must say why.
 SUITE_CERTIFICATES = {
     "shape_scaled_lower": (15, 6, 6),
     "shape_scaled_upper": (1, 0, 0),
-    "area_scaled_lower": (127, 14, 26),
-    "area_scaled_upper": (19287, 17, 943),
-    "area_scaled_far_lower": (201, 13, 29),
+    "area_scaled_lower": (85, 10, 22),
+    "area_scaled_upper": (655, 11, 87),
+    "area_scaled_far_lower": (75, 9, 21),
     "area_half_width_ratio": (1197, 15, 136),
     "area_slope_positive": (29, 6, 0),
     "area_concave_mid": (6489, 16, 0),

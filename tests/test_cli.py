@@ -213,6 +213,17 @@ def test_prove_unknown_task(tmp_path, capsys):
     assert "unknown task" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+@pytest.mark.parametrize("which", [["--task", "area_scaled_lower"], ["--suite"]])
+def test_a_box_budget_below_one_is_a_usage_error(tmp_path, capsys, which, budget):
+    out = tmp_path / "out"
+    assert main(["prove", *which, "--max-boxes", budget, "--output-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: a proof needs a budget of at least 1 box, got {budget}\n"
+    assert not out.exists()
+
+
 def test_fieldmap(tmp_path):
     out = tmp_path / "maps"
     code = main(
@@ -356,6 +367,40 @@ def test_fit_outside_the_transform_domain_is_usage_error(tmp_path, capsys):
     assert captured.err == (
         "error: the loglog transform needs finite x > 0 and y > 0, got the point (2.0, 0.0)\n"
     )
+
+
+def test_fit_without_a_header_fits_every_row(tmp_path, capsys):
+    csv = tmp_path / "points.csv"
+    csv.write_text("\n2,4\n4,16\n8,64\n16,256\n")
+    assert main(["fit", str(csv)]) == 0
+    assert "slope=2.0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (
+            "nan,9\n",
+            "the loglog transform needs finite x > 0 and y > 0, got the point (nan, 9.0)",
+        ),
+        (
+            "inf,9\n",
+            "the loglog transform needs finite x > 0 and y > 0, got the point (inf, 9.0)",
+        ),
+        ("2\n", "line 3 of {csv} is not two numbers x,y: '2'"),
+        ("4,abc\n", "line 3 of {csv} is not two numbers x,y: '4,abc'"),
+    ],
+    ids=["nan", "inf", "one column", "not a number"],
+)
+def test_fit_row_that_is_not_a_finite_point_is_usage_error(tmp_path, capsys, rows, message):
+    # Only the first non-blank line may be a header; a later row that does
+    # not parse is named, and one that parses reaches the fit's own checks.
+    csv = tmp_path / "points.csv"
+    csv.write_text("x,y\n2,4\n" + rows + "4,16\n8,64\n16,256\n")
+    assert main(["fit", str(csv)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: " + message.format(csv=csv) + "\n"
 
 
 def test_fit_missing_file_is_usage_error(tmp_path, capsys):

@@ -19,6 +19,7 @@ from coopcast.prover import (
     _g32_iv,
     _g32_slope_closed_iv,
     _g32_slope_iv,
+    _g32_series_iv,
     _g32_slope_series_iv,
     _mean_value,
     inequality_suite,
@@ -132,6 +133,16 @@ def test_box_too_thin_to_split():
         prove(ProofTask("straddled", "segment_shape_scaled", point, "<=", enc.mid))
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_a_budget_below_one_box_raises_before_any_work(budget):
+    before = intervals.acos_clip_events
+    task = {t.name: t for t in inequality_suite()}["area_scaled_lower"]
+    with pytest.raises(ValueError, match=f"at least 1 box, got {budget}"):
+        prove(task, max_boxes=budget)
+    assert intervals.acos_clip_events == before
+    assert prove(task, max_boxes=1).boxes_processed == 1
+
+
 def test_certificate_contents():
     task = ProofTask("cheap", "curvature_term2_weighted", FULL, "<=", 0.0)
     res = prove(task)
@@ -235,6 +246,8 @@ def _enclosures(expression, boxes):
     if expression not in GRADIENT_FORMS:
         encs = (interval_eval(expression, *box.intervals) for box in boxes)
         return [(None if enc.invalid else enc, None) for enc in encs]
+    if not boxes:
+        return []
     columns = [
         Interval(np.array([iv.lo for iv in ivs]), np.array([iv.hi for iv in ivs]))
         for ivs in zip(*(box.intervals for box in boxes))
@@ -419,8 +432,8 @@ def test_prover_goes_through_the_interval_methods(monkeypatch):
     for name in counts:
         monkeypatch.setattr(Interval, name, counted(name, getattr(Interval, name)))
     by_name = {t.name: t for t in inequality_suite()}
-    res = prove(by_name["area_scaled_lower"])
-    assert res.verdict == "proved" and res.boxes_processed == 127
+    res = prove(by_name["area_slope_positive"])
+    assert res.verdict == "proved" and res.boxes_processed == 29
     assert counts["__mul__"] > 0 and counts["__add__"] > 0
     assert stacked == {"__mul__": 0, "__add__": 0}
     res = prove(by_name["area_half_width_ratio"])
@@ -637,6 +650,77 @@ def test_shape_slope_branches_enclose_the_derivative():
     assert min(checked.values()) > 20, checked
 
 
+def _shape_exact(t):
+    """G(t) = g(t) / t**1.5 and G'(t) = (2 sqrt(2 - t) - 1.5 G(t)) / t at
+    mpmath's working precision, the closed forms evaluated with the digits
+    their cancellation loses at small t added; at t = 0 their limits, the
+    series coefficients C_0 = 4 sqrt(2) / 3 and C_1 = -sqrt(2) / 5."""
+    if t == 0:
+        return 4 * mpmath.sqrt(2) / 3, -mpmath.sqrt(2) / 5
+    with mpmath.workdps(mpmath.mp.dps + 3 * int(-mpmath.log10(t)) + 10):
+        t = mpmath.mpf(t)
+        shape = _g(t) / t**1.5
+        slope = (2 * mpmath.sqrt(2 - t) - 1.5 * shape) / t
+    return +shape, +slope
+
+
+def _series_polynomials():
+    """The exact polynomials of G's series through degree 10 and of its
+    termwise derivative, coefficients highest first."""
+    a = [mpmath.mpf(1)]
+    for k in range(1, 11):
+        a.append(a[-1] * (2 * k - 3) / (2 * k))
+    c = [2 * mpmath.sqrt(2) * a[k] / (2**k * (k + 1.5)) for k in range(11)]
+    return c[::-1], [k * c[k] for k in range(10, 0, -1)]
+
+
+SERIES_GRID = np.concatenate(
+    (np.linspace(0.0, 1.0, 513), [2.0**-1074, 2.0**-1022, 2.0**-50, 1e-8, 1.0 - 2.0**-53])
+)
+
+
+def test_endpoint_series_enclose_the_shape_and_its_slope():
+    # The float series of G and G' at the endpoints of t in [0, 1]: point
+    # intervals on a grid with 0, the least subnormal, 2**-50 and 1, and
+    # random subintervals, hold the 50-digit values at their endpoints and
+    # at interior points.
+    rng = np.random.Generator(np.random.Philox(23))
+    lo = rng.uniform(0.0, 1.0, (2, 150))
+    lo[:, :50] *= 10.0 ** -rng.integers(1, 12, (2, 50))
+    lo, hi = np.sort(lo, axis=0)
+    cases = [(SERIES_GRID, SERIES_GRID, 0), (lo, hi, 3)]
+    with mpmath.workdps(50):
+        for lo, hi, inner in cases:
+            t = Interval(lo, hi)
+            shape, slope = _g32_series_iv(t), _g32_slope_series_iv(t)
+            assert not shape.invalid.any() and not slope.invalid.any()
+            for k in range(len(lo)):
+                inside = lo[k] + rng.uniform(0.0, 1.0, inner) * (hi[k] - lo[k])
+                for point in (lo[k], hi[k], *np.clip(inside, lo[k], hi[k])):
+                    exact_shape, exact_slope = _shape_exact(float(point))
+                    assert _encloses(shape, k, exact_shape), (point, shape.take(k))
+                    assert _encloses(slope, k, exact_slope), (point, slope.take(k))
+
+
+def test_endpoint_series_rounding_stays_far_inside_its_bound():
+    # The float Horner sums of the coefficient midpoints differ from the
+    # exact truncated series by under a tenth of the bound E that the
+    # enclosure allows for them over the grid (about 3% of it).
+    polynomials = _series_polynomials()
+    with mpmath.workdps(50):
+        for series, exact in zip((_g32_series_iv, _g32_slope_series_iv), polynomials):
+            sums = series.horner(SERIES_GRID)
+            worst = max(
+                abs(mpmath.mpf(float(s)) - mpmath.polyval(exact, mpmath.mpf(float(t))))
+                for s, t in zip(sums, SERIES_GRID)
+            )
+            assert 0 < worst < series.error / 10, (worst, series.error)
+    # An invalid lane (built with lo > hi) stays invalid.
+    t = Interval(np.array([0.0, 0.5]), np.array([1.0, 0.25]))
+    assert _g32_series_iv(t).invalid.tolist() == [False, True]
+    assert _g32_slope_series_iv(t).invalid.tolist() == [False, True]
+
+
 def _narrow_boxes(rng, count):
     """Boxes in [0, 2] x [0, 1] of relative widths 0.5, 0.05 and 0.002 in
     each variable, half of them against an edge of the domain."""
@@ -693,9 +777,10 @@ def test_ratio_gradient_and_mean_value_enclosures_match_mpmath():
 
 
 def test_mean_value_enclosure_decides_the_ratio_boxes():
-    # Only the ratio carries a gradient form, and its certificate says how
-    # many boxes per depth the mean-value enclosure decided; no other does.
-    assert GRADIENT_FORMS == {"lens_area_half_ratio"}
+    # The ratio and the scaled area carry gradient forms, and their
+    # certificates say how many boxes per depth the mean-value enclosure
+    # decided; no other does.
+    assert GRADIENT_FORMS == {"lens_area_half_ratio", "lens_area_scaled"}
     by_name = {t.name: t for t in inequality_suite()}
     res = prove(by_name["area_half_width_ratio"])
     cert = res.certificate()
@@ -703,5 +788,7 @@ def test_mean_value_enclosure_decides_the_ratio_boxes():
     assert cert["centered_per_depth"] == res.centered_per_depth
     assert len(res.centered_per_depth) == len(res.boxes_per_depth)
     assert res.centered_per_depth[0] == 0 and sum(res.centered_per_depth) > res.boxes_processed / 3
-    other = prove(by_name["area_scaled_far_lower"])
+    upper = prove(by_name["area_scaled_upper"])
+    assert upper.verdict == "proved" and sum(upper.centered_per_depth) > 0
+    other = prove(by_name["term3_upper"])
     assert other.centered_per_depth is None and "centered_per_depth" not in other.certificate()
