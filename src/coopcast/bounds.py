@@ -14,7 +14,7 @@ __all__ = [
     "SchedulePrediction",
     "snr_upper_schedule",
     "miso_upper_schedule",
-    "propagation_time",
+    "schedule_travel",
     "reverse_snr_schedule",
 ]
 
@@ -72,8 +72,10 @@ def miso_upper_schedule(
     return SchedulePrediction(radii)
 
 
-def propagation_time(radii: list[float]) -> float:
-    """Total signal travel distance (speed of light = 1) of a schedule."""
+def schedule_travel(radii: list[float]) -> float:
+    """Total signal travel distance (speed of light = 1) of a schedule: the
+    sum of its radii, which criterion 09 bounds.  A round log's
+    ``propagation_time`` is another quantity, measured on the field."""
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be increasing")
     return float(sum(radii))

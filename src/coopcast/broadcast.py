@@ -80,6 +80,11 @@ class RoundLog:
     total_rounds: int = 0
     fully_informed: bool = False
     propagation_time: float = 0.0
+    # True only when an SNR or MIMO run used every radius of its schedule,
+    # each below the field radius R, and left nodes waiting.  A run stops
+    # after its first radius r_j >= R without setting it, even if a node
+    # that disk covered stays uninformed (one in an interference null), so
+    # such a run reads fully_informed False and schedule_exhausted False.
     schedule_exhausted: bool = False
     phase1_rounds: int | None = None
     phase2_rounds: int | None = None

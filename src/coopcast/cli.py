@@ -2,9 +2,8 @@
 
 Subcommands: ``simulate`` (experiment sweeps), ``fieldmap`` (per-round PGM
 coverage or energy maps), ``prove`` (certified inequality suite, its
-tasks in forked workers, one per usable CPU),
-``calibrate-c1`` (schedule-constant search), and ``fit`` (scaling-law fits
-on CSV points).
+tasks in forked workers, one per usable CPU), and ``calibrate-c1``
+(schedule-constant search).
 
 ``simulate``, ``fieldmap`` and ``calibrate-c1`` share their physical flags
 and build their ``ExperimentConfig`` in one place.  A setting that no flag
@@ -26,12 +25,10 @@ from .broadcast import BootstrapFailure
 from .experiments import (
     C1_CANDIDATES,
     DENSITY_RULES,
-    TRANSFORMS,
     ExperimentConfig,
     atomic_write,
     calibrate_c1,
     emit_fieldmaps,
-    fit_scaling,
     run_experiment,
     usable_cpus,
 )
@@ -143,31 +140,6 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_points(path: str) -> list[tuple[float, float]]:
-    """The x,y rows of a CSV file.  Its first non-blank line is a header
-    unless it holds two numbers; any other row that does not is an error
-    that names its line.  NaN and infinite values are left to the fit."""
-    with open(path) as fh:
-        rows = [(number, line.strip()) for number, line in enumerate(fh, 1) if line.strip()]
-    points = []
-    for k, (number, row) in enumerate(rows):
-        try:
-            x, y = map(float, row.split(","))
-        except ValueError:
-            if k == 0:
-                continue
-            raise ValueError(f"line {number} of {path} is not two numbers x,y: {row!r}") from None
-        points.append((x, y))
-    return points
-
-
-def _cmd_fit(args: argparse.Namespace) -> int:
-    points = _read_points(args.csv)
-    fit = fit_scaling(points, **_given(args, ("transform",)))
-    print(f"slope={fit.slope} intercept={fit.intercept} r_squared={fit.r_squared}")
-    return 0
-
-
 def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part]
 
@@ -221,11 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--seeds", dest="seed_count", metavar="N", type=int, default=50,
                      help="fields of seeds 0 to N - 1")
     cal.set_defaults(func=_cmd_calibrate)
-
-    fit = sub.add_parser("fit", help="fit a scaling law to CSV points")
-    fit.add_argument("csv", help="two-column x,y CSV file")
-    fit.add_argument("--transform", choices=TRANSFORMS)
-    fit.set_defaults(func=_cmd_fit)
     return parser
 
 

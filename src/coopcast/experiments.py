@@ -1,4 +1,4 @@
-"""Batch simulation runs, scaling fits, and calibration helpers.
+"""Batch simulation runs, the log-log scaling fit, and calibration helpers.
 
 An experiment sweeps models, node counts, and seeds, writes one round-log
 JSON per run plus an aggregate CSV, and is deterministic for a fixed
@@ -40,7 +40,6 @@ __all__ = [
     "DEFAULT_C1",
     "C1_CANDIDATES",
     "DENSITY_RULES",
-    "TRANSFORMS",
     "run_experiment",
     "fit_scaling",
     "emit_fieldmaps",
@@ -58,10 +57,6 @@ C1_CANDIDATES = tuple(2.0**exponent for exponent in range(-14, 6))
 
 #: The density rules of :meth:`ExperimentConfig.rho`.
 DENSITY_RULES = ("fixed", "log")
-
-#: The transforms of :func:`fit_scaling`, each with the bounds x and y must exceed.
-_DOMAINS = {"loglog": (0.0, 0.0), "semilog": (0.0, -math.inf), "loglogx": (1.0, -math.inf)}
-TRANSFORMS = tuple(_DOMAINS)
 
 
 def usable_cpus() -> int:
@@ -142,7 +137,6 @@ class ExperimentResult:
 @dataclass(frozen=True)
 class ScalingFit:
     slope: float
-    intercept: float
     r_squared: float
 
 
@@ -246,38 +240,30 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     return result
 
 
-def fit_scaling(points, transform: str = "loglog") -> ScalingFit:
-    """Least-squares line after a coordinate transform.
-
-    ``loglog`` takes logs of both axes (power laws become lines) and needs
-    x, y > 0, ``semilog`` logs only x (so y = a log x has slope a) and needs
-    x > 0, and ``loglogx`` maps x to log(log(x)), which linearizes doubly
-    logarithmic growth, and needs x > 1.  Every value must be finite.
-    ``r_squared`` is NaN when every y is equal.
+def fit_scaling(points) -> ScalingFit:
+    """Least-squares line through the (log x, log y) of ``points``, so a
+    power law y = a x^k has slope k.  Every x and y must be finite and
+    positive.  ``r_squared`` is NaN when every y is equal.
     """
-    if transform not in TRANSFORMS:
-        raise ValueError(f"unknown transform {transform!r}; choose from {', '.join(TRANSFORMS)}")
     if len(points) < 4:
         raise ValueError("need at least four points to fit")
     xs = np.array([p[0] for p in points], dtype=float)
     ys = np.array([p[1] for p in points], dtype=float)
-    x_low, y_low = _DOMAINS[transform]
     for x, y in zip(xs.tolist(), ys.tolist()):
-        if not (x_low < x < math.inf and y_low < y < math.inf):
-            raise ValueError(f"the {transform} transform needs finite x > {x_low:g} and "
-                             f"y > {y_low:g}, got the point ({x}, {y})")
-    xs = np.log(np.log(xs)) if transform == "loglogx" else np.log(xs)
-    if transform == "loglog":
-        ys = np.log(ys)
+        if not (0.0 < x < math.inf and 0.0 < y < math.inf):
+            raise ValueError(
+                f"a log-log fit needs finite x > 0 and y > 0, got the point ({x}, {y})"
+            )
+    xs, ys = np.log(xs), np.log(ys)
     if np.ptp(xs) == 0.0:
-        raise ValueError("degenerate fit: all x values coincide after transform")
+        raise ValueError("degenerate fit: all x values coincide")
     slope, intercept = np.polyfit(xs, ys, 1)
     resid = ys - (slope * xs + intercept)
     total = ys - np.mean(ys)
     ss_tot = float(total @ total)
     # A flat series has no variance to explain: its r^2 is undefined, not 1.
     r_squared = math.nan if ss_tot == 0.0 else 1.0 - float(resid @ resid) / ss_tot
-    return ScalingFit(slope=float(slope), intercept=float(intercept), r_squared=r_squared)
+    return ScalingFit(slope=float(slope), r_squared=r_squared)
 
 
 def emit_fieldmaps(cfg: ExperimentConfig, model: str, field_: NodeField, cells: int) -> list[str]:

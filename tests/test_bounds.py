@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from coopcast.bounds import (
     miso_upper_schedule,
-    propagation_time,
     reverse_snr_schedule,
+    schedule_travel,
     snr_upper_schedule,
 )
 
@@ -65,9 +65,9 @@ def test_miso_schedule_grows_until_it_stalls():
 
 
 def test_propagation_time():
-    assert propagation_time([1.0, 2.0, 4.0]) == pytest.approx(7.0)
+    assert schedule_travel([1.0, 2.0, 4.0]) == pytest.approx(7.0)
     with pytest.raises(ValueError):
-        propagation_time([2.0, 1.0])
+        schedule_travel([2.0, 1.0])
 
 
 @given(
@@ -88,4 +88,4 @@ def test_reverse_schedule_time_approaches_radius():
     # The backward schedule's total travel tends to R as density grows.
     for rho, bound in [(2**10, 1.15), (2**14, 1.07), (2**20, 1.01)]:
         radii = reverse_snr_schedule(rho, 1000.0)
-        assert propagation_time(radii) / 1000.0 <= bound
+        assert schedule_travel(radii) / 1000.0 <= bound

@@ -350,65 +350,6 @@ def test_one_node_under_the_log_rule_is_a_usage_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-def test_fit(tmp_path, capsys):
-    csv = tmp_path / "points.csv"
-    csv.write_text("x,y\n2,4\n4,16\n8,64\n16,256\n")
-    code = main(["fit", str(csv), "--transform", "loglog"])
-    assert code == 0
-    assert "slope=2.0" in capsys.readouterr().out
-
-
-def test_fit_outside_the_transform_domain_is_usage_error(tmp_path, capsys):
-    csv = tmp_path / "points.csv"
-    csv.write_text("x,y\n2,0\n4,16\n8,64\n16,256\n")
-    assert main(["fit", str(csv)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: the loglog transform needs finite x > 0 and y > 0, got the point (2.0, 0.0)\n"
-    )
-
-
-def test_fit_without_a_header_fits_every_row(tmp_path, capsys):
-    csv = tmp_path / "points.csv"
-    csv.write_text("\n2,4\n4,16\n8,64\n16,256\n")
-    assert main(["fit", str(csv)]) == 0
-    assert "slope=2.0" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize(
-    "rows, message",
-    [
-        (
-            "nan,9\n",
-            "the loglog transform needs finite x > 0 and y > 0, got the point (nan, 9.0)",
-        ),
-        (
-            "inf,9\n",
-            "the loglog transform needs finite x > 0 and y > 0, got the point (inf, 9.0)",
-        ),
-        ("2\n", "line 3 of {csv} is not two numbers x,y: '2'"),
-        ("4,abc\n", "line 3 of {csv} is not two numbers x,y: '4,abc'"),
-    ],
-    ids=["nan", "inf", "one column", "not a number"],
-)
-def test_fit_row_that_is_not_a_finite_point_is_usage_error(tmp_path, capsys, rows, message):
-    # Only the first non-blank line may be a header; a later row that does
-    # not parse is named, and one that parses reaches the fit's own checks.
-    csv = tmp_path / "points.csv"
-    csv.write_text("x,y\n2,4\n" + rows + "4,16\n8,64\n16,256\n")
-    assert main(["fit", str(csv)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: " + message.format(csv=csv) + "\n"
-
-
-def test_fit_missing_file_is_usage_error(tmp_path, capsys):
-    code = main(["fit", str(tmp_path / "absent.csv")])
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
-
-
 def test_nonpositive_near_field_cutoff_is_usage_error(tmp_path, capsys):
     code = main(["simulate", "--c-f", "0", "--output-dir", str(tmp_path / "out")])
     assert code == 2

@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopcast import experiments
 from coopcast.bounds import miso_upper_schedule, snr_upper_schedule
@@ -15,6 +17,7 @@ from coopcast.broadcast import BootstrapFailure, run_miso_broadcast
 from coopcast.experiments import (
     C1_CANDIDATES,
     CSV_HEADER,
+    DENSITY_RULES,
     ExperimentConfig,
     ScalingFit,
     _run_single,
@@ -25,7 +28,7 @@ from coopcast.experiments import (
     run_experiment,
 )
 from coopcast.nodefield import sample_field
-from coopcast.signal_model import SenderSet, SignalParams, field_map, to_pgm
+from coopcast.signal_model import MODELS, SenderSet, SignalParams, field_map, to_pgm
 
 
 def _small_config(tmp_path, **overrides):
@@ -96,16 +99,21 @@ def _uninformed_rows(cfg):
 
 def test_summary_uninformed_counts_a_one_node_miss(tmp_path):
     # Criterion 08's constants: field 1002 ends with one node in an
-    # interference null, field 1001 informs every node.
+    # interference null, field 1001 informs every node.  The last disk,
+    # of radius 105.4, covers the field of radius 30, so the run stops
+    # there: the schedule did not run out, and schedule_exhausted stays 0
+    # beside the miss.
     cfg = _small_config(
         tmp_path, models=("mimo",), node_counts=(10_000,), density=10_000 / (900.0 * math.pi),
         seeds=(1001, 1002), params=SignalParams(lam=0.1, beta_N0=1.0), c1=12.0, c2=0.02,
     )
     assert cfg.radius_for(10_000) == 30.0
+    assert cfg.schedule("mimo", 10_000)[-1] == pytest.approx(105.43, abs=0.01)
     lines = _uninformed_rows(cfg)
-    assert [(line["fully_informed"], line["uninformed"]) for line in lines] == [
-        ("1", "0"),
-        ("0", "1"),
+    columns = ("fully_informed", "schedule_exhausted", "uninformed")
+    assert [tuple(line[c] for c in columns) for line in lines] == [
+        ("1", "0", "0"),
+        ("0", "0", "1"),
     ]
 
 
@@ -134,6 +142,63 @@ def test_run_experiment_deterministic(tmp_path):
     with open(second.csv_path) as fh:
         text_b = fh.read()
     assert text_a == text_b
+
+
+@st.composite
+def _sweeps(draw):
+    """Small sweep configs: rho > 16 at every n when SNR is drawn, which its
+    schedule needs, and a bootstrap disk of 0.05 to 1.5 times the smallest
+    field radius."""
+    models = tuple(draw(st.lists(st.sampled_from(MODELS), min_size=1, unique=True)))
+    node_counts = tuple(draw(st.lists(st.integers(2, 400), min_size=1, max_size=2, unique=True)))
+    rule = draw(st.sampled_from(DENSITY_RULES))
+    least_rho = draw(st.floats(17.0, 200.0) if "snr" in models else st.floats(0.5, 200.0))
+    density = least_rho / (math.log(min(node_counts)) if rule == "log" else 1.0)
+    lam = 2.0 ** draw(st.floats(-6.0, -1.0))
+    radius = math.sqrt(min(node_counts) / (math.pi * least_rho))
+    return ExperimentConfig(
+        models=models,
+        node_counts=node_counts,
+        density=density,
+        density_rule=rule,
+        seeds=tuple(draw(st.lists(st.integers(0, 2**16), min_size=1, max_size=2, unique=True))),
+        params=SignalParams(lam=lam),
+        c1=2.0 ** draw(st.floats(-4.0, 5.0)),
+        c2=draw(st.floats(0.05, 1.5)) * radius * lam / 15.0,
+    )
+
+
+def _outputs(directory) -> dict:
+    return {name: (directory / name).read_bytes() for name in sorted(os.listdir(directory))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sweeps())
+def test_sweep_summary_rows_match_their_logs(tmp_path_factory, cfg):
+    first, second = tmp_path_factory.mktemp("sweep"), tmp_path_factory.mktemp("sweep")
+    result = run_experiment(replace(cfg, output_dir=str(first), workers=1))
+    run_experiment(replace(cfg, output_dir=str(second), workers=2))
+    assert _outputs(first) == _outputs(second)
+    for model, _, _, error, _ in result.failures:
+        assert model == "mimo" and error.startswith("BootstrapFailure: ")
+    with open(result.csv_path) as fh:
+        table = list(csv.DictReader(fh))
+    assert len(table) + len(result.failures) == len(cfg.models) * len(cfg.node_counts) * len(
+        cfg.seeds
+    )
+    for line, path in zip(table, result.log_paths, strict=True):
+        assert os.path.basename(path) == f"{line['model']}_n{line['n']}_seed{line['seed']}.json"
+        with open(path) as fh:
+            log = json.load(fh)
+        assert int(line["rounds"]) == log["total_rounds"] == len(log["rounds"])
+        assert line["fully_informed"] == str(int(log["fully_informed"]))
+        assert line["schedule_exhausted"] == str(int(log["schedule_exhausted"]))
+        for key in ("phase1_rounds", "phase2_rounds"):
+            assert line[key] == ("" if log[key] is None else str(log[key]))
+        informed = sum(len(r["newly_informed"]) for r in log["rounds"])
+        assert int(line["uninformed"]) == int(line["n"]) - 1 - informed
+        if line["model"] == "mimo":
+            assert log["phase1_rounds"] + log["phase2_rounds"] == log["total_rounds"]
 
 
 def test_run_experiment_records_failures_and_continues(tmp_path):
@@ -239,62 +304,46 @@ def test_density_rules():
 
 def test_fit_scaling_power_law():
     pts = [(x, x**2) for x in (2.0, 4.0, 8.0, 16.0, 32.0)]
-    fit = fit_scaling(pts, "loglog")
+    fit = fit_scaling(pts)
     assert fit.slope == pytest.approx(2.0, abs=1e-9)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
-
-
-def test_fit_scaling_logarithmic():
-    pts = [(x, 3.0 * math.log(x) + 1.0) for x in (10.0, 100.0, 1000.0, 10000.0)]
-    fit = fit_scaling(pts, "semilog")
-    assert fit.slope == pytest.approx(3.0, abs=1e-9)
-    assert fit.intercept == pytest.approx(1.0, abs=1e-9)
 
 
 def test_fit_scaling_noisy():
     rng = np.random.Generator(np.random.Philox(11))
     xs = np.geomspace(10.0, 1e5, 40)
     ys = np.sqrt(xs) * np.exp(rng.normal(0.0, 0.02, xs.size))
-    fit = fit_scaling(list(zip(xs, ys)), "loglog")
+    fit = fit_scaling(list(zip(xs, ys)))
     assert abs(fit.slope - 0.5) < 0.05
     assert fit.r_squared > 0.99
 
 
 def test_fit_scaling_of_a_flat_series_has_no_r_squared():
     # ss_tot = 0: no variance to explain, so r^2 is undefined, not a perfect 1.
-    fit = fit_scaling([(float(2**k), 2.0) for k in range(10, 14)], "semilog")
+    fit = fit_scaling([(float(2**k), 2.0) for k in range(10, 14)])
     assert fit.slope == pytest.approx(0.0, abs=1e-12)
     assert math.isnan(fit.r_squared)
 
 
 def test_fit_scaling_errors():
     with pytest.raises(ValueError):
-        fit_scaling([(1.0, 1.0), (2.0, 2.0)], "loglog")
+        fit_scaling([(1.0, 1.0), (2.0, 2.0)])
     with pytest.raises(ValueError):
-        fit_scaling([(2.0, y) for y in (1.0, 2.0, 3.0, 4.0)], "loglog")
-    with pytest.raises(ValueError):
-        fit_scaling([(x, x) for x in (1.0, 2.0, 3.0, 4.0)], "sqrtlog")
+        fit_scaling([(2.0, y) for y in (1.0, 2.0, 3.0, 4.0)])
 
 
 @pytest.mark.parametrize(
-    "transform, point, domain",
-    [
-        ("loglog", (4.0, 0.0), "x > 0 and y > 0"),
-        ("semilog", (0.0, 3.0), "x > 0 and y > -inf"),
-        ("loglogx", (1.0, 3.0), "x > 1 and y > -inf"),
-        ("semilog", (4.0, math.inf), "x > 0 and y > -inf"),
-        ("loglogx", (math.nan, 3.0), "x > 1 and y > -inf"),
-    ],
+    "point", [(4.0, 0.0), (4.0, math.inf), (math.nan, 3.0)], ids=["zero-y", "inf-y", "nan-x"]
 )
-def test_fit_scaling_rejects_a_point_outside_the_transform_domain(transform, point, domain):
+def test_fit_scaling_rejects_a_point_outside_the_transform_domain(point):
     points = [(2.0, 1.0), point, (8.0, 3.0), (16.0, 4.0)]
-    message = f"the {transform} transform needs finite {domain}, got the point {point}"
+    message = f"a log-log fit needs finite x > 0 and y > 0, got the point {point}"
     with pytest.raises(ValueError, match=re.escape(message)):
-        fit_scaling(points, transform)
+        fit_scaling(points)
 
 
 def test_scaling_fit_is_frozen():
-    fit = ScalingFit(1.0, 0.0, 1.0)
+    fit = ScalingFit(1.0, 1.0)
     with pytest.raises(AttributeError):
         fit.slope = 2.0
 
