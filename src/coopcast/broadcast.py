@@ -7,8 +7,9 @@ small disk, then expanding-disk MIMO rounds).  MIMO senders always transmit
 with center-synchronized phases.  Reception in a round is always evaluated
 against the complete transmitting set of that round; there is no intra-round
 chaining.  :func:`informs` is the one reception rule, which the round
-engine and the acceptance criteria decide by; its arithmetic (distances,
-screens, kernels) is in :mod:`coopcast.signal_model`.  No round cap
+engine and the acceptance criteria decide by, and the only code that
+compares a level with beta N0; its arithmetic (distances, screens,
+kernels) is in :mod:`coopcast.signal_model`.  No round cap
 applies: a flood ends when a round informs nobody, an expanding disk when
 its schedule does.
 """
@@ -28,7 +29,8 @@ from .signal_model import (
     SenderSet,
     SignalParams,
     center_sync_phases,
-    mimo_amplitude_bounds,
+    mimo_tier32,
+    mimo_tier64,
     nearest_sender_distance,
     received_phasor,
     snr_level_bounds,
@@ -63,13 +65,12 @@ class RoundRecord:
     # UDG, those beyond the reach of the farthest sender.
     receivers: int
     # Receiver x sender pairs evaluated: every candidate's pairs under MIMO,
-    # where the screen evaluates them all (its float32 tier those within its
-    # phase limit, its float64 tier the others and the rows the float32
-    # tier leaves open) and the exact kernel re-evaluates the rows the
-    # screen leaves open; under SNR the pairs of the candidates that the
-    # bounds from |q| - P and |q| + P (P the largest sender radius) leave
-    # to the kernel; 0 under UDG.  The nearest-sender queries for travel
-    # are not pairs.
+    # where the screens evaluate them all (the float32 tier those within its
+    # phase limit, the float64 tier the rows it leaves open) and the exact
+    # kernel re-evaluates the rows both leave open; under SNR the pairs of
+    # the candidates that the bounds from |q| - P and |q| + P (P the largest
+    # sender radius) leave to the kernel; 0 under UDG.  The nearest-sender
+    # queries for travel are not pairs.
     pairs_evaluated: int
     disk_radius_r_j: float | None = None
 
@@ -184,11 +185,14 @@ def informs(
 
     UDG informs within distance 1 of a sender, by one nearest-sender query
     over all of ``q``.  SNR and MIMO inform where the received level reaches
-    beta N0, boundary included: a screen's lower level bound at or above
-    beta N0 informs, and the other rows whose upper bound reaches it go to
-    the exact kernel, so every decision is the kernel's; their screens need
-    no distances, and only the informed receivers are queried for theirs.
-    ``params`` is read only under SNR and MIMO.
+    beta N0, boundary included.  Their screens run in order on the rows
+    still open: a lower level bound at or above beta N0 informs, an upper
+    bound below it rejects, and every other row, a NaN bound included, goes
+    on to the next screen and after the last to the exact kernel, so every
+    decision is the kernel's.  The screens need no distances, and only the
+    informed receivers are queried for theirs.  Screens and kernels are
+    looked up in this module when called.  ``params`` is read only under
+    SNR and MIMO.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
@@ -197,20 +201,27 @@ def informs(
         d_min = nearest_sender_distance(senders, q, udg=True)
         informed = d_min <= 1.0
         return informed, d_min[informed], 0
-    snr = model == "snr"
-    if snr:
-        lower, upper = snr_level_bounds(senders, np.hypot(q[:, 0], q[:, 1]), params)
-    else:  # a coherent sum can cancel: a phasor screen, not distance, bounds it
-        lower, upper = (b**2 for b in mimo_amplitude_bounds(senders, q, params))
-    informed = lower >= params.beta_N0
-    rows = np.flatnonzero(~informed & (upper >= params.beta_N0))
-    if rows.size:
+    snr, beta = model == "snr", params.beta_N0
+    # A coherent sum can cancel: phasor screens, not distances, bound it.
+    screens = (snr_level_bounds,) if snr else (mimo_tier32, mimo_tier64)
+    informed = np.zeros(len(q), dtype=bool)
+    is_open, q_open = np.ones(len(q), dtype=bool), q  # the rows no stage has decided
+    for screen in screens:
+        if len(q_open) == 0:
+            break
+        lower, upper = screen(senders, q_open, params)
+        reaches = lower >= beta
+        informed[is_open] = reaches
+        still_open = ~reaches & ~(upper < beta)
+        is_open[is_open] = still_open
+        q_open = q_open[still_open]
+    if len(q_open):
         if snr:
-            level = snr_received_energy(senders, q[rows], params)
+            level = snr_received_energy(senders, q_open, params)
         else:
-            level = np.abs(received_phasor(senders, q[rows], params)) ** 2
-        informed[rows] = level >= params.beta_N0
-    pairs = senders.m * (rows.size if snr else len(q))
+            level = np.abs(received_phasor(senders, q_open, params)) ** 2
+        informed[is_open] = level >= beta
+    pairs = senders.m * (len(q_open) if snr else len(q))
     return informed, nearest_sender_distance(senders, q[informed]), pairs
 
 

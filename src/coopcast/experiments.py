@@ -106,6 +106,9 @@ class ExperimentConfig:
             raise ValueError(f"seeds must be nonnegative, got {min(self.seeds)}")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
+        if "snr" in self.models:
+            for n in self.node_counts:
+                self.schedule("snr", n)  # raises where rho(n) <= 16
 
     def rho(self, n: int) -> float:
         if self.density_rule == "log":

@@ -5,23 +5,22 @@ per-sender received energies, and the UDG model is plain distance <= 1.
 Demodulation is evaluated in closed form: the time-domain Fourier integral
 collapses to the phasor sum for a steady-state window.
 
-This module owns reception's arithmetic and decides nothing: the one
-reception rule is :func:`coopcast.broadcast.informs`.  The kernels, the
-MIMO screen and the nearest-sender distance take receivers as a (k, 2)
-array and return one value per receiver.
+Screens bound, and :func:`coopcast.broadcast.informs` decides: this module
+owns reception's arithmetic and compares no level with beta N0.  The
+kernels, the screens and the nearest-sender distance take receivers as a
+(k, 2) array and return one value per receiver (a screen, two).
 :func:`received_phasor` and :func:`snr_received_energy` are the exact
-kernels.  Their screens, :func:`mimo_amplitude_bounds` and
-:func:`snr_level_bounds`, bound a receiver's level without the kernel.  The
-SNR screen needs only the receiver's radius |q| and the largest sender
-radius P, since every sender lies between |q| - P and |q| + P of it.  The
-MIMO screen has two tiers, each with a rigorous error bound of its own: an
-all-float32 phasor sum bounds every receiver, and a sum with float64
-distances and phases, reduced to [-pi, pi] before float32 trig, bounds
-again the rows whose first bounds do not decide against beta N0.  Kernels
-and both tiers work in blocks of ``_BLOCK_BYTES`` bytes of work arrays,
-which ``_blocks`` allocates once per call and sizes from their dtypes.
-:func:`nearest_sender_distance` is the one kd-tree query: the UDG decision
-and map, and the travel of the receivers a round informs.
+kernels.  Each screen returns a lower and an upper bound on the level that
+the kernel's decision uses, |z|^2 under MIMO and the energy under SNR.
+:func:`snr_level_bounds` needs only the receiver's radius |q| and the
+largest sender radius P, since every sender lies between |q| - P and
+|q| + P of it.  The two MIMO tiers carry rigorous error bounds of their own:
+:func:`mimo_tier32` is an all-float32 phasor sum, and :func:`mimo_tier64` a
+sum with float64 distances and phases, reduced to [-pi, pi] before float32
+trig.  Kernels and both tiers work in blocks of ``_BLOCK_BYTES`` bytes of
+work arrays, which ``_blocks`` allocates once per call and sizes from their
+dtypes.  :func:`nearest_sender_distance` is the one kd-tree query: the UDG
+decision and map, and the travel of the receivers a round informs.
 """
 
 from __future__ import annotations
@@ -39,7 +38,8 @@ __all__ = [
     "center_sync_phases",
     "nearest_sender_distance",
     "received_phasor",
-    "mimo_amplitude_bounds",
+    "mimo_tier32",
+    "mimo_tier64",
     "snr_received_energy",
     "snr_level_bounds",
     "field_map",
@@ -219,19 +219,19 @@ def received_phasor(senders: SenderSet, q, params: SignalParams):
 #   each) and its pairwise sum ((m - 1)u), at most 2^-32;
 # - abs of both sums (hypot, 2u each) and subtracting the slack (u), 5u.
 # The sum is below 14.1 * 2^-24; eps = 2^-18 = 64 * 2^-24 is more than
-# four times it.  The decision squares a bound: squaring rounds
-# monotonically, so lower^2 >= beta N0 implies |z|^2 >= beta N0 and
-# upper^2 < beta N0 implies |z|^2 < beta N0 as the kernel computes them.
+# four times it.  The tier returns its bounds squared: squaring rounds
+# monotonically, so they bound |z|^2 as the kernel computes it.
 _TRIG_ERROR = 12 * 2.0**-24
 _MIMO_EPS = 2.0**-18
 _PHASE_LIMIT = 2.0**20
 _SCREEN_SENDERS = 2**20
 
 
-def _mimo_tier64(senders: SenderSet, qa: np.ndarray, params: SignalParams):
-    """Bounds (lower, upper) on every kernel |z| at receivers ``qa`` (k, 2)
-    from a phasor sum with float32 cos and sin of the phase reduced to
-    [-pi, pi] in float64, widened by eps W on each side (see ``_MIMO_EPS``).
+def mimo_tier64(senders: SenderSet, qa: np.ndarray, params: SignalParams):
+    """Bounds (lower, upper) on every kernel |z|^2 at receivers ``qa`` (k, 2):
+    the squares of a phasor sum's modulus with float32 cos and sin of the
+    phase reduced to [-pi, pi] in float64, widened by eps W on each side
+    (see ``_MIMO_EPS``).
 
     Receivers outside the bound's preconditions get (0, inf).  The
     receivers are screened in blocks (see ``_blocks``) through three float64
@@ -272,7 +272,7 @@ def _mimo_tier64(senders: SenderSet, qa: np.ndarray, params: SignalParams):
     outside |= m > _SCREEN_SENDERS
     lower[outside] = 0.0
     upper[outside] = np.inf
-    return lower, upper
+    return np.square(lower, out=lower), np.square(upper, out=upper)
 
 
 # The float32 tier's error bound eps32, as a multiple of a row's weight sum
@@ -310,15 +310,16 @@ def _mimo_tier64(senders: SenderSet, qa: np.ndarray, params: SignalParams):
 # tier's float32 weight sum, within (m - 1)u + (|q| + P) u / c + 6u of the
 # kernel's.  With eps32 <= 2^-8 every term is below 2^-8, so that and the
 # second-order terms scale the sum by less than 1 + 2^-6 <= 1.0625.
-# Overflow gives inf or nan bounds, which decide nothing.  Decisions square
-# a bound, as for the float64 tier.
+# Overflow gives inf or nan bounds, which decide nothing.  The bounds are
+# returned squared, as the float64 tier's.
 _MIMO_EPS32 = 1.0625 * 2.0**-24
 _TIER_PHASE_LIMIT = 4000.0
 
 
-def _mimo_tier32(senders: SenderSet, qa: np.ndarray, params: SignalParams):
-    """Bounds (lower, upper) on every kernel |z| at receivers ``qa`` (k, 2)
-    from a float32 phasor sum widened by eps32 W (see ``_MIMO_EPS32``).
+def mimo_tier32(senders: SenderSet, qa: np.ndarray, params: SignalParams):
+    """Bounds (lower, upper) on every kernel |z|^2 at receivers ``qa`` (k, 2):
+    the squares of a float32 phasor sum's modulus widened by eps32 W (see
+    ``_MIMO_EPS32``).
 
     Positions, receivers, amplitudes and phases are cast to float32 once;
     the receivers within the tier's limits are screened in blocks (see
@@ -358,27 +359,8 @@ def _mimo_tier32(senders: SenderSet, qa: np.ndarray, params: SignalParams):
     amplitude = np.hypot(real, imag)
     slack = eps[inside] * total
     lower, upper = np.zeros(k), np.full(k, np.inf)
-    lower[inside] = np.maximum(amplitude - slack, 0.0)
-    upper[inside] = amplitude + slack
-    return lower, upper
-
-
-def mimo_amplitude_bounds(senders: SenderSet, q, params: SignalParams):
-    """Lower and upper bounds, per receiver of ``q`` (k, 2), on
-    ``np.abs(received_phasor(senders, q, params))``.
-
-    Two certified tiers bound |z| without the kernel.  The float32 tier
-    (``_mimo_tier32``) bounds every receiver within its phase limit.  The
-    rows its bounds do not decide against ``params.beta_N0`` (neither
-    lower^2 >= beta N0 nor upper^2 < beta N0) go to the float64 tier
-    (``_mimo_tier64``), whose bounds replace theirs.  Receivers outside both
-    tiers' preconditions get the bounds (0, inf), which decide nothing.
-    """
-    qa = np.asarray(q, dtype=float)
-    lower, upper = _mimo_tier32(senders, qa, params)
-    rows = np.flatnonzero(~(lower**2 >= params.beta_N0) & ~(upper**2 < params.beta_N0))
-    if rows.size:
-        lower[rows], upper[rows] = _mimo_tier64(senders, qa[rows], params)
+    lower[inside] = np.maximum(amplitude - slack, 0.0) ** 2
+    upper[inside] = (amplitude + slack) ** 2
     return lower, upper
 
 
@@ -408,10 +390,10 @@ _SNR_NEAR_TOL = 2.0**-44
 
 
 def snr_level_bounds(
-    senders: SenderSet, q_norm: np.ndarray, params: SignalParams
+    senders: SenderSet, q: np.ndarray, params: SignalParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds L (1 - tol) and U (1 + tol), per receiver of radius ``q_norm``,
-    on its :func:`snr_received_energy`.
+    """Bounds L (1 - tol) and U (1 + tol), per receiver of ``q`` (k, 2), on
+    its :func:`snr_received_energy`.
 
     Each term of a level is a_j^2 / max(d_j, c)^2 with c = c_f lam, and every
     sender lies within P, the largest sender radius, so d_j lies between
@@ -429,6 +411,7 @@ def snr_level_bounds(
     # In all below (2m + 24)u; tol = 16 (m + 16)u leaves a margin of eight
     # and more.
     tol = (senders.m + 16) * 2.0**-49
+    q_norm = np.hypot(q[:, 0], q[:, 1])
     c = params.c_f * params.lam
     power = np.square(senders.amplitudes).sum()
     p = np.hypot(*senders.positions.T).max(initial=0.0)

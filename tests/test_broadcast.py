@@ -478,17 +478,17 @@ def _kernel_receivers(monkeypatch) -> set[tuple[float, float]]:
 
 
 def _tier64_receivers(monkeypatch) -> list[tuple[float, float]]:
-    """Wrap the float64 tier of the MIMO screen, which ``signal_model`` calls
-    on the rows its float32 tier leaves open; the returned list collects the
-    receiver positions of every call."""
+    """Wrap the float64 MIMO tier where ``broadcast`` looks it up, which
+    ``informs`` calls on the rows the float32 tier leaves open; the returned
+    list collects the receiver positions of every call."""
     seen = []
-    tier = signal_model._mimo_tier64
+    tier = signal_model.mimo_tier64
 
     def spied(senders, q, params):
         seen.extend(map(tuple, q))
         return tier(senders, q, params)
 
-    monkeypatch.setattr(signal_model, "_mimo_tier64", spied)
+    monkeypatch.setattr(broadcast, "mimo_tier64", spied)
     return seen
 
 
@@ -612,6 +612,30 @@ def test_snr_level_exactly_on_threshold_informs(monkeypatch):
     assert [rec.newly_informed.tolist() for rec in log.rounds] == [[1]]
     assert log.fully_informed and log.propagation_time == 1.0
     assert seen == [1] and log.rounds[0].pairs_evaluated == 1
+
+
+@pytest.mark.parametrize("model, stage", [("mimo", "mimo_tier64"), ("snr", "snr_level_bounds")])
+def test_a_nan_screen_bound_leaves_the_row_to_the_kernel(monkeypatch, model, stage):
+    # A receiver 0.5 from a lone sender, beta N0 = 1: the kernel's level is
+    # 4.  A screen that bounds it by (0, NaN) neither informs nor rejects
+    # it, so the row goes on and the kernel informs it.  At lam = 1e-4 its
+    # phases, 3.1e4 rad, are past the float32 tier's limit: the float64
+    # tier is the MIMO row's last screen.
+    params = SignalParams(lam=1e-4)
+    senders = SenderSet.build([[0.0, 0.0]])
+    q = np.array([[0.5, 0.0]])
+    if model == "mimo":
+        assert np.abs(received_phasor(senders, q, params)) ** 2 >= params.beta_N0
+    else:
+        assert snr_received_energy(senders, q, params) >= params.beta_N0
+    assert signal_model.mimo_tier32(senders, q, params)[1].tolist() == [np.inf]
+
+    def nan_bounds(senders, q, params):
+        return np.zeros(len(q)), np.full(len(q), np.nan)
+
+    monkeypatch.setattr(broadcast, stage, nan_bounds)
+    informed, d_informed, pairs = broadcast.informs(model, senders, q, params)
+    assert informed.tolist() == [True] and d_informed.tolist() == [0.5] and pairs == 1
 
 
 def test_round_telemetry_counts_receivers_and_kernel_pairs(monkeypatch):

@@ -262,17 +262,17 @@ def drawn(monkeypatch):
 
 
 def test_miso_fieldmap_draws_the_senders_the_kernel_received(tmp_path, monkeypatch, drawn):
-    # Every MIMO candidate goes through the reception screen, which decides
-    # most of them without the exact kernel: spy on the screen.
+    # Every MIMO candidate goes through the float32 tier, the first of the
+    # screens that decide most of them without the exact kernel: spy on it.
     received = []  # the SenderSet of each round, once per round
-    screen = broadcast.mimo_amplitude_bounds
+    screen = broadcast.mimo_tier32
 
     def spy(senders, q, params):
         if not received or received[-1] is not senders:
             received.append(senders)
         return screen(senders, q, params)
 
-    monkeypatch.setattr(broadcast, "mimo_amplitude_bounds", spy)
+    monkeypatch.setattr(broadcast, "mimo_tier32", spy)
     out = tmp_path / "maps"
     assert main([*MISO_FIELDMAP, "--n", "1000", "--seed", "0", "--output-dir", str(out)]) == 0
     models = [model for model, _ in drawn]
@@ -397,6 +397,19 @@ def test_fewer_than_one_worker_is_a_usage_error(tmp_path, capsys, workers):
     out = tmp_path / "out"
     assert main(["simulate", "--workers", workers, "--output-dir", str(out)]) == 2
     assert capsys.readouterr().err == f"error: workers must be at least 1, got {workers}\n"
+    assert not out.exists()
+
+
+def test_an_snr_job_at_rho_16_or_below_is_a_usage_error(tmp_path, capsys):
+    # The SNR schedule grows only for rho > 16: the config rejects rho = 8
+    # before any job runs, where each job used to fail with a traceback.
+    out = tmp_path / "out"
+    argv = ["simulate", "--models", "snr", "--node-counts", "64", "--density", "8",
+            "--seeds", "0", "--output-dir", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: schedule expands only for rho > 16, got rho=8.0\n"
+    )
     assert not out.exists()
 
 

@@ -147,14 +147,16 @@ def test_run_experiment_deterministic(tmp_path):
 @st.composite
 def _sweeps(draw):
     """Small sweep configs: rho > 16 at every n when SNR is drawn, which its
-    schedule needs, and a bootstrap disk of 0.05 to 1.5 times the smallest
-    field radius."""
+    schedule needs, a bootstrap disk of 0.05 to 1.5 times the smallest field
+    radius, beta N0 from 1/4 to 4 and a near-field cutoff c_f lam of at most
+    1."""
     models = tuple(draw(st.lists(st.sampled_from(MODELS), min_size=1, unique=True)))
     node_counts = tuple(draw(st.lists(st.integers(2, 400), min_size=1, max_size=2, unique=True)))
     rule = draw(st.sampled_from(DENSITY_RULES))
     least_rho = draw(st.floats(17.0, 200.0) if "snr" in models else st.floats(0.5, 200.0))
     density = least_rho / (math.log(min(node_counts)) if rule == "log" else 1.0)
     lam = 2.0 ** draw(st.floats(-6.0, -1.0))
+    c_f = 2.0 ** draw(st.floats(-2.0, -math.log2(lam)))
     radius = math.sqrt(min(node_counts) / (math.pi * least_rho))
     return ExperimentConfig(
         models=models,
@@ -162,7 +164,7 @@ def _sweeps(draw):
         density=density,
         density_rule=rule,
         seeds=tuple(draw(st.lists(st.integers(0, 2**16), min_size=1, max_size=2, unique=True))),
-        params=SignalParams(lam=lam),
+        params=SignalParams(lam=lam, beta_N0=2.0 ** draw(st.floats(-2.0, 2.0)), c_f=c_f),
         c1=2.0 ** draw(st.floats(-4.0, 5.0)),
         c2=draw(st.floats(0.05, 1.5)) * radius * lam / 15.0,
     )
@@ -195,8 +197,10 @@ def test_sweep_summary_rows_match_their_logs(tmp_path_factory, cfg):
         assert line["schedule_exhausted"] == str(int(log["schedule_exhausted"]))
         for key in ("phase1_rounds", "phase2_rounds"):
             assert line[key] == ("" if log[key] is None else str(log[key]))
-        informed = sum(len(r["newly_informed"]) for r in log["rounds"])
-        assert int(line["uninformed"]) == int(line["n"]) - 1 - informed
+        # Each node is informed at most once, and the origin never by a round.
+        informed = [node for r in log["rounds"] for node in r["newly_informed"]]
+        assert len(set(informed)) == len(informed) and 0 not in informed
+        assert int(line["uninformed"]) == int(line["n"]) - 1 - len(informed)
         if line["model"] == "mimo":
             assert log["phase1_rounds"] + log["phase2_rounds"] == log["total_rounds"]
 

@@ -1,6 +1,7 @@
 import math
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from coopcast.signal_model import (
     SignalParams,
     center_sync_phases,
     field_map,
-    mimo_amplitude_bounds,
+    mimo_tier32,
+    mimo_tier64,
     nearest_sender_distance,
     received_phasor,
     snr_level_bounds,
@@ -326,7 +328,7 @@ def test_empty_sender_set():
         z, rs = reference_kernels(s, q, PARAMS)
         assert np.array_equal(received_phasor(s, q, PARAMS), z)
         assert np.array_equal(snr_received_energy(s, q, PARAMS), rs)
-        bounds = snr_level_bounds(s, q[:, 0], PARAMS)
+        bounds = snr_level_bounds(s, q, PARAMS)
         assert [b.tolist() for b in bounds] == [[0.0, 0.0]] * 2
         assert nearest_sender_distance(s, q).tolist() == [np.inf, np.inf]
 
@@ -365,7 +367,7 @@ def test_snr_level_bounds_enclose_the_kernel_level(lam):
             rng.uniform(-6.0, 6.0, size=(60, 2)),
         ])
         q_norm = np.hypot(*q.T)
-        lower, upper = snr_level_bounds(senders, q_norm, params)
+        lower, upper = snr_level_bounds(senders, q, params)
         level = snr_received_energy(senders, q, params)
         assert np.all((lower <= level) & (level <= upper))
         if m > 1:
@@ -450,33 +452,43 @@ def _screen_cases():
     return cases
 
 
-def _screen_misses(cases, bounds=mimo_amplitude_bounds) -> int:
-    """Receivers whose kernel |z| falls outside the ``bounds``."""
+def _screen_misses(cases, tier) -> int:
+    """Receivers whose kernel |z|^2 falls outside the ``tier``'s bounds."""
     misses = 0
     for senders, q, params in cases:
-        lower, upper = bounds(senders, q, params)
-        amplitude = np.abs(received_phasor(senders, q, params))
-        misses += int(np.sum(~((lower <= amplitude) & (amplitude <= upper))))
+        lower, upper = tier(senders, q, params)
+        level = np.abs(received_phasor(senders, q, params)) ** 2
+        misses += int(np.sum(~((lower <= level) & (level <= upper))))
     return misses
 
 
-TIERS = [signal_model._mimo_tier32, signal_model._mimo_tier64]
+TIERS = [mimo_tier32, mimo_tier64]
 
 
 def test_screen_encloses_the_kernel_amplitude():
+    # Through informs, which runs the float32 tier, the float64 tier on the
+    # rows it leaves open and the kernel on the rest, every case is decided
+    # as the kernel alone decides it: at beta N0 = 1, and on and just above
+    # three receivers' own levels, where a bound on the wrong side of the
+    # level would decide the other way.
     cases = _screen_cases()
     largest_phase = max(
         2.0 * np.pi * np.linalg.norm(q[:, None] - s.positions, axis=2).max() / p.lam
         for s, q, p in cases
     )
     assert largest_phase > 2000.0
-    assert _screen_misses(cases) == 0
+    for senders, q, params in cases:
+        level = np.abs(received_phasor(senders, q, params)) ** 2
+        own = [float(level[i]) for i in (0, 4, 30)]
+        for beta in [1.0, *own, *np.nextafter(own, np.inf)]:
+            hit = informs("mimo", senders, q, replace(params, beta_N0=beta))[0]
+            assert hit.tolist() == (level >= beta).tolist()
 
 
 @pytest.mark.parametrize("tier", TIERS)
 def test_each_tier_encloses_the_kernel_amplitude(tier):
-    # Each tier on its own, called directly: through the screen the float64
-    # tier sees only the rows the float32 tier leaves open.
+    # Each tier bounds |z|^2 on every receiver it is given: through informs
+    # the float64 tier sees only the rows the float32 tier leaves open.
     assert _screen_misses(_screen_cases(), tier) == 0
 
 
@@ -486,7 +498,7 @@ def test_float32_tier_bounds_most_receivers_within_its_phase_limit():
     # included, and gives the others (0, inf).
     bounded = far = 0
     for senders, q, params in _screen_cases():
-        lower, upper = signal_model._mimo_tier32(senders, q, params)
+        lower, upper = mimo_tier32(senders, q, params)
         reach = np.hypot(*q.T) + np.hypot(*senders.positions.T).max()
         within = 2.0 * np.pi * (reach / params.lam + 1.0) <= signal_model._TIER_PHASE_LIMIT
         assert np.all(np.isfinite(upper) == within)
@@ -494,40 +506,45 @@ def test_float32_tier_bounds_most_receivers_within_its_phase_limit():
         bounded += int(np.sum(within))
         dist = np.linalg.norm(q[within][:, None] - senders.positions, axis=2)
         weight = (senders.amplitudes / np.maximum(dist, params.c_f * params.lam)).sum(axis=1)
-        assert np.all(upper[within] - lower[within] <= 2.0**-7 * weight)
+        width = np.sqrt(upper[within]) - np.sqrt(lower[within])
+        assert np.all(width <= 2.0**-7 * weight)
         far = max(far, 2.0 * np.pi * dist.max(initial=0.0) / params.lam)
     assert bounded > 1500 and far > 2000.0
 
 
 def test_screen_containment_fails_with_a_narrower_bound(monkeypatch):
     # The check has teeth: 2^12 times less slack misses some receiver.  It
-    # calls the float64 tier directly; through the screen the float32 tier
+    # calls the float64 tier directly; through informs the float32 tier
     # would decide most rows before the float64 tier sees them.
     monkeypatch.setattr(signal_model, "_MIMO_EPS", signal_model._MIMO_EPS / 2**12)
-    assert _screen_misses(_screen_cases(), signal_model._mimo_tier64) > 0
+    assert _screen_misses(_screen_cases(), mimo_tier64) > 0
 
 
 def test_float32_tier_containment_fails_with_a_narrower_bound(monkeypatch):
     # 2^5 times less slack misses some receiver: on these cases the worst
     # error comes within a factor of 32 of the float32 tier's bound.
     monkeypatch.setattr(signal_model, "_MIMO_EPS32", signal_model._MIMO_EPS32 / 2**5)
-    assert _screen_misses(_screen_cases(), signal_model._mimo_tier32) > 0
+    assert _screen_misses(_screen_cases(), mimo_tier32) > 0
+
+
+def _mimo_informs(senders, q, params):
+    return informs("mimo", senders, q, params)
 
 
 def test_screen_bounds_do_not_depend_on_the_pair_budget(monkeypatch):
     # The tiers and both kernels loop over the blocks of _blocks, which
     # sizes each stage's blocks of the byte budget from the dtypes of the
     # work arrays it yields; a row's values are the same bits in any block,
-    # the last, shorter block included.
+    # the last, shorter block included, and so are informs' decisions.
     senders, q, params = _screen_cases()[-6]  # 600 senders, lam = 0.1
     k, m = len(q), senders.m
     blocks, sizes = signal_model._blocks, {}
 
     def bits(function):
         out = function(senders, q, params)
-        return [b.tobytes() for b in (out if isinstance(out, tuple) else (out,))]
+        return [np.asarray(b).tobytes() for b in (out if isinstance(out, tuple) else (out,))]
 
-    for function in (mimo_amplitude_bounds, *TIERS, received_phasor, snr_received_energy):
+    for function in (_mimo_informs, *TIERS, received_phasor, snr_received_energy):
 
         def spied(rows, m, *dtypes):
             for block, work in blocks(rows, m, *dtypes):
@@ -549,8 +566,8 @@ def test_screen_bounds_do_not_depend_on_the_pair_budget(monkeypatch):
     assert sizes == {
         (function, pair_bytes): {"one", "some", "whole"}
         for function, pair_bytes in [
-            ("mimo_amplitude_bounds", 12), ("mimo_amplitude_bounds", 32),
-            ("_mimo_tier32", 12), ("_mimo_tier64", 32),
+            ("_mimo_informs", 12), ("_mimo_informs", 32),
+            ("mimo_tier32", 12), ("mimo_tier64", 32),
             ("received_phasor", 32), ("snr_received_energy", 16),
         ]
     }
@@ -558,29 +575,34 @@ def test_screen_bounds_do_not_depend_on_the_pair_budget(monkeypatch):
 
 def test_screen_edge_receivers():
     one = SenderSet.build([[0.0, 0.0]])
-    # |z| = 1 at distance 1.
-    lower, upper = mimo_amplitude_bounds(one, [(1.0, 0.0)], PARAMS)
-    assert lower[0] < 1.0 < upper[0]
-    # No senders: z = 0 exactly.
-    lower, upper = mimo_amplitude_bounds(SenderSet.build(np.empty((0, 2))), np.ones((2, 2)), PARAMS)
-    assert lower.tolist() == upper.tolist() == [0.0, 0.0]
+    for tier in TIERS:
+        # |z|^2 = 1 at distance 1.
+        lower, upper = tier(one, np.array([[1.0, 0.0]]), PARAMS)
+        assert lower[0] < 1.0 < upper[0]
+        # No senders: z = 0 exactly.
+        lower, upper = tier(SenderSet.build(np.empty((0, 2))), np.ones((2, 2)), PARAMS)
+        assert lower.tolist() == upper.tolist() == [0.0, 0.0]
     # At lam = 1e-4, a receiver at distance 1 has phases of 6.3e4 rad: past
     # the float32 tier's limit, within the float64 tier's.  At distance 100,
-    # 6.3e6 rad, past both, the bounds decide nothing.
+    # 6.3e6 rad, past both, the bounds decide nothing and the kernel does.
     params = SignalParams(lam=1e-4)
     q = np.array([[100.0, 0.0], [1.0, 0.0]])
-    lower, upper = signal_model._mimo_tier32(one, q, params)
+    lower, upper = mimo_tier32(one, q, params)
     assert lower.tolist() == [0.0, 0.0] and upper.tolist() == [np.inf, np.inf]
-    lower, upper = mimo_amplitude_bounds(one, q, params)
+    lower, upper = mimo_tier64(one, q, params)
     assert (lower[0], upper[0]) == (0.0, np.inf)
     assert lower[1] < 1.0 < upper[1]
+    level = np.abs(received_phasor(one, q, params)) ** 2
+    for beta in (1e-5, 1e-4, 1.0):
+        hit = informs("mimo", one, q, replace(params, beta_N0=beta))[0]
+        assert hit.tolist() == (level >= beta).tolist()
     # Amplitudes below 2^-40 could underflow in float32: the float32 tier
     # takes no row, and the float64 tier bounds them.
     tiny = SenderSet.build([[0.0, 0.0]], amplitudes=[1e-20])
-    lower, upper = signal_model._mimo_tier32(tiny, q[1:], PARAMS)
+    lower, upper = mimo_tier32(tiny, q[1:], PARAMS)
     assert (lower[0], upper[0]) == (0.0, np.inf)
-    lower, upper = mimo_amplitude_bounds(tiny, q[1:], PARAMS)
-    assert lower[0] < 1e-20 < upper[0] < 1e-19
+    lower, upper = mimo_tier64(tiny, q[1:], PARAMS)
+    assert lower[0] < 1e-40 < upper[0] < 1e-38
 
 
 def _worst_trig_error(t: np.ndarray) -> float:
