@@ -36,10 +36,25 @@ def _snr_step(rho: float) -> float:
     return step
 
 
+#: Most radii an SNR schedule may have.  rho just above 16 makes a step so
+#: close to 1 that the list alone would fill memory (48 million radii at
+#: n = 1024, rho = 16.000001).  The schedules of the analysis's regime,
+#: rho = Omega(log n), have a handful; the cap still leaves the slow ones
+#: whole, such as the 14,750 radii of rho = 16.01 at R = 100.
+_MAX_SNR_RADII = 100_000
+
+
 def snr_upper_schedule(rho: float, R: float) -> SchedulePrediction:
     """Radii r_j = (rho/16)^((j-1)/2), from single-sender reach r_1 = 1,
-    until the disk radius R is covered."""
+    until the disk radius R is covered.  A schedule that would have more
+    than ``_MAX_SNR_RADII`` radii raises ``ValueError`` before any is built."""
     step = _snr_step(rho)
+    length = math.ceil(math.log(R) / math.log(step)) + 1 if R > 1.0 else 1
+    if length > _MAX_SNR_RADII:
+        raise ValueError(
+            f"the SNR schedule at rho={rho} would have {length} radii, "
+            f"more than {_MAX_SNR_RADII}"
+        )
     radii = [1.0]
     while radii[-1] < R:
         radii.append(radii[-1] * step)

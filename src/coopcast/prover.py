@@ -368,8 +368,8 @@ EXPRESSIONS = {
 #: The expressions whose evaluator also runs on :class:`Gradient` variables,
 #: so that :func:`prove` may decide a box by its mean-value enclosure: the
 #: scaled area and the ratio built from it, both C^1 on the closed box.  The
-#: form pays where natural enclosures need deep trees (the ratio takes 1,197
-#: boxes instead of 40,275, ``area_scaled_upper`` 655 instead of 19,287); a
+#: form pays where natural enclosures need deep trees (the ratio takes 1,657
+#: boxes instead of 42,633, ``area_scaled_upper`` 897 instead of 24,493); a
 #: shallow task spends more on the partials than the boxes it saves.
 GRADIENT_FORMS = frozenset({"lens_area_half_ratio", "lens_area_scaled"})
 
@@ -553,22 +553,21 @@ def _mean_value(partials: Interval, lo: np.ndarray, hi: np.ndarray, center, at_c
 
 
 def _split(lo: np.ndarray, hi: np.ndarray, mid: np.ndarray, spans: np.ndarray):
-    """The children of every box, its lo half then its hi half, cut at the
-    midpoint of the dimension widest relative to the domain ``spans``
-    (``np.argmax`` takes the first dimension on ties)."""
-    rel = np.divide(hi - lo, spans, out=np.zeros_like(lo), where=spans > 0)
-    dim = np.argmax(rel, axis=1)
-    rows = np.arange(len(lo))
-    cut = mid[rows, dim]
-    if not np.all((lo[rows, dim] < cut) & (cut < hi[rows, dim])):
+    """The 2^d children of every box, cut at its midpoint ``mid`` in each of
+    the d dimensions of positive domain span ``spans``.  A box's children
+    are consecutive rows, lo and hi halves in the order of
+    ``itertools.product``, dimension 0 slowest; ``mid`` is a corner of each."""
+    dims = np.flatnonzero(spans > 0)
+    if dims.size == 0 or not np.all((lo[:, dims] < mid[:, dims]) & (mid[:, dims] < hi[:, dims])):
         raise DomainError("box too thin to split")
-    lo, hi = np.repeat(lo, 2, axis=0), np.repeat(hi, 2, axis=0)
-    hi[2 * rows, dim] = cut
-    lo[2 * rows + 1, dim] = cut
+    upper = np.tile(list(itertools.product((False, True), repeat=dims.size)), (len(lo), 1))
+    lo, hi, mid = (np.repeat(a, 2**dims.size, axis=0) for a in (lo, hi, mid))
+    lo[:, dims] = np.where(upper, mid[:, dims], lo[:, dims])
+    hi[:, dims] = np.where(upper, hi[:, dims], mid[:, dims])
     return lo, hi
 
 
-#: Deepest bisection level; the suite's proofs need at most 17.
+#: Deepest level of the box tree; the suite's proofs reach level 8.
 _MAX_DEPTH = 60
 
 
@@ -608,22 +607,22 @@ def prove(task: ProofTask, max_boxes: int = 2**24) -> ProofResult:
     expression in :data:`GRADIENT_FORMS`, by their mean-value enclosure
     about their parent's midpoint (counted per depth in
     ``centered_per_depth`` when only that one certifies).  Each undecided
-    box is split along the dimension that is widest relative to the task
-    domain (ties go to the first dimension), lo half before hi half, to
-    form the next level.  The
-    midpoints of the undecided boxes, as degenerate intervals, are checked
-    for refutation one level late: they ride as extra lanes in the next
-    level's call, so a level costs one call of at most ``_LANES`` lanes per
-    chunk.  When they refute, the next level is dropped from the count, and
-    the arccos clip counter is reset and the midpoints evaluated alone, so
-    the result is that of checking them before the next level ran.  A
-    proved task visits the same boxes in any order.  A refuted task reports
-    the first refuting box of its level.  A task is exhausted, and reports
-    the first undecided box of its last level, when that level is at
-    ``_MAX_DEPTH`` or its children would take the boxes processed past
-    ``max_boxes``; the midpoints of a last level, and of a level whose
-    boxes are too thin to split, are checked alone first.  Results are
-    reproducible.  A budget below one box raises ``ValueError``.
+    box is halved at its midpoint in every dimension of positive domain
+    span, its 2^d children in a fixed order (:func:`_split`), to form the
+    next level.  The midpoints of the undecided boxes, as degenerate
+    intervals, are checked for refutation one level late: they ride as
+    extra lanes in the next level's call, so a level costs one call of at
+    most ``_LANES`` lanes per chunk.  When they refute, the next level is
+    dropped from the count, and the arccos clip counter is reset and the
+    midpoints evaluated alone, so the result is that of checking them
+    before the next level ran.  A proved task visits the same boxes in any
+    order.  A refuted task reports the first refuting box of its level.  A
+    task is exhausted, and reports the first undecided box of its last
+    level, when that level is at ``_MAX_DEPTH`` or its children would take
+    the boxes processed past ``max_boxes``; the midpoints of a last level,
+    and of a level whose boxes are too thin to split, are checked alone
+    first.  Results are reproducible.  A budget below one box raises
+    ``ValueError``.
     """
     if max_boxes < 1:
         raise ValueError(f"a proof needs a budget of at least 1 box, got {max_boxes}")
@@ -632,6 +631,7 @@ def prove(task: ProofTask, max_boxes: int = 2**24) -> ProofResult:
     gradient = task.expression in GRADIENT_FORMS
     domain = np.array(task.domain, dtype=float)
     spans = domain[:, 1] - domain[:, 0]
+    fanout = 2 ** np.count_nonzero(spans > 0)
     lo, hi = domain[None, :, 0], domain[None, :, 1]
     clips = intervals.acos_clip_events
     per_depth: list[int] = []
@@ -658,12 +658,12 @@ def prove(task: ProofTask, max_boxes: int = 2**24) -> ProofResult:
         enc = enc.take(slice(len(lo)))
         decided = ~enc.invalid & _certifies(enc, task.relation, task.bound)
         if gradient:
-            # Box 2r and 2r + 1 are the halves of the previous level's
-            # undecided box r, whose midpoint lies on their common face:
-            # it is their center, and its enclosure rode in this call.
+            # Rows fanout r up to fanout (r + 1) are the children of the last
+            # level's undecided box r, whose midpoint is a corner of each: it
+            # is their center, and its enclosure rode in this call.
             by_center = np.zeros_like(decided)
             if len(mid):
-                parent = np.arange(len(lo)) // 2
+                parent = np.arange(len(lo)) // fanout
                 cen = _mean_value(
                     partials.take(slice(len(lo))), lo, hi, mid[parent], at_mid.take(parent)
                 )
@@ -676,7 +676,7 @@ def prove(task: ProofTask, max_boxes: int = 2**24) -> ProofResult:
         lo, hi = lo[undecided], hi[undecided]
         mid = 0.5 * (lo + hi)
         children = too_thin = None
-        if depth < _MAX_DEPTH and sum(per_depth) + 2 * len(lo) <= max_boxes:
+        if depth < _MAX_DEPTH and sum(per_depth) + fanout * len(lo) <= max_boxes:
             try:
                 children = _split(lo, hi, mid, spans)
             except DomainError as exc:

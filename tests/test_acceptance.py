@@ -168,24 +168,27 @@ def test_criterion_03_geometry_oracle():
 
 
 #: (boxes_processed, max_depth_reached, acos_clips) of each suite task's
-#: certificate: 8,995 boxes and 282 arccos clips in all.  A change that
-#: alters one changes the proofs, and must say why.
+#: certificate: 9,805 boxes and 286 arccos clips in all, no proof deeper than
+#: level 8.  Each undecided box is halved in every dimension, so a 2-D task
+#: has four children a box and reaches a box size in half the levels that
+#: one cut a level took.  A change that alters one changes the proofs, and
+#: must say why.
 SUITE_CERTIFICATES = {
     "shape_scaled_lower": (15, 6, 6),
     "shape_scaled_upper": (1, 0, 0),
-    "area_scaled_lower": (85, 10, 22),
-    "area_scaled_upper": (655, 11, 87),
-    "area_scaled_far_lower": (75, 9, 21),
-    "area_half_width_ratio": (1197, 15, 136),
-    "area_slope_positive": (29, 6, 0),
-    "area_concave_mid": (6489, 16, 0),
-    "area_concave_left": (15, 6, 1),
-    "term1_lower": (123, 11, 0),
-    "term1_upper": (179, 10, 0),
+    "area_scaled_lower": (109, 5, 19),
+    "area_scaled_upper": (897, 6, 95),
+    "area_scaled_far_lower": (125, 5, 28),
+    "area_half_width_ratio": (1657, 8, 130),
+    "area_slope_positive": (29, 3, 0),
+    "area_concave_mid": (6501, 8, 0),
+    "area_concave_left": (13, 3, 1),
+    "term1_lower": (141, 6, 0),
+    "term1_upper": (181, 5, 0),
     "term2_upper": (1, 0, 0),
-    "term3_lower": (3, 1, 0),
-    "term3_upper": (89, 11, 4),
-    "term3_left_upper": (39, 6, 5),
+    "term3_lower": (5, 1, 1),
+    "term3_upper": (101, 6, 3),
+    "term3_left_upper": (29, 3, 3),
 }
 
 

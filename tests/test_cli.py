@@ -413,6 +413,22 @@ def test_an_snr_job_at_rho_16_or_below_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "density, radii", [("16.0001", 482_267), ("16.000001", 48_226_453)]
+)
+def test_an_snr_schedule_too_long_to_build_is_a_usage_error(tmp_path, capsys, density, radii):
+    # Just above rho = 16 the schedule's step is nearly 1: the config names
+    # the schedule's length, from its closed form, instead of building it.
+    out = tmp_path / "out"
+    argv = ["simulate", "--models", "snr", "--node-counts", "1024", "--density", density,
+            "--seeds", "0", "--output-dir", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: the SNR schedule at rho={density} would have {radii} radii, more than 100000\n"
+    )
+    assert not out.exists()
+
+
 def test_workers_default_to_the_usable_cpus(built_config, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     assert built_config(["simulate"]).workers == 3

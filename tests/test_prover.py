@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import warnings
@@ -5,6 +6,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopcast import intervals, prover
 from coopcast.intervals import Gradient, Interval
@@ -114,11 +117,11 @@ def test_exhaustion_reports_hardest_box():
     assert res.boxes_processed <= 64
     # Level order: the budget stops the walk after whole levels, and the
     # witness is the first undecided box of the last one.
-    assert res.boxes_per_depth == [1, 2, 4, 8, 16, 32]
-    assert res.witness_box.depth == res.max_depth_reached == 5
+    assert res.boxes_per_depth == [1, 4, 16]
+    assert res.witness_box.depth == res.max_depth_reached == 2
     again = prove(task, max_boxes=64)
     assert again.certificate_json() == res.certificate_json()
-    per_depth, *_ = _level_order_reference(task, stop_depth=5)
+    per_depth, *_ = _level_order_reference(task, stop_depth=2)
     assert per_depth == res.boxes_per_depth
 
 
@@ -202,15 +205,12 @@ def _halves(iv):
     return Interval(iv.lo, m), Interval(m, iv.hi)
 
 
-def _split_box(box, dim):
-    """The lo and hi halves of a box along dimension ``dim``, one level
-    deeper."""
-    lo_iv, hi_iv = _halves(box.intervals[dim])
-    parts = list(box.intervals)
-    parts[dim] = lo_iv
-    left = Box(tuple(parts), box.depth + 1)
-    parts[dim] = hi_iv
-    return left, Box(tuple(parts), box.depth + 1)
+def _split_box(box, dims):
+    """The children of a box halved at its midpoint along each dimension in
+    ``dims``, one level deeper, lo half before hi half and the first
+    dimension slowest."""
+    halves = [_halves(iv) if i in dims else (iv,) for i, iv in enumerate(box.intervals)]
+    return [Box(parts, box.depth + 1) for parts in itertools.product(*halves)]
 
 
 def _midpoint(box):
@@ -219,7 +219,7 @@ def _midpoint(box):
 
 def test_box_split_deterministic():
     box = Box((Interval(0.0, 2.0), Interval(0.0, 1.0)))
-    lo, hi = _split_box(box, 0)
+    lo, hi = _split_box(box, [0])
     assert lo.intervals[0] == Interval(0.0, 1.0)
     assert hi.intervals[0] == Interval(1.0, 2.0)
     assert lo.intervals[0].hi == hi.intervals[0].lo == 1.0
@@ -227,6 +227,42 @@ def test_box_split_deterministic():
     assert lo.depth == hi.depth == 1
     with pytest.raises(DomainError):
         _halves(Interval(1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_split_tiles_each_box_with_children_that_hold_its_midpoint(data):
+    # Each box splits into 2^d children, consecutive and in the order of
+    # itertools.product (lo half first, dimension 0 slowest), that tile it:
+    # inside it, with disjoint interiors, covering it.  Each holds the
+    # midpoint, the center of their mean-value enclosures.
+    d, rows = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    coords = st.floats(-1e3, 1e3)
+    lo = np.array(data.draw(st.lists(coords, min_size=rows * d, max_size=rows * d)))
+    width = st.floats(1e-6, 1e3)
+    hi = lo + np.array(data.draw(st.lists(width, min_size=rows * d, max_size=rows * d)))
+    lo, hi = lo.reshape(rows, d), hi.reshape(rows, d)
+    mid = 0.5 * (lo + hi)
+    children = np.stack(prover._split(lo, hi, mid, np.ones(d)), axis=1)  # (box, end, dim)
+    assert children.shape == (rows * 2**d, 2, d)
+    for r in range(rows):
+        kids = children[r * 2**d : (r + 1) * 2**d]
+        for kid, upper in zip(kids, itertools.product((False, True), repeat=d)):
+            assert (kid[0] == np.where(upper, mid[r], lo[r])).all()
+            assert (kid[1] == np.where(upper, hi[r], mid[r])).all()
+            assert (kid[0] <= mid[r]).all() and (mid[r] <= kid[1]).all()
+        for a, b in itertools.combinations(kids, 2):
+            assert (np.minimum(a[1], b[1]) <= np.maximum(a[0], b[0])).any()
+        for f in data.draw(st.lists(st.lists(st.floats(0, 1), min_size=d, max_size=d))):
+            point = np.minimum(lo[r] + np.array(f) * (hi[r] - lo[r]), hi[r])
+            inside = [((kid[0] <= point) & (point <= kid[1])).all() for kid in kids]
+            assert sum(inside) >= 1 and (sum(inside) == 1 or (point == mid[r]).any())
+
+
+def test_split_leaves_a_dimension_of_zero_span_whole():
+    lo, hi = np.array([[0.0, 0.5]]), np.array([[2.0, 0.5]])
+    children = prover._split(lo, hi, 0.5 * (lo + hi), np.array([2.0, 0.0]))
+    assert [c.tolist() for c in children] == [[[0.0, 0.5], [1.0, 0.5]], [[1.0, 0.5], [2.0, 0.5]]]
 
 
 def _floats(iv, k):
@@ -275,7 +311,7 @@ def _level_order_reference(task, stop_depth=None):
     f_i(box) (X_i - c_i) when that certifies.  The center c is the
     midpoint of the box it was split from, and f(c) the enclosure that
     box's refutation check computed; the root has none."""
-    spans = [hi - lo for lo, hi in task.domain]
+    dims = [i for i, (lo, hi) in enumerate(task.domain) if hi > lo]
     # (box, center, enclosure at the center)
     level = [(Box(tuple(Interval(lo, hi) for lo, hi in task.domain)), None, None)]
     per_depth = []
@@ -305,8 +341,7 @@ def _level_order_reference(task, stop_depth=None):
             break
         level = []
         for box, mid, point_enc in zip(undecided, mids, at_mids):
-            rel = [iv.width / s if s > 0 else 0.0 for iv, s in zip(box.intervals, spans)]
-            level.extend((child, mid, point_enc) for child in _split_box(box, rel.index(max(rel))))
+            level.extend((child, mid, point_enc) for child in _split_box(box, dims))
     return per_depth, None, None, None
 
 
@@ -784,7 +819,7 @@ def test_mean_value_enclosure_decides_the_ratio_boxes():
     by_name = {t.name: t for t in inequality_suite()}
     res = prove(by_name["area_half_width_ratio"])
     cert = res.certificate()
-    assert res.verdict == "proved" and res.boxes_processed <= 2000 and res.max_depth_reached <= 16
+    assert res.verdict == "proved" and res.boxes_processed <= 2000 and res.max_depth_reached <= 8
     assert cert["centered_per_depth"] == res.centered_per_depth
     assert len(res.centered_per_depth) == len(res.boxes_per_depth)
     assert res.centered_per_depth[0] == 0 and sum(res.centered_per_depth) > res.boxes_processed / 3
