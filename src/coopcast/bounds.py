@@ -26,16 +26,6 @@ class SchedulePrediction:
     radii: list[float]
 
 
-def _snr_step(rho: float) -> float:
-    """The SNR schedule's growth factor sqrt(rho/16), which must exceed 1."""
-    if rho <= 16.0:
-        raise ValueError(f"schedule expands only for rho > 16, got rho={rho}")
-    step = math.sqrt(rho / 16.0)
-    if step == 1.0:
-        raise ValueError(f"sqrt(rho/16) rounds to 1 for rho={rho}: the schedule never grows")
-    return step
-
-
 #: Most radii an SNR schedule may have.  rho just above 16 makes a step so
 #: close to 1 that the list alone would fill memory (48 million radii at
 #: n = 1024, rho = 16.000001).  The schedules of the analysis's regime,
@@ -44,17 +34,33 @@ def _snr_step(rho: float) -> float:
 _MAX_SNR_RADII = 100_000
 
 
-def snr_upper_schedule(rho: float, R: float) -> SchedulePrediction:
-    """Radii r_j = (rho/16)^((j-1)/2), from single-sender reach r_1 = 1,
-    until the disk radius R is covered.  A schedule that would have more
-    than ``_MAX_SNR_RADII`` radii raises ``ValueError`` before any is built."""
-    step = _snr_step(rho)
+def _snr_step(rho: float, R: float) -> float:
+    """The SNR schedules' growth factor sqrt(rho/16), which must exceed 1.
+
+    Both schedules, from 1 up to R or from R down to 1, have
+    ceil(ln R / ln step) + 1 radii for R > 1 (one otherwise), up to
+    rounding; one that would have more than ``_MAX_SNR_RADII`` raises
+    ``ValueError`` before any is built."""
+    if rho <= 16.0:
+        raise ValueError(f"schedule expands only for rho > 16, got rho={rho}")
+    step = math.sqrt(rho / 16.0)
+    if step == 1.0:
+        raise ValueError(f"sqrt(rho/16) rounds to 1 for rho={rho}: the schedule never grows")
+    if not math.isfinite(R):
+        raise ValueError(f"R must be finite, got {R}")
     length = math.ceil(math.log(R) / math.log(step)) + 1 if R > 1.0 else 1
     if length > _MAX_SNR_RADII:
         raise ValueError(
             f"the SNR schedule at rho={rho} would have {length} radii, "
             f"more than {_MAX_SNR_RADII}"
         )
+    return step
+
+
+def snr_upper_schedule(rho: float, R: float) -> SchedulePrediction:
+    """Radii r_j = (rho/16)^((j-1)/2), from single-sender reach r_1 = 1,
+    until the disk radius R is covered."""
+    step = _snr_step(rho, R)
     radii = [1.0]
     while radii[-1] < R:
         radii.append(radii[-1] * step)
@@ -99,9 +105,7 @@ def schedule_travel(radii: list[float]) -> float:
 def reverse_snr_schedule(rho: float, R: float) -> list[float]:
     """Backward-built SNR schedule: r'_p = R, r'_{j-1} = r'_j / sqrt(rho/16),
     truncated once the radius drops to 1 or below."""
-    step = _snr_step(rho)
-    if not math.isfinite(R):
-        raise ValueError(f"R must be finite, got {R}")
+    step = _snr_step(rho, R)
     radii = [float(R)]
     while radii[-1] > 1.0:
         radii.append(radii[-1] / step)

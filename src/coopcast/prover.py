@@ -26,13 +26,15 @@ whichever certifies.  The partials come from one evaluation on
 :class:`~coopcast.intervals.Gradient` variables, whose value part is the
 natural enclosure bit for bit.  The center c of a box is the midpoint of the
 box it was split from, whose enclosure is already computed for that box's
-refutation check, so the mean-value form adds no lanes; the root has none.
+refutation check, so the mean-value form adds no lanes; the boxes the walk
+starts from have none, and their call computes no partials.
 
 A task is *proved* when every leaf box certifies the bound, *refuted* when
 some midpoint, evaluated as a degenerate interval, violates the bound with
 its entire enclosure, and *exhausted* when the box budget or depth limit
 runs out; the hardest undecided box is reported in that case.  The box tree
-is walked in level order, one call per depth: a level's boxes and the
+is walked in level order from a uniform grid, the root split four times,
+one call per depth: a level's boxes and the
 previous level's undecided midpoints are the lanes of one call on array
 intervals, in chunks of at most ``_LANES`` lanes, so each midpoint's
 refutation check runs one level late.  A refutation or exhaustion reports
@@ -368,9 +370,11 @@ EXPRESSIONS = {
 #: The expressions whose evaluator also runs on :class:`Gradient` variables,
 #: so that :func:`prove` may decide a box by its mean-value enclosure: the
 #: scaled area and the ratio built from it, both C^1 on the closed box.  The
-#: form pays where natural enclosures need deep trees (the ratio takes 1,657
-#: boxes instead of 42,633, ``area_scaled_upper`` 897 instead of 24,493); a
-#: shallow task spends more on the partials than the boxes it saves.
+#: form pays where natural enclosures need deep trees (the ratio takes 1,808
+#: boxes instead of 42,548, ``area_scaled_upper`` 1,164 instead of 24,412); a
+#: shallow task spends more on the partials than the boxes it saves.  Only
+#: levels whose parent midpoints ride compute partials, so the start level
+#: computes none.
 GRADIENT_FORMS = frozenset({"lens_area_half_ratio", "lens_area_scaled"})
 
 
@@ -567,8 +571,33 @@ def _split(lo: np.ndarray, hi: np.ndarray, mid: np.ndarray, spans: np.ndarray):
     return lo, hi
 
 
-#: Deepest level of the box tree; the suite's proofs reach level 8.
+#: Deepest level of the box tree, counted from the root also when the walk
+#: starts at the grid of :data:`_START_DEPTH`; the suite's proofs reach
+#: level 8.
 _MAX_DEPTH = 60
+
+#: Level of the uniform grid a proof starts from: the root split this many
+#: times, 2^(4 d) boxes for d split dimensions.  Levels above it decide
+#: almost no box (the ratio none), yet each costs a call of nearly fixed
+#: price.
+_START_DEPTH = 4
+
+
+def _start_grid(domain: np.ndarray, spans: np.ndarray, fanout: int, max_boxes: int):
+    """The boxes a proof starts from, one row per box, and their depth: the
+    root split ``_START_DEPTH`` times, in level order; or the root alone,
+    at depth 0, when those boxes would exceed ``max_boxes`` or the domain is
+    too thin to split that often."""
+    lo, hi = domain[None, :, 0], domain[None, :, 1]
+    if fanout**_START_DEPTH > max_boxes:
+        return lo, hi, 0
+    grid = lo, hi
+    try:
+        for _ in range(_START_DEPTH):
+            grid = _split(*grid, 0.5 * (grid[0] + grid[1]), spans)
+    except DomainError:
+        return lo, hi, 0
+    return *grid, _START_DEPTH
 
 
 def _box(lo: np.ndarray, hi: np.ndarray, depth: int) -> Box:
@@ -602,11 +631,15 @@ def _refutation(fn, task: ProofTask, lo, hi, mid, depth: int) -> dict | None:
 def prove(task: ProofTask, max_boxes: int = 2**24) -> ProofResult:
     """Decide a :class:`ProofTask` by deterministic adaptive bisection.
 
-    The box tree is walked in level order, one depth at a time.  The boxes
+    The box tree is walked in level order, one depth at a time, from the
+    grid of the root split ``_START_DEPTH`` times (:func:`_start_grid`), or
+    from the root when that grid would exceed ``max_boxes`` or the domain is
+    too thin for it; the levels above the start count no boxes.  The boxes
     of a depth are certified by their natural enclosure or, for an
     expression in :data:`GRADIENT_FORMS`, by their mean-value enclosure
     about their parent's midpoint (counted per depth in
-    ``centered_per_depth`` when only that one certifies).  Each undecided
+    ``centered_per_depth`` when only that one certifies; the start level has
+    no parent midpoints, so its call computes no partials).  Each undecided
     box is halved at its midpoint in every dimension of positive domain
     span, its 2^d children in a fixed order (:func:`_split`), to form the
     next level.  The midpoints of the undecided boxes, as degenerate
@@ -632,20 +665,22 @@ def prove(task: ProofTask, max_boxes: int = 2**24) -> ProofResult:
     domain = np.array(task.domain, dtype=float)
     spans = domain[:, 1] - domain[:, 0]
     fanout = 2 ** np.count_nonzero(spans > 0)
-    lo, hi = domain[None, :, 0], domain[None, :, 1]
+    lo, hi, start_depth = _start_grid(domain, spans, fanout, max_boxes)
     clips = intervals.acos_clip_events
-    per_depth: list[int] = []
-    centered: list[int] = []
+    per_depth = [0] * start_depth
+    centered = [0] * start_depth
     verdict, witness = "proved", {}
     # The previous level's undecided boxes and their midpoints, not yet
-    # checked for refutation; none ride with the root.
+    # checked for refutation; none ride with the start level.
     pending = (lo[:0], hi[:0], lo[:0])
-    for depth in itertools.count():
+    for depth in itertools.count(start_depth):
         per_depth.append(len(lo))
         before = intervals.acos_clip_events
         mid = pending[2]
-        enc = _evaluate(fn, np.concatenate((lo, mid)), np.concatenate((hi, mid)), gradient)
-        if gradient:
+        # Partials serve only the mean-value form, which needs a midpoint.
+        with_partials = gradient and len(mid) > 0
+        enc = _evaluate(fn, np.concatenate((lo, mid)), np.concatenate((hi, mid)), with_partials)
+        if with_partials:
             enc, partials = enc.value, enc.partials
         at_mid = enc.take(slice(len(lo), None))
         if _refuting(at_mid, task).size:
@@ -662,7 +697,7 @@ def prove(task: ProofTask, max_boxes: int = 2**24) -> ProofResult:
             # level's undecided box r, whose midpoint is a corner of each: it
             # is their center, and its enclosure rode in this call.
             by_center = np.zeros_like(decided)
-            if len(mid):
+            if with_partials:
                 parent = np.arange(len(lo)) // fanout
                 cen = _mean_value(
                     partials.take(slice(len(lo))), lo, hi, mid[parent], at_mid.take(parent)

@@ -168,27 +168,30 @@ def test_criterion_03_geometry_oracle():
 
 
 #: (boxes_processed, max_depth_reached, acos_clips) of each suite task's
-#: certificate: 9,805 boxes and 286 arccos clips in all, no proof deeper than
-#: level 8.  Each undecided box is halved in every dimension, so a 2-D task
-#: has four children a box and reaches a box size in half the levels that
-#: one cut a level took.  A change that alters one changes the proofs, and
-#: must say why.
+#: certificate: 12,180 boxes and 231 arccos clips in all, no proof deeper
+#: than level 8.  Each undecided box is halved in every dimension, so a 2-D
+#: task has four children a box and reaches a box size in half the levels
+#: that one cut a level took.  Each proof starts at the root split four
+#: times (256 boxes in 2-D, 16 in 1-D): levels 0-3 decided almost no box but
+#: cost a call each, so the suite now evaluates more boxes (9,805 and 286
+#: clips from the root) in fewer calls.  A change that alters one changes
+#: the proofs, and must say why.
 SUITE_CERTIFICATES = {
-    "shape_scaled_lower": (15, 6, 6),
-    "shape_scaled_upper": (1, 0, 0),
-    "area_scaled_lower": (109, 5, 19),
-    "area_scaled_upper": (897, 6, 95),
-    "area_scaled_far_lower": (125, 5, 28),
-    "area_half_width_ratio": (1657, 8, 130),
-    "area_slope_positive": (29, 3, 0),
-    "area_concave_mid": (6501, 8, 0),
-    "area_concave_left": (13, 3, 1),
-    "term1_lower": (141, 6, 0),
-    "term1_upper": (181, 5, 0),
-    "term2_upper": (1, 0, 0),
-    "term3_lower": (5, 1, 1),
-    "term3_upper": (101, 6, 3),
-    "term3_left_upper": (29, 3, 3),
+    "shape_scaled_lower": (20, 6, 3),
+    "shape_scaled_upper": (16, 4, 1),
+    "area_scaled_lower": (276, 5, 18),
+    "area_scaled_upper": (1164, 6, 79),
+    "area_scaled_far_lower": (276, 5, 16),
+    "area_half_width_ratio": (1808, 8, 110),
+    "area_slope_positive": (256, 4, 0),
+    "area_concave_mid": (6432, 8, 0),
+    "area_concave_left": (256, 4, 1),
+    "term1_lower": (320, 6, 0),
+    "term1_upper": (304, 5, 0),
+    "term2_upper": (256, 4, 0),
+    "term3_lower": (256, 4, 1),
+    "term3_upper": (284, 6, 1),
+    "term3_left_upper": (256, 4, 1),
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +47,20 @@ def test_snr_schedules_have_no_round_cap():
     reverse = reverse_snr_schedule(16.01, 100.0)
     assert len(reverse) > 10_000
     assert reverse[0] <= 1.0 < reverse[1]
+
+
+@pytest.mark.parametrize("schedule", [snr_upper_schedule, reverse_snr_schedule])
+def test_snr_schedules_past_the_cap_raise_before_building_a_radius(schedule):
+    # At rho = 16.000001 and R = 4.51 (n = 1024) either schedule would take
+    # about 48 million radii; the closed-form length refuses it first.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"would have 4\d{7} radii, more than 100000"):
+            schedule(16.000001, 4.51)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_miso_schedule_grows_until_it_stalls():

@@ -201,8 +201,12 @@ def test_sweep_summary_rows_match_their_logs(tmp_path_factory, cfg):
         informed = [node for r in log["rounds"] for node in r["newly_informed"]]
         assert len(set(informed)) == len(informed) and 0 not in informed
         assert int(line["uninformed"]) == int(line["n"]) - 1 - len(informed)
+        # An expanding disk runs at most one round per radius of its schedule.
+        if line["model"] == "snr":
+            assert log["total_rounds"] <= len(cfg.schedule("snr", int(line["n"])))
         if line["model"] == "mimo":
             assert log["phase1_rounds"] + log["phase2_rounds"] == log["total_rounds"]
+            assert log["phase2_rounds"] <= len(cfg.schedule("mimo", int(line["n"])))
 
 
 def test_run_experiment_records_failures_and_continues(tmp_path):

@@ -117,11 +117,13 @@ def test_exhaustion_reports_hardest_box():
     assert res.boxes_processed <= 64
     # Level order: the budget stops the walk after whole levels, and the
     # witness is the first undecided box of the last one.
+    # The start grid's 256 boxes exceed the budget, so the walk starts at
+    # the root.
     assert res.boxes_per_depth == [1, 4, 16]
     assert res.witness_box.depth == res.max_depth_reached == 2
     again = prove(task, max_boxes=64)
     assert again.certificate_json() == res.certificate_json()
-    per_depth, *_ = _level_order_reference(task, stop_depth=2)
+    per_depth, *_ = _level_order_reference(task, stop_depth=2, start_depth=0)
     assert per_depth == res.boxes_per_depth
 
 
@@ -265,6 +267,96 @@ def test_split_leaves_a_dimension_of_zero_span_whole():
     assert [c.tolist() for c in children] == [[[0.0, 0.5], [1.0, 0.5]], [[1.0, 0.5], [2.0, 0.5]]]
 
 
+START_DOMAINS = [FULL, MID, ((0.0, 0.01), (0.0, 1.0)), ((0.0, 2.0),), ((0.0, 2.0), (0.5, 0.5))]
+
+
+@pytest.mark.parametrize("domain", START_DOMAINS, ids=str)
+def test_start_grid_tiles_the_domain_in_level_order(domain):
+    # The grid a proof starts from is the root split four times by _split,
+    # in the order of four levels of _split_box, and tiles the domain: its
+    # boxes lie inside, overlap only on faces and fill its volume.
+    domain = np.array(domain)
+    spans = domain[:, 1] - domain[:, 0]
+    dims = np.flatnonzero(spans > 0)
+    fanout = 2**dims.size
+    lo, hi, depth = prover._start_grid(domain, spans, fanout, 2**24)
+    assert depth == prover._START_DEPTH == 4 and lo.shape == (fanout**4, len(domain))
+    grid = domain[None, :, 0], domain[None, :, 1]
+    for _ in range(4):
+        grid = prover._split(*grid, 0.5 * (grid[0] + grid[1]), spans)
+    assert (lo == grid[0]).all() and (hi == grid[1]).all()
+    boxes = [Box(tuple(Interval(a, b) for a, b in domain))]
+    for _ in range(4):
+        boxes = [child for box in boxes for child in _split_box(box, dims)]
+    assert [box.as_lists() for box in boxes] == np.stack((lo, hi), axis=-1).tolist()
+    assert (domain[:, 0] <= lo).all() and (hi <= domain[:, 1]).all()
+    overlap = np.minimum(hi[:, None, dims], hi[None, :, dims]) - np.maximum(
+        lo[:, None, dims], lo[None, :, dims]
+    )
+    inside = (overlap > 0).all(axis=-1)
+    assert (inside == np.eye(len(lo), dtype=bool)).all()
+    volume = np.prod(hi[:, dims] - lo[:, dims], axis=1).sum()
+    assert volume == pytest.approx(np.prod(spans[dims]), rel=1e-12)
+
+
+def _root_start(task, max_boxes, monkeypatch):
+    """The certificate of a walk that starts at the root."""
+    with monkeypatch.context() as patch:
+        patch.setattr(prover, "_START_DEPTH", 0)
+        return prove(task, max_boxes=max_boxes).certificate_json()
+
+
+def test_walk_starts_at_the_root_below_the_grid_budget_or_on_a_thin_domain(monkeypatch):
+    ratio = {t.name: t for t in inequality_suite()}["area_half_width_ratio"]
+    below = prove(ratio, max_boxes=4**4 - 1)
+    assert below.verdict == "exhausted" and below.boxes_per_depth[0] == 1
+    assert below.certificate_json() == _root_start(ratio, 4**4 - 1, monkeypatch)
+    at = prove(ratio, max_boxes=4**4)
+    assert at.verdict == "exhausted" and at.boxes_per_depth == [0, 0, 0, 0, 256]
+    assert at.witness_box.depth == 4
+    # An x span of two ulps splits once but not twice: no grid, and a walk
+    # from the root proves it one level down.
+    thin = (1.0, math.nextafter(math.nextafter(1.0, 2.0), 2.0))
+    for task in (
+        ProofTask("thin", "segment_shape_scaled", (thin,), "<=", 2.0),
+        ProofTask("thin_2d", "lens_area_scaled", (thin, (0.0, 1.0)), ">", 1.0),
+    ):
+        res = prove(task)
+        assert res.verdict == "proved" and res.boxes_per_depth[0] == 1
+        assert res.certificate_json() == _root_start(task, 2**24, monkeypatch)
+    assert res.boxes_per_depth == [1, 4]
+
+
+def test_the_start_level_computes_no_partials(monkeypatch):
+    # Partials serve only the mean-value form, which needs the parent
+    # midpoints that ride from the second level of the walk on.
+    calls = []
+    evaluate, variables = prover._evaluate, Gradient.variables
+
+    def spy_evaluate(fn, lo, hi, gradient=False):
+        calls.append([len(lo), 0])
+        return evaluate(fn, lo, hi, gradient)
+
+    def spy_variables(*columns):
+        calls[-1][1] += 1
+        return variables(*columns)
+
+    monkeypatch.setattr(prover, "_evaluate", spy_evaluate)
+    monkeypatch.setattr(Gradient, "variables", staticmethod(spy_variables))
+    ratio = {t.name: t for t in inequality_suite()}["area_half_width_ratio"]
+    res = prove(ratio)
+    assert res.verdict == "proved" and len(calls) == 5 and sum(res.centered_per_depth) > 0
+    assert calls[0] == [256, 0] and all(grads > 0 for _, grads in calls[1:])
+    # From the root too; the exhausted walk's last call is the plain check
+    # of its last level's midpoints.
+    calls.clear()
+    res = prove(ratio, max_boxes=4**4 - 1)
+    levels = len(res.boxes_per_depth)
+    assert res.verdict == "exhausted" and len(calls) == levels + 1
+    assert calls[0] == [1, 0] and all(grads > 0 for _, grads in calls[1:levels])
+    assert calls[-1][1] == 0
+
+
 def _floats(iv, k):
     """Lane ``k`` of an array interval as a float interval, or ``None``
     where it is invalid."""
@@ -301,20 +393,24 @@ def _enclosures(expression, boxes):
     ]
 
 
-def _level_order_reference(task, stop_depth=None):
+def _level_order_reference(task, stop_depth=None, start_depth=prover._START_DEPTH):
     """The box tree walked in level order one box at a time, with float
-    intervals: boxes per depth, and the first refuting box with its point
-    and point enclosure (``None`` when no box refutes).
+    intervals, from the root split ``start_depth`` times: boxes per depth
+    (0 above the start), and the first refuting box with its point and
+    point enclosure (``None`` when no box refutes).
 
     For an expression with a gradient form, a box the natural enclosure
     leaves undecided is decided by its mean-value enclosure f(c) + sum_i
     f_i(box) (X_i - c_i) when that certifies.  The center c is the
     midpoint of the box it was split from, and f(c) the enclosure that
-    box's refutation check computed; the root has none."""
+    box's refutation check computed; the start level has none."""
     dims = [i for i, (lo, hi) in enumerate(task.domain) if hi > lo]
+    boxes = [Box(tuple(Interval(lo, hi) for lo, hi in task.domain))]
+    for _ in range(start_depth):
+        boxes = [child for box in boxes for child in _split_box(box, dims)]
     # (box, center, enclosure at the center)
-    level = [(Box(tuple(Interval(lo, hi) for lo, hi in task.domain)), None, None)]
-    per_depth = []
+    level = [(box, None, None) for box in boxes]
+    per_depth = [0] * start_depth
     while level:
         per_depth.append(len(level))
         undecided = []
@@ -386,7 +482,8 @@ def test_level_order_matches_box_by_box_walk(task):
 def test_certificates_do_not_depend_on_lanes_per_call(task, monkeypatch):
     # A level's boxes and the previous level's midpoints are evaluated in
     # calls of at most prover._LANES lanes; seven lanes a call split most
-    # levels, and change no certificate.
+    # levels that ran (those above the start grid count 0 boxes and make no
+    # call), and change no certificate.
     whole = prove(task).certificate_json()
     lanes = []
     columns = prover._columns
@@ -398,7 +495,8 @@ def test_certificates_do_not_depend_on_lanes_per_call(task, monkeypatch):
     monkeypatch.setattr(prover, "_columns", counted)
     monkeypatch.setattr(prover, "_LANES", 7)
     assert prove(task).certificate_json() == whole
-    assert max(lanes) <= 7 and len(lanes) > len(json.loads(whole)["boxes_per_depth"])
+    levels_run = np.count_nonzero(json.loads(whole)["boxes_per_depth"])
+    assert max(lanes) <= 7 and len(lanes) > levels_run
 
 
 @pytest.mark.parametrize(
@@ -443,7 +541,8 @@ def test_proof_telemetry():
         assert cert["boxes_per_depth"] == res.boxes_per_depth
         # Wall time is reported, but kept out of the deterministic certificate.
         assert res.elapsed_s > 0.0 and "elapsed_s" not in cert
-    assert res.boxes_per_depth == [1] and res.acos_clips == 0
+    # The 1-D start grid's 16 boxes all certify.
+    assert res.boxes_per_depth == [0, 0, 0, 0, 16] and res.acos_clips == 1
     far = prove(by_name["area_scaled_far_lower"])
     assert far.acos_clips > 0
 
@@ -468,7 +567,7 @@ def test_prover_goes_through_the_interval_methods(monkeypatch):
         monkeypatch.setattr(Interval, name, counted(name, getattr(Interval, name)))
     by_name = {t.name: t for t in inequality_suite()}
     res = prove(by_name["area_slope_positive"])
-    assert res.verdict == "proved" and res.boxes_processed == 29
+    assert res.verdict == "proved" and res.boxes_processed == 256
     assert counts["__mul__"] > 0 and counts["__add__"] > 0
     assert stacked == {"__mul__": 0, "__add__": 0}
     res = prove(by_name["area_half_width_ratio"])
@@ -822,7 +921,9 @@ def test_mean_value_enclosure_decides_the_ratio_boxes():
     assert res.verdict == "proved" and res.boxes_processed <= 2000 and res.max_depth_reached <= 8
     assert cert["centered_per_depth"] == res.centered_per_depth
     assert len(res.centered_per_depth) == len(res.boxes_per_depth)
-    assert res.centered_per_depth[0] == 0 and sum(res.centered_per_depth) > res.boxes_processed / 3
+    # The start level, depth 4, has no parent midpoints to center on.
+    assert res.centered_per_depth[:5] == [0] * 5
+    assert sum(res.centered_per_depth) > res.boxes_processed / 3
     upper = prove(by_name["area_scaled_upper"])
     assert upper.verdict == "proved" and sum(upper.centered_per_depth) > 0
     other = prove(by_name["term3_upper"])
