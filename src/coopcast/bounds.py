@@ -95,8 +95,8 @@ def miso_upper_schedule(
 
 def schedule_travel(radii: list[float]) -> float:
     """Total signal travel distance (speed of light = 1) of a schedule: the
-    sum of its radii, which criterion 09 bounds.  A round log's
-    ``propagation_time`` is another quantity, measured on the field."""
+    sum of its radii, which criterion 09 bounds.  An SNR round log's
+    ``propagation_time`` is this travel of the radii that ran."""
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be increasing")
     return float(sum(radii))

@@ -31,7 +31,7 @@ from .signal_model import (
     center_sync_phases,
     mimo_tier32,
     mimo_tier64,
-    nearest_sender_distance,
+    nearest_sender_within_one,
     received_phasor,
     snr_level_bounds,
     snr_received_energy,
@@ -69,8 +69,7 @@ class RoundRecord:
     # phase limit, the float64 tier the rows it leaves open) and the exact
     # kernel re-evaluates the rows both leave open; under SNR the pairs of
     # the candidates that the bounds from |q| - P and |q| + P (P the largest
-    # sender radius) leave to the kernel; 0 under UDG.  The nearest-sender
-    # queries for travel are not pairs.
+    # sender radius) leave to the kernel; 0 under UDG.
     pairs_evaluated: int
     disk_radius_r_j: float | None = None
 
@@ -80,6 +79,8 @@ class RoundLog:
     rounds: list[RoundRecord] = field(default_factory=list)
     total_rounds: int = 0
     fully_informed: bool = False
+    # The sum of the rounds' travel: a UDG round's farthest hop to a newly
+    # informed node, and an SNR or MIMO round's disk radius r_j.
     propagation_time: float = 0.0
     # True only when an SNR or MIMO run used every radius of its schedule,
     # each below the field radius R, and left nodes waiting.  A run stops
@@ -176,31 +177,30 @@ def _senders(field_, active: np.ndarray, config: BroadcastConfig) -> SenderSet:
 
 def informs(
     model: str, senders: SenderSet, q, params: SignalParams
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, float | None, int]:
     """Which receivers ``q`` (k, 2) the ``senders`` inform in one round under
-    ``model`` ("udg", "snr" or "mimo"), as a boolean mask; the distance from
-    each informed receiver to its nearest sender, in the order of ``q``, from
-    which the round takes its travel; and how many receiver x sender pairs
-    were evaluated (see :class:`RoundRecord`).
+    ``model`` ("udg", "snr" or "mimo"), as a boolean mask; the farthest hop
+    under UDG, the largest distance from an informed receiver to its nearest
+    sender (0 if none), and None under SNR and MIMO; and how many receiver x
+    sender pairs were evaluated (see :class:`RoundRecord`).
 
     UDG informs within distance 1 of a sender, by one nearest-sender query
-    over all of ``q``.  SNR and MIMO inform where the received level reaches
-    beta N0, boundary included.  Their screens run in order on the rows
-    still open: a lower level bound at or above beta N0 informs, an upper
-    bound below it rejects, and every other row, a NaN bound included, goes
-    on to the next screen and after the last to the exact kernel, so every
-    decision is the kernel's.  The screens need no distances, and only the
-    informed receivers are queried for theirs.  Screens and kernels are
-    looked up in this module when called.  ``params`` is read only under
-    SNR and MIMO.
+    over all of ``q``, which also gives the hop.  SNR and MIMO inform where
+    the received level reaches beta N0, boundary included, and query no
+    distance.  Their screens run in order on the rows still open: a lower
+    level bound at or above beta N0 informs, an upper bound below it
+    rejects, and every other row, a NaN bound included, goes on to the next
+    screen and after the last to the exact kernel, so every decision is the
+    kernel's.  Screens and kernels are looked up in this module when
+    called.  ``params`` is read only under SNR and MIMO.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
     q = np.asarray(q, dtype=float)
     if model == "udg":
-        d_min = nearest_sender_distance(senders, q, udg=True)
+        d_min = nearest_sender_within_one(senders, q)
         informed = d_min <= 1.0
-        return informed, d_min[informed], 0
+        return informed, float(d_min[informed].max(initial=0.0)), 0
     snr, beta = model == "snr", params.beta_N0
     # A coherent sum can cancel: phasor screens, not distances, bound it.
     screens = (snr_level_bounds,) if snr else (mimo_tier32, mimo_tier64)
@@ -222,7 +222,7 @@ def informs(
             level = np.abs(received_phasor(senders, q_open, params)) ** 2
         informed[is_open] = level >= beta
     pairs = senders.m * (len(q_open) if snr else len(q))
-    return informed, nearest_sender_distance(senders, q[informed]), pairs
+    return informed, None, pairs
 
 
 # A UDG receiver q hears a sender s only if |q - s| <= 1, so |q| <= |s| + 1:
@@ -289,12 +289,10 @@ def _run_rounds(
             active = np.flatnonzero(informed & (radii <= r_j))
             candidates = waiting
         senders = _senders(field_, active, config)
-        hit, d_newly, pairs = informs(
+        hit, hop, pairs = informs(
             config.model, senders, field_.positions[candidates], config.params
         )
-        # The signal travelled to the newly informed node farthest from its
-        # nearest sender.
-        newly, travel = candidates[hit], float(d_newly.max(initial=0.0))
+        newly = candidates[hit]
         del hit  # one entry per candidate: not kept through the next round
         if flood and newly.size == 0:
             break
@@ -312,7 +310,7 @@ def _run_rounds(
             disk_radius_r_j=r_j,
         )
         log.rounds.append(record)
-        log.propagation_time += travel
+        log.propagation_time += hop if flood else r_j
         if on_round is not None:
             on_round(record, config.model, senders)
         if not flood and r_j >= field_.R:

@@ -93,6 +93,10 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if not self.node_counts:
             raise ValueError("need at least one node count")
+        # A repeated model or node count would run jobs twice into one log.
+        for name, values in (("models", self.models), ("node counts", self.node_counts)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must be distinct, got {values}")
         # rho = density ln n is positive only from n = 2 on.
         least = 2 if self.density_rule == "log" else 1
         if min(self.node_counts) < least:

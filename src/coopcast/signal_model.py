@@ -19,8 +19,8 @@ largest sender radius P, since every sender lies between |q| - P and
 sum with float64 distances and phases, reduced to [-pi, pi] before float32
 trig.  Kernels and both tiers work in blocks of ``_BLOCK_BYTES`` bytes of
 work arrays, which ``_blocks`` allocates once per call and sizes from their
-dtypes.  :func:`nearest_sender_distance` is the one kd-tree query: the UDG
-decision and map, and the travel of the receivers a round informs.
+dtypes.  :func:`nearest_sender_within_one` is the one kd-tree query: the
+unit-disk question of the UDG decision and map.  SNR and MIMO query none.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ __all__ = [
     "SignalParams",
     "SenderSet",
     "center_sync_phases",
-    "nearest_sender_distance",
+    "nearest_sender_within_one",
     "received_phasor",
     "mimo_tier32",
     "mimo_tier64",
@@ -65,10 +65,6 @@ MODELS = ("udg", "snr", "mimo")
 # at 2 MiB).  Fewer, longer numpy calls leave the two workers less
 # Python to run under the GIL.
 _BLOCK_BYTES = 3 * 2**19
-
-# A node at distance exactly 1 hears a UDG sender, but a kd-tree query's
-# distance_upper_bound is exclusive: query just above 1 and keep d <= 1.
-_UDG_BOUND = np.nextafter(1.0, 2.0)
 
 
 @dataclass(frozen=True)
@@ -137,10 +133,11 @@ def center_sync_phases(positions: np.ndarray, lam: float) -> np.ndarray:
     return -2.0 * np.pi * np.hypot(positions[:, 0], positions[:, 1]) / lam
 
 
-def nearest_sender_distance(senders: SenderSet, q, udg: bool = False) -> np.ndarray:
-    """Each receiver's distance to its nearest sender (inf if none); with
-    ``udg``, inf beyond ``_UDG_BOUND``, just above 1: compare with ``<= 1``."""
-    bound = _UDG_BOUND if udg else np.inf
+def nearest_sender_within_one(senders: SenderSet, q) -> np.ndarray:
+    """Each receiver's distance to its nearest sender, inf where none lies
+    within the next float above 1.  A node at distance exactly 1 hears, but
+    the query's bound is exclusive: compare the result with ``<= 1``."""
+    bound = np.nextafter(1.0, 2.0)
     return cKDTree(senders.positions).query(q, distance_upper_bound=bound)[0]
 
 
@@ -433,7 +430,7 @@ def field_map(
     X, Y = np.meshgrid(xs, xs)
     pts = np.column_stack([X.ravel(), Y.ravel()])
     if model == "udg":
-        vals = (nearest_sender_distance(senders, pts, udg=True) <= 1.0).astype(float)
+        vals = (nearest_sender_within_one(senders, pts) <= 1.0).astype(float)
     elif model == "snr":
         vals = snr_received_energy(senders, pts, params)
     else:

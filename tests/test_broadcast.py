@@ -40,14 +40,15 @@ def _miso(fld, c1, c2):
 
 
 def _receive(fld, active, candidates, config):
-    """One round's reception from the nodes ``active``, with the senders the
-    round engine builds: the candidates informed, the travel to the farthest
-    of them (0 if none) and the pairs evaluated."""
+    """One SNR or MIMO round's reception from the nodes ``active``, with the
+    senders the round engine builds: the candidates informed and the pairs
+    evaluated.  Such a round measures no hop."""
     senders = broadcast._senders(fld, active, config)
-    hit, d_newly, pairs = broadcast.informs(
+    hit, hop, pairs = broadcast.informs(
         config.model, senders, fld.positions[candidates], config.params
     )
-    return candidates[hit], float(d_newly.max(initial=0.0)), pairs
+    assert hop is None
+    return candidates[hit], pairs
 
 
 def _bfs_layers(positions):
@@ -245,8 +246,8 @@ def test_informs_takes_the_three_model_names_only():
     for model in ("UDG", "MIMO", "SIMO"):
         with pytest.raises(ValueError, match="unknown model"):
             broadcast.informs(model, senders, [(1.0, 0.0)], PARAMS)
-    hit, d_newly, pairs = broadcast.informs("udg", senders, [(1.0, 0.0), (1.5, 0.0)], PARAMS)
-    assert hit.tolist() == [True, False] and d_newly.tolist() == [1.0] and pairs == 0
+    hit, hop, pairs = broadcast.informs("udg", senders, [(1.0, 0.0), (1.5, 0.0)], PARAMS)
+    assert hit.tolist() == [True, False] and hop == 1.0 and pairs == 0
 
 
 def test_expanding_disk_requires_schedule():
@@ -404,8 +405,8 @@ def test_reception_memory_bounded_by_pair_budget(monkeypatch):
     # 600 center-synchronized MIMO senders, 3000 receivers: one unchunked
     # screen call would hold 1.8M pairs (about 60 MB).  Chunked by the byte
     # budget, which the screen and the kernel read in signal_model, the peak
-    # stays near one block's work arrays, and the informed set and travel
-    # distance do not change.
+    # stays near one block's work arrays, and the informed set does not
+    # change.
     fld = sample_field(3600, 6.0, seed=3)
     config = BroadcastConfig(model="mimo", params=PARAMS)
     active, candidates = np.arange(600), np.arange(600, 3600)
@@ -415,29 +416,35 @@ def test_reception_memory_bounded_by_pair_budget(monkeypatch):
     monkeypatch.setattr(signal_model, "_BLOCK_BYTES", budget)
     tracemalloc.start()
     try:
-        newly, travel, pairs = _receive(fld, active, candidates, config)
+        newly, pairs = _receive(fld, active, candidates, config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 2 * budget + 2**20
-    assert newly.tolist() == whole[0].tolist() and travel == whole[1]
-    assert pairs == whole[2] == active.size * candidates.size
+    assert newly.tolist() == whole[0].tolist()
+    assert pairs == whole[1] == active.size * candidates.size
 
 
 @pytest.mark.parametrize("model", MODELS, ids=str.upper)
 def test_nearest_sender_queries_only_what_a_round_needs(monkeypatch, model):
-    # Under SNR and MIMO the screens and kernels decide without distances:
-    # the kd-tree sees exactly each round's newly informed receivers, for
-    # their travel.  Under UDG the distance decides: it sees the candidates
-    # in reach in every round, a last one that informs nobody included.
+    # Under SNR and MIMO the screens and kernels decide without distances,
+    # and a round's travel is its radius: no round queries or builds a
+    # kd-tree.  Under UDG the distance decides: one kd-tree a round sees the
+    # candidates in reach in every round, a last one that informs nobody
+    # included.
     fld = sample_field(2000, 5.0, seed=7)
-    seen = []
+    seen, trees = [], []
 
-    def spied(senders, q, udg=False):
+    def spied(senders, q):
         seen.append(np.array(q))
-        return signal_model.nearest_sender_distance(senders, q, udg)
+        return signal_model.nearest_sender_within_one(senders, q)
 
-    monkeypatch.setattr(broadcast, "nearest_sender_distance", spied)
+    def tree(points, *args, **kwargs):
+        trees.append(len(points))
+        return cKDTree(points, *args, **kwargs)
+
+    monkeypatch.setattr(broadcast, "nearest_sender_within_one", spied)
+    monkeypatch.setattr(signal_model, "cKDTree", tree)
     if model == "udg":
         fld = sample_field(150, 5.0, seed=7)  # sparse: the flood stalls
         log = run_udg_flood(fld)
@@ -445,21 +452,22 @@ def test_nearest_sender_queries_only_what_a_round_needs(monkeypatch, model):
     else:
         config = BroadcastConfig(model=model, radius_schedule=(0.5, 1, 2, 4, 8), params=PARAMS)
         log = run_expanding_disk(fld, config)
+        assert log.total_rounds > 1 and any(len(r.newly_informed) for r in log.rounds)
     monkeypatch.undo()
-    newly = [rec.newly_informed for rec in log.rounds]
+    expected = []
     if model == "udg":
-        radii, informed, expected = fld.radii, np.zeros(fld.n, dtype=bool), []
+        radii, informed = fld.radii, np.zeros(fld.n, dtype=bool)
         informed[0], senders = True, np.array([0])
-        for nodes in [*newly, None]:
+        for nodes in [*(rec.newly_informed for rec in log.rounds), None]:
             if informed.all():
                 break
             reach = (radii[senders].max() + 1.0) * (1.0 + broadcast._UDG_REACH_TOL)
             expected.append(np.flatnonzero(~informed & (radii <= reach)))
             if nodes is not None:
                 informed[nodes], senders = True, nodes
-    else:
-        expected = newly
-    assert len(seen) == len(expected)
+        # One kd-tree a query, over the round's senders.
+        assert trees[: log.total_rounds] == [rec.senders_active for rec in log.rounds]
+    assert len(seen) == len(expected) == len(trees)
     for q, nodes in zip(seen, expected):
         assert np.array_equal(q, fld.positions[nodes])
 
@@ -510,7 +518,7 @@ def test_mimo_receive_informs_center_synced_reference(monkeypatch, seed):
         config = BroadcastConfig(model="mimo", params=SignalParams(beta_N0=beta))
         kernel_rows = _kernel_receivers(monkeypatch)
         tier64_rows = _tier64_receivers(monkeypatch)
-        newly, _, pairs = _receive(fld, active, candidates, config)
+        newly, pairs = _receive(fld, active, candidates, config)
         monkeypatch.undo()
         assert newly.tolist() == candidates[level >= beta].tolist()
         assert pairs == active.size * candidates.size
@@ -537,25 +545,20 @@ def _count_snr_pairs(monkeypatch) -> list[int]:
 
 
 def _reference_snr_receive(fld, active, candidates, params):
-    """Every candidate through the SNR kernel in one call, and the travel to
-    the newly informed nodes' nearest senders."""
+    """Every candidate through the SNR kernel in one call: the newly informed
+    and every candidate's level."""
     senders = SenderSet.build(fld.positions[active])
     level = snr_received_energy(senders, fld.positions[candidates], params)
-    newly = candidates[level >= params.beta_N0]
-    if newly.size == 0:
-        return newly, 0.0, level
-    dist, _ = cKDTree(fld.positions[active]).query(fld.positions[newly])
-    return newly, float(dist.max()), level
+    return candidates[level >= params.beta_N0], level
 
 
 def _assert_snr_receive_matches(monkeypatch, fld, active, candidates, params):
     config = BroadcastConfig(model="snr", params=params)
     seen = _count_snr_pairs(monkeypatch)
-    newly, travel, pairs = _receive(fld, active, candidates, config)
+    newly, pairs = _receive(fld, active, candidates, config)
     monkeypatch.undo()
-    ref_newly, ref_travel, _ = _reference_snr_receive(fld, active, candidates, params)
+    ref_newly, _ = _reference_snr_receive(fld, active, candidates, params)
     assert newly.tolist() == ref_newly.tolist()
-    assert travel == ref_travel
     assert pairs == sum(seen) <= active.size * candidates.size
     return pairs
 
@@ -575,7 +578,7 @@ def test_snr_bounds_decide_as_every_pair_kernel(monkeypatch, seed, lam, sender_s
     informed[0] = True
     active = np.flatnonzero(informed & (radii <= (1.0 if sender_set == "disk" else np.inf)))
     candidates = np.flatnonzero(~informed)
-    level = _reference_snr_receive(fld, active, candidates, SignalParams(lam=lam))[2]
+    level = _reference_snr_receive(fld, active, candidates, SignalParams(lam=lam))[1]
     ordered = np.sort(level)
     thresholds = [1.0] + [float(ordered[int(q * (ordered.size - 1))]) for q in (0.1, 0.5, 0.9)]
     for beta in thresholds:
@@ -595,7 +598,7 @@ def test_snr_bounds_inside_the_near_field_clamp(monkeypatch, seed):
     for beta in (19.5, 20.0, 20.5, 60.0):
         params = SignalParams(lam=0.5, beta_N0=beta)
         _assert_snr_receive_matches(monkeypatch, fld, active, candidates, params)
-    newly, _, _ = _receive(
+    newly, _ = _receive(
         fld, active, candidates,
         BroadcastConfig(model="snr", params=SignalParams(lam=0.5, beta_N0=20.0))
     )
@@ -634,8 +637,8 @@ def test_a_nan_screen_bound_leaves_the_row_to_the_kernel(monkeypatch, model, sta
         return np.zeros(len(q)), np.full(len(q), np.nan)
 
     monkeypatch.setattr(broadcast, stage, nan_bounds)
-    informed, d_informed, pairs = broadcast.informs(model, senders, q, params)
-    assert informed.tolist() == [True] and d_informed.tolist() == [0.5] and pairs == 1
+    informed, hop, pairs = broadcast.informs(model, senders, q, params)
+    assert informed.tolist() == [True] and hop is None and pairs == 1
 
 
 def test_round_telemetry_counts_receivers_and_kernel_pairs(monkeypatch):

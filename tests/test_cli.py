@@ -392,6 +392,23 @@ def test_a_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, error",
+    [
+        (["--models", "udg", "udg"], "models must be distinct, got ('udg', 'udg')"),
+        (["--node-counts", "256,256"], "node counts must be distinct, got (256, 256)"),
+    ],
+    ids=["models", "node-counts"],
+)
+def test_a_repeated_model_or_node_count_is_a_usage_error(tmp_path, capsys, flags, error):
+    # Each repeat would run one job again into the same round log.
+    out = tmp_path / "out"
+    argv = ["simulate", "--models", "udg", "--node-counts", "256", "--seeds", "0", *flags]
+    assert main([*argv, "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_fewer_than_one_worker_is_a_usage_error(tmp_path, capsys, workers):
     out = tmp_path / "out"

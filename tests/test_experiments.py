@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopcast import experiments
-from coopcast.bounds import miso_upper_schedule, snr_upper_schedule
+from coopcast.bounds import miso_upper_schedule, schedule_travel, snr_upper_schedule
 from coopcast.broadcast import BootstrapFailure, run_miso_broadcast
 from coopcast.experiments import (
     C1_CANDIDATES,
@@ -201,12 +201,25 @@ def test_sweep_summary_rows_match_their_logs(tmp_path_factory, cfg):
         informed = [node for r in log["rounds"] for node in r["newly_informed"]]
         assert len(set(informed)) == len(informed) and 0 not in informed
         assert int(line["uninformed"]) == int(line["n"]) - 1 - len(informed)
+        assert log["fully_informed"] == (len(informed) == int(line["n"]) - 1)
+        # A UDG round travels its farthest hop, at most 1; an SNR or MIMO
+        # round, its disk radius.
+        time = log["propagation_time"]
+        assert float(line["propagation_time"]) == time
+        radii = [r["disk_radius_r_j"] for r in log["rounds"] if r["disk_radius_r_j"] is not None]
+        if line["model"] == "udg":
+            assert not radii and time <= log["total_rounds"]
         # An expanding disk runs at most one round per radius of its schedule.
         if line["model"] == "snr":
             assert log["total_rounds"] <= len(cfg.schedule("snr", int(line["n"])))
+            assert len(radii) == log["total_rounds"] and time == schedule_travel(radii)
         if line["model"] == "mimo":
             assert log["phase1_rounds"] + log["phase2_rounds"] == log["total_rounds"]
+            assert log["phase2_rounds"] == len(radii)
             assert log["phase2_rounds"] <= len(cfg.schedule("mimo", int(line["n"])))
+            # Each bootstrap hop is at most 1.
+            travel, tol = sum(radii), 2.0**-40
+            assert travel * (1.0 - tol) <= time <= (travel + log["phase1_rounds"]) * (1.0 + tol)
 
 
 def test_run_experiment_records_failures_and_continues(tmp_path):

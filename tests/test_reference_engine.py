@@ -3,8 +3,9 @@
 The reference runs each driver's rounds with the engine's sender rules, but
 decides every uninformed eligible node by the textbook kernel in one call
 (by brute-force distance <= 1 under UDG), with no screen, no UDG reach
-filter and no blocks, and takes each round's travel from brute-force
-``np.sqrt(dx*dx + dy*dy)``, the bits of the kd-tree's distances.  The
+filter and no blocks.  A UDG round's travel is its farthest hop, from
+brute-force ``np.sqrt(dx*dx + dy*dy)``, the bits of the kd-tree's
+distances; an SNR or MIMO round's is its radius r_j.  The
 drivers must agree with it on every round's newly informed nodes and
 frontier, on the propagation time's bits, and on the log's flags and phase
 counts; ``receivers`` and ``pairs_evaluated`` count the shortcuts' work and
@@ -68,8 +69,8 @@ def _reference_rounds(fld, model, schedule, params, informed, eligible, levels=N
         if candidates.size == 0:
             return rounds, False
         active = newly if flood else np.flatnonzero(informed & (radii <= r_j))
-        dist = _distances(pos[candidates], pos[active])
         if flood:
+            dist = _distances(pos[candidates], pos[active])
             hit = dist.min(axis=1) <= 1.0
         else:
             level = _level(model, pos[active], pos[candidates], params)
@@ -80,7 +81,7 @@ def _reference_rounds(fld, model, schedule, params, informed, eligible, levels=N
         if flood and newly.size == 0:
             return rounds, False
         informed[newly] = True
-        travel = float(dist[hit].min(axis=1).max(initial=0.0))
+        travel = float(dist[hit].min(axis=1).max(initial=0.0)) if flood else r_j
         rounds.append((newly.tolist(), float(radii[informed].max()), travel))
         if not flood and r_j >= fld.R:
             return rounds, False

@@ -15,7 +15,7 @@ from coopcast.signal_model import (
     field_map,
     mimo_tier32,
     mimo_tier64,
-    nearest_sender_distance,
+    nearest_sender_within_one,
     received_phasor,
     snr_level_bounds,
     snr_received_energy,
@@ -330,7 +330,7 @@ def test_empty_sender_set():
         assert np.array_equal(snr_received_energy(s, q, PARAMS), rs)
         bounds = snr_level_bounds(s, q, PARAMS)
         assert [b.tolist() for b in bounds] == [[0.0, 0.0]] * 2
-        assert nearest_sender_distance(s, q).tolist() == [np.inf, np.inf]
+        assert nearest_sender_within_one(s, q).tolist() == [np.inf, np.inf]
 
 
 def test_sender_set_rejects_other_shapes():
