@@ -33,6 +33,7 @@ from .signal_model import (
     mimo_tier64,
     nearest_sender_within_one,
     received_phasor,
+    receiver_blocks,
     snr_level_bounds,
     snr_received_energy,
 )
@@ -69,7 +70,8 @@ class RoundRecord:
     # phase limit, the float64 tier the rows it leaves open) and the exact
     # kernel re-evaluates the rows both leave open; under SNR the pairs of
     # the candidates that the bounds from |q| - P and |q| + P (P the largest
-    # sender radius) leave to the kernel; 0 under UDG.
+    # sender radius) leave to the kernel; 0 under UDG.  Summed over the
+    # round's row blocks, whose size changes no count.
     pairs_evaluated: int
     disk_radius_r_j: float | None = None
 
@@ -187,12 +189,12 @@ def informs(
     UDG informs within distance 1 of a sender, by one nearest-sender query
     over all of ``q``, which also gives the hop.  SNR and MIMO inform where
     the received level reaches beta N0, boundary included, and query no
-    distance.  Their screens run in order on the rows still open: a lower
-    level bound at or above beta N0 informs, an upper bound below it
-    rejects, and every other row, a NaN bound included, goes on to the next
-    screen and after the last to the exact kernel, so every decision is the
-    kernel's.  Screens and kernels are looked up in this module when
-    called.  ``params`` is read only under SNR and MIMO.
+    distance.  They decide ``q`` in row blocks of
+    :func:`~coopcast.signal_model.receiver_blocks`, so a round's
+    per-receiver temporaries stay one block's; each block runs the cascade
+    of :func:`_decide`.  A row's bounds and level depend only on that row
+    and the senders, so neither the mask nor the pairs depend on the block
+    size.  ``params`` is read only under SNR and MIMO.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
@@ -201,7 +203,27 @@ def informs(
         d_min = nearest_sender_within_one(senders, q)
         informed = d_min <= 1.0
         return informed, float(d_min[informed].max(initial=0.0)), 0
-    snr, beta = model == "snr", params.beta_N0
+    snr = model == "snr"
+    informed = np.empty(len(q), dtype=bool)
+    kernel_rows = 0
+    for block in receiver_blocks(len(q)):
+        informed[block], open_rows = _decide(snr, senders, q[block], params)
+        kernel_rows += open_rows
+    pairs = senders.m * (kernel_rows if snr else len(q))
+    return informed, None, pairs
+
+
+def _decide(snr: bool, senders: SenderSet, q: np.ndarray, params: SignalParams):
+    """The SNR (``snr``) or MIMO decision of :func:`informs` on receivers
+    ``q``: the mask, and how many rows the exact kernel decided.
+
+    The model's screens run in order on the rows still open: a lower level
+    bound at or above beta N0 informs, an upper bound below it rejects, and
+    every other row, a NaN bound included, goes on to the next screen and
+    after the last to the exact kernel, so every decision is the kernel's.
+    Screens and kernels are looked up in this module when called.
+    """
+    beta = params.beta_N0
     # A coherent sum can cancel: phasor screens, not distances, bound it.
     screens = (snr_level_bounds,) if snr else (mimo_tier32, mimo_tier64)
     informed = np.zeros(len(q), dtype=bool)
@@ -221,8 +243,7 @@ def informs(
         else:
             level = np.abs(received_phasor(senders, q_open, params)) ** 2
         informed[is_open] = level >= beta
-    pairs = senders.m * (len(q_open) if snr else len(q))
-    return informed, None, pairs
+    return informed, len(q_open)
 
 
 # A UDG receiver q hears a sender s only if |q - s| <= 1, so |q| <= |s| + 1:

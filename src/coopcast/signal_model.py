@@ -19,13 +19,16 @@ largest sender radius P, since every sender lies between |q| - P and
 sum with float64 distances and phases, reduced to [-pi, pi] before float32
 trig.  Kernels and both tiers work in blocks of ``_BLOCK_BYTES`` bytes of
 work arrays, which ``_blocks`` allocates once per call and sizes from their
-dtypes.  :func:`nearest_sender_within_one` is the one kd-tree query: the
-unit-disk question of the UDG decision and map.  SNR and MIMO query none.
+dtypes; :func:`receiver_blocks` splits a round's receivers into row blocks
+of the same budget for its callers.  :func:`nearest_sender_within_one` is
+the one kd-tree query: the unit-disk question of the UDG decision and map.
+SNR and MIMO query none.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +40,7 @@ __all__ = [
     "SenderSet",
     "center_sync_phases",
     "nearest_sender_within_one",
+    "receiver_blocks",
     "received_phasor",
     "mimo_tier32",
     "mimo_tier64",
@@ -65,6 +69,13 @@ MODELS = ("udg", "snr", "mimo")
 # at 2 MiB).  Fewer, longer numpy calls leave the two workers less
 # Python to run under the GIL.
 _BLOCK_BYTES = 3 * 2**19
+
+# Bytes per receiver row of the temporaries a screen call and its caller
+# hold at once, beside the work arrays of _blocks: receivers and their
+# radii, the float32 tier's casts, sums, eps and masks, both bounds, the
+# open rows' copy.  About 24 float64 values a row; _BLOCK_BYTES at this
+# rate is 2^13 rows (see receiver_blocks).
+_ROW_BYTES = 192
 
 
 @dataclass(frozen=True)
@@ -139,6 +150,16 @@ def nearest_sender_within_one(senders: SenderSet, q) -> np.ndarray:
     the query's bound is exclusive: compare the result with ``<= 1``."""
     bound = np.nextafter(1.0, 2.0)
     return cKDTree(senders.positions).query(q, distance_upper_bound=bound)[0]
+
+
+def receiver_blocks(k: int) -> Iterator[slice]:
+    """Slices of k receiver rows in order, each of at least one row and of
+    at most the rows whose temporaries fill ``_BLOCK_BYTES`` at
+    ``_ROW_BYTES`` a row.  A caller that screens and decides each block on
+    its own holds per-receiver temporaries for one block, whatever k."""
+    rows = max(1, _BLOCK_BYTES // _ROW_BYTES)
+    for start in range(0, k, rows):
+        yield slice(start, min(start + rows, k))
 
 
 def _blocks(k: int, m: int, *dtypes):
@@ -318,9 +339,10 @@ def mimo_tier32(senders: SenderSet, qa: np.ndarray, params: SignalParams):
     the squares of a float32 phasor sum's modulus widened by eps32 W (see
     ``_MIMO_EPS32``).
 
-    Positions, receivers, amplitudes and phases are cast to float32 once;
-    the receivers within the tier's limits are screened in blocks (see
-    ``_blocks``) through three float32 work arrays.  The others get (0, inf).
+    Positions, receivers, amplitudes and phases are cast to float32 once,
+    the coordinates as contiguous x and y rows; the receivers within the
+    tier's limits are screened in blocks (see ``_blocks``) through three
+    float32 work arrays.  The others get (0, inf).
     """
     k, m = qa.shape[0], senders.m
     clamp = params.c_f * params.lam
@@ -330,16 +352,16 @@ def mimo_tier32(senders: SenderSet, qa: np.ndarray, params: SignalParams):
     normal = min(params.lam, clamp) >= 2.0**-20 and np.all(
         (senders.amplitudes == 0.0) | (senders.amplitudes >= 2.0**-40))
     inside = np.flatnonzero((phase <= _TIER_PHASE_LIMIT) & (eps <= 2.0**-8) & normal)
-    q32 = qa[inside].astype(np.float32)
-    pos = senders.positions.astype(np.float32)
+    # order="C": the transposes' casts keep their strides otherwise.
+    q32 = qa[inside].T.astype(np.float32, order="C")
+    pos = senders.positions.T.astype(np.float32, order="C")
     amplitudes = senders.amplitudes.astype(np.float32)
     phases = senders.phases.astype(np.float32)
     wave, clamp = np.float32(-2.0 * np.pi / params.lam), np.float32(clamp)
     real, imag, total = np.empty((3, inside.size))
     for block, (dist, theta, cos) in _blocks(inside.size, m, "f4", "f4", "f4"):
-        q_b = q32[block]
-        np.subtract(q_b[:, 0, None], pos[:, 0], out=dist)
-        np.subtract(q_b[:, 1, None], pos[:, 1], out=theta)
+        np.subtract(q32[0, block, None], pos[0], out=dist)
+        np.subtract(q32[1, block, None], pos[1], out=theta)
         np.multiply(dist, dist, out=dist)
         np.multiply(theta, theta, out=theta)
         np.add(dist, theta, out=dist)

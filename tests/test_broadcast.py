@@ -425,6 +425,72 @@ def test_reception_memory_bounded_by_pair_budget(monkeypatch):
     assert pairs == whole[1] == active.size * candidates.size
 
 
+def _ring_round(model, k, seed=0):
+    """Five senders within 0.5 of the origin, center-synchronized under
+    MIMO, and k receivers uniform in the disk of radius 8, about 8% of
+    them informed at beta N0 = 1."""
+    rng = np.random.default_rng(seed)
+    pos = rng.uniform(-0.5, 0.5, (5, 2))
+    senders = SenderSet.build(
+        pos, phases=center_sync_phases(pos, PARAMS.lam) if model == "mimo" else None
+    )
+    r, t = 8.0 * np.sqrt(rng.random(k)), 2.0 * np.pi * rng.random(k)
+    return senders, np.column_stack([r * np.cos(t), r * np.sin(t)])
+
+
+@pytest.mark.parametrize("model", ["snr", "mimo"], ids=str.upper)
+def test_reception_memory_does_not_grow_with_the_receivers(model):
+    # 2^18 receivers and five senders, whose per-receiver temporaries
+    # would reach 12 MB (SNR) and 30 MB (MIMO) in one screen call.  Decided
+    # in row blocks, the peak is one block's temporaries and the returned
+    # mask, one byte a receiver: under a bound that does not depend on k.
+    senders, q = _ring_round(model, 2**18)
+    tracemalloc.start()
+    try:
+        informed, _, _ = broadcast.informs(model, senders, q, PARAMS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < informed.sum() < len(q)
+    assert peak <= 2 * signal_model._BLOCK_BYTES
+
+
+@pytest.mark.parametrize("model", ["snr", "mimo"], ids=str.upper)
+def test_informs_does_not_depend_on_its_row_blocks(monkeypatch, model):
+    # A row's bounds and level depend only on that row and the senders, so
+    # the mask and the pairs are the same bits at one row a block, 7 rows,
+    # the default and one block holding every receiver.  Kernel and screen
+    # blocks shrink with the budget too.  beta N0 is the level of the
+    # receiver at the 90th percentile, which only the kernel can decide.
+    k = 9000
+    senders, q = _ring_round(model, k, seed=1)
+    name = "snr_received_energy" if model == "snr" else "received_phasor"
+    kernel = getattr(signal_model, name)
+    level = kernel(senders, q, PARAMS)
+    level = level if model == "snr" else np.abs(level) ** 2
+    params = SignalParams(beta_N0=float(np.sort(level)[int(0.9 * k)]))
+    kernel_rows = []
+
+    def spied(senders, q, params):
+        kernel_rows.append(len(q))
+        return kernel(senders, q, params)
+
+    results = []
+    for rows in (1, 7, signal_model._BLOCK_BYTES // signal_model._ROW_BYTES, k):
+        kernel_rows.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(signal_model, "_BLOCK_BYTES", rows * signal_model._ROW_BYTES)
+            patch.setattr(broadcast, name, spied)
+            assert len(list(signal_model.receiver_blocks(k))) == -(-k // rows)
+            informed, hop, pairs = broadcast.informs(model, senders, q, params)
+        assert hop is None and sum(kernel_rows) > 0
+        results.append((informed, pairs, sum(kernel_rows)))
+    informed, pairs, rows_decided = results[0]
+    assert np.array_equal(informed, level >= params.beta_N0)
+    for other in results[1:]:
+        assert np.array_equal(other[0], informed) and other[1:] == (pairs, rows_decided)
+
+
 @pytest.mark.parametrize("model", MODELS, ids=str.upper)
 def test_nearest_sender_queries_only_what_a_round_needs(monkeypatch, model):
     # Under SNR and MIMO the screens and kernels decide without distances,
