@@ -178,38 +178,46 @@ def _senders(field_, active: np.ndarray, config: BroadcastConfig) -> SenderSet:
 
 
 def informs(
-    model: str, senders: SenderSet, q, params: SignalParams
+    model: str, senders: SenderSet, q, params: SignalParams, rows=None
 ) -> tuple[np.ndarray, float | None, int]:
-    """Which receivers ``q`` (k, 2) the ``senders`` inform in one round under
-    ``model`` ("udg", "snr" or "mimo"), as a boolean mask; the farthest hop
-    under UDG, the largest distance from an informed receiver to its nearest
-    sender (0 if none), and None under SNR and MIMO; and how many receiver x
-    sender pairs were evaluated (see :class:`RoundRecord`).
+    """Which receivers the ``senders`` inform in one round under ``model``
+    ("udg", "snr" or "mimo"), as a boolean mask; the farthest hop under
+    UDG, the largest distance from an informed receiver to its nearest
+    sender (0 if none), and None under SNR and MIMO; and how many receiver
+    x sender pairs were evaluated (see :class:`RoundRecord`).  The
+    receivers are the rows of ``q`` (k, 2) or, given the integer index
+    array ``rows``, the rows ``q[rows]``; the mask has an entry for each.
 
     UDG informs within distance 1 of a sender, by one nearest-sender query
-    over all of ``q``, which also gives the hop.  SNR and MIMO inform where
-    the received level reaches beta N0, boundary included, and query no
-    distance.  They decide ``q`` in row blocks of
-    :func:`~coopcast.signal_model.receiver_blocks`, so a round's
-    per-receiver temporaries stay one block's; each block runs the cascade
-    of :func:`_decide`.  A row's bounds and level depend only on that row
-    and the senders, so neither the mask nor the pairs depend on the block
-    size.  ``params`` is read only under SNR and MIMO.
+    over all the receivers, gathered at once, which also gives the hop.
+    SNR and MIMO inform where the received level reaches beta N0, boundary
+    included, and query no distance.  They decide the receivers in row
+    blocks of :func:`~coopcast.signal_model.receiver_blocks`, each sliced
+    from ``q`` or gathered by its indices only when its turn comes, so a
+    round's per-receiver positions and temporaries stay one block's; each
+    block runs the cascade of :func:`_decide`.  A row's bounds and level
+    depend only on that row and the senders, so neither the mask nor the
+    pairs depend on the block size, nor on whether the rows were gathered
+    before the call.  ``params`` is read only under SNR and MIMO.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
     q = np.asarray(q, dtype=float)
     if model == "udg":
+        if rows is not None:
+            q = q[rows]
         d_min = nearest_sender_within_one(senders, q)
         informed = d_min <= 1.0
         return informed, float(d_min[informed].max(initial=0.0)), 0
     snr = model == "snr"
-    informed = np.empty(len(q), dtype=bool)
+    k = len(q) if rows is None else len(rows)
+    informed = np.empty(k, dtype=bool)
     kernel_rows = 0
-    for block in receiver_blocks(len(q)):
-        informed[block], open_rows = _decide(snr, senders, q[block], params)
+    for block in receiver_blocks(k):
+        receivers = q[block] if rows is None else q[rows[block]]
+        informed[block], open_rows = _decide(snr, senders, receivers, params)
         kernel_rows += open_rows
-    pairs = senders.m * (kernel_rows if snr else len(q))
+    pairs = senders.m * (kernel_rows if snr else k)
     return informed, None, pairs
 
 
@@ -311,7 +319,7 @@ def _run_rounds(
             candidates = waiting
         senders = _senders(field_, active, config)
         hit, hop, pairs = informs(
-            config.model, senders, field_.positions[candidates], config.params
+            config.model, senders, field_.positions, config.params, rows=candidates
         )
         newly = candidates[hit]
         del hit  # one entry per candidate: not kept through the next round

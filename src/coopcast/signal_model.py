@@ -56,25 +56,30 @@ MODELS = ("udg", "snr", "mimo")
 # Bytes of work arrays per block of a reception kernel or screen.  _blocks
 # divides it by the bytes per pair of a stage's work arrays, so temporaries
 # stay the same size whatever the number of senders: 12 for the float32
-# screen tier (2^17 pairs a block), 16 for the SNR kernel (98,304 pairs), 32
-# for the MIMO kernel and the float64 screen tier (49,152 pairs).  Each call
-# allocates its work arrays once: allocated per block, the SNR kernel's
-# 16-byte blocks raised the simulate pass's peak RSS from 83 to 87 MB;
-# allocated per call, by 0.5 MB.
+# screen tier (87,381 pairs a block), 16 for the SNR kernel (65,536 pairs),
+# 32 for the MIMO kernel and the float64 screen tier (32,768 pairs).  Each
+# call allocates its work arrays once: allocated per block, the SNR
+# kernel's 16-byte blocks raised the simulate pass's peak RSS from 83 to
+# 87 MB; allocated per call, by 0.5 MB.
 # It was tuned with the benchmark's simulate sweeps at --workers 2 on a
 # 2-vCPU x86-64 host (2 MiB of L2 cache a core).  The MISO sweep, criterion
 # 08's five fields, took medians of 0.84 s at 1.5 MiB, 0.85 s at 1 and at
 # 2 MiB, and 1.08 s with the former 2^15 pairs in every stage (12
-# interleaved runs each).  Above 1.5 MiB the pass's peak RSS grew (85 MB
-# at 2 MiB).  Fewer, longer numpy calls leave the two workers less
-# Python to run under the GIL.
-_BLOCK_BYTES = 3 * 2**19
+# interleaved runs each).  Measured again in process, 48 alternating runs
+# each, it took 0.411 s at 1 MiB against 0.426 s at 1.5 MiB, inside the
+# runs' quartiles (0.385-0.472 s and 0.376-0.466 s; 1 MiB faster in 19 of
+# 48 pairs).  The pass's peak RSS grows with the budget, since its two SNR
+# jobs hold their kernel's work arrays at once: 77.0-77.4 MB at 1 MiB,
+# 78.5-79.1 MB at 1.5 MiB (one pass in process, three runs each).  Fewer,
+# longer numpy calls than at 2^15 pairs leave the two workers less Python
+# to run under the GIL.
+_BLOCK_BYTES = 2**20
 
 # Bytes per receiver row of the temporaries a screen call and its caller
 # hold at once, beside the work arrays of _blocks: receivers and their
 # radii, the float32 tier's casts, sums, eps and masks, both bounds, the
 # open rows' copy.  About 24 float64 values a row; _BLOCK_BYTES at this
-# rate is 2^13 rows (see receiver_blocks).
+# rate is 5,461 rows (see receiver_blocks).
 _ROW_BYTES = 192
 
 

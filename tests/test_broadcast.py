@@ -8,7 +8,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from coopcast import broadcast, experiments, signal_model
-from coopcast.bounds import miso_upper_schedule
+from coopcast.bounds import miso_upper_schedule, snr_upper_schedule
 from coopcast.broadcast import (
     BootstrapFailure,
     BroadcastConfig,
@@ -29,6 +29,8 @@ from coopcast.signal_model import (
     snr_received_energy,
 )
 
+from round_reach import REACH_MARGIN, reach_share
+
 PARAMS = SignalParams()
 
 
@@ -45,7 +47,7 @@ def _receive(fld, active, candidates, config):
     evaluated.  Such a round measures no hop."""
     senders = broadcast._senders(fld, active, config)
     hit, hop, pairs = broadcast.informs(
-        config.model, senders, fld.positions[candidates], config.params
+        config.model, senders, fld.positions, config.params, rows=candidates
     )
     assert hop is None
     return candidates[hit], pairs
@@ -186,25 +188,6 @@ def test_udg_reach_filter_matches_unfiltered_flood(n, seed, restrict):
     assert dropped > 0  # the filter is on
 
 
-# A round's m unit-amplitude senders, the farthest at radius P, inform no
-# node farther from the origin than P + 1 under UDG; P + sqrt(m / beta N0)
-# under SNR, whose level at distance d from the nearest sender is at most
-# m / d^2; and P + m / sqrt(beta N0) under MIMO, whose |z| is at most m / d.
-_REACH_EXCESS = {
-    "udg": lambda m, beta_N0: 1.0,
-    "snr": lambda m, beta_N0: math.sqrt(m / beta_N0),
-    "mimo": lambda m, beta_N0: m / math.sqrt(beta_N0),
-}
-
-# Relative margin on the allowed excess.  A decided level sums m <= 65536
-# terms, each within a few u = 2^-53 of its value, so it lies within
-# (m + 8) u < 7.3e-12 of the exact level (relative); a MIMO phase of up to
-# 2 pi R / lam < 1900 rad adds under 1e-12 of m / d.  The radii are within
-# 1 ulp each, under 2 u R < 4e-15 for R < 19, and every allowed excess is
-# at least 1 here (m >= 1, beta N0 = 1).  2^-30 = 9.3e-10 is over a
-# hundred times their sum.
-_REACH_MARGIN = 2.0**-30
-
 # The benchmark's simulate sweeps: a flood at the UDG sweep's density,
 # (32/pi) ln n, and its largest n; SNR at n = 65536 and rho = 64 on two
 # fields; and MISO on criterion 08's five fields with c1 = 12, c2 = 0.02.
@@ -224,12 +207,9 @@ def test_every_round_informs_within_its_senders_reach(model):
     closest = {}  # round model -> largest share of the allowed excess reached
 
     def check(record, round_model, senders):
-        pos = senders.positions
-        P = np.hypot(pos[:, 0], pos[:, 1]).max()
-        allowed = _REACH_EXCESS[round_model](senders.m, cfg.params.beta_N0)
-        excess = fld.radii[record.newly_informed].max(initial=-np.inf) - P
-        assert excess <= allowed * (1.0 + _REACH_MARGIN), (record.round_index, excess, allowed)
-        closest[round_model] = max(closest.get(round_model, -np.inf), excess / allowed)
+        share = reach_share(fld.radii, record, round_model, senders, cfg.params.beta_N0)
+        assert share <= 1.0 + REACH_MARGIN, (record.round_index, share)
+        closest[round_model] = max(closest.get(round_model, -np.inf), share)
 
     for seed in cfg.seeds:
         fld = sample_field(n, cfg.radius_for(n), seed)
@@ -489,6 +469,61 @@ def test_informs_does_not_depend_on_its_row_blocks(monkeypatch, model):
     assert np.array_equal(informed, level >= params.beta_N0)
     for other in results[1:]:
         assert np.array_equal(other[0], informed) and other[1:] == (pairs, rows_decided)
+
+
+@pytest.mark.parametrize("model", MODELS, ids=str.upper)
+def test_informs_reads_its_rows_by_index(monkeypatch, model):
+    # informs on q with an index array decides the rows q[rows], gathering
+    # each block's rows itself: the mask, the hop and the pairs are the bits
+    # of informs on the gathered copy, for shuffled rows, for no rows, and
+    # at 7 rows a block for rows that span many blocks.  beta N0 is the
+    # level of the receiver at the 90th percentile, which only the kernel
+    # can decide (UDG reads no level).
+    k = 3000
+    senders, q = _ring_round(model, k, seed=2)
+    if model == "snr":
+        level = snr_received_energy(senders, q, PARAMS)
+    else:
+        level = np.abs(received_phasor(senders, q, PARAMS)) ** 2
+    params = SignalParams(beta_N0=float(np.sort(level)[int(0.9 * k)]))
+    shuffled = np.random.default_rng(3).permutation(k)[: k // 2]
+    none = np.array([], dtype=np.intp)
+    for block_rows in (None, 7):
+        with monkeypatch.context() as patch:
+            if block_rows is not None:
+                patch.setattr(signal_model, "_BLOCK_BYTES", block_rows * signal_model._ROW_BYTES)
+            for rows in (shuffled, none):
+                by_index = broadcast.informs(model, senders, q, params, rows=rows)
+                copied = broadcast.informs(model, senders, q[rows], params)
+                assert by_index[0].shape == (len(rows),)
+                assert np.array_equal(by_index[0], copied[0]) and by_index[1:] == copied[1:]
+    informed, _, pairs = broadcast.informs(model, senders, q, params, rows=shuffled)
+    assert 0 < informed.sum() < len(shuffled)
+    assert (pairs == 0) == (model == "udg")
+
+
+def test_expanding_disk_memory_does_not_copy_its_waiting_nodes():
+    # An SNR expanding disk at rho = 64 on n = 2^17 nodes.  Over the sampled
+    # field, a round's call to informs holds the indices of the waiting
+    # nodes and of the log's rounds so far, which share the n nodes (8 bytes
+    # a node), up to four masks (a byte a node each) and one row block's
+    # work arrays and temporaries, each within the byte budget.  The shrink
+    # of the waiting nodes after it holds two index arrays and the newly
+    # informed (16 bytes a node) and three masks, below that bound at this
+    # n.  A copy of every waiting node's position would add 16 bytes a
+    # node, 2 MiB, past it.
+    n = 2**17
+    R = math.sqrt(n / (64.0 * math.pi))
+    fld = sample_field(n, R, seed=0)
+    config = BroadcastConfig("snr", tuple(snr_upper_schedule(64.0, R).radii), PARAMS)
+    tracemalloc.start()
+    try:
+        log = run_expanding_disk(fld, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert log.fully_informed and log.rounds[0].receivers == n - 1
+    assert peak <= 12 * n + 2 * signal_model._BLOCK_BYTES
 
 
 @pytest.mark.parametrize("model", MODELS, ids=str.upper)

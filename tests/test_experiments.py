@@ -30,6 +30,8 @@ from coopcast.experiments import (
 from coopcast.nodefield import sample_field
 from coopcast.signal_model import MODELS, SenderSet, SignalParams, field_map, to_pgm
 
+from round_reach import REACH_MARGIN, reach_share
+
 
 def _small_config(tmp_path, **overrides):
     base = dict(
@@ -220,6 +222,18 @@ def test_sweep_summary_rows_match_their_logs(tmp_path_factory, cfg):
             # Each bootstrap hop is at most 1.
             travel, tol = sum(radii), 2.0**-40
             assert travel * (1.0 - tol) <= time <= (travel + log["phase1_rounds"]) * (1.0 + tol)
+        # Every round informs within its senders' reach, rerun on the job's
+        # field with the rounds the log holds.
+        n, seed = int(line["n"]), int(line["seed"])
+        fld, rounds = sample_field(n, cfg.radius_for(n), seed), []
+
+        def check(record, round_model, senders):
+            share = reach_share(fld.radii, record, round_model, senders, cfg.params.beta_N0)
+            assert share <= 1.0 + REACH_MARGIN, (record.round_index, share)
+            rounds.append(sorted(record.newly_informed.tolist()))
+
+        _run_single(cfg, line["model"], fld, on_round=check)
+        assert rounds == [r["newly_informed"] for r in log["rounds"]]
 
 
 def test_run_experiment_records_failures_and_continues(tmp_path):
