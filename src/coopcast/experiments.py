@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import os
-import tempfile
 import traceback
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
@@ -149,9 +148,13 @@ class ScalingFit:
 
 def atomic_write(path: str, text: str | Iterable[str]) -> None:
     """Write ``text``, a string or an iterable of string pieces written one
-    at a time, to ``path`` through a temporary file and a rename."""
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    at a time, to ``path`` through a temporary file and a rename.
+
+    The temporary file is created with mode 0666, which the OS masks with
+    the process umask as it would for ``open(path, "w")``, under a random
+    name that ``O_EXCL`` keeps from clobbering another writer's."""
+    tmp = os.path.join(os.path.dirname(path) or ".", f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.writelines((text,) if isinstance(text, str) else text)

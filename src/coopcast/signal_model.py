@@ -22,7 +22,10 @@ work arrays, which ``_blocks`` allocates once per call and sizes from their
 dtypes; :func:`receiver_blocks` splits a round's receivers into row blocks
 of the same budget for its callers.  :func:`nearest_sender_within_one` is
 the one kd-tree query: the unit-disk question of the UDG decision and map.
-SNR and MIMO query none.
+SNR and MIMO query none.  Every other stage takes its pair distances from
+``_squared_distances``, dx^2 + dy^2: the SNR kernel divides by them clamped,
+with no square root, and the MIMO kernel and tiers take their ``np.sqrt``,
+the bits of the kd-tree's distances.
 """
 
 from __future__ import annotations
@@ -180,14 +183,16 @@ def _blocks(k: int, m: int, *dtypes):
         yield block, [w[: block.stop - start] for w in work]
 
 
-def _distances(senders: SenderSet, q: np.ndarray, params: SignalParams, dist, clamped):
-    """Write into ``dist`` the (k, m) distances from every receiver to every
-    sender, and into ``clamped`` those distances clamped below at c_f lam."""
-    pos = senders.positions
-    np.subtract(q[:, 0, None], pos[:, 0], out=dist)
-    np.subtract(q[:, 1, None], pos[:, 1], out=clamped)
-    np.hypot(dist, clamped, out=dist)
-    np.maximum(dist, params.c_f * params.lam, out=clamped)
+def _squared_distances(q, pos, out, scratch):
+    """Write into ``out`` the (rows, m) squared distances dx^2 + dy^2 from
+    each receiver to each sender, with ``q`` and ``pos`` given as their x and
+    y coordinate rows (2, rows) and (2, m): two subtractions, two squares and
+    one add, the one pair-distance arithmetic of every kernel and screen."""
+    np.subtract(q[0][:, None], pos[0], out=out)
+    np.subtract(q[1][:, None], pos[1], out=scratch)
+    np.multiply(out, out, out=out)
+    np.multiply(scratch, scratch, out=scratch)
+    np.add(out, scratch, out=out)
 
 
 def received_phasor(senders: SenderSet, q, params: SignalParams):
@@ -205,7 +210,9 @@ def received_phasor(senders: SenderSet, q, params: SignalParams):
         # in their order, written into the three work arrays.  The real part
         # of the exponent is 0 and the weight is real, so leaving out the
         # complex promotions changes no bit of z.
-        _distances(senders, qa[block], params, dist, weight)
+        _squared_distances(qa[block].T, senders.positions.T, dist, weight)
+        np.sqrt(dist, out=dist)
+        np.maximum(dist, params.c_f * params.lam, out=weight)
         np.divide(senders.amplitudes, weight, out=weight)
         theta = terms.imag
         np.multiply(dist, -2.0 * np.pi, out=theta)
@@ -224,9 +231,8 @@ def received_phasor(senders: SenderSet, q, params: SignalParams):
 # every receiver whose phases stay within _PHASE_LIMIT radians, with at
 # most _SCREEN_SENDERS senders.  Terms per unit of weight, with u = 2^-53
 # and M <= 2^20 the largest phase magnitude of the row:
-# - the phase, against the kernel's: sqrt(dx^2 + dy^2) and hypot differ by
-#   at most 4u relative, and the multiply, divide and add round in each
-#   computation, at most 11u M = 2^-29.5;
+# - the phase, against the kernel's: none, since both take the same
+#   _squared_distances, sqrt, multiply, divide and add, bit for bit;
 # - the reduction theta - rint(theta / 2pi) 2pi: the float 2pi's error
 #   times |rint(...)| <= M / 2pi + 1, the product and the subtraction,
 #   at most 2u M = 2^-32;
@@ -234,14 +240,14 @@ def received_phasor(senders: SenderSet, q, params: SignalParams):
 # - float32 cos/sin, as the modulus |(cos, sin) - e^{it}|: _TRIG_ERROR =
 #   12 * 2^-24 (measured worst 1.41 * 2^-24, over every float32 in
 #   [-pi, pi]; tests/test_signal.py checks a dense sample against 1/8 of it);
-# - the weights against the kernel's: the distances (4u) and a division in
-#   each (2u), 6u;
+# - the weights against the kernel's: none, the same distance, clamp and
+#   division;
 # - the screen's products (2u) and float64 row sums, (m - 1)u each for the
 #   real and imaginary parts with m <= 2^20, at most 2^-32;
 # - the kernel's own rounding: complex exp and the weight product (2u
 #   each) and its pairwise sum ((m - 1)u), at most 2^-32;
 # - abs of both sums (hypot, 2u each) and subtracting the slack (u), 5u.
-# The sum is below 14.1 * 2^-24; eps = 2^-18 = 64 * 2^-24 is more than
+# The sum is below 14.02 * 2^-24; eps = 2^-18 = 64 * 2^-24 is more than
 # four times it.  The tier returns its bounds squared: squaring rounds
 # monotonically, so they bound |z|^2 as the kernel computes it.
 _TRIG_ERROR = 12 * 2.0**-24
@@ -261,15 +267,10 @@ def mimo_tier64(senders: SenderSet, qa: np.ndarray, params: SignalParams):
     and two float32 work arrays.
     """
     k, m = qa.shape[0], senders.m
-    pos = senders.positions
+    pos = senders.positions.T
     lower, upper, outside = np.empty(k), np.empty(k), np.empty(k, dtype=bool)
     for block, (dist, theta, turns, cos, sin) in _blocks(k, m, "f8", "f8", "f8", "f4", "f4"):
-        q_b = qa[block]
-        np.subtract(q_b[:, 0, None], pos[:, 0], out=dist)
-        np.subtract(q_b[:, 1, None], pos[:, 1], out=theta)
-        np.multiply(dist, dist, out=dist)
-        np.multiply(theta, theta, out=theta)
-        np.add(dist, theta, out=dist)
+        _squared_distances(qa[block].T, pos, dist, theta)
         np.sqrt(dist, out=dist)
         # The kernel's phase, then its nearest multiple of 2 pi subtracted.
         np.multiply(dist, -2.0 * np.pi, out=theta)
@@ -365,11 +366,7 @@ def mimo_tier32(senders: SenderSet, qa: np.ndarray, params: SignalParams):
     wave, clamp = np.float32(-2.0 * np.pi / params.lam), np.float32(clamp)
     real, imag, total = np.empty((3, inside.size))
     for block, (dist, theta, cos) in _blocks(inside.size, m, "f4", "f4", "f4"):
-        np.subtract(q32[0, block, None], pos[0], out=dist)
-        np.subtract(q32[1, block, None], pos[1], out=theta)
-        np.multiply(dist, dist, out=dist)
-        np.multiply(theta, theta, out=theta)
-        np.add(dist, theta, out=dist)
+        _squared_distances(q32[:, block], pos, dist, theta)
         np.sqrt(dist, out=dist)
         np.multiply(dist, wave, out=theta)
         np.add(theta, phases, out=theta)
@@ -389,14 +386,15 @@ def mimo_tier32(senders: SenderSet, qa: np.ndarray, params: SignalParams):
 
 
 def snr_received_energy(senders: SenderSet, q, params: SignalParams):
-    """Incoherent received energy RS = sum_j a_j^2 / max(dist_j, c_f lam)^2
-    at each receiver of ``q`` (k, 2)."""
+    """Incoherent received energy RS = sum_j a_j^2 / max(dist_j^2, (c_f lam)^2)
+    at each receiver of ``q`` (k, 2), from the squared distances: no sqrt."""
     qa = np.asarray(q, dtype=float)
     rs = np.empty(len(qa))
     power = senders.amplitudes**2
-    for block, (dist, level) in _blocks(len(qa), senders.m, "f8", "f8"):
-        _distances(senders, qa[block], params, dist, level)
-        np.square(level, out=level)
+    clamp = params.c_f * params.lam
+    for block, (level, dy) in _blocks(len(qa), senders.m, "f8", "f8"):
+        _squared_distances(qa[block].T, senders.positions.T, level, dy)
+        np.maximum(level, clamp * clamp, out=level)
         np.divide(power, level, out=level)
         level.sum(axis=1, out=rs[block])
     return rs
@@ -426,8 +424,9 @@ def snr_level_bounds(
     (|q| <= P + c) gets U = S / c^2, the largest level there is.
     """
     # Relative rounding in tol, in units of u.  Kernel, per term: the
-    # subtraction (u), hypot (at most 2u), squaring the distance and a_j and
-    # the division (u each), about 9u; the sum of m terms, (m - 1)u.  S: the
+    # squared distance (dx and dy, u each, doubled by their squares, and the
+    # add: 4u) or the clamp c c (u), then squaring a_j and the division (u
+    # each), about 6u; the sum of m terms, (m - 1)u.  S: the
     # squares and their sum, at most mu (none for unit amplitudes: S = m).
     # Either bound's distance: |q| + P (two hypot and an addition) or, past
     # the margin, |q| - P (the subtraction), at most about 5u, doubled by

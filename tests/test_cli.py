@@ -1,5 +1,7 @@
+import csv
 import json
 import os
+import stat
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +11,8 @@ from coopcast import broadcast, cli, experiments, prover
 from coopcast.broadcast import BootstrapFailure
 from coopcast.cli import build_parser, main
 from coopcast.experiments import ExperimentConfig, ExperimentResult
-from coopcast.signal_model import SignalParams
+from coopcast.nodefield import sample_field
+from coopcast.signal_model import SenderSet, SignalParams, snr_received_energy
 
 FIELDMAP = ["fieldmap", "--model", "udg", "--n", "50"]
 CALIBRATE = ["calibrate-c1"]
@@ -127,6 +130,49 @@ def test_unset_output_dir_is_the_library_default(tmp_path, monkeypatch):
     assert sorted(os.listdir(out)) == [
         "certificate_term2_upper.json", "summary.csv", "udg_n200_seed0.json"
     ]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+def test_outputs_follow_the_process_umask(tmp_path, umask):
+    # A round log, summary.csv and a certificate get mode 0666 less the
+    # umask, as open() would give them, whatever thread wrote them.
+    out = tmp_path / "out"
+    old = os.umask(umask)
+    try:
+        assert main(["simulate", "--node-counts", "200", "--density", "32", "--seeds", "0",
+                     "--output-dir", str(out)]) == 0
+        assert main(["prove", "--task", "term2_upper", "--output-dir", str(out)]) == 0
+    finally:
+        os.umask(old)
+    modes = {name: stat.S_IMODE(os.stat(out / name).st_mode) for name in os.listdir(out)}
+    names = ["certificate_term2_upper.json", "summary.csv", "udg_n200_seed0.json"]
+    assert modes == dict.fromkeys(names, 0o666 & ~umask)
+
+
+def test_large_snr_runs_inform_every_node(tmp_path):
+    # Every round reads its receivers from the field by index, one row block
+    # at a time: both fields end fully informed, at n = 65536 and 262144.
+    # Round 2 at n = 65536 decides its 65,338 waiting nodes in twelve row
+    # blocks of at most 5,461 rows, and informs exactly those whose kernel
+    # level from the informed nodes within its radius reaches beta N0.
+    out = tmp_path / "runs"
+    assert main(["simulate", "--models", "snr", "--node-counts", "65536,262144",
+                 "--seeds", "0", "--output-dir", str(out)]) == 0
+    with open(out / "summary.csv", newline="") as fh:
+        rows = [(r["n"], r["fully_informed"], r["uninformed"]) for r in csv.DictReader(fh)]
+    assert rows == [("65536", "1", "0"), ("262144", "1", "0")]
+    with open(out / "snr_n65536_seed0.json") as fh:
+        first, second = json.load(fh)["rounds"][:2]
+    cfg = ExperimentConfig(models=("snr",), node_counts=(65536,))
+    fld = sample_field(65536, cfg.radius_for(65536), 0)
+    informed = np.zeros(fld.n, dtype=bool)
+    informed[[0, *first["newly_informed"]]] = True
+    radius = second["disk_radius_r_j"]
+    senders = SenderSet.build(fld.positions[informed & (fld.radii <= radius)])
+    waiting = np.flatnonzero(~informed)
+    level = snr_received_energy(senders, fld.positions[waiting], cfg.params)
+    assert len(waiting) == 65338
+    assert second["newly_informed"] == waiting[level >= cfg.params.beta_N0].tolist()
 
 
 @pytest.fixture

@@ -3,8 +3,9 @@
 The reference runs each driver's rounds with the engine's sender rules, but
 decides every uninformed eligible node by the textbook kernel in one call
 (by brute-force distance <= 1 under UDG), with no screen, no UDG reach
-filter and no blocks.  A UDG round's travel is its farthest hop, from
-brute-force ``np.sqrt(dx*dx + dy*dy)``, the bits of the kd-tree's
+filter and no blocks.  One distance serves everywhere: every level and hop
+comes from the brute-force squared distances dx*dx + dy*dy.  A UDG round's
+travel is its farthest hop, their ``np.sqrt``, the bits of the kd-tree's
 distances; an SNR or MIMO round's is its radius r_j.  The
 drivers must agree with it on every round's newly informed nodes and
 frontier, on the propagation time's bits, and on the log's flags and phase
@@ -34,25 +35,27 @@ from coopcast.nodefield import sample_field
 from coopcast.signal_model import SenderSet, SignalParams, center_sync_phases
 
 
-def _distances(q, pos):
-    """(k, m) distances as sqrt(dx*dx + dy*dy)."""
+def _squared_distances(q, pos):
+    """(k, m) squared distances as dx*dx + dy*dy."""
     dx = q[:, 0, None] - pos[:, 0]
     dy = q[:, 1, None] - pos[:, 1]
-    return np.sqrt(dx * dx + dy * dy)
+    return dx * dx + dy * dy
 
 
 def _level(model, pos, q, params):
     """Each receiver's level by the textbook kernel, one (k, m) temporary per
-    operation, from unit-amplitude senders at ``pos``; MIMO senders
+    operation, from unit-amplitude senders at ``pos``: SNR divides by the
+    squared distances clamped at c^2, MIMO takes their sqrt; MIMO senders
     center-synchronize."""
-    diff = q[:, None, :] - pos[None, :, :]
-    dist = np.hypot(diff[..., 0], diff[..., 1])
-    dclamp = np.maximum(dist, params.c_f * params.lam)
+    square = _squared_distances(q, pos)
+    c = params.c_f * params.lam
     amp = np.ones(len(pos))
     if model == "snr":
-        return (amp**2 / dclamp**2).sum(axis=1)
+        return (amp**2 / np.maximum(square, c * c)).sum(axis=1)
+    dist = np.sqrt(square)
     phases = SenderSet.build(pos, phases=center_sync_phases(pos, params.lam)).phases
-    z = ((amp / dclamp) * np.exp(1j * (-2.0 * np.pi * dist / params.lam + phases))).sum(axis=1)
+    terms = (amp / np.maximum(dist, c)) * np.exp(1j * (-2.0 * np.pi * dist / params.lam + phases))
+    z = terms.sum(axis=1)
     return np.abs(z) ** 2
 
 
@@ -70,7 +73,7 @@ def _reference_rounds(fld, model, schedule, params, informed, eligible, levels=N
             return rounds, False
         active = newly if flood else np.flatnonzero(informed & (radii <= r_j))
         if flood:
-            dist = _distances(pos[candidates], pos[active])
+            dist = np.sqrt(_squared_distances(pos[candidates], pos[active]))
             hit = dist.min(axis=1) <= 1.0
         else:
             level = _level(model, pos[active], pos[candidates], params)

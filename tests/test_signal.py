@@ -2,6 +2,7 @@ import math
 
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -64,16 +65,19 @@ def demodulate_numeric(
 
 def reference_kernels(senders: SenderSet, q, params: SignalParams):
     """z and RS at receivers ``q`` (k, 2) by the textbook formulas, one (k, m)
-    temporary per operation.  Oracle for :func:`received_phasor` and
-    :func:`snr_received_energy`, which run the same float operations in the
-    same order and so must match it bit for bit."""
+    temporary per operation, from the squared distances dx*dx + dy*dy: z
+    with their sqrt, RS with a^2 / max(d^2, c^2) and no sqrt.  Oracle for
+    :func:`received_phasor` and :func:`snr_received_energy`, which run the
+    same float operations in the same order and so must match it bit for
+    bit."""
     diff = q[:, None, :] - senders.positions[None, :, :]
-    dist = np.hypot(diff[..., 0], diff[..., 1])
-    dclamp = np.maximum(dist, params.c_f * params.lam)
-    terms = (senders.amplitudes / dclamp) * np.exp(
+    square = diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1]
+    dist = np.sqrt(square)
+    c = params.c_f * params.lam
+    terms = (senders.amplitudes / np.maximum(dist, c)) * np.exp(
         1j * (-2.0 * np.pi * dist / params.lam + senders.phases)
     )
-    return terms.sum(axis=1), (senders.amplitudes**2 / dclamp**2).sum(axis=1)
+    return terms.sum(axis=1), (senders.amplitudes**2 / np.maximum(square, c * c)).sum(axis=1)
 
 
 def expected_phasor_integral(
@@ -379,6 +383,71 @@ def test_snr_level_bounds_enclose_the_kernel_level(lam):
             assert lower[i] < beta <= upper[i]
             hit = informs("snr", senders, q, SignalParams(lam=lam, beta_N0=beta))[0]
             assert hit.tolist() == (level >= beta).tolist()
+
+
+def _exact_snr_levels(senders, q, params):
+    """Each receiver's level sum_j a_j^2 / max(d_j^2, (c_f lam)^2) in exact
+    rational arithmetic on the float inputs."""
+    clamp = (Fraction(params.c_f) * Fraction(params.lam)) ** 2
+    power = [Fraction(a) ** 2 for a in senders.amplitudes]
+    pos = [(Fraction(x), Fraction(y)) for x, y in senders.positions]
+    return [
+        sum(a2 / max((Fraction(x) - px) ** 2 + (Fraction(y) - py) ** 2, clamp)
+            for a2, (px, py) in zip(power, pos))
+        for x, y in q
+    ]
+
+
+@pytest.mark.parametrize("lam", [0.02, 0.1, 0.5])
+def test_snr_kernel_and_bounds_against_exact_arithmetic(lam):
+    # On random fields, the kernel is within (2m + 24)u of the exact level
+    # and the bounds enclose it: at a receiver on a sender, one at exactly
+    # c_f lam from a sender, one far away and across the field.  One sender
+    # at the origin makes both bounds tight, so their tol is needed.
+    params = SignalParams(lam=lam)
+    rng = np.random.Generator(np.random.Philox(41))
+    clamp = params.c_f * lam
+    for m in (1, 2, 9, 40):
+        pos = rng.uniform(-3.0, 3.0, size=(m, 2))
+        pos[0, 0] = 0.0  # (c_f lam, y) lies exactly c_f lam from it
+        if m == 1:
+            pos[0] = 0.0
+        senders = SenderSet.build(pos, rng.uniform(0.5, 2.0, size=m))
+        q = np.vstack([
+            pos[-1:],  # on a sender
+            [[clamp, pos[0, 1]], [-4e3, 3e3]],  # at exactly c_f lam; far away
+            rng.uniform(-6.0, 6.0, size=(24, 2)),
+        ])
+        assert np.hypot(*(q[1] - pos[0])) == clamp
+        exact = _exact_snr_levels(senders, q, params)
+        level = snr_received_energy(senders, q, params)
+        lower, upper = snr_level_bounds(senders, q, params)
+        rel = (2 * m + 24) * Fraction(2) ** -53
+        for i, e in enumerate(exact):
+            assert abs(Fraction(level[i]) - e) <= rel * e
+            assert Fraction(lower[i]) <= e <= Fraction(upper[i])
+
+
+def test_kd_tree_distance_is_the_sqrt_of_the_squared_distance():
+    # The UDG decision's kd-tree returns, for every receiver within 1, the
+    # sqrt of the smallest squared distance that every other reception
+    # stage computes, bit for bit: at distance exactly 1 too, and where two
+    # senders tie at 1.
+    rng = np.random.Generator(np.random.Philox(43))
+    for m in (2, 5, 60, 400):
+        # Two senders 2 apart, away from the others: one receiver between
+        # them, one beyond the first, both at distance exactly 1.
+        pos = rng.uniform(-3.0, 3.0, size=(m, 2))
+        pos[:2] = [[0.0, 10.3], [2.0, 10.3]]
+        q = np.vstack([[[1.0, 10.3], [-1.0, 10.3]], rng.uniform(-4.0, 4.0, size=(500, 2))])
+        square, scratch = np.empty((2, len(q), m))
+        signal_model._squared_distances(q.T, pos.T, square, scratch)
+        nearest = np.sqrt(square.min(axis=1))
+        within = nearest <= 1.0
+        assert nearest[0] == nearest[1] == 1.0 and np.sum(square[0] == 1.0) == 2
+        found = nearest_sender_within_one(SenderSet.build(pos), q)
+        assert np.array_equal(np.isfinite(found), within)
+        assert np.array_equal(found[within], nearest[within])
 
 
 def assert_matches_reference(senders, q, params):
